@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "comm/chunked_collectives.h"
+#include "comm/group.h"
 #include "common/rng.h"
 #include "core/baselines.h"
 #include "core/powersgd_compressor.h"
@@ -108,15 +108,10 @@ std::size_t encode_side_pass(core::SchemeCodec& codec,
       wire_bytes += payloads[static_cast<std::size_t>(w)].size();
     }
     if (s + 1 == n_stages) break;  // the rest is the decode side
-    const std::size_t granularity =
-        stage.op != nullptr ? stage.op->granularity() : 1;
-    const auto chunks =
-        comm::chunk_payload(payloads[0].size(), 0, granularity);
     if (stage.route == core::AggregationPath::kAllGather) {
       session->absorb_gathered(payloads);
     } else {
-      session->absorb_reduced(
-          comm::local_chunked_ring_all_reduce(payloads, chunks, *stage.op));
+      session->absorb_reduced(comm::local_ring_all_reduce(payloads, *stage.op));
     }
   }
   return wire_bytes;
@@ -133,15 +128,10 @@ int count_stages(core::SchemeCodec& codec,
     for (int w = 0; w < kWorld; ++w) {
       payloads[static_cast<std::size_t>(w)] = session->encode(w);
     }
-    const std::size_t granularity =
-        stage.op != nullptr ? stage.op->granularity() : 1;
-    const auto chunks =
-        comm::chunk_payload(payloads[0].size(), 0, granularity);
     if (stage.route == core::AggregationPath::kAllGather) {
       session->absorb_gathered(payloads);
     } else {
-      session->absorb_reduced(
-          comm::local_chunked_ring_all_reduce(payloads, chunks, *stage.op));
+      session->absorb_reduced(comm::local_ring_all_reduce(payloads, *stage.op));
     }
   }
   return n_stages;

@@ -1,9 +1,11 @@
 // google-benchmark microbenchmarks for the comm substrate: threaded fabric
-// collectives and their local reference aggregators.
+// collectives (reductions as one-chunk chunked collectives, the monolithic
+// schedule) and their local reference aggregators.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 
+#include "comm/chunked_collectives.h"
 #include "comm/fabric.h"
 #include "comm/group.h"
 #include "common/rng.h"
@@ -33,12 +35,13 @@ void BM_RingAllReduceThreaded(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(1));
   const auto inputs = float_inputs(n, count);
   const auto op = make_fp32_sum();
+  const auto chunks = chunk_payload(inputs[0].size(), 0, op->granularity());
   for (auto _ : state) {
     Fabric fabric(n);
     std::vector<ByteBuffer> bufs(inputs.begin(), inputs.end());
     run_workers(fabric, [&](Communicator& comm) {
-      ring_all_reduce(comm, bufs[static_cast<std::size_t>(comm.rank())],
-                      *op);
+      chunked_ring_all_reduce(
+          comm, bufs[static_cast<std::size_t>(comm.rank())], chunks, *op);
     });
     benchmark::DoNotOptimize(bufs[0].data());
   }
@@ -71,12 +74,13 @@ void BM_TreeAllReduceThreaded(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(1));
   const auto inputs = float_inputs(n, count);
   const auto op = make_fp32_sum();
+  const auto chunks = chunk_payload(inputs[0].size(), 0, op->granularity());
   for (auto _ : state) {
     Fabric fabric(n);
     std::vector<ByteBuffer> bufs(inputs.begin(), inputs.end());
     run_workers(fabric, [&](Communicator& comm) {
-      tree_all_reduce(comm, bufs[static_cast<std::size_t>(comm.rank())],
-                      *op);
+      chunked_tree_all_reduce(
+          comm, bufs[static_cast<std::size_t>(comm.rank())], chunks, *op);
     });
     benchmark::DoNotOptimize(bufs[0].data());
   }
@@ -104,12 +108,13 @@ void BM_PsAggregateThreaded(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(1));
   const auto inputs = float_inputs(n, count);
   const auto op = make_fp32_sum();
+  const auto chunks = chunk_payload(inputs[0].size(), 0, op->granularity());
   for (auto _ : state) {
     Fabric fabric(n);
     std::vector<ByteBuffer> bufs(inputs.begin(), inputs.end());
     run_workers(fabric, [&](Communicator& comm) {
-      ps_aggregate(comm, bufs[static_cast<std::size_t>(comm.rank())], *op,
-                   0);
+      chunked_ps_aggregate(comm, bufs[static_cast<std::size_t>(comm.rank())],
+                           chunks, *op, 0);
     });
     benchmark::DoNotOptimize(bufs[0].data());
   }

@@ -77,9 +77,6 @@ struct WorkerConfig {
   int peer_timeout_ms = 0;
   /// Elastic rejoin window in ms (0 = transport default, 2 s).
   int rejoin_window_ms = 0;
-  /// Transport I/O engine: one epoll reactor loop per process (the
-  /// default) or the legacy thread-per-peer readers (--io=threads).
-  bool io_threads = false;
   /// Fault demo: this original rank kills itself (SIGKILL-equivalent
   /// _exit) while encoding round `die_round`. -1 = nobody dies.
   int die_rank = -1;
@@ -184,8 +181,6 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
   if (config.rejoin_window_ms > 0) {
     fc.rejoin_window_ms = config.rejoin_window_ms;
   }
-  fc.io = config.io_threads ? gcs::net::SocketIoMode::kThreads
-                            : gcs::net::SocketIoMode::kReactor;
   gcs::net::SocketFabric fabric(fc);
   // Decorator stack, innermost first: freeze (hang injection) directly on
   // the fabric, then the straggler delay, then — outermost, health only —
@@ -240,13 +235,13 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
   // every process derives the identical chunk/bucket plan.
   gcs::core::PipelineConfig pipeline_config =
       gcs::core::parse_pipeline_config(config.scheme, layout, config.world);
-  if (pipeline_config.effective_backend() !=
+  if (pipeline_config.backend !=
       gcs::core::PipelineBackend::kLocalReference) {
     throw gcs::Error(
         "gcs_worker: drop fabric=/fabric from --scheme — the transport is "
         "chosen by this binary (--launch / --rank + --rendezvous)");
   }
-  // chunk_bytes == 0 is a meaningful value (monolithic collectives), so
+  // chunk_bytes == 0 is a meaningful value (one chunk per payload), so
   // "spec wins" must key on the option's presence, not on its value; the
   // autotuner resolving a chunk size counts as the spec speaking.
   const bool spec_sets_chunk =
@@ -570,10 +565,6 @@ int main(int argc, char** argv) {
              "  --elastic             survive peer failure: re-rendezvous\n"
              "                        the survivors (new epoch, dense\n"
              "                        re-ranking) with EF state intact\n"
-             "  --io=<engine>         transport I/O engine: reactor (one\n"
-             "                        epoll loop per process, default) or\n"
-             "                        threads (legacy one reader thread\n"
-             "                        per peer)\n"
              "  --peer-timeout-ms=<t> recv deadline (default 60000)\n"
              "  --rejoin-window-ms=<t> elastic rejoin window (default\n"
              "                        2000)\n"
@@ -636,12 +627,6 @@ int main(int argc, char** argv) {
         static_cast<int>(flags.get_int("peer-timeout-ms", 0));
     config.rejoin_window_ms =
         static_cast<int>(flags.get_int("rejoin-window-ms", 0));
-    const std::string io = flags.get_string("io", "reactor");
-    if (io != "reactor" && io != "threads") {
-      std::cerr << "--io expects reactor or threads, got '" << io << "'\n";
-      return 2;
-    }
-    config.io_threads = io == "threads";
     config.die_rank = static_cast<int>(flags.get_int("die-rank", -1));
     config.die_round = static_cast<int>(flags.get_int("die-round", 0));
     config.delay_rank = static_cast<int>(flags.get_int("delay-rank", -1));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "comm/group.h"
 #include "common/check.h"
 
 namespace gcs::comm {
@@ -11,7 +10,8 @@ namespace {
 
 // Chunked collectives get their own tag namespace: 16 bits of chunk index
 // on top of [collective : 8][phase : 8][step : 16] shifted up, so a
-// chunked protocol can never collide with a monolithic one.
+// chunked protocol can never collide with the monolithic all-gather or
+// broadcast (comm/collectives.cpp).
 constexpr std::uint64_t ctag(unsigned collective, unsigned phase,
                              unsigned step, std::size_t chunk) noexcept {
   return (std::uint64_t{1} << 63) |
@@ -98,7 +98,7 @@ void chunked_ring_all_reduce(Communicator& comm, ByteBuffer& data,
   const int n = comm.world_size();
   if (n == 1 || data.empty()) return;
   const int rank = comm.rank();
-  // The block partition of the monolithic ring — computed on the total
+  // The block partition of the whole payload — computed on the total
   // size, which is what makes chunking value-transparent.
   const auto off = ring_block_offsets(data.size(), n, op.granularity());
   const int next = (rank + 1) % n;
@@ -287,30 +287,6 @@ void chunked_ps_aggregate(Communicator& comm, ByteBuffer& data,
       std::copy(msg.payload.begin(), msg.payload.end(), span.begin());
     }
   }
-}
-
-ByteBuffer local_chunked_ring_all_reduce(const std::vector<ByteBuffer>& inputs,
-                                         std::span<const ChunkRange> chunks,
-                                         const ReduceOp& op) {
-  GCS_CHECK(!inputs.empty());
-  check_chunk_plan(chunks, inputs[0].size());
-  return local_ring_all_reduce(inputs, op);
-}
-
-ByteBuffer local_chunked_tree_all_reduce(const std::vector<ByteBuffer>& inputs,
-                                         std::span<const ChunkRange> chunks,
-                                         const ReduceOp& op) {
-  GCS_CHECK(!inputs.empty());
-  check_chunk_plan(chunks, inputs[0].size());
-  return local_tree_all_reduce(inputs, op);
-}
-
-ByteBuffer local_chunked_ps_aggregate(const std::vector<ByteBuffer>& inputs,
-                                      std::span<const ChunkRange> chunks,
-                                      const ReduceOp& op, int server) {
-  GCS_CHECK(!inputs.empty());
-  check_chunk_plan(chunks, inputs[0].size());
-  return local_ps_aggregate(inputs, op, server);
 }
 
 }  // namespace gcs::comm

@@ -1,6 +1,5 @@
 #include "comm/collectives.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/check.h"
@@ -16,19 +15,8 @@ constexpr std::uint64_t tag_of(unsigned collective, unsigned phase,
          (static_cast<std::uint64_t>(phase) << 16) | step;
 }
 
-constexpr unsigned kRing = 1;
-constexpr unsigned kTree = 2;
 constexpr unsigned kGather = 3;
 constexpr unsigned kBcast = 4;
-constexpr unsigned kPs = 5;
-
-std::span<std::byte> block_span(ByteBuffer& data,
-                                const std::vector<std::size_t>& off,
-                                int block) {
-  return {data.data() + off[static_cast<std::size_t>(block)],
-          off[static_cast<std::size_t>(block) + 1] -
-              off[static_cast<std::size_t>(block)]};
-}
 
 }  // namespace
 
@@ -47,72 +35,6 @@ std::vector<std::size_t> ring_block_offsets(std::size_t size, int world_size,
     off[i + 1] = off[i] + (base + (i < rem ? 1 : 0)) * granularity;
   }
   return off;
-}
-
-void ring_all_reduce(Communicator& comm, ByteBuffer& data,
-                     const ReduceOp& op) {
-  const int n = comm.world_size();
-  if (n == 1) return;
-  const int rank = comm.rank();
-  const auto off = ring_block_offsets(data.size(), n, op.granularity());
-  const int next = (rank + 1) % n;
-  const int prev = (rank + n - 1) % n;
-
-  // Phase 1: reduce-scatter. After step s, the partial for block
-  // (rank - s - 1 + n) % n has folded in this rank's contribution.
-  for (int s = 0; s < n - 1; ++s) {
-    const int send_block = (rank - s + n) % n;
-    const int recv_block = (rank - s - 1 + n) % n;
-    auto out = block_span(data, off, send_block);
-    comm.send(next, tag_of(kRing, 1, static_cast<unsigned>(s)),
-              ByteBuffer(out.begin(), out.end()));
-    Message msg =
-        comm.recv(prev, tag_of(kRing, 1, static_cast<unsigned>(s)));
-    auto acc = block_span(data, off, recv_block);
-    GCS_CHECK(msg.payload.size() == acc.size());
-    // combine(local, partial): both our ops are commutative, and this
-    // orientation is what the local reference aggregator replicates.
-    op.accumulate(acc, msg.payload);
-  }
-
-  // Phase 2: all-gather. Rank i owns fully reduced block (i + 1) % n.
-  for (int s = 0; s < n - 1; ++s) {
-    const int send_block = (rank + 1 - s + n) % n;
-    const int recv_block = (rank - s + n) % n;
-    auto out = block_span(data, off, send_block);
-    comm.send(next, tag_of(kRing, 2, static_cast<unsigned>(s)),
-              ByteBuffer(out.begin(), out.end()));
-    Message msg =
-        comm.recv(prev, tag_of(kRing, 2, static_cast<unsigned>(s)));
-    auto dst = block_span(data, off, recv_block);
-    GCS_CHECK(msg.payload.size() == dst.size());
-    std::copy(msg.payload.begin(), msg.payload.end(), dst.begin());
-  }
-}
-
-void tree_all_reduce(Communicator& comm, ByteBuffer& data,
-                     const ReduceOp& op) {
-  const int n = comm.world_size();
-  if (n == 1) return;
-  const int rank = comm.rank();
-
-  // Binomial reduce to rank 0: rank r sends once, at step == lowest set
-  // bit of r; before that it folds in children r+step in increasing order.
-  for (int step = 1; step < n; step <<= 1) {
-    if ((rank & step) != 0) {
-      comm.send(rank - step, tag_of(kTree, 1, static_cast<unsigned>(step)),
-                data);
-      break;
-    }
-    if (rank + step < n) {
-      Message msg = comm.recv(rank + step,
-                              tag_of(kTree, 1, static_cast<unsigned>(step)));
-      GCS_CHECK(msg.payload.size() == data.size());
-      op.accumulate(data, msg.payload);
-    }
-  }
-
-  broadcast(comm, data, 0);
 }
 
 std::vector<ByteBuffer> all_gather(Communicator& comm, ByteBuffer mine) {
@@ -152,30 +74,6 @@ void broadcast(Communicator& comm, ByteBuffer& data, int root) {
           comm.recv(src, tag_of(kBcast, 1, static_cast<unsigned>(step)));
       data = std::move(msg.payload);
     }
-  }
-}
-
-void ps_aggregate(Communicator& comm, ByteBuffer& data, const ReduceOp& op,
-                  int server) {
-  const int n = comm.world_size();
-  if (n == 1) return;
-  const int rank = comm.rank();
-  if (rank == server) {
-    // Fold clients in rank order — the canonical PS reduction order.
-    for (int src = 0; src < n; ++src) {
-      if (src == server) continue;
-      Message msg = comm.recv(src, tag_of(kPs, 1, 0));
-      GCS_CHECK(msg.payload.size() == data.size());
-      op.accumulate(data, msg.payload);
-    }
-    for (int dst = 0; dst < n; ++dst) {
-      if (dst == server) continue;
-      comm.send(dst, tag_of(kPs, 2, 0), data);
-    }
-  } else {
-    comm.send(server, tag_of(kPs, 1, 0), data);
-    Message msg = comm.recv(server, tag_of(kPs, 2, 0));
-    data = std::move(msg.payload);
   }
 }
 

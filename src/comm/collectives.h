@@ -1,21 +1,11 @@
-// Collective operations over the in-process fabric.
-//
-// Implemented from scratch, mirroring NCCL's algorithm families:
-//   * ring all-reduce  — reduce-scatter + all-gather, 2(n-1)/n x payload on
-//     the wire per worker; bandwidth-optimal (Baidu ring).
-//   * tree all-reduce  — binomial reduce to rank 0 + binomial broadcast;
-//     latency-optimal for small payloads (Sanders et al. two-tree family).
-//   * all-gather       — ring; every worker ends with every worker's
-//     payload (the only collective plain TopK can use).
-//   * parameter server — many-to-one gather + reduce at one rank, then
-//     one-to-many broadcast (the incast-prone pattern the paper critiques).
-//
-// Reduction order is deterministic and documented per collective so that
-// non-associative ops (FP16 sum, saturating add) reproduce bit-for-bit:
-//   ring:  block j is folded in worker order j, j+1, ..., j+n-1 (mod n),
-//          each hop computing combine(local, partial).
-//   tree:  rank r accumulates children r+1, r+2, r+4, ... in that order.
-//   PS:    the server folds clients in rank order 0, 1, ..., n-1.
+// Communicator handle and the monolithic collectives that remain besides
+// the chunked family (comm/chunked_collectives.h, which carries every
+// reduction):
+//   * all-gather — ring; every worker ends with every worker's payload.
+//     Payload sizes may differ across ranks, which makes it the fallback
+//     for schemes that pad per worker (TopK's delta format).
+//   * broadcast  — binomial, from any root (the link prober's probe
+//     fan-out).
 //
 // Every function is SPMD: all ranks call it on their own thread with their
 // own Communicator, like an MPI/NCCL program.
@@ -53,15 +43,6 @@ class Communicator {
   int rank_;
 };
 
-/// Ring all-reduce, in place. `data` must have identical size on all ranks
-/// and the size must be a multiple of op.granularity().
-void ring_all_reduce(Communicator& comm, ByteBuffer& data,
-                     const ReduceOp& op);
-
-/// Binomial-tree all-reduce (reduce to rank 0, broadcast), in place.
-void tree_all_reduce(Communicator& comm, ByteBuffer& data,
-                     const ReduceOp& op);
-
 /// Ring all-gather: returns all ranks' payloads, indexed by rank.
 /// Payload sizes may differ across ranks.
 std::vector<ByteBuffer> all_gather(Communicator& comm, ByteBuffer mine);
@@ -69,14 +50,9 @@ std::vector<ByteBuffer> all_gather(Communicator& comm, ByteBuffer mine);
 /// Binomial broadcast from `root`, in place (non-roots receive into data).
 void broadcast(Communicator& comm, ByteBuffer& data, int root);
 
-/// Parameter-server aggregation: all ranks send to `server`, which folds
-/// them in rank order and broadcasts the result. In place.
-void ps_aggregate(Communicator& comm, ByteBuffer& data, const ReduceOp& op,
-                  int server);
-
-/// Block offsets used by the ring to split `size` bytes into world_size
-/// contiguous blocks aligned to `granularity`. Exposed for the local
-/// reference aggregator and for tests.
+/// Block offsets used by the ring all-reduce to split `size` bytes into
+/// world_size contiguous blocks aligned to `granularity`. Shared by the
+/// chunked ring and the local reference fold; exposed for tests.
 std::vector<std::size_t> ring_block_offsets(std::size_t size, int world_size,
                                             std::size_t granularity);
 

@@ -70,8 +70,8 @@ ByteBuffer local_tree_all_reduce(const std::vector<ByteBuffer>& inputs,
   const auto n = static_cast<int>(inputs.size());
   // Bottom-up binomial fold: rank r absorbs child r+step for step = 1, 2,
   // 4, ... while bit `step` of r is clear — exactly the receive order of
-  // tree_all_reduce. Processing ranks from high to low guarantees each
-  // child's accumulator is final before its parent consumes it.
+  // chunked_tree_all_reduce. Processing ranks from high to low guarantees
+  // each child's accumulator is final before its parent consumes it.
   std::vector<ByteBuffer> acc(inputs.begin(), inputs.end());
   for (int r = n - 1; r >= 0; --r) {
     for (int step = 1; (r & step) == 0 && r + step < n; step <<= 1) {

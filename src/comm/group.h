@@ -6,12 +6,13 @@
 // real" inside one process. Across processes, each rank constructs its
 // own net::SocketFabric endpoint instead.
 //
-// The local_* reference aggregators compute, without any threads or
-// message passing, exactly the value the corresponding fabric collective
-// produces — including the reduction order, so results are bit-identical
-// even for non-associative ops (FP16 sum, saturating add). The training
-// simulator uses these on its hot path; tests assert the bit-equality
-// against the threaded fabric versions.
+// The local_* reference folds compute, without any threads or message
+// passing, exactly the value the corresponding chunked collective
+// (comm/chunked_collectives.h) produces for every chunk plan — including
+// the reduction order, so results are bit-identical even for
+// non-associative ops (FP16 sum, saturating add). They are the single
+// reference oracle: the pipeline's kLocalReference backend runs them, and
+// tests and benches compare every transport run against them.
 #pragma once
 
 #include <functional>
@@ -27,17 +28,18 @@ namespace gcs::comm {
 void run_workers(Transport& transport,
                  const std::function<void(Communicator&)>& body);
 
-/// Reference result of ring_all_reduce over `inputs` (one buffer per rank,
-/// equal sizes). Folds block j in worker order j, j+1, ..., j+n-1 with the
-/// same operand orientation as the ring hops.
+/// Reference result of chunked_ring_all_reduce over `inputs` (one buffer
+/// per rank, equal sizes). Folds block j in worker order j, j+1, ...,
+/// j+n-1 with the same operand orientation as the ring hops.
 ByteBuffer local_ring_all_reduce(const std::vector<ByteBuffer>& inputs,
                                  const ReduceOp& op);
 
-/// Reference result of tree_all_reduce (binomial fold toward rank 0).
+/// Reference result of chunked_tree_all_reduce (binomial fold toward
+/// rank 0).
 ByteBuffer local_tree_all_reduce(const std::vector<ByteBuffer>& inputs,
                                  const ReduceOp& op);
 
-/// Reference result of ps_aggregate with the given server rank.
+/// Reference result of chunked_ps_aggregate with the given server rank.
 ByteBuffer local_ps_aggregate(const std::vector<ByteBuffer>& inputs,
                               const ReduceOp& op, int server = 0);
 

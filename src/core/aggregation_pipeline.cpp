@@ -55,12 +55,11 @@ void run_stage_local(const WireStage& stage, CodecRound& round,
     case AggregationPath::kAllReduce: {
       GCS_CHECK_MSG(stage.op != nullptr,
                     "stage '" << stage.name << "' needs a ReduceOp");
+      comm::check_chunk_plan(chunks, payloads[0].size());
       const ByteBuffer reduced =
           stage.algorithm == ReduceAlgorithm::kTree
-              ? comm::local_chunked_tree_all_reduce(payloads, chunks,
-                                                    *stage.op)
-              : comm::local_chunked_ring_all_reduce(payloads, chunks,
-                                                    *stage.op);
+              ? comm::local_tree_all_reduce(payloads, *stage.op)
+              : comm::local_ring_all_reduce(payloads, *stage.op);
       // kReduce covers only the absorb, matching the transport backends
       // (the local aggregators have no wire, so there are no send/recv
       // spans and the collective time is left unattributed by design).
@@ -72,8 +71,9 @@ void run_stage_local(const WireStage& stage, CodecRound& round,
     case AggregationPath::kParameterServer: {
       GCS_CHECK_MSG(stage.op != nullptr,
                     "stage '" << stage.name << "' needs a ReduceOp");
-      const ByteBuffer reduced = comm::local_chunked_ps_aggregate(
-          payloads, chunks, *stage.op, ps_server);
+      comm::check_chunk_plan(chunks, payloads[0].size());
+      const ByteBuffer reduced =
+          comm::local_ps_aggregate(payloads, *stage.op, ps_server);
       measure::ScopedSpan reduce_span(trace, measure::Phase::kReduce,
                                       stage.name);
       round.absorb_reduced(reduced);
@@ -322,8 +322,6 @@ net::SocketFabricConfig socket_fabric_config(const PipelineConfig& config,
   if (config.rejoin_window_ms > 0) {
     fc.rejoin_window_ms = config.rejoin_window_ms;
   }
-  fc.io = config.socket_io_threads ? net::SocketIoMode::kThreads
-                                   : net::SocketIoMode::kReactor;
   return fc;
 }
 
@@ -484,7 +482,7 @@ RoundStats AggregationPipeline::aggregate(
   GCS_CHECK(grads.size() == n);
   GCS_CHECK(out.size() == codec_->dimension());
 
-  const PipelineBackend backend = config_.effective_backend();
+  const PipelineBackend backend = config_.backend;
   if (backend == PipelineBackend::kSocketFabric) {
     return aggregate_socket(grads, out, round);
   }
@@ -819,7 +817,7 @@ RoundStats AggregationPipeline::aggregate_socket(
   wire_.received.assign(static_cast<std::size_t>(n), 0);
 
   // Fork ranks 1..n-1 first (while this process is still quiescent — no
-  // reader threads yet), then participate as rank 0 so the codec's
+  // reactor thread yet), then participate as rank 0 so the codec's
   // cross-round state advances in the surviving process. Each child runs
   // the identical SPMD round on its copy-on-write snapshot of the codec
   // and reports its wire meters plus the aggregated output for

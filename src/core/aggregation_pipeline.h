@@ -74,26 +74,19 @@ enum class PipelineBackend : std::uint8_t {
 };
 
 struct PipelineConfig {
-  /// Target chunk size in bytes for every stage's payload; 0 = do not
-  /// chunk (monolithic collectives). Values are identical either way —
+  /// Target chunk size in bytes for every stage's payload; 0 = one chunk
+  /// spanning the whole payload. Values are identical either way —
   /// chunking affects the wire schedule and the charged round time.
   std::size_t chunk_bytes = 0;
-  /// Legacy alias for backend = kThreadedFabric (kept for the factory's
-  /// `fabric` flag and existing call sites).
-  bool threaded_fabric = false;
   /// Server rank for kParameterServer stages.
   int ps_server = 0;
-  /// Execution backend; kLocalReference defers to `threaded_fabric`.
+  /// Execution backend (see the file comment).
   PipelineBackend backend = PipelineBackend::kLocalReference;
   /// Socket backend: TCP rendezvous port; 0 = Unix-domain sockets under
   /// /tmp (the default, no network configuration needed).
   int socket_port = 0;
   /// Socket backend: TCP host/interface address; empty = 127.0.0.1.
   std::string socket_iface;
-  /// Socket backend I/O engine: false = one epoll reactor loop per
-  /// endpoint (the default, O(1) I/O threads in world size); true = the
-  /// legacy thread-per-peer readers. Factory knob: "io=reactor|threads".
-  bool socket_io_threads = false;
   /// How stage payloads split into chunks: fixed-size (`chunk_bytes`,
   /// the default) or layer-aligned DDP-style buckets from the sched/
   /// planner (requires `layout`). Values are bit-identical either way.
@@ -148,12 +141,6 @@ struct PipelineConfig {
   /// (round, point) to simulate a crash; production runs leave it null
   /// and pay nothing.
   std::function<void(const char* point, std::uint64_t round)> fault_hook;
-
-  PipelineBackend effective_backend() const noexcept {
-    if (backend != PipelineBackend::kLocalReference) return backend;
-    return threaded_fabric ? PipelineBackend::kThreadedFabric
-                           : PipelineBackend::kLocalReference;
-  }
 };
 
 /// Per-rank wire traffic of one aggregate() call, measured by the

@@ -4,8 +4,8 @@
 //   1. codec         — this header: a scheme expressed as typed wire
 //                      stages, each producing per-worker payload bytes and
 //                      naming the reduction/routing they need;
-//   2. transport     — gcs::comm: monolithic and chunked collectives that
-//                      carry those payloads;
+//   2. transport     — gcs::comm: the chunked collectives (plus the
+//                      monolithic all-gather) that carry those payloads;
 //   3. orchestration — core/aggregation_pipeline.h: drives
 //                      encode -> communicate -> decode per chunk and owns
 //                      chunking/overlap policy.

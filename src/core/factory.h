@@ -31,18 +31,17 @@
 //                            model; rejects an explicit chunk=/bucket=
 //
 // Transport selection (see DESIGN.md section 5):
-//   "fabric"                 legacy flag: threaded in-process fabric
+//   "fabric"                 shorthand for fabric=threaded (an explicit
+//                            fabric=<value> overrides it)
 //   "fabric=local"           local reference aggregators (the default)
 //   "fabric=threaded"        one thread per rank over comm::Fabric
 //   "fabric=socket"          one OS process per rank over net::SocketFabric
 //   "port=<1..65535>"        socket backend over TCP at this rendezvous
 //                            port (default: Unix-domain sockets in /tmp)
 //   "iface=<host>"           socket backend TCP host (default 127.0.0.1)
-//   "io=reactor|threads"     socket backend I/O engine: one epoll reactor
-//                            loop per process (default) or the legacy
-//                            thread-per-peer readers
-// port=/iface=/io= are only meaningful — and only accepted — together
-// with fabric=socket.
+// port=/iface= are only meaningful — and only accepted — together with
+// fabric=socket. The socket backend always runs one epoll reactor loop
+// per process (net/reactor.h).
 //
 // Elastic membership (see DESIGN.md "Fault tolerance"):
 //   "elastic=on|off"         survive a peer failure by re-rendezvousing

@@ -49,51 +49,35 @@ void SocketFabric::adopt_epoch(std::vector<Socket> sockets,
   tel_.world.set(world);
   peers_.clear();
   peers_.resize(static_cast<std::size_t>(world));
+  // From here on every connection is permanently drained (until the
+  // epoch ends).
+  reactor_ = std::make_unique<Reactor>();
   for (int r = 0; r < world; ++r) {
     if (r == self) continue;
-    auto p = std::make_unique<Peer>();
-    p->sock = std::move(sockets[static_cast<std::size_t>(r)]);
+    // Owned by peers_ before the reactor sees its sink, so the sink
+    // outlives the reactor whatever add_channel does.
+    auto& p = peers_[static_cast<std::size_t>(r)];
+    p = std::make_unique<Peer>();
     // Lane keyed by original rank so the stall report names the same
     // identity across re-rankings as the per-peer byte counters.
     p->lane = health::lane(
         "net.reader",
         membership_.original_ranks[static_cast<std::size_t>(r)]);
-    peers_[static_cast<std::size_t>(r)] = std::move(p);
-  }
-  // The I/O engine starts only after the whole mesh is up; from here on
-  // every connection is permanently drained (until the epoch ends).
-  if (config_.io == SocketIoMode::kReactor) {
-    reactor_ = std::make_unique<Reactor>();
-    for (int r = 0; r < world; ++r) {
-      if (r == self) continue;
-      Peer& p = *peers_[static_cast<std::size_t>(r)];
-      p.sink.fabric = this;
-      p.sink.peer = &p;
-      p.sink.rank = r;
-      p.sink.epoch = epoch;
-      p.channel = reactor_->add_channel(std::move(p.sock), &p.sink);
-    }
-  } else {
-    for (int r = 0; r < world; ++r) {
-      if (r == self) continue;
-      Peer& p = *peers_[static_cast<std::size_t>(r)];
-      p.reader = std::thread([this, r, epoch] { reader_loop(r, epoch); });
-    }
+    p->sink.fabric = this;
+    p->sink.peer = p.get();
+    p->sink.rank = r;
+    p->sink.epoch = epoch;
+    p->channel = reactor_->add_channel(
+        std::move(sockets[static_cast<std::size_t>(r)]), &p->sink);
   }
 }
 
 void SocketFabric::teardown_mesh() {
   std::lock_guard mesh_lock(mesh_mu_);
-  // Reactor mode: joining the loop closes every channel socket — the
-  // same abort broadcast the per-peer shutdowns below perform. The
-  // reactor must die before peers_ (sinks point into it).
+  // Joining the loop closes every channel socket — the abort broadcast
+  // that wakes survivors blocked anywhere in the old world. The reactor
+  // must die before peers_ (sinks point into it).
   reactor_.reset();
-  for (auto& p : peers_) {
-    if (p != nullptr) p->sock.shutdown();
-  }
-  for (auto& p : peers_) {
-    if (p != nullptr && p->reader.joinable()) p->reader.join();
-  }
   // Whatever is still parked belongs to an aborted round of the closing
   // epoch: stale by definition once the epoch ends.
   std::uint64_t discarded = 0;
@@ -157,34 +141,18 @@ bool SocketFabric::fail_peer(int original_rank) {
     if (peers_[r] == nullptr) continue;
     if (r < membership_.original_ranks.size() &&
         membership_.original_ranks[r] == original_rank) {
-      // The shutdown is the manufactured EOF: the I/O engine unblocks,
-      // marks the channel closed, and the stuck recv throws PeerFailure
-      // naming this peer — from where the normal elastic path takes over.
-      if (reactor_ != nullptr && peers_[r]->channel >= 0) {
-        reactor_->shutdown_channel(peers_[r]->channel);
-      } else {
-        peers_[r]->sock.shutdown();
-      }
+      // The shutdown is the manufactured EOF: the reactor wakes, marks
+      // the channel closed, and the stuck recv throws PeerFailure naming
+      // this peer — from where the normal elastic path takes over.
+      reactor_->shutdown_channel(peers_[r]->channel);
       return true;
     }
   }
   return false;
 }
 
-int SocketFabric::io_threads() const {
-  std::lock_guard mesh_lock(const_cast<std::mutex&>(mesh_mu_));
-  if (config_.io == SocketIoMode::kReactor) {
-    return reactor_ != nullptr ? reactor_->io_threads() : 0;
-  }
-  int readers = 0;
-  for (const auto& p : peers_) {
-    if (p != nullptr && p->reader.joinable()) ++readers;
-  }
-  return readers;
-}
-
 Reactor::Stats SocketFabric::reactor_stats() const {
-  std::lock_guard mesh_lock(const_cast<std::mutex&>(mesh_mu_));
+  std::lock_guard mesh_lock(mesh_mu_);
   return reactor_ != nullptr ? reactor_->stats() : Reactor::Stats{};
 }
 
@@ -236,53 +204,6 @@ SocketFabric::Peer& SocketFabric::peer(int rank) const {
   return *peers_[static_cast<std::size_t>(rank)];
 }
 
-void SocketFabric::reader_loop(int peer_rank, std::uint64_t epoch) {
-  Peer& p = *peers_[static_cast<std::size_t>(peer_rank)];
-  std::string reason = "peer exited";
-  try {
-    FrameHeader header;
-    ByteBuffer payload;
-    while (read_frame(p.sock, header, payload)) {
-      if (header.epoch < epoch) {
-        // A straggler of an aborted epoch: reject it — parking it would
-        // let a same-tag recv of this epoch mis-deliver old data.
-        {
-          std::lock_guard lock(counter_mu_);
-          ++stale_rejected_;
-        }
-        tel_.stale_frames.inc();
-        continue;
-      }
-      if (header.epoch > epoch) {
-        throw Error("frame from future epoch " +
-                    std::to_string(header.epoch) + " on an epoch-" +
-                    std::to_string(epoch) + " connection");
-      }
-      if (static_cast<int>(header.src_rank) != peer_rank) {
-        throw Error("frame from rank " + std::to_string(header.src_rank) +
-                    " on the connection to rank " +
-                    std::to_string(peer_rank));
-      }
-      {
-        std::lock_guard lock(p.mu);
-        p.by_tag[header.tag].push_back(std::move(payload));
-        ++p.buffered;
-      }
-      p.lane.beat();
-      p.cv.notify_all();
-      payload = ByteBuffer{};
-    }
-  } catch (const std::exception& e) {
-    reason = e.what();
-  }
-  {
-    std::lock_guard lock(p.mu);
-    p.closed = true;
-    p.close_reason = reason;
-  }
-  p.cv.notify_all();
-}
-
 void SocketFabric::send(int src, int dst, std::uint64_t tag,
                         ByteBuffer payload) {
   GCS_CHECK_MSG(src == membership_.self,
@@ -301,16 +222,10 @@ void SocketFabric::send(int src, int dst, std::uint64_t tag,
   } else {
     Peer& p = peer(dst);
     try {
-      if (reactor_ != nullptr) {
-        // The reactor serializes per-channel sends itself (frame queue
-        // FIFO + coalescing flush); no per-peer send lock needed here.
-        reactor_->send(p.channel, static_cast<std::uint32_t>(src),
-                       membership_.epoch, tag, std::move(payload));
-      } else {
-        std::lock_guard lock(p.send_mu);
-        write_frame(p.sock, static_cast<std::uint32_t>(src),
-                    membership_.epoch, tag, payload);
-      }
+      // The reactor serializes per-channel sends itself (frame queue
+      // FIFO + coalescing flush); no per-peer send lock needed here.
+      reactor_->send(p.channel, static_cast<std::uint32_t>(src),
+                     membership_.epoch, tag, std::move(payload));
     } catch (const Error& e) {
       // A write onto a dead peer's connection is the send-side face of
       // the same failure recv sees as EOF.

@@ -86,10 +86,6 @@ struct WorldConfig {
   bool elastic = true;
   int peer_timeout_ms = 10000;
   int rejoin_window_ms = 800;
-  /// Socket I/O engine under test. The full kill matrix runs on the
-  /// default reactor; a threaded-engine smoke run keeps the legacy
-  /// engine honest (tests/test_fault_injection.cpp).
-  net::SocketIoMode io = net::SocketIoMode::kReactor;
   /// Per-rank log directory (created if missing); empty = no logs. CI
   /// uploads these as artefacts when the kill matrix fails.
   std::string log_dir;
@@ -232,7 +228,6 @@ inline RankReport run_rank(const WorldConfig& config, const FaultPlan& fault,
   fc.elastic = config.elastic;
   fc.recv_timeout_ms = config.peer_timeout_ms;
   fc.rejoin_window_ms = config.rejoin_window_ms;
-  fc.io = config.io;
   net::SocketFabric fabric(fc);
   KillSwitchTransport transport(fabric);
   log << "meshed as rank " << fabric.rank() << " of "

@@ -205,7 +205,7 @@ TEST(AggregationPipeline, ThreadedFabricMatchesLocalReference) {
     AggregationPipeline local(scheme.make(), PipelineConfig{});
     const auto local_out = run_rounds(local, 2);
     PipelineConfig threaded_config;
-    threaded_config.threaded_fabric = true;
+    threaded_config.backend = PipelineBackend::kThreadedFabric;
     threaded_config.chunk_bytes = 128;
     AggregationPipeline threaded(scheme.make(), threaded_config);
     const auto threaded_out = run_rounds(threaded, 2);
@@ -272,7 +272,7 @@ TEST(AggregationPipeline, AllGatherAllowsAsymmetricPayloads) {
   PipelineConfig chunked_config;
   chunked_config.chunk_bytes = 64;
   PipelineConfig threaded_config = chunked_config;
-  threaded_config.threaded_fabric = true;
+  threaded_config.backend = PipelineBackend::kThreadedFabric;
   for (const auto& config_variant :
        {PipelineConfig{}, chunked_config, threaded_config}) {
     AggregationPipeline pipeline(make_topk_codec(config), config_variant);
@@ -364,7 +364,8 @@ TEST(AggregationPipeline, ParameterServerRouteFoldsInRankOrder) {
   for (bool threaded : {false, true}) {
     PipelineConfig config;
     config.chunk_bytes = 32;
-    config.threaded_fabric = threaded;
+    config.backend = threaded ? PipelineBackend::kThreadedFabric
+                              : PipelineBackend::kLocalReference;
     AggregationPipeline pipeline(std::make_unique<PsEchoCodec>(d, kWorld),
                                  config);
     std::vector<float> out(d);

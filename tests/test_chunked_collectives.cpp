@@ -1,10 +1,11 @@
 // Determinism tests for the chunked transport layer: ring / tree / PS
-// all-reduce produce bit-identical results for the non-associative ops
-// (FP16 sum, saturating add) across world sizes 2-8, on the threaded
-// fabric and against the local references — and every chunked variant
-// matches its monolithic counterpart byte-for-byte (the transport layer's
-// bit-identity contract, which is what lets the AggregationPipeline chunk
-// payloads freely).
+// all-reduce produce, on every rank of the threaded fabric, byte-for-byte
+// the value of their local_* reference fold (comm/group.h) for every
+// ReduceOp — including the non-associative ones (FP16 sum, saturating
+// add) — across world sizes 2-8 and every chunk plan, the one-chunk
+// (monolithic) plan included. That is the transport layer's bit-identity
+// contract, which is what lets the AggregationPipeline chunk payloads
+// freely.
 #include "comm/chunked_collectives.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,21 @@
 
 namespace gcs::comm {
 namespace {
+
+std::vector<ByteBuffer> fp32_inputs(int n, std::size_t count,
+                                    std::uint64_t seed) {
+  std::vector<ByteBuffer> inputs;
+  for (int w = 0; w < n; ++w) {
+    Rng rng(derive_seed(seed, w));
+    ByteBuffer buf;
+    ByteWriter writer(buf);
+    for (std::size_t i = 0; i < count; ++i) {
+      writer.put<float>(static_cast<float>(rng.next_gaussian()) * 64.0f);
+    }
+    inputs.push_back(std::move(buf));
+  }
+  return inputs;
+}
 
 std::vector<ByteBuffer> fp16_inputs(int n, std::size_t count,
                                     std::uint64_t seed) {
@@ -36,16 +52,22 @@ std::vector<ByteBuffer> fp16_inputs(int n, std::size_t count,
   return inputs;
 }
 
-std::vector<ByteBuffer> sat4_inputs(int n, std::size_t lanes,
-                                    std::uint64_t seed) {
+/// Packed signed `bits`-bit lanes in [-max, max]; the lane count is
+/// rounded up to whole bytes so no padding lane leaves the domain.
+template <unsigned bits>
+std::vector<ByteBuffer> sat_inputs(int n, std::size_t count,
+                                   std::uint64_t seed) {
+  constexpr std::int32_t max = (1 << (bits - 1)) - 1;
+  constexpr std::size_t per_byte = 8 / bits;
+  const std::size_t lanes = (count + per_byte - 1) / per_byte * per_byte;
   std::vector<ByteBuffer> inputs;
   for (int w = 0; w < n; ++w) {
     Rng rng(derive_seed(seed, w));
     std::vector<std::int32_t> ls(lanes);
     for (auto& l : ls) {
-      l = static_cast<std::int32_t>(rng.next_below(15)) - 7;
+      l = static_cast<std::int32_t>(rng.next_below(2 * max + 1)) - max;
     }
-    inputs.push_back(pack_signed_lanes(ls, 4));
+    inputs.push_back(pack_signed_lanes(ls, bits));
   }
   return inputs;
 }
@@ -68,89 +90,62 @@ struct OpCase {
   std::vector<ByteBuffer> (*inputs)(int, std::size_t, std::uint64_t);
 };
 
-std::unique_ptr<ReduceOp> make_fp16() { return make_fp16_sum(); }
-std::unique_ptr<ReduceOp> make_sat4() { return make_sat_int(4, nullptr); }
+template <unsigned bits>
+std::unique_ptr<ReduceOp> make_sat() {
+  return make_sat_int(bits, nullptr);
+}
 
 const OpCase kOpCases[] = {
-    {"fp16-sum", &make_fp16, &fp16_inputs},
-    {"sat4-add", &make_sat4, &sat4_inputs},
+    {"fp32-sum", &make_fp32_sum, &fp32_inputs},
+    {"fp16-sum", &make_fp16_sum, &fp16_inputs},
+    {"fp32-min", &make_fp32_min, &fp32_inputs},
+    {"fp32-max", &make_fp32_max, &fp32_inputs},
+    {"sat2-add", &make_sat<2>, &sat_inputs<2>},
+    {"sat4-add", &make_sat<4>, &sat_inputs<4>},
+    {"sat8-add", &make_sat<8>, &sat_inputs<8>},
 };
 
 class ChunkedDeterminismTest : public ::testing::TestWithParam<int> {};
 
-// The satellite determinism matrix: for world sizes 2-8 and both
-// non-associative ops, ring / tree / PS agree with their local references
-// bit-for-bit, and the chunked variants agree with the monolithic ones
-// byte-for-byte — at several chunk sizes, including misaligned requests.
-TEST_P(ChunkedDeterminismTest, RingTreePsChunkedMatchMonolithicBitwise) {
+// The determinism matrix: for world sizes 2-8 and every ReduceOp, ring /
+// tree / PS leave every rank with exactly the local_* reference fold, at
+// every chunk plan — one chunk (chunk_bytes 0, the monolithic schedule),
+// one lane per chunk, misaligned requests, and an oversized request.
+TEST_P(ChunkedDeterminismTest, RingTreePsMatchLocalFoldsForEveryChunkPlan) {
   const int n = GetParam();
   const std::size_t count = 90;  // elements; intentionally not 2^k
   for (const auto& op_case : kOpCases) {
     const auto op = op_case.make();
     const auto inputs = op_case.inputs(n, count, 1000 + n);
     const std::size_t total = inputs[0].size();
-    for (std::size_t chunk_bytes : {std::size_t{0}, std::size_t{7},
-                                    std::size_t{16}, std::size_t{64},
-                                    total + 100}) {
+    const auto local_ring = local_ring_all_reduce(inputs, *op);
+    const auto local_tree = local_tree_all_reduce(inputs, *op);
+    const auto local_ps = local_ps_aggregate(inputs, *op, 0);
+    for (std::size_t chunk_bytes :
+         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{16},
+          std::size_t{64}, total + 100}) {
       const auto chunks =
           chunk_payload(total, chunk_bytes, op->granularity());
-
-      // Ring: threaded chunked == threaded monolithic == local reference.
-      const auto mono_ring = run_threaded(
-          inputs, [&](Communicator& comm, ByteBuffer& data) {
-            ring_all_reduce(comm, data, *op);
-          });
-      const auto chunked_ring = run_threaded(
+      const auto ring = run_threaded(
           inputs, [&](Communicator& comm, ByteBuffer& data) {
             chunked_ring_all_reduce(comm, data, chunks, *op);
           });
-      const auto local_ring =
-          local_chunked_ring_all_reduce(inputs, chunks, *op);
-      for (int r = 0; r < n; ++r) {
-        EXPECT_EQ(chunked_ring[static_cast<std::size_t>(r)],
-                  mono_ring[static_cast<std::size_t>(r)])
-            << op_case.label << " ring rank " << r << " chunk "
-            << chunk_bytes;
-        EXPECT_EQ(chunked_ring[static_cast<std::size_t>(r)], local_ring)
-            << op_case.label << " ring-vs-local rank " << r;
-      }
-
-      // Tree.
-      const auto mono_tree = run_threaded(
-          inputs, [&](Communicator& comm, ByteBuffer& data) {
-            tree_all_reduce(comm, data, *op);
-          });
-      const auto chunked_tree = run_threaded(
+      const auto tree = run_threaded(
           inputs, [&](Communicator& comm, ByteBuffer& data) {
             chunked_tree_all_reduce(comm, data, chunks, *op);
           });
-      const auto local_tree =
-          local_chunked_tree_all_reduce(inputs, chunks, *op);
-      for (int r = 0; r < n; ++r) {
-        EXPECT_EQ(chunked_tree[static_cast<std::size_t>(r)],
-                  mono_tree[static_cast<std::size_t>(r)])
-            << op_case.label << " tree rank " << r;
-        EXPECT_EQ(chunked_tree[static_cast<std::size_t>(r)], local_tree)
-            << op_case.label << " tree-vs-local rank " << r;
-      }
-
-      // Parameter server.
-      const auto mono_ps = run_threaded(
-          inputs, [&](Communicator& comm, ByteBuffer& data) {
-            ps_aggregate(comm, data, *op, 0);
-          });
-      const auto chunked_ps = run_threaded(
+      const auto ps = run_threaded(
           inputs, [&](Communicator& comm, ByteBuffer& data) {
             chunked_ps_aggregate(comm, data, chunks, *op, 0);
           });
-      const auto local_ps =
-          local_chunked_ps_aggregate(inputs, chunks, *op, 0);
       for (int r = 0; r < n; ++r) {
-        EXPECT_EQ(chunked_ps[static_cast<std::size_t>(r)],
-                  mono_ps[static_cast<std::size_t>(r)])
-            << op_case.label << " ps rank " << r;
-        EXPECT_EQ(chunked_ps[static_cast<std::size_t>(r)], local_ps)
-            << op_case.label << " ps-vs-local rank " << r;
+        const auto ri = static_cast<std::size_t>(r);
+        EXPECT_EQ(ring[ri], local_ring)
+            << op_case.label << " ring rank " << r << " chunk " << chunk_bytes;
+        EXPECT_EQ(tree[ri], local_tree)
+            << op_case.label << " tree rank " << r << " chunk " << chunk_bytes;
+        EXPECT_EQ(ps[ri], local_ps)
+            << op_case.label << " ps rank " << r << " chunk " << chunk_bytes;
       }
     }
   }

@@ -1,12 +1,15 @@
-// Tests for comm/collectives: correctness of every collective on the real
-// threaded fabric, measured wire volumes, and bit-identity of the local
-// reference aggregators (including non-associative ops).
+// Tests for the collectives on the real threaded fabric: correctness of
+// every collective, measured wire volumes, and bit-identity with the
+// local reference aggregators (including non-associative ops). The
+// reductions run as chunked collectives over one-chunk plans — the
+// monolithic schedule.
 #include "comm/collectives.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 
+#include "comm/chunked_collectives.h"
 #include "comm/fabric.h"
 #include "comm/group.h"
 #include "common/rng.h"
@@ -48,6 +51,11 @@ std::vector<float> exact_sum(const std::vector<ByteBuffer>& inputs) {
   return acc;
 }
 
+/// One chunk spanning the whole payload: the monolithic collective.
+std::vector<ChunkRange> whole(const ByteBuffer& data, const ReduceOp& op) {
+  return chunk_payload(data.size(), 0, op.granularity());
+}
+
 // Runs a collective on the threaded fabric; returns every rank's final
 // buffer.
 template <typename Body>
@@ -72,7 +80,7 @@ TEST_P(RingAllReduceTest, SumsFloatsAcrossRanks) {
   const auto results = run_collective(
       inputs,
       [&](Communicator& comm, ByteBuffer& data) {
-        ring_all_reduce(comm, data, *op);
+        chunked_ring_all_reduce(comm, data, whole(data, *op), *op);
       });
   for (const auto& result : results) {
     const auto got = floats_of(result);
@@ -89,7 +97,7 @@ TEST_P(RingAllReduceTest, AllRanksAgreeBitForBit) {
   const auto results = run_collective(
       inputs,
       [&](Communicator& comm, ByteBuffer& data) {
-        ring_all_reduce(comm, data, *op);
+        chunked_ring_all_reduce(comm, data, whole(data, *op), *op);
       });
   for (const auto& result : results) EXPECT_EQ(result, results[0]);
 }
@@ -102,7 +110,7 @@ TEST_P(RingAllReduceTest, LocalReferenceIsBitIdentical) {
   const auto results = run_collective(
       inputs,
       [&](Communicator& comm, ByteBuffer& data) {
-        ring_all_reduce(comm, data, *op);
+        chunked_ring_all_reduce(comm, data, whole(data, *op), *op);
       });
   EXPECT_EQ(results[0], reference);
 }
@@ -130,7 +138,7 @@ TEST(RingAllReduce, Fp16LocalReferenceBitIdentical) {
   const auto results = run_collective(
       inputs,
       [&](Communicator& comm, ByteBuffer& data) {
-        ring_all_reduce(comm, data, *op);
+        chunked_ring_all_reduce(comm, data, whole(data, *op), *op);
       });
   for (const auto& r : results) EXPECT_EQ(r, reference);
 }
@@ -152,7 +160,7 @@ TEST(RingAllReduce, SatIntLocalReferenceBitIdentical) {
   const auto results = run_collective(
       inputs,
       [&](Communicator& comm, ByteBuffer& data) {
-        ring_all_reduce(comm, data, *op);
+        chunked_ring_all_reduce(comm, data, whole(data, *op), *op);
       });
   for (const auto& r : results) EXPECT_EQ(r, reference);
 }
@@ -165,8 +173,10 @@ TEST(RingAllReduce, WireVolumeMatchesTheory) {
   Fabric fabric(n);
   std::vector<ByteBuffer> bufs(inputs.begin(), inputs.end());
   const auto op = make_fp32_sum();
+  const auto chunks = whole(bufs[0], *op);
   run_workers(fabric, [&](Communicator& comm) {
-    ring_all_reduce(comm, bufs[static_cast<std::size_t>(comm.rank())], *op);
+    chunked_ring_all_reduce(comm, bufs[static_cast<std::size_t>(comm.rank())],
+                            chunks, *op);
   });
   const auto expected_per_worker =
       payload * 2 * (n - 1) / static_cast<std::size_t>(n);
@@ -184,7 +194,7 @@ TEST(TreeAllReduce, MatchesExactSumAndReference) {
     const auto results = run_collective(
         inputs,
         [&](Communicator& comm, ByteBuffer& data) {
-          tree_all_reduce(comm, data, *op);
+          chunked_tree_all_reduce(comm, data, whole(data, *op), *op);
         });
     for (const auto& result : results) {
       EXPECT_EQ(result, reference) << "n=" << n;
@@ -253,7 +263,7 @@ TEST(PsAggregate, MatchesReferenceAndSum) {
   const auto results = run_collective(
       inputs,
       [&](Communicator& comm, ByteBuffer& data) {
-        ps_aggregate(comm, data, *op, 0);
+        chunked_ps_aggregate(comm, data, whole(data, *op), *op, 0);
       });
   for (const auto& result : results) {
     EXPECT_EQ(result, reference);
@@ -271,8 +281,10 @@ TEST(PsAggregate, ServerLinkCarriesAlmostAllTraffic) {
   Fabric fabric(n);
   std::vector<ByteBuffer> bufs(inputs.begin(), inputs.end());
   const auto op = make_fp32_sum();
+  const auto chunks = whole(bufs[0], *op);
   run_workers(fabric, [&](Communicator& comm) {
-    ps_aggregate(comm, bufs[static_cast<std::size_t>(comm.rank())], *op, 0);
+    chunked_ps_aggregate(comm, bufs[static_cast<std::size_t>(comm.rank())],
+                         chunks, *op, 0);
   });
   // Server broadcasts (n-1) copies; clients send one payload each —
   // the many-to-one / one-to-many pattern the paper criticises.

@@ -1,11 +1,12 @@
 // Integration: the compression pipelines' collective calls, executed over
 // the REAL threaded fabric instead of the local reference aggregators,
-// produce bit-identical results. This closes the loop on the claim that
-// local_* references are faithful stand-ins on the training hot path.
+// agree across ranks and with the exact aggregate. The collectives run as
+// one-chunk ring all-reduces (the monolithic schedule).
 #include <gtest/gtest.h>
 
 #include <cstring>
 
+#include "comm/chunked_collectives.h"
 #include "comm/fabric.h"
 #include "comm/group.h"
 #include "common/rng.h"
@@ -18,6 +19,13 @@ namespace gcs {
 namespace {
 
 using gcs::ByteBuffer;
+
+/// Ring all-reduce of the whole payload as one chunk.
+void ring_reduce(comm::Communicator& comm, ByteBuffer& data,
+                 const comm::ReduceOp& op) {
+  comm::chunked_ring_all_reduce(
+      comm, data, comm::chunk_payload(data.size(), 0, op.granularity()), op);
+}
 
 std::vector<std::vector<float>> random_grads(int n, std::size_t d,
                                              std::uint64_t seed) {
@@ -49,7 +57,7 @@ TEST(FabricPipeline, TopKCConsensusAndAggregationOverThreads) {
     ByteBuffer norm_payload;
     ByteWriter w(norm_payload);
     for (float s : norms) w.put<std::uint16_t>(float_to_half_bits(s));
-    comm::ring_all_reduce(comm_handle, norm_payload, *fp16_sum);
+    ring_reduce(comm_handle, norm_payload, *fp16_sum);
     // Stage 2: local (consensus) selection from identical scores.
     std::vector<float> scores(norms.size());
     const auto* bits =
@@ -64,7 +72,7 @@ TEST(FabricPipeline, TopKCConsensusAndAggregationOverThreads) {
     ByteBuffer payload;
     ByteWriter pw(payload);
     for (float v : gathered) pw.put<std::uint16_t>(float_to_half_bits(v));
-    comm::ring_all_reduce(comm_handle, payload, *fp16_sum);
+    ring_reduce(comm_handle, payload, *fp16_sum);
     reduced[rank] = std::move(payload);
   });
 
@@ -109,8 +117,8 @@ TEST(FabricPipeline, ThcRangeConsensusAndSatReduceOverThreads) {
     ByteBuffer lo(sizeof(float)), hi(sizeof(float));
     std::memcpy(lo.data(), &range.lo, sizeof(float));
     std::memcpy(hi.data(), &range.hi, sizeof(float));
-    comm::ring_all_reduce(comm_handle, lo, *min_op);
-    comm::ring_all_reduce(comm_handle, hi, *max_op);
+    ring_reduce(comm_handle, lo, *min_op);
+    ring_reduce(comm_handle, hi, *max_op);
     QuantRange shared;
     std::memcpy(&shared.lo, lo.data(), sizeof(float));
     std::memcpy(&shared.hi, hi.data(), sizeof(float));
@@ -125,7 +133,7 @@ TEST(FabricPipeline, ThcRangeConsensusAndSatReduceOverThreads) {
       lanes[i] = static_cast<std::int32_t>(levels[i]) - offset;
     }
     ByteBuffer payload = pack_signed_lanes(lanes, q);
-    comm::ring_all_reduce(comm_handle, payload, *sat_op);
+    ring_reduce(comm_handle, payload, *sat_op);
     reduced[rank] = std::move(payload);
   });
 

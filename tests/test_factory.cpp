@@ -77,6 +77,8 @@ TEST(Factory, UnknownOptionOrFlagThrows) {
   EXPECT_THROW(make_compressor("fp16:fabrik", l, 4), Error);
   EXPECT_THROW(make_compressor("powersgd:rank=4", l, 4), Error);
   EXPECT_THROW(make_compressor("thc:q=4:b=4:saturate", l, 4), Error);
+  // The socket fabric has one I/O engine; the removed io= knob is unknown.
+  EXPECT_THROW(make_compressor("fp16:fabric=socket:io=threads", l, 4), Error);
   // The real knobs still parse.
   EXPECT_NO_THROW(make_compressor("topkc:b=8:chunk=65536:fabric", l, 4));
   EXPECT_NO_THROW(make_compressor("fp16:tree:chunk=64", l, 4));
@@ -91,14 +93,13 @@ TEST(Factory, FabricOptionSelectsBackend) {
   EXPECT_NO_THROW(make_compressor(
       "fp16:fabric=socket:port=29500:iface=127.0.0.1", l, 4));
   // parse_pipeline_config exposes the same parse for SPMD drivers.
-  EXPECT_EQ(parse_pipeline_config("fp16:fabric=socket").effective_backend(),
+  EXPECT_EQ(parse_pipeline_config("fp16:fabric=socket").backend,
             PipelineBackend::kSocketFabric);
-  EXPECT_EQ(parse_pipeline_config("fp16:fabric").effective_backend(),
+  EXPECT_EQ(parse_pipeline_config("fp16:fabric").backend,
             PipelineBackend::kThreadedFabric);
-  // An explicit fabric=<value> beats the legacy bare flag.
-  EXPECT_EQ(
-      parse_pipeline_config("fp16:fabric:fabric=local").effective_backend(),
-      PipelineBackend::kLocalReference);
+  // An explicit fabric=<value> beats the bare flag.
+  EXPECT_EQ(parse_pipeline_config("fp16:fabric:fabric=local").backend,
+            PipelineBackend::kLocalReference);
   EXPECT_EQ(
       parse_pipeline_config("fp16:fabric=socket:port=29500").socket_port,
       29500);

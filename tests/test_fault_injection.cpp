@@ -78,10 +78,10 @@ TEST(FaultInjection, KillMatrixEveryRankEveryPhaseWorlds3To5) {
   // The full acceptance matrix on the EF-carrying two-stage scheme:
   // worlds 3-5, every non-zero rank killed, at each of the four phases.
   // Kill at round 2 of 7, so survivors prove the interrupted round plus
-  // the next 5 rounds bit-match the reference continuation. Runs on the
-  // default epoll-reactor engine — this matrix is the recovery
-  // acceptance gate for the event-driven fabric (EOF delivery, teardown
-  // cascade, epoch rebuild all through the reactor loop).
+  // the next 5 rounds bit-match the reference continuation. This matrix
+  // is the recovery acceptance gate for the event-driven fabric (EOF
+  // delivery, teardown cascade, epoch rebuild all through the reactor
+  // loop).
   constexpr KillPhase kPhases[] = {
       KillPhase::kPreRendezvous,
       KillPhase::kMidEncode,
@@ -122,35 +122,6 @@ TEST(FaultInjection, AllFiveSchemesSurviveMidCollectiveKill) {
     FaultPlan fault;
     fault.victim = 2;
     fault.phase = KillPhase::kMidCollective;
-    fault.round = 2;
-    expect_matches_reference(config, fault);
-  }
-}
-
-TEST(FaultInjection, LegacyThreadedEngineSurvivesEveryKillPhase) {
-  // The thread-per-peer engine stays a supported fallback (io=threads):
-  // one world of the matrix — every phase, the same bit-exactness
-  // criterion — keeps its recovery path honest without doubling the
-  // full matrix's runtime.
-  constexpr KillPhase kPhases[] = {
-      KillPhase::kPreRendezvous,
-      KillPhase::kMidEncode,
-      KillPhase::kMidCollective,
-      KillPhase::kMidDecode,
-  };
-  for (const KillPhase phase : kPhases) {
-    WorldConfig config;
-    config.scheme = "topkc:b=8";
-    config.world = 4;
-    config.rounds = 7;
-    config.dim = 1024;
-    config.chunk = 256;
-    config.rejoin_window_ms = 600;
-    config.io = net::SocketIoMode::kThreads;
-    config.log_dir = "fault_logs";
-    FaultPlan fault;
-    fault.victim = 2;
-    fault.phase = phase;
     fault.round = 2;
     expect_matches_reference(config, fault);
   }

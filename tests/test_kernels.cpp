@@ -19,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "comm/chunked_collectives.h"
+#include "comm/group.h"
 #include "common/bytes.h"
 #include "common/check.h"
 #include "common/rng.h"
@@ -471,10 +471,7 @@ void check_encode_range_concatenation(const std::string& spec,
     if (stage.route == core::AggregationPath::kAllGather) {
       session->absorb_gathered(payloads);
     } else {
-      const auto chunks =
-          comm::chunk_payload(payloads[0].size(), 4096, granularity);
-      session->absorb_reduced(
-          comm::local_chunked_ring_all_reduce(payloads, chunks, *stage.op));
+      session->absorb_reduced(comm::local_ring_all_reduce(payloads, *stage.op));
     }
   }
   std::vector<float> out(layout.total_size());

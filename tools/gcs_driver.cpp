@@ -124,7 +124,7 @@ core::PipelineConfig pipeline_config_for(const DriverConfig& config,
                                          measure::TraceRecorder* trace) {
   core::PipelineConfig pc =
       core::parse_pipeline_config(spec, layout, config.world);
-  if (pc.effective_backend() != core::PipelineBackend::kLocalReference) {
+  if (pc.backend != core::PipelineBackend::kLocalReference) {
     throw Error(
         "gcs_driver: drop fabric=/fabric from --schemes — the execution "
         "backend is chosen by --fabric/--rank");
