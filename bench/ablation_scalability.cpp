@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
+#include "core/aggregation_pipeline.h"
 #include "core/thc_compressor.h"
 #include "core/topk_compressor.h"
 #include "core/vnmse.h"
@@ -62,14 +63,14 @@ void saturation_vs_workers() {
     config.b = 4;
     config.saturation = true;
     config.rotation = core::RotationMode::kFull;
-    auto compressor = core::make_thc(config);
+    core::AggregationPipeline pipeline(core::make_thc_codec(config));
 
     std::vector<std::vector<float>> grads;
     source.generate(0, grads);
     std::vector<std::span<const float>> views;
     for (const auto& g : grads) views.emplace_back(g.data(), g.size());
     std::vector<float> out(source.dimension());
-    const auto stats = compressor->aggregate(
+    const auto stats = pipeline.aggregate(
         std::span<const std::span<const float>>(views), out, 0);
     table.add_row({std::to_string(n),
                    format_percent(stats.sat.clip_rate(), 2),
@@ -105,9 +106,9 @@ void delta_indices() {
     config.k = k;
     config.error_feedback = false;
     config.delta_indices = delta;
-    auto compressor = core::make_topk(config);
+    core::AggregationPipeline pipeline(core::make_topk_codec(config));
     std::vector<float> out(source.dimension());
-    const auto stats = compressor->aggregate(
+    const auto stats = pipeline.aggregate(
         std::span<const std::span<const float>>(views), out, 0);
     table.add_row(
         {delta ? "fp16 + 16-bit delta idx" : "fp16 + 32-bit idx",

@@ -53,23 +53,23 @@ struct Timing {
   double total_usec = 0.0;
 };
 
-/// Runs `rounds` aggregation rounds of a fresh compressor built from
+/// Runs `rounds` aggregation rounds of a fresh pipeline built from
 /// `spec` and returns the median per-round wall time.
 Timing run_phase(const std::string& spec, const ModelLayout& layout,
                  std::span<const std::span<const float>> views,
                  std::size_t d, int warmup, int rounds) {
-  auto compressor = core::make_compressor(spec, layout, kWorld);
+  auto pipeline = core::make_pipeline(spec, layout, kWorld);
   std::vector<float> out(d);
   std::uint64_t round = 0;
   for (int i = 0; i < warmup; ++i) {
-    compressor->aggregate(views, out, round++);
+    pipeline.aggregate(views, out, round++);
   }
   std::vector<double> usec;
   usec.reserve(static_cast<std::size_t>(rounds));
   Timing t;
   for (int i = 0; i < rounds; ++i) {
     const auto start = std::chrono::steady_clock::now();
-    compressor->aggregate(views, out, round++);
+    pipeline.aggregate(views, out, round++);
     const auto waited = std::chrono::duration<double, std::micro>(
         std::chrono::steady_clock::now() - start);
     usec.push_back(waited.count());

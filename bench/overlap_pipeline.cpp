@@ -63,8 +63,8 @@ bool values_bit_identical(const std::string& spec) {
   const std::size_t d = 4096;
   const int n = 4;
   const ModelLayout layout({LayerSpec{"m", 64, 64}});
-  auto mono = core::make_compressor(spec, layout, n);
-  auto chunked = core::make_compressor(spec + ":chunk=512", layout, n);
+  auto mono = core::make_pipeline(spec, layout, n);
+  auto chunked = core::make_pipeline(spec + ":chunk=512", layout, n);
   std::vector<std::vector<float>> grads(n, std::vector<float>(d));
   for (int w = 0; w < n; ++w) {
     Rng rng(derive_seed(4242, w));
@@ -73,9 +73,8 @@ bool values_bit_identical(const std::string& spec) {
   std::vector<std::span<const float>> views;
   for (const auto& g : grads) views.emplace_back(g.data(), g.size());
   std::vector<float> out_a(d), out_b(d);
-  mono->aggregate(std::span<const std::span<const float>>(views), out_a, 0);
-  chunked->aggregate(std::span<const std::span<const float>>(views), out_b,
-                     0);
+  mono.aggregate(std::span<const std::span<const float>>(views), out_a, 0);
+  chunked.aggregate(std::span<const std::span<const float>>(views), out_b, 0);
   return std::memcmp(out_a.data(), out_b.data(), d * sizeof(float)) == 0;
 }
 
@@ -87,8 +86,8 @@ bool bucketed_values_bit_identical(const std::string& spec) {
                             LayerSpec{"b1", 64, 1},
                             LayerSpec{"fc2", 32, 30}});
   const std::size_t d = layout.total_size();
-  auto mono = core::make_compressor(spec, layout, n);
-  auto bucketed = core::make_compressor(
+  auto mono = core::make_pipeline(spec, layout, n);
+  auto bucketed = core::make_pipeline(
       spec + ":buckets=layer:bucket=1024:workers=2", layout, n);
   std::vector<std::vector<float>> grads(n, std::vector<float>(d));
   for (int w = 0; w < n; ++w) {
@@ -98,9 +97,9 @@ bool bucketed_values_bit_identical(const std::string& spec) {
   std::vector<std::span<const float>> views;
   for (const auto& g : grads) views.emplace_back(g.data(), g.size());
   std::vector<float> out_a(d), out_b(d);
-  mono->aggregate(std::span<const std::span<const float>>(views), out_a, 0);
-  bucketed->aggregate(std::span<const std::span<const float>>(views), out_b,
-                      0);
+  mono.aggregate(std::span<const std::span<const float>>(views), out_a, 0);
+  bucketed.aggregate(std::span<const std::span<const float>>(views), out_b,
+                     0);
   return std::memcmp(out_a.data(), out_b.data(), d * sizeof(float)) == 0;
 }
 

@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
+#include "core/aggregation_pipeline.h"
 #include "core/topkc_compressor.h"
 #include "core/vnmse.h"
 
@@ -43,8 +44,8 @@ int main(int argc, char** argv) {
           core::TopKCConfig::j_for_bits(d, config.chunk_size, b);
       config.error_feedback = false;  // single-shot compression error
       config.permute = permute;
-      auto compressor = core::make_topkc(config);
-      const auto report = core::measure_vnmse(*compressor, source, rounds);
+      core::AggregationPipeline pipeline(core::make_topkc_codec(config));
+      const auto report = core::measure_vnmse(pipeline, source, rounds);
       row.push_back(format_sig(report.mean, 3));
     }
     row.push_back("measured");

@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
+#include "core/aggregation_pipeline.h"
 #include "core/topk_compressor.h"
 #include "core/topkc_compressor.h"
 #include "core/vnmse.h"
@@ -38,9 +39,9 @@ int main(int argc, char** argv) {
       config.world_size = source.world_size();
       config.k = core::TopKConfig::k_for_bits(d, b);
       config.error_feedback = false;
-      auto compressor = core::make_topk(config);
+      core::AggregationPipeline pipeline(core::make_topk_codec(config));
       row.push_back(
-          format_sig(core::measure_vnmse(*compressor, source, rounds).mean,
+          format_sig(core::measure_vnmse(pipeline, source, rounds).mean,
                      3));
     }
     row.push_back("measured");
@@ -59,9 +60,9 @@ int main(int argc, char** argv) {
       config.num_top_chunks =
           core::TopKCConfig::j_for_bits(d, config.chunk_size, b);
       config.error_feedback = false;
-      auto compressor = core::make_topkc(config);
+      core::AggregationPipeline pipeline(core::make_topkc_codec(config));
       row.push_back(
-          format_sig(core::measure_vnmse(*compressor, source, rounds).mean,
+          format_sig(core::measure_vnmse(pipeline, source, rounds).mean,
                      3));
     }
     row.push_back("measured");

@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
+#include "core/aggregation_pipeline.h"
 #include "core/thc_compressor.h"
 #include "core/vnmse.h"
 
@@ -82,13 +83,13 @@ int main(int argc, char** argv) {
       config.b = q;
       config.saturation = true;
       config.rotation = mode;
-      auto compressor = core::make_thc(config);
+      core::AggregationPipeline pipeline(core::make_thc_codec(config));
       std::vector<std::vector<float>> grads;
       source.generate(0, grads);
       std::vector<std::span<const float>> views;
       for (const auto& g : grads) views.emplace_back(g.data(), g.size());
       std::vector<float> out(source.dimension());
-      const auto stats = compressor->aggregate(
+      const auto stats = pipeline.aggregate(
           std::span<const std::span<const float>>(views), out, 0);
       behaviour.add_row(
           {"Sat b=q=" + std::to_string(q), to_string(mode),

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/table.h"
-#include "core/compressor.h"
 #include "core/factory.h"
 #include "core/synthetic_grad.h"
 #include "core/vnmse.h"
@@ -32,7 +31,7 @@ int main() {
   std::vector<std::span<const float>> views;
   for (const auto& g : grads) views.emplace_back(g.data(), g.size());
 
-  // 2. Build compressors from spec strings (see core/factory.h for the
+  // 2. Build pipelines from spec strings (see core/factory.h for the
   //    grammar) and run one aggregation round each.
   const char* specs[] = {
       "fp32",        "fp16",
@@ -44,13 +43,12 @@ int main() {
   AsciiTable table({"scheme", "path", "bits/coord", "vNMSE"});
   std::vector<float> aggregated(source.dimension());
   for (const char* spec : specs) {
-    auto compressor =
-        core::make_compressor(spec, source.layout(), kWorkers);
-    const core::RoundStats stats = compressor->aggregate(
+    auto pipeline = core::make_pipeline(spec, source.layout(), kWorkers);
+    const core::RoundStats stats = pipeline.aggregate(
         std::span<const std::span<const float>>(views), aggregated,
         /*round=*/0);
     table.add_row(
-        {compressor->name(), to_string(compressor->path()),
+        {pipeline.codec().name(), to_string(pipeline.codec().path()),
          format_sig(stats.bits_per_coordinate(source.dimension()), 3),
          format_sig(core::vnmse(
                         aggregated,

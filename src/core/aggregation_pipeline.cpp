@@ -865,34 +865,4 @@ RoundStats AggregationPipeline::aggregate_socket(
   return stats;
 }
 
-namespace {
-
-/// Compressor facade over the pipeline (the legacy cluster-wide API).
-class PipelineCompressor final : public Compressor {
- public:
-  PipelineCompressor(SchemeCodecPtr codec, PipelineConfig config)
-      : pipeline_(std::move(codec), config) {}
-
-  std::string name() const override { return pipeline_.codec().name(); }
-  AggregationPath path() const override { return pipeline_.codec().path(); }
-  int world_size() const override { return pipeline_.codec().world_size(); }
-
-  RoundStats aggregate(std::span<const std::span<const float>> grads,
-                       std::span<float> out, std::uint64_t round) override {
-    return pipeline_.aggregate(grads, out, round);
-  }
-
-  void reset() override { pipeline_.codec().reset(); }
-
- private:
-  AggregationPipeline pipeline_;
-};
-
-}  // namespace
-
-CompressorPtr make_pipeline_compressor(SchemeCodecPtr codec,
-                                       PipelineConfig config) {
-  return std::make_unique<PipelineCompressor>(std::move(codec), config);
-}
-
 }  // namespace gcs::core

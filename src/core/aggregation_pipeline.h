@@ -161,7 +161,10 @@ class AggregationPipeline {
   AggregationPipeline(AggregationPipeline&&) noexcept;
   AggregationPipeline& operator=(AggregationPipeline&&) noexcept;
 
-  /// Runs one aggregation round (same contract as Compressor::aggregate).
+  /// Runs one aggregation round. `grads[i]` is worker i's local gradient
+  /// (all size codec().dimension()); `out` (same size) receives the
+  /// aggregated *sum* estimate every worker holds after the round.
+  /// `round` indexes shared randomness.
   RoundStats aggregate(std::span<const std::span<const float>> grads,
                        std::span<float> out, std::uint64_t round);
 
@@ -280,12 +283,5 @@ class AggregationPipeline {
   /// lane armed and silent past the deadline.
   health::LaneHandle lane_;
 };
-
-/// Wraps a codec + pipeline behind the legacy Compressor interface. This
-/// is what the factory returns: Compressor::aggregate is now a thin
-/// adapter over the layered pipeline, bit-identical to the historical
-/// monolithic implementations.
-CompressorPtr make_pipeline_compressor(SchemeCodecPtr codec,
-                                       PipelineConfig config = {});
 
 }  // namespace gcs::core

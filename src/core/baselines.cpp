@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/aggregation_pipeline.h"
 #include "kernels/kernels.h"
 #include "numeric/half.h"
 
@@ -149,10 +148,6 @@ void DenseRound::finish(std::span<float> out, RoundStats& /*stats*/) {
 
 SchemeCodecPtr make_baseline_codec(const BaselineConfig& config) {
   return std::make_unique<DenseCodec>(config);
-}
-
-CompressorPtr make_baseline(const BaselineConfig& config) {
-  return make_pipeline_compressor(make_baseline_codec(config));
 }
 
 }  // namespace gcs::core

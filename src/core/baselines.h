@@ -9,7 +9,6 @@
 #include <cstddef>
 
 #include "core/codec.h"
-#include "core/compressor.h"
 #include "numeric/precision.h"
 
 namespace gcs::core {
@@ -25,9 +24,5 @@ struct BaselineConfig {
 
 /// The baseline's codec (one dense all-reduce stage; ring or tree).
 SchemeCodecPtr make_baseline_codec(const BaselineConfig& config);
-
-/// Creates "Baseline FP32" / "Baseline FP16" per config — a pipeline
-/// adapter over make_baseline_codec.
-CompressorPtr make_baseline(const BaselineConfig& config);
 
 }  // namespace gcs::core

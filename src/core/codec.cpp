@@ -4,6 +4,15 @@
 
 namespace gcs::core {
 
+std::string to_string(AggregationPath path) {
+  switch (path) {
+    case AggregationPath::kAllReduce: return "all-reduce";
+    case AggregationPath::kAllGather: return "all-gather";
+    case AggregationPath::kParameterServer: return "parameter-server";
+  }
+  return "?";
+}
+
 void CodecRound::absorb_reduced(const ByteBuffer& /*reduced*/) {
   throw Error("CodecRound: this stage does not take a reduced payload");
 }

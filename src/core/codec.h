@@ -28,9 +28,45 @@
 #include <string>
 
 #include "comm/reduce_op.h"
-#include "core/compressor.h"
+#include "quant/satint.h"
 
 namespace gcs::core {
+
+/// How a scheme's traffic is carried (determines scalability and, through
+/// the network model, time). This is the paper's central structural
+/// distinction: a scheme either produces hop-reducible payloads
+/// (kAllReduce — TopKC, THC, PowerSGD, the dense baselines) or it must
+/// fall back to all-gather (plain TopK) or a parameter server. See
+/// DESIGN.md section 10.
+enum class AggregationPath : std::uint8_t {
+  kAllReduce,        ///< payload is reducible at intermediate hops
+  kAllGather,        ///< every worker must see every worker's payload
+  kParameterServer,  ///< many-to-one gather, reduce at server, broadcast
+};
+
+std::string to_string(AggregationPath path);
+
+/// Wire/compute accounting for one aggregation round.
+struct RoundStats {
+  /// Bytes of the main (per-worker) payload — the all-reduce input size,
+  /// matching the paper's definition of b.
+  std::uint64_t payload_bytes = 0;
+  /// Bytes of consensus metadata exchanged before the main round
+  /// (TopKC chunk norms, THC chunk ranges), also per worker.
+  std::uint64_t metadata_bytes = 0;
+  /// Saturation clip accounting (THC with saturation; zero otherwise).
+  SatStats sat;
+
+  /// The paper's b: all-reduce input bits per gradient coordinate,
+  /// including consensus metadata.
+  double bits_per_coordinate(std::size_t dimension) const noexcept {
+    return dimension == 0 ? 0.0
+                          : 8.0 *
+                                static_cast<double>(payload_bytes +
+                                                    metadata_bytes) /
+                                static_cast<double>(dimension);
+  }
+};
 
 /// Which collective family carries an all-reduce stage.
 enum class ReduceAlgorithm : std::uint8_t { kRing, kTree };
@@ -123,7 +159,7 @@ class SchemeCodec {
   virtual std::string name() const = 0;
 
   /// The dominant route of the scheme's main payload (the paper's
-  /// structural classification — see compressor.h).
+  /// structural classification — see AggregationPath).
   virtual AggregationPath path() const = 0;
 
   virtual int world_size() const = 0;

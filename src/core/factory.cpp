@@ -400,13 +400,13 @@ SchemeCodecPtr codec_of(const Spec& spec, const std::string& text,
 
 }  // namespace
 
-CompressorPtr make_compressor(const std::string& text,
-                              const ModelLayout& layout, int world_size) {
+AggregationPipeline make_pipeline(const std::string& text,
+                                  const ModelLayout& layout, int world_size) {
   const Spec spec = parse_spec(text);
   const PipelineConfig pipeline =
       pipeline_config_of(spec, &layout, world_size);
-  return make_pipeline_compressor(codec_of(spec, text, layout, world_size),
-                                  pipeline);
+  return AggregationPipeline(codec_of(spec, text, layout, world_size),
+                             pipeline);
 }
 
 SchemeCodecPtr make_scheme_codec(const std::string& text,

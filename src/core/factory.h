@@ -1,4 +1,6 @@
-// String-spec compressor factory for examples and benchmark harnesses.
+// String-spec aggregation-pipeline factory for examples and benchmark
+// harnesses: one spec names a scheme codec plus the pipeline knobs that
+// drive it.
 //
 // Grammar (colon-separated, key=value options):
 //   "fp32"                      Baseline FP32
@@ -62,15 +64,15 @@
 
 #include "core/aggregation_pipeline.h"
 #include "core/codec.h"
-#include "core/compressor.h"
 #include "tensor/layout.h"
 
 namespace gcs::core {
 
-/// Builds a compressor from a spec string. `layout` provides the layer
-/// structure (required by PowerSGD; others use only its total size).
-CompressorPtr make_compressor(const std::string& spec,
-                              const ModelLayout& layout, int world_size);
+/// Builds the scheme codec and its pipeline from a spec string. `layout`
+/// provides the layer structure (required by PowerSGD; others use only
+/// its total size).
+AggregationPipeline make_pipeline(const std::string& spec,
+                                  const ModelLayout& layout, int world_size);
 
 /// Builds just the scheme codec for a spec (shared pipeline/transport
 /// knobs are accepted and ignored). For callers that drive the codec
@@ -82,7 +84,7 @@ SchemeCodecPtr make_scheme_codec(const std::string& spec,
 /// Parses the shared pipeline/transport/scheduler knobs of a spec
 /// (chunk=, fabric, fabric=, port=, iface=, buckets=, bucket=, workers=,
 /// autotune) without building the codec. Validates the values with the
-/// same rejection rules as make_compressor. The layout-free overload
+/// same rejection rules as make_pipeline. The layout-free overload
 /// accepts buckets=layer/autotune but leaves PipelineConfig::layout empty
 /// (and the autotuned sizes unresolved) — the caller attaches a layout,
 /// or uses the overload below.

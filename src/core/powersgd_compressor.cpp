@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/aggregation_pipeline.h"
 #include "core/error_feedback.h"
 #include "kernels/kernels.h"
 #include "lowrank/orthogonalize.h"
@@ -300,10 +299,6 @@ void PowerSgdRound::finish(std::span<float> out, RoundStats& /*stats*/) {
 
 SchemeCodecPtr make_powersgd_codec(const PowerSgdConfig& config) {
   return std::make_unique<PowerSgdCodec>(config);
-}
-
-CompressorPtr make_powersgd(const PowerSgdConfig& config) {
-  return make_pipeline_compressor(make_powersgd_codec(config));
 }
 
 }  // namespace gcs::core

@@ -23,7 +23,6 @@
 #include <cstdint>
 
 #include "core/codec.h"
-#include "core/compressor.h"
 #include "tensor/layout.h"
 
 namespace gcs::core {
@@ -41,8 +40,5 @@ struct PowerSgdConfig {
 /// PowerSGD's codec: an FP16 all-reduce of P (plus dense-exact layers)
 /// followed by an FP16 all-reduce of Q, both hop-reducible.
 SchemeCodecPtr make_powersgd_codec(const PowerSgdConfig& config);
-
-/// Pipeline adapter over make_powersgd_codec.
-CompressorPtr make_powersgd(const PowerSgdConfig& config);
 
 }  // namespace gcs::core

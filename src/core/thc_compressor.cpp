@@ -9,7 +9,6 @@
 #include "common/bits.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/aggregation_pipeline.h"
 #include "hadamard/hadamard.h"
 #include "kernels/kernels.h"
 #include "quant/packing.h"
@@ -400,10 +399,6 @@ std::string to_string(RotationMode mode) {
 
 SchemeCodecPtr make_thc_codec(const ThcConfig& config) {
   return std::make_unique<ThcCodec>(config);
-}
-
-CompressorPtr make_thc(const ThcConfig& config) {
-  return make_pipeline_compressor(make_thc_codec(config));
 }
 
 }  // namespace gcs::core

@@ -33,7 +33,6 @@
 #include <cstdint>
 
 #include "core/codec.h"
-#include "core/compressor.h"
 
 namespace gcs::core {
 
@@ -69,8 +68,5 @@ struct ThcConfig {
 /// THC's codec: min/max range-consensus stages followed by a saturating
 /// (or wide) signed-lane all-reduce stage.
 SchemeCodecPtr make_thc_codec(const ThcConfig& config);
-
-/// Pipeline adapter over make_thc_codec.
-CompressorPtr make_thc(const ThcConfig& config);
 
 }  // namespace gcs::core

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/aggregation_pipeline.h"
 #include "core/error_feedback.h"
 #include "sparse/sparse_wire.h"
 #include "sparse/topk.h"
@@ -163,10 +162,6 @@ std::size_t TopKConfig::k_for_bits(std::size_t dimension, double bits,
 
 SchemeCodecPtr make_topk_codec(const TopKConfig& config) {
   return std::make_unique<TopKCodec>(config);
-}
-
-CompressorPtr make_topk(const TopKConfig& config) {
-  return make_pipeline_compressor(make_topk_codec(config));
 }
 
 }  // namespace gcs::core

@@ -12,7 +12,6 @@
 #include <cstddef>
 
 #include "core/codec.h"
-#include "core/compressor.h"
 
 namespace gcs::core {
 
@@ -36,8 +35,5 @@ struct TopKConfig {
 
 /// TopK's codec (one sparse all-gather stage; EF lives in the codec).
 SchemeCodecPtr make_topk_codec(const TopKConfig& config);
-
-/// Pipeline adapter over make_topk_codec.
-CompressorPtr make_topk(const TopKConfig& config);
 
 }  // namespace gcs::core

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/aggregation_pipeline.h"
 #include "core/error_feedback.h"
 #include "kernels/kernels.h"
 #include "numeric/half.h"
@@ -294,10 +293,6 @@ std::size_t TopKCConfig::j_for_bits(std::size_t dimension,
 
 SchemeCodecPtr make_topkc_codec(const TopKCConfig& config) {
   return std::make_unique<TopKCCodec>(config);
-}
-
-CompressorPtr make_topkc(const TopKCConfig& config) {
-  return make_pipeline_compressor(make_topkc_codec(config));
 }
 
 }  // namespace gcs::core

@@ -28,7 +28,6 @@
 #include <cstdint>
 
 #include "core/codec.h"
-#include "core/compressor.h"
 
 namespace gcs::core {
 
@@ -60,8 +59,5 @@ struct TopKCConfig {
 /// TopKC's codec: an FP16 norm-consensus stage followed by an FP16
 /// chunk-values stage, both hop-reducible.
 SchemeCodecPtr make_topkc_codec(const TopKCConfig& config);
-
-/// Pipeline adapter over make_topkc_codec.
-CompressorPtr make_topkc(const TopKCConfig& config);
 
 }  // namespace gcs::core

@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 #include "common/stats.h"
+#include "core/aggregation_pipeline.h"
 
 namespace gcs::core {
 
@@ -21,11 +22,11 @@ double vnmse(std::span<const float> estimate_sum,
   return ref > 0.0 ? err / ref : 0.0;
 }
 
-VnmseReport measure_vnmse(Compressor& compressor,
+VnmseReport measure_vnmse(AggregationPipeline& pipeline,
                           const SyntheticGradients& source, int rounds,
                           std::uint64_t first_round) {
   GCS_CHECK(rounds >= 1);
-  compressor.reset();
+  pipeline.codec().reset();
   const std::size_t d = source.dimension();
   std::vector<std::vector<float>> grads;
   std::vector<float> estimate(d);
@@ -36,7 +37,7 @@ VnmseReport measure_vnmse(Compressor& compressor,
     std::vector<std::span<const float>> views;
     views.reserve(grads.size());
     for (const auto& g : grads) views.emplace_back(g.data(), g.size());
-    const RoundStats round_stats = compressor.aggregate(
+    const RoundStats round_stats = pipeline.aggregate(
         views, estimate, first_round + static_cast<std::uint64_t>(r));
     err_stats.add(vnmse(estimate, views));
     bits_stats.add(round_stats.bits_per_coordinate(d));

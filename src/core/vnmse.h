@@ -12,10 +12,11 @@
 #include <span>
 #include <vector>
 
-#include "core/compressor.h"
 #include "core/synthetic_grad.h"
 
 namespace gcs::core {
+
+class AggregationPipeline;
 
 /// vNMSE of `estimate_sum` against the exact FP32 sum of `grads`.
 double vnmse(std::span<const float> estimate_sum,
@@ -29,10 +30,10 @@ struct VnmseReport {
   int rounds = 0;
 };
 
-/// Runs `rounds` aggregation rounds of `compressor` over gradients from
-/// `source` and reports the average vNMSE and measured b. The compressor
-/// is reset() first so EF state does not leak across measurements.
-VnmseReport measure_vnmse(Compressor& compressor,
+/// Runs `rounds` aggregation rounds of `pipeline` over gradients from
+/// `source` and reports the average vNMSE and measured b. The codec is
+/// reset() first so EF state does not leak across measurements.
+VnmseReport measure_vnmse(AggregationPipeline& pipeline,
                           const SyntheticGradients& source, int rounds,
                           std::uint64_t first_round = 0);
 

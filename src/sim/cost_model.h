@@ -157,7 +157,7 @@ class CostModel {
   /// (FP16 P and Q for low-rank layers, dense FP16 for the rest).
   double powersgd_bits(const WorkloadSpec& w, std::size_t rank) const;
 
-  /// Dispatches on a core::make_compressor spec string, using the same
+  /// Dispatches on a core::make_pipeline spec string, using the same
   /// grammar, so benches drive timing and value-path from one spec. A
   /// "chunk=<bytes>" option in the spec selects chunked charging (matching
   /// the factory's pipeline knob); the explicit `chunk_bytes` argument

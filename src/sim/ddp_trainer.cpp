@@ -25,8 +25,8 @@ DdpResult train_ddp(const train::Dataset& data, const DdpConfig& config,
   train::MlpModel model(dims, config.seed);
   const std::size_t d = model.dimension();
 
-  auto compressor =
-      core::make_compressor(config.scheme, model.layout(), config.world_size);
+  auto pipeline =
+      core::make_pipeline(config.scheme, model.layout(), config.world_size);
   train::SgdMomentum optimizer(d, config.learning_rate, config.momentum);
   train::StepDecaySchedule lr_schedule(config.learning_rate, config.lr_gamma,
                                        config.lr_decay_every);
@@ -53,7 +53,7 @@ DdpResult train_ddp(const train::Dataset& data, const DdpConfig& config,
   train::Batch batch;
 
   DdpResult result;
-  result.scheme = compressor->name();
+  result.scheme = pipeline.codec().name();
   RunningStats bits_stats;
   RunningStats vnmse_stats;
   double clock = 0.0;
@@ -67,7 +67,7 @@ DdpResult train_ddp(const train::Dataset& data, const DdpConfig& config,
       model.forward_backward(batch, grads[w]);
       views[w] = std::span<const float>(grads[w]);
     }
-    const core::RoundStats round_stats = compressor->aggregate(
+    const core::RoundStats round_stats = pipeline.aggregate(
         std::span<const std::span<const float>>(views), aggregated,
         static_cast<std::uint64_t>(round));
     bits_stats.add(round_stats.bits_per_coordinate(d));

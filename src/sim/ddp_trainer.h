@@ -2,7 +2,7 @@
 //
 // Binds everything together: per-round, each of the n workers draws its
 // own minibatch and computes a real gradient on the shared model; the
-// configured compressor aggregates the gradients (values computed for
+// configured pipeline aggregates the gradients (values computed for
 // real, bit-identical to the fabric collectives); the optimizer applies
 // the mean; and the clock advances by the cost model's paper-scale round
 // time. Held-out evaluation runs every `eval_every` rounds and feeds both
@@ -24,7 +24,7 @@
 namespace gcs::sim {
 
 struct DdpConfig {
-  /// Compressor spec (core::make_compressor grammar).
+  /// Scheme spec (core::make_pipeline grammar).
   std::string scheme;
   int world_size = 4;
   std::size_t batch_per_worker = 32;

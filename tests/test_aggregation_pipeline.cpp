@@ -213,23 +213,22 @@ TEST(AggregationPipeline, ThreadedFabricMatchesLocalReference) {
   }
 }
 
-TEST(AggregationPipeline, AdapterPreservesCompressorContract) {
-  // The factory's Compressor is a thin adapter over the pipeline: same
-  // name/path/world_size surface, same aggregate values with and without
-  // the chunk option.
+TEST(AggregationPipeline, FactoryChunkOptionPreservesSchemeAndValues) {
+  // The chunk option changes only the wire schedule of a factory-built
+  // pipeline: same codec name/path/world_size, same aggregate values with
+  // and without it.
   const auto layout = flat_layout(kDim);
-  auto plain = make_compressor("fp16", layout, kWorld);
-  auto chunked = make_compressor("fp16:chunk=256", layout, kWorld);
-  EXPECT_EQ(plain->name(), chunked->name());
-  EXPECT_EQ(plain->path(), chunked->path());
-  EXPECT_EQ(plain->world_size(), chunked->world_size());
+  auto plain = make_pipeline("fp16", layout, kWorld);
+  auto chunked = make_pipeline("fp16:chunk=256", layout, kWorld);
+  EXPECT_EQ(plain.codec().name(), chunked.codec().name());
+  EXPECT_EQ(plain.codec().path(), chunked.codec().path());
+  EXPECT_EQ(plain.codec().world_size(), chunked.codec().world_size());
 
   const auto grads = random_grads(kDim, 123);
   const auto views = views_of(grads);
   std::vector<float> out_a(kDim), out_b(kDim);
-  plain->aggregate(std::span<const std::span<const float>>(views), out_a, 0);
-  chunked->aggregate(std::span<const std::span<const float>>(views), out_b,
-                     0);
+  plain.aggregate(std::span<const std::span<const float>>(views), out_a, 0);
+  chunked.aggregate(std::span<const std::span<const float>>(views), out_b, 0);
   EXPECT_TRUE(bit_identical(out_a, out_b));
 }
 
@@ -237,14 +236,13 @@ TEST(AggregationPipeline, FabricSpecFlagRunsThreaded) {
   // "fabric" routes the factory product through the threaded fabric; the
   // result stays bit-identical to the local path.
   const auto layout = flat_layout(256);
-  auto local = make_compressor("topkc:b=8", layout, kWorld);
-  auto fabric = make_compressor("topkc:b=8:chunk=64:fabric", layout, kWorld);
+  auto local = make_pipeline("topkc:b=8", layout, kWorld);
+  auto fabric = make_pipeline("topkc:b=8:chunk=64:fabric", layout, kWorld);
   const auto grads = random_grads(256, 321);
   const auto views = views_of(grads);
   std::vector<float> out_a(256), out_b(256);
-  local->aggregate(std::span<const std::span<const float>>(views), out_a, 0);
-  fabric->aggregate(std::span<const std::span<const float>>(views), out_b,
-                    0);
+  local.aggregate(std::span<const std::span<const float>>(views), out_a, 0);
+  fabric.aggregate(std::span<const std::span<const float>>(views), out_b, 0);
   EXPECT_TRUE(bit_identical(out_a, out_b));
 }
 

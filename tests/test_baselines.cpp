@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "core/aggregation_pipeline.h"
 #include "core/vnmse.h"
 
 namespace gcs::core {
@@ -37,14 +38,14 @@ TEST(Fp32Baseline, BitsPerCoordinateIs32) {
   config.dimension = 100;
   config.world_size = 4;
   config.comm_precision = Precision::kFp32;
-  auto c = make_baseline(config);
+  AggregationPipeline c(make_baseline_codec(config));
   const auto grads = random_grads(4, 100, 1);
   std::vector<float> out(100);
   const auto views = views_of(grads);
-  const auto stats = c->aggregate(views, out, 0);
+  const auto stats = c.aggregate(views, out, 0);
   EXPECT_DOUBLE_EQ(stats.bits_per_coordinate(100), 32.0);
-  EXPECT_EQ(c->name(), "Baseline FP32");
-  EXPECT_EQ(c->path(), AggregationPath::kAllReduce);
+  EXPECT_EQ(c.codec().name(), "Baseline FP32");
+  EXPECT_EQ(c.codec().path(), AggregationPath::kAllReduce);
 }
 
 TEST(Fp16Baseline, BitsPerCoordinateIs16) {
@@ -52,13 +53,13 @@ TEST(Fp16Baseline, BitsPerCoordinateIs16) {
   config.dimension = 64;
   config.world_size = 2;
   config.comm_precision = Precision::kFp16;
-  auto c = make_baseline(config);
+  AggregationPipeline c(make_baseline_codec(config));
   const auto grads = random_grads(2, 64, 2);
   std::vector<float> out(64);
   const auto views = views_of(grads);
-  const auto stats = c->aggregate(views, out, 0);
+  const auto stats = c.aggregate(views, out, 0);
   EXPECT_DOUBLE_EQ(stats.bits_per_coordinate(64), 16.0);
-  EXPECT_EQ(c->name(), "Baseline FP16");
+  EXPECT_EQ(c.codec().name(), "Baseline FP16");
 }
 
 TEST(Fp32Baseline, ExactUpToRingOrdering) {
@@ -66,11 +67,11 @@ TEST(Fp32Baseline, ExactUpToRingOrdering) {
   config.dimension = 333;
   config.world_size = 4;
   config.comm_precision = Precision::kFp32;
-  auto c = make_baseline(config);
+  AggregationPipeline c(make_baseline_codec(config));
   const auto grads = random_grads(4, 333, 3);
   std::vector<float> out(333);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   for (std::size_t i = 0; i < 333; ++i) {
     double sum = 0.0;
     for (const auto& g : grads) sum += g[i];
@@ -83,11 +84,11 @@ TEST(Fp16Baseline, SmallRelativeError) {
   config.dimension = 1000;
   config.world_size = 4;
   config.comm_precision = Precision::kFp16;
-  auto c = make_baseline(config);
+  AggregationPipeline c(make_baseline_codec(config));
   const auto grads = random_grads(4, 1000, 4);
   std::vector<float> out(1000);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   const double err =
       vnmse(out, std::span<const std::span<const float>>(views));
   // FP16's negligible-degradation claim: vNMSE ~ (2^-11)^2 scale.
@@ -101,8 +102,8 @@ TEST(Fp16Baseline, LessAccurateThanFp32) {
   std::vector<float> out16(500), out32(500);
   BaselineConfig c16{500, 4, Precision::kFp16, false};
   BaselineConfig c32{500, 4, Precision::kFp32, false};
-  make_baseline(c16)->aggregate(views, out16, 0);
-  make_baseline(c32)->aggregate(views, out32, 0);
+  AggregationPipeline(make_baseline_codec(c16)).aggregate(views, out16, 0);
+  AggregationPipeline(make_baseline_codec(c32)).aggregate(views, out32, 0);
   const auto span_views = std::span<const std::span<const float>>(views);
   EXPECT_GT(vnmse(out16, span_views), vnmse(out32, span_views));
 }
@@ -113,8 +114,8 @@ TEST(Baselines, TreeMatchesRingForFp32) {
   std::vector<float> ring_out(64), tree_out(64);
   BaselineConfig ring{64, 3, Precision::kFp32, false};
   BaselineConfig tree{64, 3, Precision::kFp32, true};
-  make_baseline(ring)->aggregate(views, ring_out, 0);
-  make_baseline(tree)->aggregate(views, tree_out, 0);
+  AggregationPipeline(make_baseline_codec(ring)).aggregate(views, ring_out, 0);
+  AggregationPipeline(make_baseline_codec(tree)).aggregate(views, tree_out, 0);
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_NEAR(ring_out[i], tree_out[i], 1e-4);
   }
@@ -122,22 +123,22 @@ TEST(Baselines, TreeMatchesRingForFp32) {
 
 TEST(Baselines, SingleWorkerPassThrough) {
   BaselineConfig config{10, 1, Precision::kFp32, false};
-  auto c = make_baseline(config);
+  AggregationPipeline c(make_baseline_codec(config));
   const auto grads = random_grads(1, 10, 7);
   std::vector<float> out(10);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(out[i], grads[0][i]);
 }
 
 TEST(Baselines, DeterministicAcrossCalls) {
   BaselineConfig config{128, 4, Precision::kFp16, false};
-  auto c = make_baseline(config);
+  AggregationPipeline c(make_baseline_codec(config));
   const auto grads = random_grads(4, 128, 8);
   const auto views = views_of(grads);
   std::vector<float> out1(128), out2(128);
-  c->aggregate(views, out1, 0);
-  c->aggregate(views, out2, 0);
+  c.aggregate(views, out1, 0);
+  c.aggregate(views, out2, 0);
   EXPECT_EQ(out1, out2);
 }
 

@@ -564,6 +564,9 @@ TEST(Kernels, AllSchemesBitIdenticalAcrossBackends) {
     ASSERT_EQ(s.ef.size(), a.ef.size()) << spec;
     for (std::size_t w = 0; w < s.ef.size(); ++w) {
       ASSERT_EQ(s.ef[w].size(), a.ef[w].size()) << spec;
+      // Schemes without EF carry an empty residual whose data() may be
+      // null, which memcmp must not see even with a zero length.
+      if (s.ef[w].empty()) continue;
       ASSERT_EQ(std::memcmp(s.ef[w].data(), a.ef[w].data(),
                             s.ef[w].size() * sizeof(float)),
                 0)

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "core/aggregation_pipeline.h"
 #include "core/vnmse.h"
 
 namespace gcs::core {
@@ -38,9 +39,9 @@ TEST(PowerSgd, PathAndName) {
   config.layout = two_matrix_layout();
   config.world_size = 2;
   config.rank = 4;
-  auto c = make_powersgd(config);
-  EXPECT_EQ(c->path(), AggregationPath::kAllReduce);
-  EXPECT_EQ(c->name(), "PowerSGD-4");
+  AggregationPipeline c(make_powersgd_codec(config));
+  EXPECT_EQ(c.codec().path(), AggregationPath::kAllReduce);
+  EXPECT_EQ(c.codec().name(), "PowerSGD-4");
 }
 
 TEST(PowerSgd, PayloadMatchesRankFormula) {
@@ -51,12 +52,12 @@ TEST(PowerSgd, PayloadMatchesRankFormula) {
   config.world_size = 2;
   config.rank = 4;
   config.error_feedback = false;
-  auto c = make_powersgd(config);
+  AggregationPipeline c(make_powersgd_codec(config));
   const std::size_t d = config.layout.total_size();
   const auto grads = random_grads(2, d, 1);
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  const auto stats = c->aggregate(views, out, 0);
+  const auto stats = c.aggregate(views, out, 0);
   const std::size_t expected =
       2 * (4 * (32 + 24)) +  // w0: P (32x4) + Q (24x4) in fp16
       2 * 32 +               // b0 dense fp16
@@ -70,7 +71,7 @@ TEST(PowerSgd, BiasVectorsTransmittedExactly) {
   config.world_size = 2;
   config.rank = 2;
   config.error_feedback = false;
-  auto c = make_powersgd(config);
+  AggregationPipeline c(make_powersgd_codec(config));
   const std::size_t d = config.layout.total_size();
   std::vector<std::vector<float>> grads(2, std::vector<float>(d, 0.0f));
   // Bias region: offsets 256..263.
@@ -80,7 +81,7 @@ TEST(PowerSgd, BiasVectorsTransmittedExactly) {
   }
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   for (std::size_t i = 256; i < 264; ++i) {
     EXPECT_NEAR(out[i], 4.0f, 0.01f);
   }
@@ -94,7 +95,7 @@ TEST(PowerSgd, ExactForRankDeficientGradients) {
   config.world_size = 2;
   config.rank = 2;
   config.error_feedback = false;
-  auto c = make_powersgd(config);
+  AggregationPipeline c(make_powersgd_codec(config));
   Rng rng(3);
   std::vector<float> u(rows), v(cols);
   for (auto& x : u) x = static_cast<float>(rng.next_gaussian());
@@ -109,7 +110,7 @@ TEST(PowerSgd, ExactForRankDeficientGradients) {
   }
   std::vector<float> out(rows * cols);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_NEAR(out[i], 2.0f * grads[0][i],
                 0.02f * std::fabs(grads[0][i]) + 0.02f)
@@ -127,9 +128,9 @@ TEST(PowerSgd, HigherRankLowerError) {
   double prev = 1e9;
   for (std::size_t r : {1u, 4u, 16u}) {
     config.rank = r;
-    auto c = make_powersgd(config);
+    AggregationPipeline c(make_powersgd_codec(config));
     std::vector<float> out(48 * 48);
-    c->aggregate(views, out, 0);
+    c.aggregate(views, out, 0);
     const double err =
         vnmse(out, std::span<const std::span<const float>>(views));
     EXPECT_LT(err, prev) << r;
@@ -145,14 +146,14 @@ TEST(PowerSgd, WarmStartImprovesOverRounds) {
   config.world_size = 2;
   config.rank = 4;
   config.error_feedback = false;
-  auto c = make_powersgd(config);
+  AggregationPipeline c(make_powersgd_codec(config));
   const auto grads = random_grads(2, 1600, 7);
   const auto views = views_of(grads);
   std::vector<float> out(1600);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   const double first =
       vnmse(out, std::span<const std::span<const float>>(views));
-  for (int r = 1; r < 8; ++r) c->aggregate(views, out, r);
+  for (int r = 1; r < 8; ++r) c.aggregate(views, out, r);
   const double later =
       vnmse(out, std::span<const std::span<const float>>(views));
   EXPECT_LT(later, first);
@@ -167,9 +168,9 @@ TEST(PowerSgd, ErrorFeedbackAccumulatesResidual) {
   config.rank = 1;
   const std::size_t d = 1024;
   config.error_feedback = true;
-  auto c_ef = make_powersgd(config);
+  AggregationPipeline c_ef(make_powersgd_codec(config));
   config.error_feedback = false;
-  auto c_no = make_powersgd(config);
+  AggregationPipeline c_no(make_powersgd_codec(config));
   std::vector<double> cum_true(d, 0.0), cum_ef(d, 0.0), cum_no(d, 0.0);
   std::vector<float> out(d);
   for (int r = 0; r < 25; ++r) {
@@ -178,9 +179,9 @@ TEST(PowerSgd, ErrorFeedbackAccumulatesResidual) {
     for (std::size_t i = 0; i < d; ++i) {
       cum_true[i] += grads[0][i] + grads[1][i];
     }
-    c_ef->aggregate(views, out, r);
+    c_ef.aggregate(views, out, r);
     for (std::size_t i = 0; i < d; ++i) cum_ef[i] += out[i];
-    c_no->aggregate(views, out, r);
+    c_no.aggregate(views, out, r);
     for (std::size_t i = 0; i < d; ++i) cum_no[i] += out[i];
   }
   double err_ef = 0.0, err_no = 0.0;
@@ -197,15 +198,15 @@ TEST(PowerSgd, ResetRestoresInitialState) {
   config.world_size = 2;
   config.rank = 2;
   config.error_feedback = false;
-  auto c = make_powersgd(config);
+  AggregationPipeline c(make_powersgd_codec(config));
   const auto grads = random_grads(2, 256, 9);
   const auto views = views_of(grads);
   std::vector<float> first(256), again(256);
-  c->aggregate(views, first, 0);
-  c->aggregate(views, again, 1);  // warm start shifts the result
-  c->reset();
+  c.aggregate(views, first, 0);
+  c.aggregate(views, again, 1);  // warm start shifts the result
+  c.codec().reset();
   std::vector<float> after_reset(256);
-  c->aggregate(views, after_reset, 0);
+  c.aggregate(views, after_reset, 0);
   EXPECT_EQ(first, after_reset);
 }
 
@@ -217,11 +218,11 @@ TEST(PowerSgd, TinyRankOneLayersGoDense) {
   config.world_size = 3;
   config.rank = 4;
   config.error_feedback = false;
-  auto c = make_powersgd(config);
+  AggregationPipeline c(make_powersgd_codec(config));
   const auto grads = random_grads(3, 16, 11);
   std::vector<float> out(16);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   for (std::size_t i = 0; i < 16; ++i) {
     const double sum = grads[0][i] + grads[1][i] + grads[2][i];
     EXPECT_NEAR(out[i], sum, std::fabs(sum) / 256.0 + 1e-2);

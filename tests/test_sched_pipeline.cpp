@@ -54,22 +54,6 @@ struct RunResult {
   std::vector<WireTraffic> wire;  ///< per-round meters
 };
 
-RunResult run_rounds(Compressor& compressor, std::size_t d, int world,
-                     AggregationPipeline* wire_source = nullptr) {
-  RunResult result;
-  std::vector<float> out(d);
-  for (int r = 0; r < kRounds; ++r) {
-    const auto grads =
-        random_grads(d, world, 8600 + static_cast<std::uint64_t>(r));
-    const auto views = views_of(grads);
-    compressor.aggregate(std::span<const std::span<const float>>(views), out,
-                         static_cast<std::uint64_t>(r));
-    result.outputs.insert(result.outputs.end(), out.begin(), out.end());
-    if (wire_source != nullptr) result.wire.push_back(wire_source->last_wire());
-  }
-  return result;
-}
-
 RunResult run_rounds(AggregationPipeline& pipeline, int world) {
   const std::size_t d = pipeline.codec().dimension();
   RunResult result;
@@ -108,16 +92,15 @@ TEST(SchedPipeline, BucketedMultiWorkerMatchesSizeChunkedLocally) {
   // Local reference backend, every world size 2-8: the bucketed plan and
   // the worker pool are value-transparent.
   const ModelLayout layout = test_layout();
-  const std::size_t d = layout.total_size();
   for (int world = 2; world <= 8; ++world) {
     for (const char* spec : kSchemes) {
       auto reference =
-          make_compressor(std::string(spec) + ":chunk=512", layout, world);
-      auto bucketed = make_compressor(
+          make_pipeline(std::string(spec) + ":chunk=512", layout, world);
+      auto bucketed = make_pipeline(
           std::string(spec) + ":buckets=layer:bucket=4096:workers=2",
           layout, world);
-      const auto ref = run_rounds(*reference, d, world);
-      const auto got = run_rounds(*bucketed, d, world);
+      const auto ref = run_rounds(reference, world);
+      const auto got = run_rounds(bucketed, world);
       EXPECT_TRUE(bit_identical(got.outputs, ref.outputs))
           << spec << " world=" << world;
     }
@@ -188,18 +171,17 @@ TEST(SchedPipeline, BucketedMultiWorkerMatchesOnSocketFabric) {
   // ranks rebuild their own encode pools post-fork. World sizes kept
   // small — each (scheme, world) pair is a full multi-process mesh.
   const ModelLayout layout = test_layout();
-  const std::size_t d = layout.total_size();
   for (int world : {2, 4}) {
     for (const char* spec : kSchemes) {
       auto reference =
-          make_compressor(std::string(spec) + ":chunk=512", layout, world);
-      const auto ref = run_rounds(*reference, d, world);
+          make_pipeline(std::string(spec) + ":chunk=512", layout, world);
+      const auto ref = run_rounds(reference, world);
 
-      auto bucketed = make_compressor(
+      auto bucketed = make_pipeline(
           std::string(spec) +
               ":buckets=layer:bucket=2048:workers=2:fabric=socket",
           layout, world);
-      const auto got = run_rounds(*bucketed, d, world);
+      const auto got = run_rounds(bucketed, world);
       EXPECT_TRUE(bit_identical(got.outputs, ref.outputs))
           << spec << " world=" << world;
     }
@@ -210,14 +192,13 @@ TEST(SchedPipeline, WorkerPoolAloneIsValueTransparent) {
   // workers>1 without buckets (plain size chunks) must also be
   // bit-identical — the pool is orthogonal to the plan.
   const ModelLayout layout = test_layout();
-  const std::size_t d = layout.total_size();
   for (const char* spec : kSchemes) {
     auto reference =
-        make_compressor(std::string(spec) + ":chunk=256", layout, 4);
-    auto pooled = make_compressor(
+        make_pipeline(std::string(spec) + ":chunk=256", layout, 4);
+    auto pooled = make_pipeline(
         std::string(spec) + ":chunk=256:workers=4", layout, 4);
-    const auto ref = run_rounds(*reference, d, 4);
-    const auto got = run_rounds(*pooled, d, 4);
+    const auto ref = run_rounds(reference, 4);
+    const auto got = run_rounds(pooled, 4);
     EXPECT_TRUE(bit_identical(got.outputs, ref.outputs)) << spec;
   }
 }
@@ -226,12 +207,11 @@ TEST(SchedPipeline, AutotunedSpecRunsAndMatches) {
   // autotune resolves to concrete sizes inside the factory; values stay
   // bit-identical to the monolithic run.
   const ModelLayout layout = test_layout();
-  const std::size_t d = layout.total_size();
-  auto mono = make_compressor("topkc:b=8", layout, 4);
+  auto mono = make_pipeline("topkc:b=8", layout, 4);
   auto tuned =
-      make_compressor("topkc:b=8:buckets=layer:workers=2:autotune", layout, 4);
-  const auto ref = run_rounds(*mono, d, 4);
-  const auto got = run_rounds(*tuned, d, 4);
+      make_pipeline("topkc:b=8:buckets=layer:workers=2:autotune", layout, 4);
+  const auto ref = run_rounds(mono, 4);
+  const auto got = run_rounds(tuned, 4);
   EXPECT_TRUE(bit_identical(got.outputs, ref.outputs));
 }
 

@@ -136,20 +136,20 @@ TEST(SocketPipeline, WorldSizeFivePowerOfTwoBreaker) {
 }
 
 TEST(SocketPipeline, FactorySpecSelectsSocketBackend) {
-  // fabric=socket through the legacy Compressor surface: same values as
-  // the local reference path.
+  // fabric=socket through the factory spec: same values as the local
+  // reference path.
   const ModelLayout layout({LayerSpec{"flat", 1024, 1}});
-  auto local = make_compressor("thc:q=4:b=4:sat:partial", layout, kWorld);
-  auto socket = make_compressor(
+  auto local = make_pipeline("thc:q=4:b=4:sat:partial", layout, kWorld);
+  auto socket = make_pipeline(
       "thc:q=4:b=4:sat:partial:chunk=256:fabric=socket", layout, kWorld);
 
   const auto grads = random_grads(1024, kWorld, 42);
   const auto views = views_of(grads);
   std::vector<float> out_local(1024), out_socket(1024);
-  local->aggregate(std::span<const std::span<const float>>(views),
-                   out_local, 0);
-  socket->aggregate(std::span<const std::span<const float>>(views),
-                    out_socket, 0);
+  local.aggregate(std::span<const std::span<const float>>(views), out_local,
+                  0);
+  socket.aggregate(std::span<const std::span<const float>>(views),
+                   out_socket, 0);
   EXPECT_EQ(std::memcmp(out_local.data(), out_socket.data(),
                         out_local.size() * sizeof(float)),
             0);

@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "core/aggregation_pipeline.h"
 #include "core/baselines.h"
 #include "core/synthetic_grad.h"
 #include "core/vnmse.h"
@@ -139,8 +140,8 @@ TEST(MeasureVnmse, BaselineFp32IsEssentiallyExact) {
   config.dimension = source.dimension();
   config.world_size = 4;
   config.comm_precision = Precision::kFp32;
-  auto c = make_baseline(config);
-  const auto report = measure_vnmse(*c, source, 3);
+  AggregationPipeline c(make_baseline_codec(config));
+  const auto report = measure_vnmse(c, source, 3);
   EXPECT_LT(report.mean, 1e-10);
   EXPECT_EQ(report.rounds, 3);
   EXPECT_DOUBLE_EQ(report.mean_bits_per_coordinate, 32.0);
@@ -152,8 +153,8 @@ TEST(MeasureVnmse, Fp16SmallButNonzero) {
   config.dimension = source.dimension();
   config.world_size = 4;
   config.comm_precision = Precision::kFp16;
-  auto c = make_baseline(config);
-  const auto report = measure_vnmse(*c, source, 3);
+  AggregationPipeline c(make_baseline_codec(config));
+  const auto report = measure_vnmse(c, source, 3);
   EXPECT_GT(report.mean, 0.0);
   EXPECT_LT(report.mean, 1e-4);
 }

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "core/aggregation_pipeline.h"
 #include "core/vnmse.h"
 
 namespace gcs::core {
@@ -49,36 +50,36 @@ TEST(ThcConfig, BitValidation) {
   c.b = 8;
   c.saturation = true;  // saturation requires b == q
   EXPECT_FALSE(c.valid_bits());
-  EXPECT_THROW(make_thc(c), std::logic_error);
+  EXPECT_THROW(make_thc_codec(c), std::logic_error);
   c.saturation = false;
   EXPECT_TRUE(c.valid_bits());
-  EXPECT_NO_THROW(make_thc(c));
+  EXPECT_NO_THROW(make_thc_codec(c));
 }
 
 TEST(Thc, WideModeNeedsHeadroom) {
   ThcConfig c = base_config(64, 32);  // log2(32) = 5 > 8-4
   c.b = 8;
   c.saturation = false;
-  EXPECT_THROW(make_thc(c), std::logic_error);
+  EXPECT_THROW(make_thc_codec(c), std::logic_error);
 }
 
 TEST(Thc, PathAndName) {
-  auto c = make_thc(base_config(128, 4));
-  EXPECT_EQ(c->path(), AggregationPath::kAllReduce);
-  EXPECT_NE(c->name().find("THC"), std::string::npos);
-  EXPECT_NE(c->name().find("Sat"), std::string::npos);
-  EXPECT_NE(c->name().find("partial"), std::string::npos);
+  AggregationPipeline c(make_thc_codec(base_config(128, 4)));
+  EXPECT_EQ(c.codec().path(), AggregationPath::kAllReduce);
+  EXPECT_NE(c.codec().name().find("THC"), std::string::npos);
+  EXPECT_NE(c.codec().name().find("Sat"), std::string::npos);
+  EXPECT_NE(c.codec().name().find("partial"), std::string::npos);
 }
 
 TEST(Thc, MeasuredBitsMatchQ) {
   const std::size_t d = 4096;
   auto config = base_config(d, 4);
   config.shared_memory_bytes = 4096;  // realistic block:metadata ratio
-  auto c = make_thc(config);
+  AggregationPipeline c(make_thc_codec(config));
   const auto grads = random_grads(4, d, 1);
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  const auto stats = c->aggregate(views, out, 0);
+  const auto stats = c.aggregate(views, out, 0);
   // Payload is exactly q bits/coordinate; metadata (ranges) is small.
   EXPECT_NEAR(8.0 * static_cast<double>(stats.payload_bytes) / d, 4.0,
               1e-9);
@@ -96,11 +97,11 @@ TEST_P(ThcModesTest, AggregateApproximatesTrueSum) {
   config.rotation = rotation;
   config.saturation = saturation;
   if (!saturation) config.b = 8;
-  auto c = make_thc(config);
+  AggregationPipeline c(make_thc_codec(config));
   const auto grads = random_grads(4, d, 7);
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   const double err =
       vnmse(out, std::span<const std::span<const float>>(views));
   // q = 4 stochastic quantization alone contributes vNMSE ~ 0.05 on iid
@@ -129,9 +130,9 @@ TEST(Thc, HigherQLowerError) {
     ThcConfig config = base_config(d, 4);
     config.q = q;
     config.b = q;
-    auto c = make_thc(config);
+    AggregationPipeline c(make_thc_codec(config));
     std::vector<float> out(d);
-    c->aggregate(views, out, 0);
+    c.aggregate(views, out, 0);
     const double err =
         vnmse(out, std::span<const std::span<const float>>(views));
     EXPECT_LT(err, prev) << q;
@@ -159,9 +160,9 @@ TEST(Thc, RotationHelpsHeavyTailedGradients) {
     ThcConfig config = base_config(d, 4);
     config.rotation = mode;
     config.q = config.b = 2;  // coarse quantization amplifies the effect
-    auto c = make_thc(config);
+    AggregationPipeline c(make_thc_codec(config));
     std::vector<float> out(d);
-    c->aggregate(views, out, 0);
+    c.aggregate(views, out, 0);
     errs[i++] = vnmse(out, std::span<const std::span<const float>>(views));
   }
   EXPECT_LT(errs[1], errs[0] * 0.8) << "full rotation should beat none";
@@ -173,11 +174,11 @@ TEST(Thc, SaturationRarelyClipsAfterRotation) {
   const std::size_t d = 8192;
   ThcConfig config = base_config(d, 4);
   config.rotation = RotationMode::kFull;
-  auto c = make_thc(config);
+  AggregationPipeline c(make_thc_codec(config));
   const auto grads = random_grads(4, d, 17);
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  const auto stats = c->aggregate(views, out, 0);
+  const auto stats = c.aggregate(views, out, 0);
   EXPECT_GT(stats.sat.additions, 0u);
   // iid Gaussian inputs are the adversarial case for cancellation (real
   // gradients are cross-worker correlated); a few percent is the ceiling.
@@ -189,11 +190,11 @@ TEST(Thc, WideModeNeverClips) {
   ThcConfig config = base_config(d, 4);
   config.saturation = false;
   config.b = 8;
-  auto c = make_thc(config);
+  AggregationPipeline c(make_thc_codec(config));
   const auto grads = random_grads(4, d, 19, 10.0f);
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  const auto stats = c->aggregate(views, out, 0);
+  const auto stats = c.aggregate(views, out, 0);
   EXPECT_EQ(stats.sat.clips, 0u);
 }
 
@@ -206,14 +207,14 @@ TEST(Thc, StochasticQuantizationIsUnbiasedOverRounds) {
   ThcConfig config = base_config(d, 2);
   config.saturation = false;
   config.b = 8;
-  auto c = make_thc(config);
+  AggregationPipeline c(make_thc_codec(config));
   const auto grads = random_grads(2, d, 23);
   const auto views = views_of(grads);
   std::vector<double> mean(d, 0.0);
   std::vector<float> out(d);
   const int rounds = 300;
   for (int r = 0; r < rounds; ++r) {
-    c->aggregate(views, out, r);
+    c.aggregate(views, out, r);
     for (std::size_t i = 0; i < d; ++i) mean[i] += out[i] / rounds;
   }
   double err = 0.0, ref = 0.0;
@@ -227,14 +228,14 @@ TEST(Thc, StochasticQuantizationIsUnbiasedOverRounds) {
 
 TEST(Thc, DeterministicGivenRound) {
   const std::size_t d = 256;
-  auto c = make_thc(base_config(d, 4));
+  AggregationPipeline c(make_thc_codec(base_config(d, 4)));
   const auto grads = random_grads(4, d, 29);
   const auto views = views_of(grads);
   std::vector<float> out1(d), out2(d);
-  c->aggregate(views, out1, 5);
-  c->aggregate(views, out2, 5);
+  c.aggregate(views, out1, 5);
+  c.aggregate(views, out2, 5);
   EXPECT_EQ(out1, out2);
-  c->aggregate(views, out2, 6);
+  c.aggregate(views, out2, 6);
   EXPECT_NE(out1, out2);
 }
 
@@ -242,11 +243,11 @@ TEST(Thc, Q2B2Works) {
   const std::size_t d = 1024;
   ThcConfig config = base_config(d, 4);
   config.q = config.b = 2;
-  auto c = make_thc(config);
+  AggregationPipeline c(make_thc_codec(config));
   const auto grads = random_grads(4, d, 31);
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  const auto stats = c->aggregate(views, out, 0);
+  const auto stats = c.aggregate(views, out, 0);
   EXPECT_NEAR(8.0 * static_cast<double>(stats.payload_bytes) / d, 2.0, 1e-9);
   const double err =
       vnmse(out, std::span<const std::span<const float>>(views));

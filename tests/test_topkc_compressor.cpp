@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "core/aggregation_pipeline.h"
 #include "core/synthetic_grad.h"
 #include "core/vnmse.h"
 #include "tensor/layout.h"
@@ -52,9 +53,9 @@ TEST(TopKC, PathIsAllReduce) {
   config.world_size = 2;
   config.chunk_size = 64;
   config.num_top_chunks = 2;
-  auto c = make_topkc(config);
-  EXPECT_EQ(c->path(), AggregationPath::kAllReduce);
-  EXPECT_EQ(c->name(), "TopKC");
+  AggregationPipeline c(make_topkc_codec(config));
+  EXPECT_EQ(c.codec().path(), AggregationPath::kAllReduce);
+  EXPECT_EQ(c.codec().name(), "TopKC");
 }
 
 TEST(TopKC, MeasuredBitsMatchFormula) {
@@ -65,11 +66,11 @@ TEST(TopKC, MeasuredBitsMatchFormula) {
   config.chunk_size = 64;
   config.num_top_chunks = TopKCConfig::j_for_bits(d, 64, 8.0);
   config.error_feedback = false;
-  auto c = make_topkc(config);
+  AggregationPipeline c(make_topkc_codec(config));
   const auto grads = random_grads(4, d, 1);
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  const auto stats = c->aggregate(views, out, 0);
+  const auto stats = c.aggregate(views, out, 0);
   EXPECT_NEAR(stats.bits_per_coordinate(d), 8.0, 0.1);
   // Metadata (norm round) is 16/C bits/coordinate of it.
   EXPECT_NEAR(8.0 * static_cast<double>(stats.metadata_bytes) / d,
@@ -86,7 +87,7 @@ TEST(TopKC, AggregatesChunksWithLargestGlobalNorm) {
   config.chunk_size = c_size;
   config.num_top_chunks = 1;
   config.error_feedback = false;
-  auto c = make_topkc(config);
+  AggregationPipeline c(make_topkc_codec(config));
   std::vector<std::vector<float>> grads(2, std::vector<float>(d, 0.01f));
   for (std::size_t i = 3 * c_size; i < 4 * c_size; ++i) {
     grads[0][i] = 1.0f;
@@ -94,7 +95,7 @@ TEST(TopKC, AggregatesChunksWithLargestGlobalNorm) {
   }
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   for (std::size_t i = 0; i < d; ++i) {
     if (i >= 3 * c_size && i < 4 * c_size) {
       EXPECT_NEAR(out[i], 3.0f, 0.01f) << i;
@@ -114,7 +115,7 @@ TEST(TopKC, ConsensusEvenWhenWorkersDisagree) {
   config.chunk_size = c_size;
   config.num_top_chunks = 1;
   config.error_feedback = false;
-  auto c = make_topkc(config);
+  AggregationPipeline c(make_topkc_codec(config));
   std::vector<std::vector<float>> grads(2, std::vector<float>(d, 0.0f));
   // Worker 0: chunk 1 has norm^2 = 8*4 = 32. Worker 1: chunk 2 norm^2 =
   // 8*9=72. Summed: chunk 1 = 32, chunk 2 = 72 -> chunk 2 wins.
@@ -122,7 +123,7 @@ TEST(TopKC, ConsensusEvenWhenWorkersDisagree) {
   for (std::size_t i = 2 * c_size; i < 3 * c_size; ++i) grads[1][i] = 3.0f;
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   EXPECT_EQ(out[c_size], 0.0f);          // chunk 1 dropped
   EXPECT_NEAR(out[2 * c_size], 3.0f, 0.01f);  // chunk 2 kept
 }
@@ -134,11 +135,11 @@ TEST(TopKC, PartialLastChunkHandled) {
   config.chunk_size = 16;
   config.num_top_chunks = 5;
   config.error_feedback = false;
-  auto c = make_topkc(config);
+  AggregationPipeline c(make_topkc_codec(config));
   const auto grads = random_grads(2, 70, 3);
   std::vector<float> out(70);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);  // must not crash / corrupt
+  c.aggregate(views, out, 0);  // must not crash / corrupt
   for (std::size_t i = 0; i < 70; ++i) {
     const double sum = grads[0][i] + grads[1][i];
     EXPECT_NEAR(out[i], sum, std::fabs(sum) / 256.0 + 1e-2) << i;
@@ -161,13 +162,13 @@ TEST(TopKC, LocalityBeatsPermutationOnStructuredGradients) {
   base.chunk_size = 64;
   base.num_top_chunks = TopKCConfig::j_for_bits(d, 64, 2.0);
   base.error_feedback = false;
-  auto plain = make_topkc(base);
+  AggregationPipeline plain(make_topkc_codec(base));
   base.permute = true;
-  auto permuted = make_topkc(base);
-  EXPECT_EQ(permuted->name(), "TopKC Permutation");
+  AggregationPipeline permuted(make_topkc_codec(base));
+  EXPECT_EQ(permuted.codec().name(), "TopKC Permutation");
 
-  const auto r_plain = measure_vnmse(*plain, source, 5);
-  const auto r_perm = measure_vnmse(*permuted, source, 5);
+  const auto r_plain = measure_vnmse(plain, source, 5);
+  const auto r_perm = measure_vnmse(permuted, source, 5);
   EXPECT_LT(r_plain.mean, r_perm.mean * 0.9);
 }
 
@@ -182,11 +183,11 @@ TEST(TopKC, PermutationRoundTripsCoordinates) {
   config.num_top_chunks = 8;  // everything
   config.error_feedback = false;
   config.permute = true;
-  auto c = make_topkc(config);
+  AggregationPipeline c(make_topkc_codec(config));
   const auto grads = random_grads(2, d, 5);
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   for (std::size_t i = 0; i < d; ++i) {
     const double sum = grads[0][i] + grads[1][i];
     EXPECT_NEAR(out[i], sum, std::fabs(sum) / 256.0 + 1e-2);
@@ -201,7 +202,7 @@ TEST(TopKC, ErrorFeedbackRecoversDroppedChunks) {
   config.chunk_size = c_size;
   config.num_top_chunks = 1;
   config.error_feedback = true;
-  auto c = make_topkc(config);
+  AggregationPipeline c(make_topkc_codec(config));
   // Chunk 0 slightly hotter than chunk 1: round 1 sends chunk 0; chunk 1
   // accumulates and wins round 2.
   std::vector<std::vector<float>> grads(1, std::vector<float>(d, 0.0f));
@@ -209,10 +210,10 @@ TEST(TopKC, ErrorFeedbackRecoversDroppedChunks) {
   for (std::size_t i = c_size; i < 2 * c_size; ++i) grads[0][i] = 0.8f;
   std::vector<float> out(d);
   const auto views = views_of(grads);
-  c->aggregate(views, out, 0);
+  c.aggregate(views, out, 0);
   EXPECT_GT(out[0], 0.5f);
   EXPECT_EQ(out[c_size], 0.0f);
-  c->aggregate(views, out, 1);
+  c.aggregate(views, out, 1);
   EXPECT_NEAR(out[c_size], 1.6f, 0.02f);  // 0.8 + 0.8 from memory
 }
 
@@ -231,8 +232,8 @@ TEST(TopKC, MoreBitsLowerVnmse) {
     config.num_top_chunks =
         TopKCConfig::j_for_bits(d, config.chunk_size, b);
     config.error_feedback = false;
-    auto c = make_topkc(config);
-    const auto report = measure_vnmse(*c, source, 3);
+    AggregationPipeline c(make_topkc_codec(config));
+    const auto report = measure_vnmse(c, source, 3);
     EXPECT_LT(report.mean, prev) << b;
     prev = report.mean;
   }

@@ -15,7 +15,8 @@
 //   gcs_stat --targets=... --once --dump=snapshot.prom # save raw text
 //
 // Exit status: 0 when every target answered (and, with --validate, every
-// exposition parsed and every --require family was present); 1 otherwise.
+// exposition parsed and every --require family was present); 1 otherwise,
+// and 1 at startup for a target that is not host:port with a valid port.
 // Exit-status rules apply to --once only: the polling mode is a monitor,
 // so an unreachable target renders as DOWN and is retried with
 // exponential backoff (0.5 s doubling to a 5 s cap) until it answers
@@ -63,19 +64,11 @@ struct Scrape {
   std::vector<Sample> samples;
 };
 
-/// One HTTP/1.0 GET /metrics against "host:port". Returns the response
-/// body (after the blank line); throws gcs::Error on connect/read
-/// failure or a non-200 status.
-std::string http_get_metrics(const std::string& target, int timeout_ms) {
-  gcs::net::Address addr;
-  addr.is_unix = false;
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    throw gcs::Error("gcs_stat: target '" + target + "' is not host:port");
-  }
-  addr.host = target.substr(0, colon);
-  addr.port = std::stoi(target.substr(colon + 1));
-
+/// One HTTP/1.0 GET /metrics against `addr` (`target` is its "host:port"
+/// text). Returns the response body (after the blank line); throws
+/// gcs::Error on connect/read failure or a non-200 status.
+std::string http_get_metrics(const std::string& target,
+                             const gcs::net::Address& addr, int timeout_ms) {
   gcs::net::Socket sock = gcs::net::connect_to(addr, timeout_ms);
   const std::string request =
       "GET /metrics HTTP/1.0\r\nHost: " + target + "\r\n\r\n";
@@ -182,12 +175,13 @@ struct Backoff {
   }
 };
 
-Scrape scrape_target(const std::string& target, int timeout_ms) {
+Scrape scrape_target(const std::string& target,
+                     const gcs::net::Address& addr, int timeout_ms) {
   Scrape s;
   s.target = target;
   const auto start = std::chrono::steady_clock::now();
   try {
-    s.body = http_get_metrics(target, timeout_ms);
+    s.body = http_get_metrics(target, addr, timeout_ms);
     s.ok = true;
     s.parse_ok = parse_exposition(s.body, &s.samples);
   } catch (const std::exception& e) {
@@ -283,6 +277,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::vector<std::string> targets = gcs::split_csv(targets_csv);
+    // Every target is validated once, up front: a malformed one is a
+    // usage error, not a DOWN row retried forever.
+    std::vector<gcs::net::Address> addrs;
+    for (const auto& target : targets) {
+      addrs.push_back(gcs::net::Address::parse("tcp:" + target));
+    }
     const int interval_ms =
         static_cast<int>(flags.get_int("interval-ms", 1000));
     const int timeout_ms = static_cast<int>(flags.get_int("timeout-ms", 2000));
@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
           scrapes.push_back(std::move(skipped));
           continue;
         }
-        Scrape s = scrape_target(targets[i], timeout_ms);
+        Scrape s = scrape_target(targets[i], addrs[i], timeout_ms);
         if (s.ok) {
           backoffs[i].on_success();
         } else {

@@ -28,7 +28,8 @@
 //                            rank IDX must have zero detections of SIGNAL
 //
 // Exit status with --once: 0 when every expectation held, 1 otherwise.
-// Without expectations, --once exits 0 iff every target answered.
+// Without expectations, --once exits 0 iff every target answered. A
+// target that is not host:port with a valid port exits 1 at startup.
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -79,18 +80,11 @@ struct Health {
   std::vector<Anomaly> anomalies;
 };
 
-/// One HTTP/1.0 GET /health against "host:port"; returns the body.
-/// Throws gcs::Error on connect/read failure or non-200 status.
-std::string http_get_health(const std::string& target, int timeout_ms) {
-  gcs::net::Address addr;
-  addr.is_unix = false;
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    throw gcs::Error("gcs_top: target '" + target + "' is not host:port");
-  }
-  addr.host = target.substr(0, colon);
-  addr.port = std::stoi(target.substr(colon + 1));
-
+/// One HTTP/1.0 GET /health against `addr` (`target` is its "host:port"
+/// text); returns the body. Throws gcs::Error on connect/read failure or
+/// non-200 status.
+std::string http_get_health(const std::string& target,
+                            const gcs::net::Address& addr, int timeout_ms) {
   gcs::net::Socket sock = gcs::net::connect_to(addr, timeout_ms);
   const std::string request =
       "GET /health HTTP/1.0\r\nHost: " + target + "\r\n\r\n";
@@ -122,12 +116,13 @@ std::string http_get_health(const std::string& target, int timeout_ms) {
   return response.substr(blank + 4);
 }
 
-Health scrape_health(const std::string& target, int timeout_ms) {
+Health scrape_health(const std::string& target,
+                     const gcs::net::Address& addr, int timeout_ms) {
   Health h;
   h.target = target;
   try {
-    const gcs::json::Value doc = gcs::json::parse(http_get_health(target,
-                                                                  timeout_ms));
+    const gcs::json::Value doc =
+        gcs::json::parse(http_get_health(target, addr, timeout_ms));
     if (!doc.is_object()) throw gcs::Error("health body is not an object");
     h.rank = static_cast<int>(doc.num_or("rank", -1));
     h.status = doc.str_or("status", "?");
@@ -374,6 +369,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::vector<std::string> targets = gcs::split_csv(targets_csv);
+    // Every target is validated once, up front: a malformed one is a
+    // usage error, not a DOWN row retried forever.
+    std::vector<gcs::net::Address> addrs;
+    for (const auto& target : targets) {
+      addrs.push_back(gcs::net::Address::parse("tcp:" + target));
+    }
     const int interval_ms =
         static_cast<int>(flags.get_int("interval-ms", 1000));
     const int timeout_ms = static_cast<int>(flags.get_int("timeout-ms", 2000));
@@ -399,8 +400,8 @@ int main(int argc, char** argv) {
     for (;;) {
       std::vector<Health> healths;
       healths.reserve(targets.size());
-      for (const auto& target : targets) {
-        healths.push_back(scrape_health(target, timeout_ms));
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        healths.push_back(scrape_health(targets[i], addrs[i], timeout_ms));
       }
 
       render_table(healths, /*clear_screen=*/!once && !no_clear);
