@@ -14,7 +14,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <cstdlib>
 #include <fstream>
@@ -26,6 +25,7 @@
 
 #include "common/check.h"
 #include "common/cli.h"
+#include "common/json.h"
 #include "common/table.h"
 #include "core/synthetic_grad.h"
 #include "sim/cost_model.h"
@@ -61,19 +61,22 @@ class BenchJson {
   }
   void set(const std::string& row, const std::string& key,
            const std::string& value) {
-    set_raw(row, key, "\"" + escape(value) + "\"");
+    std::string quoted = "\"";
+    quoted += json::escape(value);
+    quoted += '"';
+    set_raw(row, key, std::move(quoted));
   }
 
   const std::string& name() const noexcept { return name_; }
 
   std::string to_string() const {
     std::ostringstream os;
-    os << "{\n  \"bench\": \"" << escape(name_) << "\",\n  \"rows\": [";
+    os << "{\n  \"bench\": \"" << json::escape(name_) << "\",\n  \"rows\": [";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       os << (i == 0 ? "\n" : ",\n") << "    {\"label\": \""
-         << escape(rows_[i].first) << "\"";
+         << json::escape(rows_[i].first) << "\"";
       for (const auto& [key, value] : rows_[i].second) {
-        os << ", \"" << escape(key) << "\": " << value;
+        os << ", \"" << json::escape(key) << "\": " << value;
       }
       os << "}";
     }
@@ -94,30 +97,6 @@ class BenchJson {
   }
 
  private:
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      const auto u = static_cast<unsigned char>(c);
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-        out.push_back(c);
-      } else if (c == '\n') {
-        out += "\\n";
-      } else if (c == '\t') {
-        out += "\\t";
-      } else if (c == '\r') {
-        out += "\\r";
-      } else if (u < 0x20) {
-        char hex[8];
-        std::snprintf(hex, sizeof(hex), "\\u%04x", u);
-        out += hex;
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
   void set_raw(const std::string& row, const std::string& key,
                std::string value) {
     for (auto& r : rows_) {

@@ -250,7 +250,6 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
       pipeline_config.bucket_mode == gcs::sched::BucketMode::kLayerBuckets;
   if (!spec_sets_chunk) pipeline_config.chunk_bytes = config.chunk;
   gcs::measure::TraceRecorder recorder;
-  recorder.set_origin_rank(rank);
   if (!config.trace.empty()) pipeline_config.trace = &recorder;
   // Always-on flight recorder: keeps the last N rounds' spans in a ring
   // and dumps them post mortem on peer failure or a fatal signal. When
@@ -401,12 +400,12 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
   if (!config.trace.empty()) {
     const std::string path =
         config.trace + ".rank" + std::to_string(rank) + ".json";
+    gcs::measure::RankTrace rank_trace;
+    rank_trace.rank = rank;
+    rank_trace.clock = clock_sync.model();
+    rank_trace.traces = std::move(traces);
     std::ofstream trace_out(path);
     if (trace_out) {
-      gcs::measure::RankTrace rank_trace;
-      rank_trace.rank = rank;
-      rank_trace.clock = clock_sync.model();
-      rank_trace.traces = traces;
       trace_out << gcs::measure::rank_trace_to_json(rank_trace);
     } else {
       std::cerr << "gcs_worker: warning: cannot write " << path << '\n';
@@ -416,8 +415,7 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
           config.trace + ".rank" + std::to_string(rank) + ".chrome.json";
       std::ofstream chrome_out(chrome_path);
       if (chrome_out) {
-        chrome_out << gcs::telemetry::chrome_trace_json(traces, rank,
-                                                        clock_sync.model());
+        chrome_out << gcs::telemetry::chrome_trace_json(rank_trace);
       } else {
         std::cerr << "gcs_worker: warning: cannot write " << chrome_path
                   << '\n';

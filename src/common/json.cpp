@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -220,5 +221,30 @@ class Parser {
 }  // namespace
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (u < 0x20) {
+      char hex[8];
+      std::snprintf(hex, sizeof(hex), "\\u%04x", u);
+      out += hex;
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
 
 }  // namespace gcs::json

@@ -1,17 +1,21 @@
-// Minimal JSON reader for the analysis tooling.
+// Minimal JSON reader for the analysis tooling, plus the one string
+// escaper the trace, Chrome and BENCH emitters share.
 //
-// The repo's artefact formats (TRACE_*.json, BENCH_*.json, flight-recorder
-// dumps) are all emitted by our own serializers, but the consumers —
-// tools/gcs_analyze and measure/trace_merge — must load them back from
-// disk, possibly produced by a different build or a crashed process. The
-// existing parsers (bench_compare's, gcs_stat's) are dialect-specific
-// line scanners; this is the one generic tree parser, deliberately tiny:
+// The repo's artefact formats (rank traces and flight-recorder dumps,
+// BENCH_*.json) are all emitted by our own serializers, but the consumers —
+// measure/trace_merge (for gcs_analyze), tools/bench_compare and
+// tools/gcs_top (the /health summary) — must load them back, possibly
+// produced by a different build or a crashed process. This is the one
+// JSON parser, deliberately tiny:
 //
 //   * full JSON value grammar (null/bool/number/string/array/object),
-//   * numbers parsed as double (every number we emit fits),
+//   * numbers parsed as double: integers are exact only up to 2^53, so an
+//     emitter whose 64-bit values can exceed that (collective tags, which
+//     set bit 63) writes them as decimal strings instead,
 //   * \uXXXX escapes decoded to UTF-8,
-//   * no streaming, no writer — serialization stays with each artefact's
-//     own emitter so formats remain greppable at the producer.
+//   * no streaming and no writer beyond escape() — serialization stays
+//     with each artefact's own emitter so formats remain greppable at the
+//     producer.
 //
 // Errors throw gcs::Error with a byte offset, so a truncated post-mortem
 // dump names where it broke instead of silently yielding half a tree.
@@ -78,5 +82,11 @@ class Value {
 /// Parses one JSON document (trailing whitespace allowed, trailing junk
 /// is an error). Throws gcs::Error on malformed input.
 Value parse(std::string_view text);
+
+/// `s` as the body of a JSON string literal (no surrounding quotes):
+/// '"' and '\\' are backslash-escaped, \n \t \r use their short forms and
+/// every other control character becomes \u00XX, so parse() gets back
+/// exactly `s`.
+std::string escape(std::string_view s);
 
 }  // namespace gcs::json

@@ -12,7 +12,7 @@
 //     the structured report and, with --watchdog-abort, fails the stuck
 //     peer's channel so elastic recovery engages immediately instead of
 //     waiting out the full peer timeout;
-//   * the armed flight recorder dumps its ring (the post-mortem bundle,
+//   * the armed flight recorder dumps its ring (a post-mortem RankTrace,
 //     rate-limited inside FlightRecorder::dump);
 //   * telemetry: gcs_watchdog_stalls_total increments and the per-lane
 //     gcs_stalled_lane{lane,peer} gauge goes to 1 (back to 0 on

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 #include <utility>
 
 #include "common/bytes.h"
@@ -34,15 +32,6 @@ double monotonic_now_s() noexcept {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string ClockModel::to_json() const {
-  std::ostringstream os;
-  os << std::setprecision(12);
-  os << "{\"rank\": " << rank << ", \"offset_s\": " << offset_s
-     << ", \"drift\": " << drift << ", \"base_local_s\": " << base_local_s
-     << ", \"rtt_s\": " << rtt_s << "}";
-  return os.str();
 }
 
 ClockModel sync_clocks(comm::Communicator& comm,

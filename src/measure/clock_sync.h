@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "comm/collectives.h"
 
@@ -57,9 +56,6 @@ struct ClockModel {
     m.rank = rank;
     return m;
   }
-
-  /// {"rank":..,"offset_s":..,"drift":..,"base_local_s":..,"rtt_s":..}
-  std::string to_json() const;
 };
 
 /// Seconds on the raw local monotonic clock (steady_clock

@@ -1,8 +1,6 @@
 #include "measure/trace.h"
 
 #include <algorithm>
-#include <iomanip>
-#include <sstream>
 #include <utility>
 
 namespace gcs::measure {
@@ -59,34 +57,6 @@ std::uint64_t RoundTrace::phase_bytes(Phase phase) const noexcept {
   return bytes;
 }
 
-std::string RoundTrace::to_json() const {
-  std::ostringstream os;
-  os << std::setprecision(9) << std::fixed;
-  os << "{\"round\": " << round << ", \"scheme\": \"" << scheme
-     << "\", \"backend\": \"" << backend << "\"";
-  if (origin_rank >= 0) os << ", \"origin_rank\": " << origin_rank;
-  if (epoch_s > 0.0) os << ", \"epoch_s\": " << epoch_s;
-  os << ", \"spans\": [";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const TraceSpan& s = spans[i];
-    os << (i == 0 ? "\n" : ",\n") << "  {\"phase\": \""
-       << phase_name(s.phase) << "\"";
-    if (s.label != nullptr && s.label[0] != '\0') {
-      os << ", \"label\": \"" << s.label << "\"";
-    }
-    if (s.rank >= 0) os << ", \"rank\": " << s.rank;
-    if (s.peer >= 0) os << ", \"peer\": " << s.peer;
-    if (s.worker >= 0) os << ", \"worker\": " << s.worker;
-    if (s.phase == Phase::kSend || s.phase == Phase::kRecv) {
-      os << ", \"tag\": " << s.tag;
-    }
-    os << ", \"bytes\": " << s.bytes << ", \"start_s\": " << s.start_s
-       << ", \"end_s\": " << s.end_s << "}";
-  }
-  os << "\n]}";
-  return os.str();
-}
-
 TraceRecorder::TraceRecorder() : epoch_(std::chrono::steady_clock::now()) {}
 
 double TraceRecorder::now_s() const {
@@ -121,7 +91,6 @@ RoundTrace TraceRecorder::take(std::uint64_t round, std::string scheme,
   trace.round = round;
   trace.scheme = std::move(scheme);
   trace.backend = std::move(backend);
-  trace.origin_rank = origin_rank_;
   // The epoch the spans are relative to, on the raw monotonic clock —
   // the handle a ClockModel needs to place this round on the cluster
   // reference timeline (the epoch is then re-armed for the next round).
@@ -143,21 +112,6 @@ std::vector<TraceSpan> TraceRecorder::snapshot_spans() const {
 
 double TraceRecorder::epoch_raw_s() const {
   return std::chrono::duration<double>(epoch_.time_since_epoch()).count();
-}
-
-std::size_t TraceRecorder::size() const {
-  std::lock_guard lock(mu_);
-  return spans_.size();
-}
-
-std::string traces_to_json(const std::vector<RoundTrace>& traces) {
-  std::ostringstream os;
-  os << "{\"traces\": [";
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << traces[i].to_json();
-  }
-  os << "\n]}\n";
-  return os.str();
 }
 
 }  // namespace gcs::measure

@@ -6,7 +6,7 @@
 // code that actually executes a round — the AggregationPipeline (encode
 // per worker, reduce/absorb, decode/finish, stage and round envelopes)
 // and the transports (per-chunk collective send/recv via comm::WireTap) —
-// and serializes them as one RoundTrace JSON object per round.
+// and hands them out as one RoundTrace per round.
 //
 // Design constraints, in order:
 //   * Zero impact when off. Tracing is a nullable pointer on
@@ -17,9 +17,10 @@
 //   * Low overhead when on. A span is one mutex-guarded vector append of
 //     a few plain words; recording threads (encode pool workers, rank
 //     threads) contend only on that append.
-//   * Offline-consumable. RoundTrace::to_json uses the same flat dialect
-//     as BENCH_*.json so the driver's artefacts and CI uploads need no
-//     extra tooling; measure/calibrator.h consumes the spans directly.
+//   * One on-disk format. Round traces reach disk only inside a RankTrace
+//     (measure/trace_merge.h owns its writer and its reader); Chrome JSON
+//     is an export of that (telemetry/chrome_trace.h), and
+//     measure/calibrator.h consumes the spans directly.
 #pragma once
 
 #include <chrono>
@@ -67,14 +68,11 @@ struct RoundTrace {
   std::uint64_t round = 0;
   std::string scheme;   ///< factory spec the round ran
   std::string backend;  ///< "local" / "threaded" / "socket"
-  /// The rank whose process recorded this trace (set by take() from
-  /// TraceRecorder::set_origin_rank; -1 = unattributed, single-process).
-  int origin_rank = -1;
   /// The recorder epoch the spans are relative to, as seconds on the raw
   /// local monotonic clock (steady_clock time_since_epoch). This is what
   /// makes per-rank traces mergeable: epoch_s + span.start_s is a local
   /// monotonic instant a ClockModel (measure/clock_sync.h) can map onto
-  /// the cluster reference timeline. 0 = unknown (pre-merge traces).
+  /// the cluster reference timeline. take() always stamps it.
   double epoch_s = 0.0;
   std::vector<TraceSpan> spans;
 
@@ -91,9 +89,6 @@ struct RoundTrace {
 
   /// Sum of `bytes` over spans in `phase`.
   std::uint64_t phase_bytes(Phase phase) const noexcept;
-
-  /// One JSON object: {"round":..,"scheme":..,"backend":..,"spans":[..]}.
-  std::string to_json() const;
 };
 
 /// Thread-safe span sink + monotonic clock. Implements comm::WireTap so a
@@ -104,10 +99,6 @@ class TraceRecorder final : public comm::WireTap {
 
   /// Seconds since the recorder's epoch, on the monotonic clock.
   double now_s() const;
-
-  /// Attributes subsequently take()n traces to `rank` (their
-  /// RoundTrace::origin_rank). Call once, before recording starts.
-  void set_origin_rank(int rank) noexcept { origin_rank_ = rank; }
 
   /// Appends one finished span (thread-safe).
   void record(TraceSpan span);
@@ -123,9 +114,6 @@ class TraceRecorder final : public comm::WireTap {
   RoundTrace take(std::uint64_t round, std::string scheme,
                   std::string backend);
 
-  /// Number of spans accumulated so far.
-  std::size_t size() const;
-
   /// The spans accumulated so far, copied without re-arming the epoch —
   /// the flight recorder's post-mortem view of a round that never
   /// completed (take() is for rounds that did).
@@ -137,7 +125,6 @@ class TraceRecorder final : public comm::WireTap {
 
  private:
   std::chrono::steady_clock::time_point epoch_;
-  int origin_rank_ = -1;
   mutable std::mutex mu_;
   std::vector<TraceSpan> spans_;
 };
@@ -178,9 +165,5 @@ class ScopedSpan {
   TraceRecorder* recorder_;
   TraceSpan span_;
 };
-
-/// Serializes a set of round traces as {"traces":[...]} — the driver's
-/// TRACE_*.json artefact format.
-std::string traces_to_json(const std::vector<RoundTrace>& traces);
 
 }  // namespace gcs::measure

@@ -1,7 +1,10 @@
 #include "measure/trace_merge.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -27,60 +30,149 @@ const char* intern_label(const std::string& label) {
   return pool->insert(label).first->c_str();
 }
 
-Phase phase_from_name(const std::string& name) {
-  for (const Phase p :
-       {Phase::kEncode, Phase::kSend, Phase::kRecv, Phase::kReduce,
-        Phase::kDecode, Phase::kStage, Phase::kRound}) {
-    if (name == phase_name(p)) return p;
-  }
-  throw Error("trace_merge: unknown span phase '" + name + "'");
+constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+/// Largest integer a JSON double carries exactly (2^53).
+constexpr std::int64_t kMaxExact = std::int64_t{1} << 53;
+
+// ---------------------------------------------------------------- writer
+
+/// The shortest decimal that parses back to exactly `v` — for absolute
+/// instants and clock terms, which fixed nanosecond digits would round.
+std::string exact(double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, end);
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
+std::string clock_to_json(const ClockModel& m) {
+  return "{\"offset_s\": " + exact(m.offset_s) +
+         ", \"drift\": " + exact(m.drift) +
+         ", \"base_local_s\": " + exact(m.base_local_s) +
+         ", \"rtt_s\": " + exact(m.rtt_s) + "}";
+}
+
+bool is_wire(Phase phase) noexcept {
+  return phase == Phase::kSend || phase == Phase::kRecv;
+}
+
+/// One round as {"round":..,"scheme":..,"backend":..,"epoch_s":..,
+/// "spans":[..]}; `os` carries the fixed 9-digit float format.
+void write_round_trace(std::ostream& os, const RoundTrace& t) {
+  os << "{\"round\": " << t.round << ", \"scheme\": \""
+     << json::escape(t.scheme) << "\", \"backend\": \""
+     << json::escape(t.backend) << "\", \"epoch_s\": " << exact(t.epoch_s)
+     << ", \"spans\": [";
+  for (std::size_t i = 0; i < t.spans.size(); ++i) {
+    const TraceSpan& s = t.spans[i];
+    os << (i == 0 ? "\n" : ",\n") << "  {\"phase\": \""
+       << phase_name(s.phase) << "\"";
+    if (s.label != nullptr && s.label[0] != '\0') {
+      os << ", \"label\": \"" << json::escape(s.label) << "\"";
+    }
+    if (s.rank >= 0) os << ", \"rank\": " << s.rank;
+    if (s.peer >= 0) os << ", \"peer\": " << s.peer;
+    if (s.worker >= 0) os << ", \"worker\": " << s.worker;
+    if (is_wire(s.phase)) os << ", \"tag\": \"" << s.tag << "\"";
+    os << ", \"bytes\": " << s.bytes << ", \"start_s\": " << s.start_s
+       << ", \"end_s\": " << s.end_s << "}";
+  }
+  os << "\n]}";
+}
+
+// ---------------------------------------------------------------- reader
+
+/// One object of a trace document and its path in it ("traces[0]."):
+/// every accessor throws gcs::Error naming the offending field.
+struct Fields {
+  const json::Value& obj;
+  std::string path;
+
+  [[noreturn]] void fail(const char* key, const std::string& what) const {
+    throw Error("trace_merge: field \"" + path + key + "\" " + what);
+  }
+
+  bool has(const char* key) const { return obj.find(key) != nullptr; }
+
+  const json::Value& get(const char* key, json::Value::Kind kind) const {
+    const json::Value* v = obj.find(key);
+    if (v == nullptr) fail(key, "is missing");
+    if (v->kind != kind) fail(key, "has the wrong type");
+    return *v;
+  }
+
+  double number(const char* key) const {
+    return get(key, json::Value::Kind::kNumber).number;
+  }
+
+  const std::string& string(const char* key) const {
+    return get(key, json::Value::Kind::kString).str;
+  }
+
+  /// An integer in [0, hi], range-checked before the cast (an
+  /// out-of-range double -> int conversion is undefined).
+  std::int64_t integer(const char* key, std::int64_t hi) const {
+    const double v = number(key);
+    if (!(v >= 0.0 && v <= static_cast<double>(hi)) || v != std::floor(v)) {
+      fail(key, "is not an integer in [0, " + std::to_string(hi) +
+                    "]: " + exact(v));
+    }
+    return static_cast<std::int64_t>(v);
+  }
+
+  /// An optional rank/peer/worker index; absent means -1 (unset).
+  int index_or_unset(const char* key) const {
+    return has(key) ? static_cast<int>(integer(key, kMaxInt)) : -1;
+  }
+
+  /// Element `i` of the array member `key`, as the next level's Fields.
+  Fields item(const char* key, std::size_t i) const {
+    return {get(key, json::Value::Kind::kArray).items[i],
+            path + key + "[" + std::to_string(i) + "]."};
+  }
+
+  /// Length of the array member `key`.
+  std::size_t count(const char* key) const {
+    return get(key, json::Value::Kind::kArray).items.size();
+  }
+};
+
+TraceSpan parse_span(const Fields& f) {
+  TraceSpan s;
+  const std::string& phase = f.string("phase");
+  const Phase phases[] = {Phase::kEncode, Phase::kSend,  Phase::kRecv,
+                          Phase::kReduce, Phase::kDecode, Phase::kStage,
+                          Phase::kRound};
+  const auto* it = std::find_if(std::begin(phases), std::end(phases),
+                                [&](Phase p) { return phase == phase_name(p); });
+  if (it == std::end(phases)) f.fail("phase", "is unknown: '" + phase + "'");
+  s.phase = *it;
+  if (f.has("label")) s.label = intern_label(f.string("label"));
+  s.rank = f.index_or_unset("rank");
+  s.peer = f.index_or_unset("peer");
+  s.worker = f.index_or_unset("worker");
+  if (is_wire(s.phase)) {
+    const std::string& tag = f.string("tag");
+    const char* end = tag.data() + tag.size();
+    const auto [ptr, ec] = std::from_chars(tag.data(), end, s.tag);
+    if (ec != std::errc() || ptr != end) {
+      f.fail("tag", "is not a decimal uint64: \"" + tag + "\"");
     }
   }
+  s.bytes = static_cast<std::uint64_t>(f.integer("bytes", kMaxExact));
+  s.start_s = f.number("start_s");
+  s.end_s = f.number("end_s");
+  if (s.end_s < s.start_s) f.fail("end_s", "precedes start_s");
+  return s;
 }
 
-ClockModel parse_clock(const json::Value& v) {
-  ClockModel m;
-  m.rank = static_cast<int>(v.num_or("rank", 0));
-  m.offset_s = v.num_or("offset_s", 0.0);
-  m.drift = v.num_or("drift", 0.0);
-  m.base_local_s = v.num_or("base_local_s", 0.0);
-  m.rtt_s = v.num_or("rtt_s", 0.0);
-  return m;
-}
-
-RoundTrace parse_round_trace(const json::Value& v) {
+RoundTrace parse_round_trace(const Fields& f) {
   RoundTrace t;
-  t.round = static_cast<std::uint64_t>(v.num_or("round", 0));
-  t.scheme = v.str_or("scheme", "");
-  t.backend = v.str_or("backend", "");
-  t.origin_rank = static_cast<int>(v.num_or("origin_rank", -1));
-  t.epoch_s = v.num_or("epoch_s", 0.0);
-  const json::Value* spans = v.find("spans");
-  if (spans == nullptr || !spans->is_array()) return t;
-  t.spans.reserve(spans->items.size());
-  for (const json::Value& sv : spans->items) {
-    TraceSpan s;
-    s.phase = phase_from_name(sv.str_or("phase", "round"));
-    s.label = intern_label(sv.str_or("label", ""));
-    s.rank = static_cast<int>(sv.num_or("rank", -1));
-    s.peer = static_cast<int>(sv.num_or("peer", -1));
-    s.worker = static_cast<int>(sv.num_or("worker", -1));
-    s.tag = static_cast<std::uint64_t>(sv.num_or("tag", 0));
-    s.bytes = static_cast<std::uint64_t>(sv.num_or("bytes", 0));
-    s.start_s = sv.num_or("start_s", 0.0);
-    s.end_s = sv.num_or("end_s", 0.0);
-    t.spans.push_back(std::move(s));
+  t.round = static_cast<std::uint64_t>(f.integer("round", kMaxExact));
+  t.scheme = f.string("scheme");
+  t.backend = f.string("backend");
+  t.epoch_s = f.number("epoch_s");
+  for (std::size_t i = 0; i < f.count("spans"); ++i) {
+    t.spans.push_back(parse_span(f.item("spans", i)));
   }
   return t;
 }
@@ -89,16 +181,17 @@ RoundTrace parse_round_trace(const json::Value& v) {
 
 std::string rank_trace_to_json(const RankTrace& rank_trace) {
   std::ostringstream os;
+  os << std::setprecision(9) << std::fixed;
   os << "{\"rank\": " << rank_trace.rank
-     << ", \"clock\": " << rank_trace.clock.to_json();
+     << ", \"clock\": " << clock_to_json(rank_trace.clock);
   if (!rank_trace.dump_reason.empty()) {
-    std::string escaped;
-    append_escaped(escaped, rank_trace.dump_reason);
-    os << ", \"dump_reason\": \"" << escaped << "\"";
+    os << ", \"dump_reason\": \"" << json::escape(rank_trace.dump_reason)
+       << "\"";
   }
   os << ", \"traces\": [";
   for (std::size_t i = 0; i < rank_trace.traces.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << rank_trace.traces[i].to_json();
+    os << (i == 0 ? "\n" : ",\n");
+    write_round_trace(os, rank_trace.traces[i]);
   }
   os << "\n]}\n";
   return os.str();
@@ -106,39 +199,19 @@ std::string rank_trace_to_json(const RankTrace& rank_trace) {
 
 RankTrace parse_rank_trace_json(const std::string& text) {
   const json::Value doc = json::parse(text);
-  const json::Value* root = &doc;
+  const Fields root{doc, ""};
   RankTrace out;
-  if (const json::Value* flight = doc.find("flight_recorder")) {
-    root = flight;
-    out.dump_reason = flight->str_or("reason", "unknown");
-    out.source = "flight_recorder";
-  }
-  if (!root->is_object() || root->find("traces") == nullptr) {
-    throw Error("trace_merge: document has no \"traces\" array");
-  }
-  out.rank = static_cast<int>(root->num_or("rank", -1));
-  if (const json::Value* clock = root->find("clock")) {
-    out.clock = parse_clock(*clock);
-  }
-  const json::Value& traces = *root->find("traces");
-  if (!traces.is_array()) {
-    throw Error("trace_merge: \"traces\" is not an array");
-  }
-  for (const json::Value& tv : traces.items) {
-    out.traces.push_back(parse_round_trace(tv));
-  }
-  if (out.rank < 0) {
-    // Legacy {"traces":[..]} documents: fall back to the traces' own
-    // origin stamp, then to rank 0.
-    out.rank = 0;
-    for (const RoundTrace& t : out.traces) {
-      if (t.origin_rank >= 0) {
-        out.rank = t.origin_rank;
-        break;
-      }
-    }
-  }
+  out.rank = static_cast<int>(root.integer("rank", kMaxInt));
+  const Fields clock{root.get("clock", json::Value::Kind::kObject), "clock."};
   out.clock.rank = out.rank;
+  out.clock.offset_s = clock.number("offset_s");
+  out.clock.drift = clock.number("drift");
+  out.clock.base_local_s = clock.number("base_local_s");
+  out.clock.rtt_s = clock.number("rtt_s");
+  if (root.has("dump_reason")) out.dump_reason = root.string("dump_reason");
+  for (std::size_t i = 0; i < root.count("traces"); ++i) {
+    out.traces.push_back(parse_round_trace(root.item("traces", i)));
+  }
   return out;
 }
 
@@ -175,9 +248,7 @@ MergeResult merge_rank_traces(const std::vector<RankTrace>& rank_traces,
         m.worker = s.worker;
         m.tag = s.tag;
         m.bytes = s.bytes;
-        // epoch_s anchors the round on the rank's raw monotonic clock;
-        // legacy traces without it stay on their recorder-relative time
-        // (correct only when all ranks shared one recorder).
+        // epoch_s anchors the round on the rank's raw monotonic clock.
         m.start_s = rt.clock.to_reference(t.epoch_s + s.start_s);
         m.end_s = rt.clock.to_reference(t.epoch_s + s.end_s);
         mr.spans.push_back(std::move(m));

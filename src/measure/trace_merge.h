@@ -1,5 +1,7 @@
 // Cross-rank trace merging — one globally-aligned timeline out of
-// per-rank RoundTrace streams (DESIGN.md "Analysis layer").
+// per-rank RoundTrace streams (DESIGN.md "Analysis layer") — and the one
+// on-disk trace format, RankTrace, whose only writer and only reader
+// live in this module.
 //
 // Each rank records spans against its own recorder epoch on its own
 // monotonic clock. Merging does three things:
@@ -37,26 +39,31 @@
 namespace gcs::measure {
 
 /// One rank's trace stream plus the clock model that places it on the
-/// reference timeline — the unit gcs_worker writes to disk and
-/// gcs_analyze loads back.
+/// reference timeline — the unit every trace writer puts on disk
+/// (gcs_worker --trace, gcs_driver, flight-recorder dumps) and gcs_analyze
+/// loads back.
 struct RankTrace {
   int rank = 0;          ///< origin rank (merged-timeline pid)
   ClockModel clock;      ///< identity when never synced
   std::vector<RoundTrace> traces;
-  std::string source;       ///< where it was loaded from (informational)
   std::string dump_reason;  ///< non-empty when from a flight-recorder dump
 };
 
-/// {"rank":..,"clock":{..},"traces":[..]} — the extended rank-trace file
-/// format (a superset of traces_to_json; old consumers that only read
-/// "traces" keep working).
+/// The rank-trace file format:
+///   {"rank":R, "clock":{"offset_s","drift","base_local_s","rtt_s"},
+///    ["dump_reason":".."], "traces":[{"round","scheme","backend",
+///    "epoch_s", "spans":[{"phase", ["label"], ["rank"], ["peer"],
+///    ["worker"], ["tag"], "bytes", "start_s", "end_s"}]}]}
+/// Bracketed keys are omitted at their defaults ("tag" is present exactly
+/// on send/recv spans). Span times have fixed nanosecond digits; epoch_s
+/// and the clock terms are written exactly. `tag` is a decimal string:
+/// collective tags set bit 63, which a JSON double cannot carry.
 std::string rank_trace_to_json(const RankTrace& rank_trace);
 
-/// Parses a rank-trace document. Accepts three shapes:
-///   * {"rank":..,"clock":..,"traces":[..]}   (rank_trace_to_json)
-///   * {"traces":[..]}                        (legacy traces_to_json)
-///   * {"flight_recorder":{..,"traces":[..]}} (flight-recorder dump)
-/// Throws gcs::Error on malformed input.
+/// Parses a rank_trace_to_json document — the only shape accepted. Input
+/// comes from disk, so it is validated: a missing required key, a
+/// non-integral or out-of-range integer, an unknown phase or a span
+/// ending before it starts throws gcs::Error naming the field.
 RankTrace parse_rank_trace_json(const std::string& text);
 
 /// One span on the merged reference timeline.

@@ -1,17 +1,18 @@
 #include "telemetry/chrome_trace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <utility>
+
+#include "common/json.h"
 
 namespace gcs::telemetry {
 
 namespace {
 
-using measure::ClockModel;
 using measure::MergedSpan;
 using measure::Phase;
 using measure::RoundTrace;
@@ -38,10 +39,6 @@ std::int64_t lane_tid(Phase phase, int worker, int peer) noexcept {
   return kPipelineTid;
 }
 
-std::int64_t span_tid(const TraceSpan& s) noexcept {
-  return lane_tid(s.phase, s.worker, s.peer);
-}
-
 std::string tid_name(std::int64_t tid) {
   if (tid == kPipelineTid) return "pipeline";
   if (tid < kWireTidBase) {
@@ -54,22 +51,10 @@ std::string tid_name(std::int64_t tid) {
          std::to_string(peer);
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) break;  // drop controls
-        out += c;
-    }
-  }
-}
-
+/// Nearest microsecond: instants are differences of large monotonic
+/// stamps, so truncation would turn 2 ms into 1999 us.
 std::int64_t usec(double seconds) noexcept {
-  return static_cast<std::int64_t>(seconds * 1e6);
+  return std::llround(seconds * 1e6);
 }
 
 /// Accumulates trace events and the (pid, tid) metadata they imply.
@@ -92,22 +77,22 @@ struct EventSink {
                  bool with_tag, std::uint64_t tag) {
     seen.emplace(pid, tid);
     std::string ev = "{\"name\": \"";
-    append_escaped(ev, measure::phase_name(phase));
+    ev += measure::phase_name(phase);
     if (!label.empty()) {
       ev += ':';
-      append_escaped(ev, label);
+      ev += json::escape(label);
     }
     ev += "\", \"cat\": \"";
-    append_escaped(ev, measure::phase_name(phase));
+    ev += measure::phase_name(phase);
     ev += "\", \"ph\": \"X\", \"pid\": " + std::to_string(pid) +
           ", \"tid\": " + std::to_string(tid) +
           ", \"ts\": " + std::to_string(ts_us) +
           ", \"dur\": " + std::to_string(std::max<std::int64_t>(dur_us, 1)) +
           ", \"args\": {\"round\": " + std::to_string(round) +
-          ", \"scheme\": \"";
-    append_escaped(ev, scheme);
-    ev += "\", \"bytes\": " + std::to_string(bytes);
-    if (with_tag) ev += ", \"tag\": " + std::to_string(tag);
+          ", \"scheme\": \"" + json::escape(scheme) +
+          "\", \"bytes\": " + std::to_string(bytes);
+    // A string, like in the trace file: tags set bit 63.
+    if (with_tag) ev += ", \"tag\": \"" + std::to_string(tag) + "\"";
     ev += "}}";
     emit(ev);
   }
@@ -121,71 +106,42 @@ struct EventSink {
            ", \"args\": {\"name\": \"rank " + std::to_string(pid) + "\"}}");
     }
     for (const auto& [pid, tid] : seen) {
-      std::string name;
-      append_escaped(name, tid_name(tid));
       emit("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " +
            std::to_string(pid) + ", \"tid\": " + std::to_string(tid) +
-           ", \"args\": {\"name\": \"" + name + "\"}}");
+           ", \"args\": {\"name\": \"" + tid_name(tid) + "\"}}");
     }
     out += "\n]}\n";
     return std::move(out);
   }
 };
 
-std::string render_traces(const std::vector<RoundTrace>& traces,
-                          int default_rank, const ClockModel* clock) {
-  EventSink sink;
+}  // namespace
 
-  // Aligned traces share the reference timeline; normalize so the export
-  // starts near ts 0 (Chrome renders absolute monotonic stamps far off
-  // screen otherwise).
-  double t0_ref = std::numeric_limits<double>::max();
-  if (clock != nullptr) {
-    for (const RoundTrace& t : traces) {
-      if (t.epoch_s > 0.0) {
-        t0_ref = std::min(t0_ref, clock->to_reference(t.epoch_s));
-      }
+std::string chrome_trace_json(const measure::RankTrace& rank_trace) {
+  // ts 0 is the earliest local instant; the clock model then places each
+  // span on the reference timeline, so a synced rank's correction shows.
+  double t0 = std::numeric_limits<double>::max();
+  for (const RoundTrace& t : rank_trace.traces) {
+    for (const TraceSpan& s : t.spans) {
+      t0 = std::min(t0, t.epoch_s + s.start_s);
     }
   }
 
-  // Legacy traces restart their clocks near zero every round; lay them
-  // out back to back with a 50us gap so round N+1 never overlaps round N.
-  constexpr double kRoundGapS = 50e-6;
-  double offset_s = 0.0;
-
-  for (const RoundTrace& t : traces) {
-    const bool aligned = clock != nullptr && t.epoch_s > 0.0;
-    double extent_s = 0.0;
+  EventSink sink;
+  const measure::ClockModel& clock = rank_trace.clock;
+  for (const RoundTrace& t : rank_trace.traces) {
     for (const TraceSpan& s : t.spans) {
-      const std::int64_t pid = s.rank >= 0 ? s.rank : default_rank;
-      extent_s = std::max(extent_s, s.end_s);
-      const double start =
-          aligned ? clock->to_reference(t.epoch_s + s.start_s) - t0_ref
-                  : offset_s + s.start_s;
-      const double end =
-          aligned ? clock->to_reference(t.epoch_s + s.end_s) - t0_ref
-                  : offset_s + s.end_s;
+      const double start = clock.to_reference(t.epoch_s + s.start_s) - t0;
+      const double end = clock.to_reference(t.epoch_s + s.end_s) - t0;
       const bool wire = s.phase == Phase::kSend || s.phase == Phase::kRecv;
-      sink.emit_span(pid, span_tid(s), s.phase,
+      sink.emit_span(s.rank >= 0 ? s.rank : rank_trace.rank,
+                     lane_tid(s.phase, s.worker, s.peer), s.phase,
                      s.label != nullptr ? s.label : "", usec(start),
                      usec(end) - usec(start), t.round, t.scheme, s.bytes,
                      wire, s.tag);
     }
-    if (!aligned) offset_s += extent_s + kRoundGapS;
   }
   return sink.finish();
-}
-
-}  // namespace
-
-std::string chrome_trace_json(const std::vector<RoundTrace>& traces,
-                              int default_rank) {
-  return render_traces(traces, default_rank, nullptr);
-}
-
-std::string chrome_trace_json(const std::vector<RoundTrace>& traces,
-                              int default_rank, const ClockModel& clock) {
-  return render_traces(traces, default_rank, &clock);
 }
 
 std::string merged_chrome_trace_json(const measure::MergeResult& merged) {

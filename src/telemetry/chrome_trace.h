@@ -1,14 +1,14 @@
 // Chrome trace-event export of measurement-layer round traces.
 //
-// Converts the RoundTraces the pipeline already records (src/measure/)
-// into the Chrome trace-event JSON format, loadable in chrome://tracing,
-// Perfetto and catapult. The mapping makes a multi-rank aggregation read
-// like a profiled program:
+// A pure export: it renders a RankTrace (the one on-disk trace format,
+// measure/trace_merge.h) or a merged multi-rank timeline into the Chrome
+// trace-event JSON format, loadable in chrome://tracing, Perfetto and
+// catapult. Nothing reads these files back. The mapping makes a
+// multi-rank aggregation read like a profiled program:
 //
-//   pid — the rank a span executed on (span.rank for wire spans, the
-//         exporter's default_rank for pipeline spans, which the recorder
-//         leaves unattributed). Each pid gets a process_name metadata
-//         record "rank N".
+//   pid — the rank a span executed on: span.rank for wire spans, else the
+//         RankTrace's rank (pipeline spans are recorded unattributed).
+//         Each pid gets a process_name metadata record "rank N".
 //   tid — a synthetic lane per concurrent actor inside the rank:
 //           0             pipeline (round/stage/reduce/decode envelopes)
 //           1 + worker    encode worker lanes (worker -1 = the caller)
@@ -16,50 +16,32 @@
 //           101 + 2*peer  wire recv lane from `peer`
 //         so nested pipeline phases stack on lane 0 while per-peer wire
 //         traffic and pool workers render as parallel tracks.
-//   ts  — microseconds. Two layouts:
-//           * legacy: recorder clocks restart near zero every round
-//             (TraceRecorder::take re-arms the epoch), so rounds are laid
-//             out sequentially with a visual gap between them; within a
-//             round, relative timing is preserved exactly.
-//           * aligned: with a ClockModel and traces that carry epoch_s,
-//             every span sits at its real instant on the reference
-//             timeline (normalized so the export starts near ts 0) —
-//             rounds keep their true spacing and multi-rank exports from
-//             different processes land on one consistent time base.
-//             Traces without epoch_s fall back to the legacy layout.
+//   ts  — microseconds. Every span sits at its real instant: epoch_s +
+//         start_s on the rank's monotonic clock, mapped through the
+//         trace's ClockModel (the identity when never synced). ts 0 is the
+//         trace's earliest local instant, so an unsynced export starts at
+//         0, rounds keep their true spacing, and a synced rank's export
+//         carries its clock correction as a visible shift.
 //
 // Every span becomes one complete ("X") event carrying round / scheme /
 // bytes / tag in args. merged_chrome_trace_json additionally emits one
 // flow-event pair ("ph":"s"/"f") per matched send/recv, drawing the wire
-// causality arrows across rank pids. The output is self-contained JSON —
-// no registry or telemetry state involved — so it works on traces loaded
-// back from disk as well as live ones.
+// causality arrows across rank pids.
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "measure/trace.h"
 #include "measure/trace_merge.h"
 
 namespace gcs::telemetry {
 
-/// Renders `traces` as a Chrome trace-event JSON document
-/// ({"traceEvents":[...]}) using the legacy sequential round layout.
-/// `default_rank` attributes pipeline spans (recorded with rank -1) to
-/// the exporting process's rank.
-std::string chrome_trace_json(const std::vector<measure::RoundTrace>& traces,
-                              int default_rank = 0);
+/// Renders one rank's trace as a Chrome trace-event JSON document
+/// ({"traceEvents":[...]}) on its clock-mapped timeline.
+std::string chrome_trace_json(const measure::RankTrace& rank_trace);
 
-/// Aligned layout: spans of traces carrying epoch_s are placed at their
-/// ClockModel-mapped reference instants (normalized to start near ts 0);
-/// traces without epoch_s keep the sequential fallback layout.
-std::string chrome_trace_json(const std::vector<measure::RoundTrace>& traces,
-                              int default_rank,
-                              const measure::ClockModel& clock);
-
-/// Flow-annotated export of a merged multi-rank timeline: every merged
-/// span is an "X" event under its origin rank's pid, and every matched
+/// Flow-annotated export of a merged multi-rank timeline (ts 0 is its
+/// earliest span): every merged span is an "X" event under its origin
+/// rank's pid, and every matched
 /// flow becomes a "s"/"f" pair (binding point "e") from the send span to
 /// its recv — the causality arrows in chrome://tracing. Flow finish
 /// timestamps are clamped to never precede their start (residual

@@ -3,9 +3,9 @@
 #include <atomic>
 #include <csignal>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
+#include "measure/trace_merge.h"
 #include "telemetry/metrics.h"
 
 namespace gcs::telemetry {
@@ -46,7 +46,6 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options)
   if (options_.ring_rounds == 0) options_.ring_rounds = 1;
   clock_ = measure::ClockModel::identity(options_.rank < 0 ? 0
                                                            : options_.rank);
-  if (options_.rank >= 0) recorder_.set_origin_rank(options_.rank);
 }
 
 FlightRecorder::~FlightRecorder() {
@@ -84,49 +83,30 @@ std::size_t FlightRecorder::ring_size() const {
 }
 
 std::string FlightRecorder::build_dump_json(const std::string& reason) const {
-  std::deque<measure::RoundTrace> ring;
-  measure::ClockModel clock;
+  measure::RankTrace dump;
+  dump.rank = options_.rank < 0 ? 0 : options_.rank;
+  dump.dump_reason = reason.empty() ? "unknown" : reason;
   std::uint64_t rounds_seen = 0;
   {
     std::lock_guard lock(mu_);
-    ring = ring_;
-    clock = clock_;
+    dump.traces.assign(ring_.begin(), ring_.end());
+    dump.clock = clock_;
     rounds_seen = rounds_seen_;
   }
   // The round that was in flight when we died: whatever spans the
   // recorder holds that were never take()n. Usually the most valuable
-  // part of the bundle — it shows where each rank was stuck.
+  // part of the dump — it shows where each rank was stuck.
   std::vector<measure::TraceSpan> partial = recorder_.snapshot_spans();
   if (!partial.empty()) {
     measure::RoundTrace in_flight;
     in_flight.round =
-        ring.empty() ? rounds_seen : ring.back().round + 1;
+        dump.traces.empty() ? rounds_seen : dump.traces.back().round + 1;
     in_flight.scheme = "(in-flight)";
-    in_flight.origin_rank = options_.rank;
     in_flight.epoch_s = recorder_.epoch_raw_s();
     in_flight.spans = std::move(partial);
-    ring.push_back(std::move(in_flight));
+    dump.traces.push_back(std::move(in_flight));
   }
-
-  std::string escaped_reason;
-  for (const char c : reason) {
-    if (c == '"' || c == '\\') escaped_reason += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) escaped_reason += c;
-  }
-
-  std::ostringstream os;
-  os << "{\"flight_recorder\": {\"rank\": " << options_.rank
-     << ", \"reason\": \"" << escaped_reason << "\""
-     << ", \"rounds_seen\": " << rounds_seen
-     << ", \"ring_rounds\": " << options_.ring_rounds
-     << ", \"clock\": " << clock.to_json() << ", \"traces\": [";
-  bool first = true;
-  for (const measure::RoundTrace& t : ring) {
-    os << (first ? "\n" : ",\n") << t.to_json();
-    first = false;
-  }
-  os << "\n]}}\n";
-  return os.str();
+  return measure::rank_trace_to_json(dump);
 }
 
 std::string FlightRecorder::dump(const std::string& reason) noexcept {

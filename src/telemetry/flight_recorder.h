@@ -6,7 +6,7 @@
 // that gap: it owns a TraceRecorder that is always installed, keeps only
 // the last `ring_rounds` completed rounds (constant memory), and writes
 // everything it holds — including the partial spans of the round that
-// was in flight — to one JSON bundle when something dies:
+// was in flight — to one RankTrace file when something dies:
 //
 //   * comm::PeerFailure surfacing in the socket transport
 //     (telemetry::notify_peer_failure, called by net/socket_fabric), or
@@ -14,10 +14,10 @@
 //     arm_process_hooks was called, or
 //   * an explicit dump("reason") from the application.
 //
-// The bundle ({"flight_recorder":{...,"traces":[...]}}) is loadable by
-// measure::parse_rank_trace_json, so gcs_analyze merges dumps from the
-// surviving ranks into the same causal timeline as live traces — the
-// clock model captured at the last sync rides along in the dump.
+// A dump is a plain RankTrace (measure/trace_merge.h) whose dump_reason
+// names the incident, so gcs_analyze merges dumps from the surviving
+// ranks into the same causal timeline as live traces — the clock model
+// captured at the last sync rides along in the dump.
 //
 // Overhead is telemetry-grade: recording is the TraceRecorder span
 // append; commit_round is a deque rotation. bench/flight_recorder_overhead
@@ -40,10 +40,10 @@ struct FlightRecorderOptions {
   std::size_t ring_rounds = 8;
   /// Directory dump files are written into.
   std::string dump_dir = ".";
-  /// Rank stamped into dumps and onto the recorder's traces.
+  /// Rank stamped into dumps (-1 dumps as rank 0).
   int rank = -1;
   /// Minimum seconds between dumps — a peer failure can surface once per
-  /// in-flight recv, and one bundle per incident is enough.
+  /// in-flight recv, and one dump per incident is enough.
   double min_dump_interval_s = 0.5;
 };
 
@@ -76,10 +76,12 @@ class FlightRecorder {
   std::uint64_t rounds_seen() const;
   std::size_t ring_size() const;
 
-  /// The dump bundle as JSON (what dump() writes) — exposed for tests.
+  /// The dump as rank-trace JSON (what dump() writes): the ring plus the
+  /// in-flight round, the clock and `reason` as dump_reason ("unknown"
+  /// when empty) — exposed for tests.
   std::string build_dump_json(const std::string& reason) const;
 
-  /// Writes the bundle to `<dump_dir>/gcs_flight.rank<R>.<seq>.json`.
+  /// Writes the dump to `<dump_dir>/gcs_flight.rank<R>.<seq>.json`.
   /// Returns the path, or "" when rate-limited or the write failed.
   /// Never throws: this runs on failure paths.
   std::string dump(const std::string& reason) noexcept;

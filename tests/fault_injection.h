@@ -45,7 +45,7 @@
 #include "core/aggregation_pipeline.h"
 #include "core/factory.h"
 #include "core/synthetic_grad.h"
-#include "measure/trace.h"
+#include "measure/trace_merge.h"
 #include "net/launcher.h"
 #include "net/socket_fabric.h"
 #include "telemetry/chrome_trace.h"
@@ -260,13 +260,15 @@ inline RankReport run_rank(const WorldConfig& config, const FaultPlan& fault,
   // the artefact CI uploads so a kill-matrix failure can be read on a
   // timeline instead of out of four interleaved logs.
   measure::TraceRecorder recorder;
-  std::vector<measure::RoundTrace> traces;
+  measure::RankTrace rank_trace;
+  rank_trace.rank = rank;
   if (!trace_path.empty()) pc.trace = &recorder;
   const auto dump_chrome_trace = [&](std::uint64_t round) {
     if (trace_path.empty()) return;
-    traces.push_back(recorder.take(round, config.scheme, "socket"));
+    rank_trace.traces.push_back(
+        recorder.take(round, config.scheme, "socket"));
     std::ofstream chrome(trace_path, std::ios::trunc);
-    chrome << telemetry::chrome_trace_json(traces, rank);
+    chrome << telemetry::chrome_trace_json(rank_trace);
   };
 
   core::AggregationPipeline pipeline(
@@ -314,7 +316,8 @@ inline RankReport run_rank(const WorldConfig& config, const FaultPlan& fault,
       return report;
     }
     if (!trace_path.empty()) {
-      traces.push_back(recorder.take(round, config.scheme, "socket"));
+      rank_trace.traces.push_back(
+          recorder.take(round, config.scheme, "socket"));
     }
     RoundRecord rec;
     rec.round = round;

@@ -1,8 +1,9 @@
-// Tests for common/table, common/stats, common/cli.
+// Tests for common/table, common/stats, common/cli, common/json.
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "common/cli.h"
+#include "common/json.h"
 #include "common/stats.h"
 #include "common/table.h"
 
@@ -102,6 +103,14 @@ TEST(Cli, Positional) {
   CliFlags flags(3, argv);
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "file.csv");
+}
+
+TEST(Json, EscapeRoundTripsEveryByte) {
+  std::string all;
+  for (int c = 1; c < 256; ++c) all += static_cast<char>(c);
+  EXPECT_EQ(json::parse("\"" + json::escape(all) + "\"").str, all);
+  // Short forms for the common controls, \u00XX for the rest.
+  EXPECT_EQ(json::escape("a\"b\\c\n\t\r\x01"), "a\\\"b\\\\c\\n\\t\\r\\u0001");
 }
 
 }  // namespace

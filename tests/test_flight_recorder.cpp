@@ -90,6 +90,34 @@ TEST(FlightRecorder, DumpIncludesThePartialInFlightRound) {
   EXPECT_EQ(loaded.traces[1].spans[0].phase, measure::Phase::kSend);
 }
 
+TEST(FlightRecorder, DumpIsAPlainRankTrace) {
+  // A dump is a RankTrace with a dump_reason, nothing more: it survives a
+  // parse/write round trip byte for byte through the one reader/writer.
+  FlightRecorderOptions o;
+  o.rank = 3;
+  FlightRecorder fr(o);
+  measure::ClockModel clock = measure::ClockModel::identity(3);
+  clock.offset_s = -2.5e-4;
+  clock.drift = 1e-6;
+  fr.set_clock(clock);
+  measure::RoundTrace done;
+  done.round = 7;
+  done.scheme = "topkc:b=8";
+  done.epoch_s = 1000.25;
+  done.spans.push_back(make_span(measure::Phase::kSend, 0.0, 1e-3));
+  done.spans[0].tag = (std::uint64_t{1} << 63) | 5;
+  fr.observe(done);
+  // The in-flight round rides along with the recorder's real epoch.
+  fr.recorder().record(make_span(measure::Phase::kRecv, 2e-3, 3e-3));
+
+  const std::string dump = fr.build_dump_json("watchdog:\"stall\"");
+  const measure::RankTrace loaded = measure::parse_rank_trace_json(dump);
+  EXPECT_EQ(loaded.dump_reason, "watchdog:\"stall\"");
+  ASSERT_EQ(loaded.traces.size(), 2u);
+  EXPECT_EQ(loaded.traces[0].spans.at(0).tag, done.spans[0].tag);
+  EXPECT_EQ(measure::rank_trace_to_json(loaded), dump);
+}
+
 TEST(FlightRecorder, DumpWritesLoadableFileAndRateLimits) {
   const fs::path dir = scratch_dir("rate_limit");
   FlightRecorderOptions o;

@@ -29,6 +29,7 @@
 #include "measure/calibrator.h"
 #include "measure/link_prober.h"
 #include "measure/trace.h"
+#include "measure/trace_merge.h"
 #include "netsim/network_model.h"
 #include "sim/cost_model.h"
 #include "tensor/layout.h"
@@ -140,7 +141,9 @@ TEST(Tracing, RecordsEveryPhaseWithSaneBounds) {
   EXPECT_EQ(trace.phase_bytes(Phase::kSend), metered);
   EXPECT_EQ(trace.phase_bytes(Phase::kRecv), metered);
 
-  const std::string json = trace.to_json();
+  RankTrace rank_trace;
+  rank_trace.traces.push_back(trace);
+  const std::string json = rank_trace_to_json(rank_trace);
   EXPECT_NE(json.find("\"phase\": \"send\""), std::string::npos);
   EXPECT_NE(json.find("\"scheme\": \"topkc:b=8\""), std::string::npos);
 }

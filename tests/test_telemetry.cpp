@@ -12,7 +12,7 @@
 //   * the stats endpoint — a live HTTP scrape against a StatsServer on a
 //     kernel-assigned port and on a tests/net_test_util.h ephemeral port;
 //   * Chrome trace export — structural checks on the pid/tid/metadata
-//     mapping from measure::RoundTrace;
+//     mapping from a measure::RankTrace, and its clock-mapped layout;
 //   * comm::TransportStats — the default Transport implementation (via
 //     the in-process Fabric) and net::SocketFabric's full override.
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "comm/fabric.h"
+#include "common/json.h"
 #include "measure/trace.h"
 #include "net/launcher.h"
 #include "net/socket.h"
@@ -369,10 +370,11 @@ measure::RoundTrace example_trace(std::uint64_t round, int rank) {
 }
 
 TEST(ChromeTrace, EmitsEventsAndMetadataWithStablePidTidMapping) {
-  std::vector<measure::RoundTrace> traces;
-  traces.push_back(example_trace(0, 2));
-  traces.push_back(example_trace(1, 2));
-  const std::string json = chrome_trace_json(traces, /*default_rank=*/2);
+  measure::RankTrace rank_trace;
+  rank_trace.rank = 2;
+  rank_trace.traces.push_back(example_trace(0, 2));
+  rank_trace.traces.push_back(example_trace(1, 2));
+  const std::string json = chrome_trace_json(rank_trace);
 
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   // One process per rank, named.
@@ -388,42 +390,45 @@ TEST(ChromeTrace, EmitsEventsAndMetadataWithStablePidTidMapping) {
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"M\""), std::string::npos);
 
-  // Structural sanity: braces and brackets balance (cheap well-formedness
-  // check without a JSON parser).
-  int braces = 0, brackets = 0;
-  bool in_string = false;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char ch = json[i];
-    if (in_string) {
-      if (ch == '\\') {
-        ++i;
-      } else if (ch == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (ch == '"') in_string = true;
-    if (ch == '{') ++braces;
-    if (ch == '}') --braces;
-    if (ch == '[') ++brackets;
-    if (ch == ']') --brackets;
-    EXPECT_GE(braces, 0);
-    EXPECT_GE(brackets, 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  // Well-formed JSON.
+  EXPECT_NO_THROW(json::parse(json));
 }
 
-TEST(ChromeTrace, LaterRoundsAreShiftedPastEarlierOnes) {
-  std::vector<measure::RoundTrace> traces;
-  traces.push_back(example_trace(0, 0));
-  traces.push_back(example_trace(1, 0));
-  const std::string json = chrome_trace_json(traces, 0);
-  // Round 0's envelope starts at ts 0; round 1's must start strictly
-  // after round 0 ended (1000 us + the 50 us inter-round gap).
-  const auto first = json.find("\"ts\": 0,");
-  EXPECT_NE(first, std::string::npos);
-  EXPECT_NE(json.find("\"ts\": 1050,"), std::string::npos);
+/// The "ts" of every complete ("X") event, in emission order.
+std::vector<double> span_ts(const std::string& chrome) {
+  std::vector<double> ts;
+  const json::Value doc = json::parse(chrome);
+  for (const json::Value& ev : doc.find("traceEvents")->items) {
+    if (ev.str_or("ph", "") == "X") ts.push_back(ev.num_or("ts", -1.0));
+  }
+  return ts;
+}
+
+TEST(ChromeTrace, SpansSitAtTheirClockMappedInstants) {
+  // Round 1's recorder epoch is 2 ms after round 0's on the rank's
+  // monotonic clock, so its envelope (its first span) lands 2000 us after
+  // round 0's, which opens the export at ts 0. Pipeline spans (rank -1)
+  // take the trace's rank as their pid.
+  measure::RankTrace rank_trace;
+  rank_trace.rank = 3;
+  rank_trace.traces.push_back(example_trace(0, -1));
+  rank_trace.traces.push_back(example_trace(1, -1));
+  rank_trace.traces[0].epoch_s = 100.0;
+  rank_trace.traces[1].epoch_s = 100.002;
+  const std::string identity = chrome_trace_json(rank_trace);
+  const std::vector<double> before = span_ts(identity);
+  ASSERT_EQ(before.size(), 14u);
+  EXPECT_EQ(before[0], 0.0);
+  EXPECT_EQ(before[7], 2000.0);
+  EXPECT_NE(identity.find("\"rank 3\""), std::string::npos);
+
+  // A clock correction moves every span by exactly that correction.
+  rank_trace.clock.offset_s = 5e-4;
+  const std::vector<double> after = span_ts(chrome_trace_json(rank_trace));
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], 500.0) << "span " << i;
+  }
 }
 
 // ------------------------------------------------------- transport stats

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "measure/critical_path.h"
@@ -39,7 +42,6 @@ RankTrace rank_trace(int rank, double epoch_s, std::vector<TraceSpan> spans,
   t.round = 0;
   t.scheme = "test";
   t.backend = "socket";
-  t.origin_rank = rank;
   t.epoch_s = epoch_s;
   t.spans = std::move(spans);
   rt.traces.push_back(std::move(t));
@@ -60,15 +62,19 @@ TEST(RankTraceJson, ExtendedFormatRoundTrips) {
        span(Phase::kSend, 1e-3, 2e-3, 2, 0, 77)},
       clock);
   rt.traces[0].spans[0].label = "stage0";
+  // Strings go through the shared escaper, control characters included.
+  rt.traces[0].scheme = "topk:\"q\"\\\n\x01";
+  rt.dump_reason = "signal:\t\x1f";
 
   const RankTrace back = parse_rank_trace_json(rank_trace_to_json(rt));
   EXPECT_EQ(back.rank, 2);
+  EXPECT_EQ(back.dump_reason, rt.dump_reason);
   EXPECT_DOUBLE_EQ(back.clock.offset_s, -0.125);
   EXPECT_DOUBLE_EQ(back.clock.drift, 2.5e-5);
   EXPECT_DOUBLE_EQ(back.clock.rtt_s, 3e-6);
   ASSERT_EQ(back.traces.size(), 1u);
   EXPECT_DOUBLE_EQ(back.traces[0].epoch_s, 1234.5);
-  EXPECT_EQ(back.traces[0].origin_rank, 2);
+  EXPECT_EQ(back.traces[0].scheme, rt.traces[0].scheme);
   ASSERT_EQ(back.traces[0].spans.size(), 2u);
   EXPECT_STREQ(back.traces[0].spans[0].label, "stage0");
   EXPECT_EQ(back.traces[0].spans[1].phase, Phase::kSend);
@@ -77,18 +83,77 @@ TEST(RankTraceJson, ExtendedFormatRoundTrips) {
   EXPECT_DOUBLE_EQ(back.traces[0].spans[1].start_s, 1e-3);
 }
 
-TEST(RankTraceJson, LegacyTracesDocumentFallsBackToOriginStamp) {
-  RankTrace rt = rank_trace(3, 0.0, {span(Phase::kRound, 0.0, 1e-3)});
-  const std::string legacy = traces_to_json(rt.traces);
-  const RankTrace back = parse_rank_trace_json(legacy);
-  EXPECT_EQ(back.rank, 3);  // from the round trace's origin_rank
-  EXPECT_EQ(back.clock.offset_s, 0.0);
-  ASSERT_EQ(back.traces.size(), 1u);
+TEST(RankTraceJson, CollectiveTagsRoundTripExactly) {
+  // Chunked-collective tags set bit 63; as JSON doubles they would lose
+  // their low 11 bits and distinct tags would share one flow key.
+  constexpr std::uint64_t kHigh = std::uint64_t{1} << 63;
+  const RankTrace rt = rank_trace(
+      0, 1.0, {span(Phase::kSend, 0.0, 1e-3, 0, 1, kHigh | 1),
+               span(Phase::kRecv, 0.0, 1e-3, 0, 1, kHigh | 2)});
+  const RankTrace back = parse_rank_trace_json(rank_trace_to_json(rt));
+  ASSERT_EQ(back.traces.at(0).spans.size(), 2u);
+  EXPECT_EQ(back.traces[0].spans[0].tag, kHigh | 1);
+  EXPECT_EQ(back.traces[0].spans[1].tag, kHigh | 2);
 }
 
-TEST(RankTraceJson, DocumentWithoutTracesThrows) {
-  EXPECT_THROW(parse_rank_trace_json("{\"rank\": 1}"), Error);
-  EXPECT_THROW(parse_rank_trace_json("not json"), Error);
+TEST(RankTraceJson, MalformedDocumentsThrow) {
+  const std::string good = R"({"rank": 1, "clock": {"offset_s": 0, )"
+      R"("drift": 0, "base_local_s": 0, "rtt_s": 0}, "traces": [{"round": 3,)"
+      R"( "scheme": "s", "backend": "b", "epoch_s": 1, "spans": [{"phase": )"
+      R"("recv", "rank": 0, "peer": 2, "worker": 4, "tag": "5", "bytes": 8, )"
+      R"("start_s": 0.0001, "end_s": 0.0005}]}]})";
+  ASSERT_NO_THROW(parse_rank_trace_json(good));
+  // Each case edits `good` once; the error must name the edited field.
+  const struct {
+    const char* from;
+    const char* to;
+    const char* field;
+  } cases[] = {
+      {R"("rank": 1, )", "", R"("rank")"},
+      {R"("clock")", R"("clock_")", R"("clock")"},
+      {R"("traces")", R"("traces_")", R"("traces")"},
+      {R"("phase": "recv", )", "", "spans[0].phase"},
+      {R"("tag": "5", )", "", "spans[0].tag"},
+      {R"("rank": 1)", R"("rank": "1")", R"("rank")"},
+      {R"("rank": 1)", R"("rank": 1.5)", R"("rank")"},
+      {R"("rank": 1)", R"("rank": -1)", R"("rank")"},
+      {R"("rank": 0)", R"("rank": -2)", "spans[0].rank"},
+      {R"("peer": 2)", R"("peer": 3000000000)", "spans[0].peer"},
+      {R"("worker": 4)", R"("worker": 4.5)", "spans[0].worker"},
+      {R"("round": 3)", R"("round": -1)", "traces[0].round"},
+      {R"("bytes": 8)", R"("bytes": 1e300)", "spans[0].bytes"},
+      {R"("bytes": 8)", R"("bytes": 8.25)", "spans[0].bytes"},
+      {R"("tag": "5")", R"("tag": 5)", "spans[0].tag"},
+      {R"("tag": "5")", R"("tag": "-1")", "spans[0].tag"},
+      {R"("tag": "5")", R"("tag": "18446744073709551616")", "spans[0].tag"},
+      {R"("phase": "recv")", R"("phase": "nap")", "spans[0].phase"},
+      {R"("start_s": 0.0001, "end_s": 0.0005)",
+       R"("start_s": 0.0005, "end_s": 0.0001)", "spans[0].end_s"},
+  };
+  std::vector<std::pair<std::string, std::string>> inputs = {
+      {"not json", "json"},
+      {R"({"rank": 1})", R"("clock")"},
+      // The two retired shapes: a bare traces list and the old
+      // flight-recorder bundle.
+      {R"({"traces": [{"round": 0, "scheme": "s", "spans": []}]})",
+       R"("rank")"},
+      {R"({"flight_recorder": {"rank": 1, "traces": []}})", R"("rank")"},
+  };
+  for (const auto& c : cases) {
+    std::string text = good;
+    const auto at = text.find(c.from);
+    ASSERT_NE(at, std::string::npos) << c.from;
+    inputs.emplace_back(text.replace(at, std::strlen(c.from), c.to), c.field);
+  }
+  for (const auto& [text, field] : inputs) {
+    try {
+      (void)parse_rank_trace_json(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what() << "\n  for: " << text;
+    }
+  }
 }
 
 // --------------------------------------------------------- flow pairing

@@ -26,185 +26,27 @@
 // Usage:
 //   bench_compare <baseline.json> <current.json>
 //       [--tolerance=0.10] [--higher=k1,k2] [--lower=k3]
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/cli.h"
+#include "common/json.h"
 
 namespace {
 
-// ----------------------------------------------------------- JSON subset
-// Parses exactly the dialect bench_util.h's BenchJson writes: one object
-// with "bench" (string) and "rows" (array of flat objects whose values
-// are strings, numbers or null). Anything else is a parse error.
-
-struct JsonValue {
-  enum class Kind { kString, kNumber, kNull } kind = Kind::kNull;
-  std::string text;
-  double number = 0.0;
-};
+// ----------------------------------------------------------- loading
+// A BENCH file is what bench_util.h's BenchJson writes: one object whose
+// "rows" array holds flat objects keyed by "label". It is read with the
+// repo's one JSON parser (common/json.h); any other shape is a parse
+// error.
 
 struct BenchRow {
   std::string label;
-  std::vector<std::pair<std::string, JsonValue>> metrics;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : metrics) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(std::string text) : text_(std::move(text)) {}
-
-  std::vector<BenchRow> parse_bench() {
-    std::vector<BenchRow> rows;
-    expect('{');
-    bool first = true;
-    while (!try_consume('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "rows") {
-        rows = parse_rows();
-      } else {
-        (void)parse_value();  // "bench" name and future metadata
-      }
-    }
-    return rows;
-  }
-
- private:
-  std::vector<BenchRow> parse_rows() {
-    std::vector<BenchRow> rows;
-    expect('[');
-    if (try_consume(']')) return rows;
-    do {
-      rows.push_back(parse_row());
-    } while (try_consume(','));
-    expect(']');
-    return rows;
-  }
-
-  BenchRow parse_row() {
-    BenchRow row;
-    expect('{');
-    bool first = true;
-    while (!try_consume('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      JsonValue value = parse_value();
-      if (key == "label" && value.kind == JsonValue::Kind::kString) {
-        row.label = value.text;
-      } else {
-        row.metrics.emplace_back(key, std::move(value));
-      }
-    }
-    return row;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    JsonValue v;
-    if (peek() == '"') {
-      v.kind = JsonValue::Kind::kString;
-      v.text = parse_string();
-      return v;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return v;
-    }
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double number = std::strtod(begin, &end);
-    if (end == begin) fail("expected a JSON value");
-    pos_ += static_cast<std::size_t>(end - begin);
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = number;
-    return v;
-  }
-
-  std::string parse_string() {
-    if (peek() != '"') fail("expected a string");
-    ++pos_;
-    std::string out;
-    // No skip_ws in here: whitespace inside a string literal is content.
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'u': {
-            // BenchJson only emits \u00XX control escapes.
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            const std::string hex = text_.substr(pos_, 4);
-            pos_ += 4;
-            out.push_back(static_cast<char>(
-                std::strtol(hex.c_str(), nullptr, 16)));
-            break;
-          }
-          default: fail("unsupported escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;
-    return out;
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool try_consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\t' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw gcs::Error("bench_compare: JSON parse error at byte " +
-                     std::to_string(pos_) + ": " + what);
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
+  gcs::json::Value fields;  ///< the row object, "label" included
 };
 
 std::vector<BenchRow> load_bench(const std::string& path) {
@@ -212,7 +54,27 @@ std::vector<BenchRow> load_bench(const std::string& path) {
   if (!in) throw gcs::Error("bench_compare: cannot read " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return Parser(buffer.str()).parse_bench();
+  const auto parse_error = [&path](const std::string& what) {
+    return gcs::Error("bench_compare: JSON parse error in " + path + ": " +
+                      what);
+  };
+  gcs::json::Value doc;
+  try {
+    doc = gcs::json::parse(buffer.str());
+  } catch (const gcs::Error& e) {
+    throw parse_error(e.what());
+  }
+  const gcs::json::Value* rows = doc.find("rows");
+  if (!doc.is_object() || (rows != nullptr && !rows->is_array())) {
+    throw parse_error("expected {\"rows\": [...]}");
+  }
+  std::vector<BenchRow> out;
+  if (rows == nullptr) return out;
+  for (const gcs::json::Value& row : rows->items) {
+    if (!row.is_object()) throw parse_error("a row is not an object");
+    out.push_back({row.str_or("label", ""), row});
+  }
+  return out;
 }
 
 // ------------------------------------------------------- metric policy
@@ -284,14 +146,13 @@ int main(int argc, char** argv) {
         ++regressions;
         continue;
       }
-      for (const auto& [key, base_value] : base_row.metrics) {
-        if (base_value.kind != JsonValue::Kind::kNumber) continue;
+      for (const auto& [key, base_value] : base_row.fields.members) {
+        if (!base_value.is_number()) continue;
         const Direction dir = classify(key, higher, lower);
         if (dir == Direction::kUntracked) continue;
         ++tracked;
-        const JsonValue* cur_value = cur_row->find(key);
-        if (cur_value == nullptr ||
-            cur_value->kind != JsonValue::Kind::kNumber) {
+        const gcs::json::Value* cur_value = cur_row->fields.find(key);
+        if (cur_value == nullptr || !cur_value->is_number()) {
           std::cout << "REGRESSION  " << base_row.label << " / " << key
                     << ": missing from current run\n";
           ++regressions;

@@ -2,9 +2,10 @@
 // traces onto one clock-aligned timeline, walk each round's critical
 // path, and name the straggler.
 //
-// Input files are whatever the runtime wrote: extended rank-trace JSON
-// (gcs_worker --trace, {"rank","clock","traces"}), legacy {"traces"}
-// documents, or flight-recorder post-mortem dumps ({"flight_recorder"}).
+// Input files are RankTrace documents (measure/trace_merge.h), the one
+// trace format every writer uses: gcs_worker --trace, gcs_driver's
+// TRACE_round_traces.json and flight-recorder post-mortem dumps (which
+// carry a dump_reason). A malformed file is an error naming the field.
 // The merge maps every span through its rank's ClockModel, pairs sends
 // with recvs into flows, and repairs residual clock error so no effect
 // precedes its cause (measure/trace_merge.h).
@@ -35,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/check.h"
 #include "common/cli.h"
 #include "common/table.h"
@@ -136,49 +138,41 @@ void print_report(const MergeResult& merged, const AnalysisSummary& summary) {
             << fmt_share(summary.straggler_share) << " of path time)\n";
 }
 
-/// BENCH_critical_path.json in the bench dialect (flat rows keyed by
-/// label) so bench_compare and the driver's artefact tooling read it
-/// unchanged.
+/// BENCH_critical_path.json through the benches' own BenchJson writer
+/// (flat rows keyed by label), so bench_compare reads it unchanged.
 void write_bench_json(const std::string& dir, const MergeResult& merged,
                       const AnalysisSummary& summary) {
-  std::ostringstream os;
-  os << "{\n  \"bench\": \"critical_path\",\n  \"rows\": [\n";
-  auto row_common = [&os](const char* label) {
-    os << "    {\"label\": \"" << label << "\"";
-  };
-  row_common("merge");
-  os << ", \"ranks\": " << merged.ranks.size()
-     << ", \"rounds\": " << merged.rounds.size()
-     << ", \"flows\": " << merged.flow_count
-     << ", \"violations_before\": " << merged.violations_before
-     << ", \"violations_after\": " << merged.violations_after
-     << ", \"max_violation_after_us\": "
-     << merged.max_violation_after_s * 1e6 << "},\n";
-  for (const RoundReport& r : summary.rounds) {
-    os << "    {\"label\": \"round " << r.round << "\", \"round\": "
-       << r.round << ", \"makespan_ms\": " << r.makespan_s * 1e3
-       << ", \"path_ms\": " << r.critical_path_s * 1e3;
+  gcs::bench::BenchJson json("critical_path");
+  json.set("merge", "ranks", merged.ranks.size());
+  json.set("merge", "rounds", merged.rounds.size());
+  json.set("merge", "flows", merged.flow_count);
+  json.set("merge", "violations_before", merged.violations_before);
+  json.set("merge", "violations_after", merged.violations_after);
+  json.set("merge", "max_violation_after_us",
+           merged.max_violation_after_s * 1e6);
+  const auto set_path = [&json](const std::string& row, double path_s,
+                                const auto& bucket_s, int straggler,
+                                double share) {
+    json.set(row, "path_ms", path_s * 1e3);
     for (std::size_t b = 0; b < kCostBuckets; ++b) {
-      os << ", \"" << gcs::measure::bucket_name(static_cast<CostBucket>(b))
-         << "_ms\": " << r.bucket_s[b] * 1e3;
+      json.set(row,
+               std::string(gcs::measure::bucket_name(
+                   static_cast<CostBucket>(b))) + "_ms",
+               bucket_s[b] * 1e3);
     }
-    os << ", \"straggler\": " << r.straggler
-       << ", \"straggler_share\": " << r.straggler_share << "},\n";
+    json.set(row, "straggler", straggler);
+    json.set(row, "straggler_share", share);
+  };
+  for (const RoundReport& r : summary.rounds) {
+    const std::string row = "round " + std::to_string(r.round);
+    json.set(row, "round", r.round);
+    json.set(row, "makespan_ms", r.makespan_s * 1e3);
+    set_path(row, r.critical_path_s, r.bucket_s, r.straggler,
+             r.straggler_share);
   }
-  row_common("total");
-  os << ", \"path_ms\": " << summary.critical_path_s * 1e3;
-  for (std::size_t b = 0; b < kCostBuckets; ++b) {
-    os << ", \"" << gcs::measure::bucket_name(static_cast<CostBucket>(b))
-       << "_ms\": " << summary.bucket_s[b] * 1e3;
-  }
-  os << ", \"straggler\": " << summary.straggler
-     << ", \"straggler_share\": " << summary.straggler_share << "}\n  ]\n}\n";
-
-  const std::string path = dir + "/BENCH_critical_path.json";
-  std::ofstream out(path);
-  if (!out) throw gcs::Error("gcs_analyze: cannot write " + path);
-  out << os.str();
-  std::cout << "(report written to " << path << ")\n";
+  set_path("total", summary.critical_path_s, summary.bucket_s,
+           summary.straggler, summary.straggler_share);
+  json.write(dir);
 }
 
 void print_usage() {
@@ -216,8 +210,13 @@ int main(int argc, char** argv) {
 
     std::vector<RankTrace> rank_traces;
     for (const std::string& path : files) {
-      RankTrace rt = gcs::measure::parse_rank_trace_json(read_file(path));
-      rt.source = path;
+      const std::string text = read_file(path);
+      RankTrace rt;
+      try {
+        rt = gcs::measure::parse_rank_trace_json(text);
+      } catch (const gcs::Error& e) {
+        throw gcs::Error(path + ": " + e.what());
+      }
       if (!rt.dump_reason.empty()) {
         std::cout << "loaded flight dump " << path << " (rank " << rt.rank
                   << ", reason: " << rt.dump_reason << ")\n";

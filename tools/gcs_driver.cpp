@@ -19,7 +19,8 @@
 //   4. writes BENCH_measured_vs_charged.json (gated by bench_compare:
 //      the charged columns are deterministic; "calibration_improves"
 //      asserts the fit beats the uncalibrated model) and
-//      TRACE_round_traces.json (the raw spans, uploaded by CI).
+//      TRACE_round_traces.json (the raw spans as a rank-0 RankTrace,
+//      loadable by gcs_analyze; uploaded by CI).
 //
 // Execution backends:
 //   --fabric=threaded   (default) one thread per rank, in-process
@@ -53,7 +54,7 @@
 #include "core/synthetic_grad.h"
 #include "measure/calibrator.h"
 #include "measure/link_prober.h"
-#include "measure/trace.h"
+#include "measure/trace_merge.h"
 #include "net/launcher.h"
 #include "net/socket_fabric.h"
 #include "sim/cost_model.h"
@@ -451,13 +452,14 @@ int run_driver(const DriverConfig& config,
   json.write(config.out);
 
   // The raw spans, one trace per scenario's median round (CI uploads
-  // this next to the bench artefact).
-  std::vector<measure::RoundTrace> traces;
-  for (auto& r : results) traces.push_back(std::move(r.trace));
+  // this next to the bench artefact). Rank 0 recorded them all on its own
+  // clock, so RankTrace's defaults hold: rank 0, identity clock.
+  measure::RankTrace rank_trace;
+  for (auto& r : results) rank_trace.traces.push_back(std::move(r.trace));
   const std::string trace_path = config.out + "/TRACE_round_traces.json";
   std::ofstream trace_out(trace_path);
   if (trace_out) {
-    trace_out << measure::traces_to_json(traces);
+    trace_out << measure::rank_trace_to_json(rank_trace);
     std::cout << "(traces written to " << trace_path << ")\n";
   } else {
     std::cerr << "warning: cannot write " << trace_path << '\n';
@@ -467,7 +469,7 @@ int run_driver(const DriverConfig& config,
       config.out + "/TRACE_round_traces.chrome.json";
   std::ofstream chrome_out(chrome_path);
   if (chrome_out) {
-    chrome_out << telemetry::chrome_trace_json(traces);
+    chrome_out << telemetry::chrome_trace_json(rank_trace);
     std::cout << "(chrome trace written to " << chrome_path << ")\n";
   } else {
     std::cerr << "warning: cannot write " << chrome_path << '\n';
