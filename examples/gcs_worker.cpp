@@ -136,14 +136,14 @@ struct WorkerConfig {
   int round_gap_ms = 0;
 };
 
-/// Deterministic per-worker gradients: every process regenerates the same
-/// tensors from (seed, round, worker), so nothing but protocol bytes
-/// crosses the wire. One shared recipe (core/synthetic_grad.h) across
-/// every protocol binary — the cross-process checks depend on it.
-std::vector<std::vector<float>> make_grads(const WorkerConfig& config,
-                                           std::uint64_t round) {
-  return gcs::core::seeded_worker_grads(config.dim, config.world,
-                                        config.seed, round);
+/// This rank's deterministic gradient: every process derives its own
+/// tensor from (seed, round, original rank) and holds no peer's, so
+/// nothing but protocol bytes crosses the wire. One shared recipe
+/// (core/synthetic_grad.h) across every protocol binary — the
+/// cross-process checks depend on it.
+std::vector<float> make_grad(const WorkerConfig& config, std::uint64_t round,
+                             int rank) {
+  return gcs::core::seeded_worker_grad(config.dim, config.seed, round, rank);
 }
 
 /// FNV-1a over the aggregated floats — a cheap cross-process agreement
@@ -364,16 +364,14 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
       clock_sync.refresh(sync_comm);
       if (flight != nullptr) flight->set_clock(clock_sync.model());
     }
-    const auto grads = make_grads(config, static_cast<std::uint64_t>(r));
+    const auto grad = make_grad(config, static_cast<std::uint64_t>(r), rank);
     if (config.elastic) {
-      // Gradients stay keyed by each worker's immutable original rank:
+      // The gradient stays keyed by the worker's immutable original rank:
       // a survivor keeps its own gradient stream across epoch swaps.
+      // aggregate_elastic asks only for this rank's own.
       pipeline.aggregate_elastic(
           transport,
-          [&](int original) {
-            return std::span<const float>(
-                grads[static_cast<std::size_t>(original)]);
-          },
+          [&](int /*original*/) { return std::span<const float>(grad); },
           out, static_cast<std::uint64_t>(r));
       const auto world = fabric.membership();
       if (world.epoch != seen_epoch) {
@@ -383,8 +381,10 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
                   << " of " << world.world_size() << "\n";
       }
     } else {
-      std::vector<std::span<const float>> views;
-      for (const auto& g : grads) views.emplace_back(g.data(), g.size());
+      // Peers' slots stay empty: a rank holds only its own gradient.
+      std::vector<std::span<const float>> views(
+          static_cast<std::size_t>(config.world));
+      views[static_cast<std::size_t>(comm.rank())] = grad;
       pipeline.aggregate_over(
           comm, std::span<const std::span<const float>>(views), out,
           static_cast<std::uint64_t>(r));

@@ -44,6 +44,17 @@ class ScopedWireTap {
   bool installed_;
 };
 
+/// The stage contract every driver relies on: reducible routes carry a
+/// ReduceOp and size-symmetric payloads.
+void check_stage(const WireStage& stage) {
+  if (stage.route == AggregationPath::kAllGather) return;
+  GCS_CHECK_MSG(stage.op != nullptr,
+                "stage '" << stage.name << "' needs a ReduceOp");
+  GCS_CHECK_MSG(stage.symmetric, "stage '" << stage.name
+                                           << "': a reducible stage must "
+                                              "have symmetric payloads");
+}
+
 /// Runs one stage over the local reference aggregators. Chunking is
 /// value-transparent, so the chunk plan is validated and the reduction
 /// happens once (see comm/chunked_collectives.h).
@@ -53,8 +64,6 @@ void run_stage_local(const WireStage& stage, CodecRound& round,
                      int ps_server, measure::TraceRecorder* trace) {
   switch (stage.route) {
     case AggregationPath::kAllReduce: {
-      GCS_CHECK_MSG(stage.op != nullptr,
-                    "stage '" << stage.name << "' needs a ReduceOp");
       comm::check_chunk_plan(chunks, payloads[0].size());
       const ByteBuffer reduced =
           stage.algorithm == ReduceAlgorithm::kTree
@@ -69,8 +78,6 @@ void run_stage_local(const WireStage& stage, CodecRound& round,
       return;
     }
     case AggregationPath::kParameterServer: {
-      GCS_CHECK_MSG(stage.op != nullptr,
-                    "stage '" << stage.name << "' needs a ReduceOp");
       comm::check_chunk_plan(chunks, payloads[0].size());
       const ByteBuffer reduced =
           comm::local_ps_aggregate(payloads, *stage.op, ps_server);
@@ -91,12 +98,6 @@ void run_stage_local(const WireStage& stage, CodecRound& round,
   throw Error("AggregationPipeline: unknown stage route");
 }
 
-bool payloads_symmetric(const std::vector<ByteBuffer>& payloads) {
-  bool symmetric = true;
-  for (const auto& p : payloads) symmetric &= p.size() == payloads[0].size();
-  return symmetric;
-}
-
 /// One rank's share of a stage over a real transport: runs the stage's
 /// chunked collective on `mine` (the rank's own payload buffer) and
 /// returns the gather result for kAllGather routes. The same code path
@@ -105,7 +106,7 @@ bool payloads_symmetric(const std::vector<ByteBuffer>& payloads) {
 /// traffic on either substrate.
 std::vector<ByteBuffer> run_stage_rank(const WireStage& stage,
                                        comm::Communicator& comm,
-                                       ByteBuffer& mine, bool symmetric,
+                                       ByteBuffer& mine,
                                        std::span<const comm::ChunkRange>
                                            chunks,
                                        int ps_server) {
@@ -121,11 +122,11 @@ std::vector<ByteBuffer> run_stage_rank(const WireStage& stage,
       comm::chunked_ps_aggregate(comm, mine, chunks, *stage.op, ps_server);
       return {};
     case AggregationPath::kAllGather:
-      // The chunked all-gather requires symmetric payload sizes; fall back
-      // to the monolithic gather when a scheme pads per-worker (TopK
-      // delta).
-      return symmetric ? comm::chunked_all_gather(comm, mine, chunks)
-                       : comm::all_gather(comm, mine);
+      // The chunked all-gather requires symmetric payload sizes; stages
+      // whose sizes vary per worker (TopK delta) declare it and take the
+      // monolithic gather.
+      return stage.symmetric ? comm::chunked_all_gather(comm, mine, chunks)
+                             : comm::all_gather(comm, mine);
   }
   throw Error("AggregationPipeline: unknown stage route");
 }
@@ -139,11 +140,6 @@ void run_stage_threaded(const WireStage& stage, CodecRound& round,
                         int ps_server, WireTraffic& wire,
                         measure::TraceRecorder* trace) {
   const auto n = static_cast<int>(payloads.size());
-  if (stage.route != AggregationPath::kAllGather) {
-    GCS_CHECK_MSG(stage.op != nullptr,
-                  "stage '" << stage.name << "' needs a ReduceOp");
-  }
-  const bool symmetric = payloads_symmetric(payloads);
   comm::Fabric fabric(n);
   if (trace != nullptr) fabric.set_wire_tap(trace);
   std::vector<ByteBuffer> bufs(payloads.begin(), payloads.end());
@@ -151,8 +147,8 @@ void run_stage_threaded(const WireStage& stage, CodecRound& round,
       static_cast<std::size_t>(n));
   comm::run_workers(fabric, [&](comm::Communicator& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
-    gathered[rank] = run_stage_rank(stage, comm, bufs[rank], symmetric,
-                                    chunks, ps_server);
+    gathered[rank] =
+        run_stage_rank(stage, comm, bufs[rank], chunks, ps_server);
   });
   for (int r = 0; r < n; ++r) {
     wire.sent[static_cast<std::size_t>(r)] += fabric.bytes_sent(r);
@@ -192,8 +188,6 @@ void run_stage_threaded_overlapped(const WireStage& stage, CodecRound& round,
                                    bool ranged,
                                    measure::TraceRecorder* trace) {
   const auto n = static_cast<int>(payloads.size());
-  GCS_CHECK_MSG(stage.op != nullptr,
-                "stage '" << stage.name << "' needs a ReduceOp");
   const std::size_t stage_bytes = payloads[0].size();
   std::vector<std::promise<void>> ready(static_cast<std::size_t>(n));
   std::vector<std::shared_future<void>> encoded;
@@ -268,8 +262,7 @@ void run_stage_threaded_overlapped(const WireStage& stage, CodecRound& round,
         GCS_CHECK_MSG(payloads[rank].size() == stage_bytes,
                       "stage '" << stage.name
                                 << "': asymmetric payload sizes");
-        run_stage_rank(stage, comm, payloads[rank], /*symmetric=*/true,
-                       chunks, ps_server);
+        run_stage_rank(stage, comm, payloads[rank], chunks, ps_server);
       } catch (...) {
         // Peers may already be blocked in recv on hops this rank will
         // never send; poison the fabric so the whole stage fails loudly
@@ -397,11 +390,11 @@ AggregationPipeline::AggregationPipeline(SchemeCodecPtr codec,
     bucket_plan_ = std::make_unique<sched::BucketPlan>(
         sched::plan_buckets(config_.layout, planner));
   }
-  rebuild_pool();
-}
-
-void AggregationPipeline::rebuild_pool() {
-  if (config_.encode_workers > 1) {
+  // The pool serves aggregate()'s all-worker encodes on the local and
+  // threaded backends; the socket backend forks, and pool threads must
+  // not straddle a fork.
+  if (config_.encode_workers > 1 &&
+      config_.backend != PipelineBackend::kSocketFabric) {
     pool_ =
         std::make_unique<sched::EncodeWorkerPool>(config_.encode_workers);
   }
@@ -508,6 +501,7 @@ RoundStats AggregationPipeline::aggregate(
     measure::ScopedSpan stage_span(trace, measure::Phase::kStage,
                                    stage.name);
     telemetry::ScopedUsecTimer stage_timer(tel_.stage_usec);
+    check_stage(stage);
     // Worker 0 is always encoded first: its payload size fixes the chunk
     // plan every rank must share.
     {
@@ -530,10 +524,9 @@ RoundStats AggregationPipeline::aggregate(
     } else {
       encode_rest(*session, payloads, chunks);
       for (std::size_t w = 1; w < n; ++w) {
-        // Reducible routes need symmetric sizes; all-gather payloads may
-        // differ (TopK's delta format pads per-worker).
-        GCS_CHECK_MSG(stage.route == AggregationPath::kAllGather ||
-                          payloads[w].size() == stage_bytes,
+        // Holding every worker, this driver can verify the declaration
+        // the SPMD ranks have to trust.
+        GCS_CHECK_MSG(!stage.symmetric || payloads[w].size() == stage_bytes,
                       "stage '" << stage.name
                                 << "': asymmetric payload sizes");
       }
@@ -576,12 +569,23 @@ RoundStats AggregationPipeline::aggregate_over(
     std::span<float> out, std::uint64_t round) {
   const auto n = static_cast<std::size_t>(codec_->world_size());
   GCS_CHECK(grads.size() == n);
-  GCS_CHECK(out.size() == codec_->dimension());
   GCS_CHECK_MSG(comm.world_size() == codec_->world_size(),
                 "transport world size " << comm.world_size()
                                         << " != codec world size "
                                         << codec_->world_size());
+  // The rank-local view: the codec sees only this rank's gradient, so it
+  // compensates, selects, draws and commits for this worker alone.
   const auto rank = static_cast<std::size_t>(comm.rank());
+  std::vector<std::span<const float>> local(n);
+  local[rank] = grads[rank];
+  return run_rank(comm, local, out, round);
+}
+
+RoundStats AggregationPipeline::run_rank(
+    comm::Communicator& comm, std::span<const std::span<const float>> grads,
+    std::span<float> out, std::uint64_t round) {
+  GCS_CHECK(out.size() == codec_->dimension());
+  const int rank = comm.rank();
 
   measure::TraceRecorder* trace = active_trace();
   // The caller's transport reports per-chunk send/recv spans for the
@@ -596,125 +600,36 @@ RoundStats AggregationPipeline::aggregate_over(
   auto session = codec_->begin_round(grads, round);
   RoundStats stats;
   WireStage stage;
-  std::vector<ByteBuffer> payloads(n);
   while (session->next_stage(stage)) {
     lane_.beat();
     measure::ScopedSpan stage_span(trace, measure::Phase::kStage,
                                    stage.name);
     telemetry::ScopedUsecTimer stage_timer(tel_.stage_usec);
-    if (stage.route != AggregationPath::kAllGather) {
-      GCS_CHECK_MSG(stage.op != nullptr,
-                    "stage '" << stage.name << "' needs a ReduceOp");
-    }
-    const std::size_t granularity =
-        stage.op != nullptr ? stage.op->granularity() : 1;
-    // Every rank encodes all workers (the codec is cluster-wide state that
-    // must evolve identically everywhere) but puts only its own payload on
-    // the wire — the SPMD execution of the same round aggregate() runs.
-    if (pool_ != nullptr && stage.route != AggregationPath::kAllGather) {
-      // Overlapped encode: this rank's own payload goes on the wire
-      // immediately; the pool encodes the other workers' (state-evolving)
-      // copies while the collective's hops are already in flight.
-      // Reducible payloads are size-symmetric, so the rank's own size
-      // fixes the shared chunk plan.
-      ByteBuffer mine;
-      {
-        measure::ScopedSpan span(trace, measure::Phase::kEncode, "",
-                                 static_cast<int>(rank));
-        mine = session->encode(static_cast<int>(rank));
-        span.set_bytes(mine.size());
-      }
-      if (config_.fault_hook) config_.fault_hook("encode", round);
-      const std::size_t stage_bytes = mine.size();
-      const auto chunks = stage_chunks(stage_bytes, granularity);
-      const bool use_ranges = bucket_plan_ != nullptr && !chunks.empty() &&
-                              session->supports_encode_range();
-      for (std::size_t w = 0; w < n; ++w) {
-        if (w == rank) continue;
-        if (use_ranges) {
-          // Bucket-sized slices, one pool task per chunk (byte-identical
-          // to whole-payload encode by the codec contract).
-          payloads[w].assign(stage_bytes, std::byte{0});
-          for (const comm::ChunkRange c : chunks) {
-            pool_->submit([&session, &payloads, w, c, trace] {
-              measure::ScopedSpan span(trace, measure::Phase::kEncode, "",
-                                       static_cast<int>(w));
-              session->encode_range(
-                  static_cast<int>(w), c.offset,
-                  std::span<std::byte>(payloads[w]).subspan(c.offset,
-                                                            c.size));
-              span.set_bytes(c.size);
-            });
-          }
-          continue;
-        }
-        pool_->submit([&session, &payloads, w, trace] {
-          measure::ScopedSpan span(trace, measure::Phase::kEncode, "",
-                                   static_cast<int>(w));
-          payloads[w] = session->encode(static_cast<int>(w));
-          span.set_bytes(payloads[w].size());
-        });
-      }
-      try {
-        run_stage_rank(stage, comm, mine, /*symmetric=*/true, chunks,
-                       config_.ps_server);
-      } catch (...) {
-        try {
-          pool_->wait_idle();
-        } catch (...) {
-        }
-        throw;
-      }
-      pool_->wait_idle();
-      for (std::size_t w = 0; w < n; ++w) {
-        if (w == rank) continue;
-        GCS_CHECK_MSG(payloads[w].size() == stage_bytes,
-                      "stage '" << stage.name
-                                << "': asymmetric payload sizes");
-      }
-      {
-        measure::ScopedSpan reduce_span(trace, measure::Phase::kReduce,
-                                        stage.name);
-        session->absorb_reduced(mine);
-      }
-      tel_.encode_bytes.inc(static_cast<std::uint64_t>(stage_bytes) * n);
-      tel_.decode_bytes.inc(stage_bytes);
-      (stage.metadata ? stats.metadata_bytes : stats.payload_bytes) +=
-          stage_bytes;
-      continue;
-    }
+    check_stage(stage);
+    // Only this rank's payload is encoded; the stage's declared symmetry
+    // stands in for the peers' sizes, so the rank's own size fixes the
+    // chunk plan every rank shares.
+    ByteBuffer mine;
     {
-      measure::ScopedSpan span(trace, measure::Phase::kEncode, "", 0);
-      payloads[0] = session->encode(0);
-      span.set_bytes(payloads[0].size());
+      measure::ScopedSpan span(trace, measure::Phase::kEncode, "", rank);
+      mine = session->encode(rank);
+      span.set_bytes(mine.size());
     }
     if (config_.fault_hook) config_.fault_hook("encode", round);
-    encode_rest(*session, payloads, {});
-    for (std::size_t w = 1; w < n; ++w) {
-      GCS_CHECK_MSG(stage.route == AggregationPath::kAllGather ||
-                        payloads[w].size() == payloads[0].size(),
-                    "stage '" << stage.name
-                              << "': asymmetric payload sizes");
-    }
-    const std::size_t stage_bytes = payloads[0].size();
-    const auto chunks = stage_chunks(stage_bytes, granularity);
-    const bool symmetric = payloads_symmetric(payloads);
-    if (tel_.encode_bytes.live()) {
-      std::uint64_t encoded = 0;
-      for (const auto& p : payloads) encoded += p.size();
-      tel_.encode_bytes.inc(encoded);
-    }
-    // Move, not copy: the rank's payload is re-encoded next stage anyway,
-    // and the dense stages are the wire hot path (stage_bytes captured
-    // above because rank 0's buffer feeds the stats line below).
-    ByteBuffer mine = std::move(payloads[rank]);
-    const auto gathered = run_stage_rank(stage, comm, mine, symmetric,
-                                         chunks, config_.ps_server);
+    tel_.encode_bytes.inc(mine.size());
+    std::size_t stage_bytes = mine.size();
+    const auto chunks = stage_chunks(
+        stage_bytes, stage.op != nullptr ? stage.op->granularity() : 1);
+    const auto gathered =
+        run_stage_rank(stage, comm, mine, chunks, config_.ps_server);
     {
       measure::ScopedSpan reduce_span(trace, measure::Phase::kReduce,
                                       stage.name);
       if (stage.route == AggregationPath::kAllGather) {
         session->absorb_gathered(gathered);
+        // Worker 0's payload is the stage's size on every rank (it
+        // differs from this rank's own under per-worker padding).
+        stage_bytes = gathered[0].size();
         if (tel_.decode_bytes.live()) {
           std::uint64_t absorbed = 0;
           for (const auto& g : gathered) absorbed += g.size();
@@ -785,11 +700,11 @@ RoundStats AggregationPipeline::aggregate_elastic(
   const int max_attempts = 2 * membership_.world_size() + 1;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     adopt_membership(transport.membership());
-    std::vector<std::span<const float>> views;
-    views.reserve(membership_.original_ranks.size());
-    for (const int original : membership_.original_ranks) {
-      views.push_back(grad_of(original));
-    }
+    // Only this rank's gradient is needed: peers' slots stay empty.
+    const auto self = static_cast<std::size_t>(membership_.self);
+    std::vector<std::span<const float>> views(
+        membership_.original_ranks.size());
+    views[self] = grad_of(membership_.original_ranks[self]);
     comm::Communicator comm(transport, membership_.self);
     try {
       return aggregate_over(
@@ -817,18 +732,12 @@ RoundStats AggregationPipeline::aggregate_socket(
   wire_.received.assign(static_cast<std::size_t>(n), 0);
 
   // Fork ranks 1..n-1 first (while this process is still quiescent — no
-  // reactor thread yet), then participate as rank 0 so the codec's
-  // cross-round state advances in the surviving process. Each child runs
-  // the identical SPMD round on its copy-on-write snapshot of the codec
-  // and reports its wire meters plus the aggregated output for
-  // cross-process agreement checking.
-  //
-  // The encode pool's threads must not straddle the fork (a child would
-  // inherit the pool object but not its threads, and any pool call would
-  // hang): drop them now; each side rebuilds its own pool below.
-  pool_.reset();
+  // reactor thread yet, and no encode pool: it is never built for this
+  // backend), then participate as rank 0. Each child runs the rank-local
+  // SPMD round on its copy-on-write snapshot of the codec and reports its
+  // wire meters plus the aggregated output for cross-process agreement
+  // checking.
   auto worker = [&](int rank) -> ByteBuffer {
-    rebuild_pool();
     net::SocketFabric fabric(
         socket_fabric_config(config_, rendezvous, n, rank));
     comm::Communicator comm(fabric, rank);
@@ -842,11 +751,14 @@ RoundStats AggregationPipeline::aggregate_socket(
     return report;
   };
   net::ForkedWorkers peers(1, n, worker);
-  rebuild_pool();
 
+  // The parent is the process whose codec outlives the round, so its
+  // session holds every worker's gradient and commits every worker's
+  // cross-round state; it still encodes only rank 0's payload (finish()
+  // needs nothing from the peers' encodes).
   net::SocketFabric fabric(socket_fabric_config(config_, rendezvous, n, 0));
   comm::Communicator comm(fabric, 0);
-  const RoundStats stats = aggregate_over(comm, grads, out, round);
+  const RoundStats stats = run_rank(comm, grads, out, round);
   wire_.sent[0] = fabric.bytes_sent(0);
   wire_.received[0] = fabric.bytes_received(0);
 

@@ -17,6 +17,10 @@
 //     state survives the round). The identical protocol on real sockets —
 //     the simulator-to-system step.
 //
+// aggregate() holds every worker's gradient and encodes all of them: the
+// oracle. aggregate_over() is the SPMD round a real deployment runs: each
+// rank holds and encodes only its own worker (see CodecRound).
+//
 // All three produce bit-identical aggregated values, and the two transport
 // backends meter identical per-rank wire bytes (last_wire()); tests close
 // the loop on both claims. The time saved by per-chunk overlap is charged
@@ -27,11 +31,12 @@
 // The sched/ subsystem (DESIGN.md section 4) sits on top: with
 // bucket_mode = kLayerBuckets the chunk plan comes from a DDP-style
 // layer-aligned BucketPlan instead of a fixed size, and with
-// encode_workers > 1 the per-worker encodes run on an EncodeWorkerPool —
-// on the threaded fabric, collective threads start while later ranks'
-// payloads are still being encoded. Both knobs are value-transparent; the
-// backward-overlap time they buy is charged by
-// CostModel::bucketed_round_for_spec.
+// encode_workers > 1 aggregate()'s per-worker encodes run on an
+// EncodeWorkerPool — on the threaded fabric, collective threads start
+// while later ranks' payloads are still being encoded. The SPMD entry
+// encodes one payload per stage and does not use the pool. Both knobs
+// are value-transparent; the backward-overlap time they buy is charged
+// by CostModel::bucketed_round_for_spec.
 #pragma once
 
 #include <cstddef>
@@ -94,10 +99,11 @@ struct PipelineConfig {
   /// Layer-bucket size cap in FP32 gradient bytes; 0 = the planner's
   /// 25 MB default. Only meaningful with kLayerBuckets.
   std::size_t bucket_bytes = 0;
-  /// Encode worker pool width: >1 encodes per-worker payloads on a
-  /// sched::EncodeWorkerPool (deterministic hand-off, bit-identical to
-  /// the serial order) and, on the threaded fabric, lets collective
-  /// threads start while later payloads are still encoding.
+  /// Encode worker pool width: >1 encodes aggregate()'s per-worker
+  /// payloads on a sched::EncodeWorkerPool (deterministic hand-off,
+  /// bit-identical to the serial order) and, on the threaded fabric, lets
+  /// collective threads start while later payloads are still encoding.
+  /// Not built for the socket backend; unused by aggregate_over.
   int encode_workers = 1;
   /// Layer table for kLayerBuckets (the factory passes its layout
   /// through). Must cover the codec's dimension.
@@ -135,7 +141,7 @@ struct PipelineConfig {
   /// Fault-injection hook for the failure-path test harness
   /// (tests/fault_injection.h): when set, invoked at named execution
   /// points of aggregate_over — "encode" right after this rank encodes
-  /// its first payload of each stage, "decode" after the round's
+  /// its own payload of each stage, "decode" after the round's
   /// collectives (and, in elastic mode, the commit barrier) but before
   /// finish(). The harness's hook _exit()s the process at a chosen
   /// (round, point) to simulate a crash; production runs leave it null
@@ -175,6 +181,13 @@ class AggregationPipeline {
   /// socket backend's workers and the gcs_worker binary; wire bytes are
   /// read off the caller's transport, not last_wire().
   ///
+  /// The round is rank-local: only grads[comm.rank()] is read (peers'
+  /// spans may be empty), the codec session holds only this rank's
+  /// worker, and only this rank's payload is encoded. So this pipeline's
+  /// codec advances only its own worker's cross-round state (EF
+  /// residual); shared state (PowerSGD Q iterates) advances identically
+  /// on every rank from the collectives' results.
+  ///
   /// With config.elastic the round ends in a commit barrier (a star
   /// through rank 0) before finish() commits cross-round state: either
   /// every rank that survives the round commits it, or none does — the
@@ -185,7 +198,8 @@ class AggregationPipeline {
 
   /// Per-original-rank gradient source for elastic rounds: must return
   /// worker `original_rank`'s gradient for the round being executed
-  /// (size dimension(); the span must stay alive through the call).
+  /// (size dimension(); the span must stay alive through the call). Only
+  /// called for this rank's own original rank.
   using GradSource = std::function<std::span<const float>(int original_rank)>;
 
   /// Elastic SPMD entry (requires config.elastic and an elastic
@@ -228,6 +242,14 @@ class AggregationPipeline {
   RoundStats aggregate_socket(std::span<const std::span<const float>> grads,
                               std::span<float> out, std::uint64_t round);
 
+  /// One rank's SPMD round with the codec session opened over `grads` as
+  /// given: aggregate_over passes the rank-local view, the socket
+  /// backend's parent every worker's gradient (its codec is the one that
+  /// outlives the round). Either way only this rank's payload is encoded.
+  RoundStats run_rank(comm::Communicator& comm,
+                      std::span<const std::span<const float>> grads,
+                      std::span<float> out, std::uint64_t round);
+
   /// Chunk plan for one stage payload: the bucket plan's layer-aligned
   /// projection under kLayerBuckets, the fixed-size split otherwise.
   std::vector<comm::ChunkRange> stage_chunks(std::size_t payload_bytes,
@@ -250,11 +272,6 @@ class AggregationPipeline {
   /// recorder was the active sink (no-op otherwise).
   void commit_flight(std::uint64_t round, const char* backend);
 
-  /// (Re)creates the encode pool per config. Also the fork-safety hook:
-  /// the socket backend drops the pool before forking and calls this on
-  /// both sides of the fork.
-  void rebuild_pool();
-
   /// Adopts `current` as the pipeline's membership, remapping the codec
   /// when the member set changed (the survivor carry-over).
   void adopt_membership(const comm::Membership& current);
@@ -270,7 +287,11 @@ class AggregationPipeline {
   /// construction; dead (single-branch no-ops) when telemetry is off.
   /// Orthogonal to config_.trace: the recorder captures every span of a
   /// traced round, these feed cheap always-on counters and latency
-  /// histograms a mid-run scrape can read.
+  /// histograms a mid-run scrape can read. encode_bytes
+  /// (gcs_codec_encode_bytes_total) counts the payload bytes this process
+  /// encoded: every worker's under aggregate(), the rank's own under
+  /// aggregate_over(); decode_bytes counts the bytes handed back to the
+  /// codec.
   struct PipelineTelemetry {
     telemetry::CounterHandle rounds, encode_bytes, decode_bytes;
     telemetry::HistogramHandle round_usec, stage_usec, decode_usec;

@@ -17,8 +17,7 @@ class DenseCodec;
 class DenseRound final : public CodecRound {
  public:
   DenseRound(const DenseCodec& codec,
-             std::span<const std::span<const float>> grads)
-      : codec_(codec), grads_(grads) {}
+             std::span<const std::span<const float>> grads);
 
   bool next_stage(WireStage& stage) override;
   ByteBuffer encode(int worker) override;
@@ -31,8 +30,12 @@ class DenseRound final : public CodecRound {
   void finish(std::span<float> out, RoundStats& stats) override;
 
  private:
+  /// The held worker's gradient (throws for workers not held).
+  std::span<const float> held_grad(int worker) const;
+
   const DenseCodec& codec_;
   std::span<const std::span<const float>> grads_;
+  HeldWorkers held_;
   bool stage_done_ = false;
   ByteBuffer reduced_;
 };
@@ -59,8 +62,6 @@ class DenseCodec final : public SchemeCodec {
   std::unique_ptr<CodecRound> begin_round(
       std::span<const std::span<const float>> grads,
       std::uint64_t /*round*/) override {
-    GCS_CHECK(static_cast<int>(grads.size()) == config_.world_size);
-    for (const auto& g : grads) GCS_CHECK(g.size() == config_.dimension);
     return std::make_unique<DenseRound>(*this, grads);
   }
 
@@ -83,6 +84,17 @@ class DenseCodec final : public SchemeCodec {
   std::unique_ptr<comm::ReduceOp> op_;
 };
 
+DenseRound::DenseRound(const DenseCodec& codec,
+                       std::span<const std::span<const float>> grads)
+    : codec_(codec),
+      grads_(grads),
+      held_(grads, codec.config().world_size, codec.config().dimension) {}
+
+std::span<const float> DenseRound::held_grad(int worker) const {
+  held_.require(worker, codec_);
+  return grads_[static_cast<std::size_t>(worker)];
+}
+
 bool DenseRound::next_stage(WireStage& stage) {
   if (stage_done_) return false;
   stage_done_ = true;
@@ -96,7 +108,7 @@ bool DenseRound::next_stage(WireStage& stage) {
 }
 
 ByteBuffer DenseRound::encode(int worker) {
-  const auto grad = grads_[static_cast<std::size_t>(worker)];
+  const auto grad = held_grad(worker);
   ByteBuffer buf;
   if (codec_.config().comm_precision == Precision::kFp32) {
     ByteWriter w(buf);
@@ -112,7 +124,7 @@ ByteBuffer DenseRound::encode(int worker) {
 
 void DenseRound::encode_range(int worker, std::size_t offset,
                               std::span<std::byte> out) {
-  const auto grad = grads_[static_cast<std::size_t>(worker)];
+  const auto grad = held_grad(worker);
   if (codec_.config().comm_precision == Precision::kFp32) {
     GCS_CHECK(offset % sizeof(float) == 0 &&
               out.size() % sizeof(float) == 0);

@@ -32,6 +32,36 @@ SchemeCodecPtr SchemeCodec::remap_workers(
   throw Error(name() + ": elastic membership (remap_workers) unsupported");
 }
 
+HeldWorkers::HeldWorkers(std::span<const std::span<const float>> grads,
+                         int world_size, std::size_t dimension)
+    : held_(grads.size(), 0) {
+  if (grads.size() != static_cast<std::size_t>(world_size)) {
+    throw Error("begin_round: " + std::to_string(grads.size()) +
+                " gradient spans for a world of " +
+                std::to_string(world_size));
+  }
+  bool any = false;
+  for (std::size_t w = 0; w < grads.size(); ++w) {
+    if (grads[w].empty()) continue;
+    if (grads[w].size() != dimension) {
+      throw Error("begin_round: worker " + std::to_string(w) +
+                  "'s gradient has " + std::to_string(grads[w].size()) +
+                  " coordinates, expected " + std::to_string(dimension));
+    }
+    held_[w] = 1;
+    any = true;
+  }
+  if (!any) throw Error("begin_round: no worker's gradient is held");
+}
+
+void HeldWorkers::require(int worker, const SchemeCodec& codec) const {
+  if (worker < 0 || !holds(static_cast<std::size_t>(worker))) {
+    throw Error(codec.name() + ": worker " + std::to_string(worker) +
+                " is not held by this round session (its gradient was "
+                "empty at begin_round)");
+  }
+}
+
 void check_survivor_set(std::span<const int> survivors, int world_size) {
   if (survivors.empty()) {
     throw Error("remap_workers: empty survivor set");

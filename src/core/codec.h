@@ -10,8 +10,10 @@
 //                      encode -> communicate -> decode per chunk and owns
 //                      chunking/overlap policy.
 //
-// A SchemeCodec is the cluster-wide state of one scheme (error-feedback
-// memories, PowerSGD iterates, RHT contexts). Each round it opens a
+// A SchemeCodec is one process's state of a scheme: per-worker state
+// (error-feedback memories) for the workers its sessions hold, and shared
+// state every rank evolves identically (PowerSGD iterates, RHT contexts).
+// On the SPMD path a rank holds only its own worker. Each round it opens a
 // CodecRound: a short-lived session that walks the round's communication
 // stages. A stage is one collective over one per-worker payload; stages
 // are sequential because later stages may depend on earlier results (TopKC
@@ -26,6 +28,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "comm/reduce_op.h"
 #include "quant/satint.h"
@@ -92,17 +95,32 @@ struct WireStage {
   /// Metadata stages (consensus rounds) count toward
   /// RoundStats::metadata_bytes instead of payload_bytes.
   bool metadata = false;
+  /// Every worker's payload for this stage has the same size, fixed by
+  /// the stage rather than by the data. A rank that encodes only its own
+  /// payload cannot see its peers' sizes, so the stage declares it:
+  /// symmetric all-gathers run chunked, the rest (TopK's padded delta
+  /// format) fall back to the monolithic gather. Reducible routes must
+  /// be symmetric.
+  bool symmetric = true;
 };
 
 /// One round's encode/decode session. The driving loop (the orchestration
 /// layer) is:
 ///
 ///   while (round->next_stage(stage)) {
-///     payloads[w] = round->encode(w);             // every worker
+///     payloads[w] = round->encode(w);             // every held worker
 ///     <chunked collective per stage.route>
 ///     round->absorb_reduced(...) / absorb_gathered(...);
 ///   }
 ///   round->finish(out, stats);
+///
+/// A session *holds* the workers whose gradients were non-empty at
+/// begin_round. On the SPMD path that is one worker, the rank's own; the
+/// local and threaded backends hold all of them. Per-worker work
+/// (compensation, selection, stochastic draws, EF commits) happens for
+/// held workers only, and finish() commits each held worker's
+/// cross-round state from begin-time buffers plus the collective's
+/// result, so no worker's state depends on another worker's encode.
 ///
 /// The gradients passed to SchemeCodec::begin_round must stay alive until
 /// finish() returns.
@@ -115,7 +133,9 @@ class CodecRound {
   virtual bool next_stage(WireStage& stage) = 0;
 
   /// Encodes worker `worker`'s payload for the current stage. Payload
-  /// sizes are equal across workers (the schemes are SPMD-symmetric).
+  /// sizes are equal across workers unless the stage is declared
+  /// asymmetric (WireStage::symmetric). Throws gcs::Error when the
+  /// session does not hold `worker`.
   virtual ByteBuffer encode(int worker) = 0;
 
   /// True when encode_range() may be used for the *current* stage: the
@@ -131,7 +151,8 @@ class CodecRound {
   /// must be multiples of the stage op's granularity(). Thread-safe for
   /// concurrent calls on distinct (worker, range) pairs within one stage —
   /// this is what lets the EncodeWorkerPool encode bucket-sized slices at
-  /// gradient-ready time. Throws when !supports_encode_range().
+  /// gradient-ready time. Throws when !supports_encode_range() or when
+  /// the session does not hold `worker`.
   virtual void encode_range(int worker, std::size_t offset,
                             std::span<std::byte> out);
 
@@ -144,13 +165,15 @@ class CodecRound {
   virtual void absorb_gathered(std::span<const ByteBuffer> payloads);
 
   /// Writes the aggregated *sum* estimate every worker ends up holding,
-  /// commits cross-round state (EF memories, warm starts) and fills the
-  /// parts of `stats` only the codec knows (saturation accounting).
+  /// commits cross-round state (held workers' EF memories, shared warm
+  /// starts) and fills the parts of `stats` only the codec knows
+  /// (saturation accounting).
   virtual void finish(std::span<float> out, RoundStats& stats) = 0;
 };
 
-/// Cluster-wide codec state of one scheme. Owns whatever must persist
-/// across rounds; stateless between begin_round() calls otherwise.
+/// One process's codec state of a scheme (see the file comment). Owns
+/// whatever must persist across rounds; stateless between begin_round()
+/// calls otherwise.
 class SchemeCodec {
  public:
   virtual ~SchemeCodec() = default;
@@ -165,9 +188,11 @@ class SchemeCodec {
   virtual int world_size() const = 0;
   virtual std::size_t dimension() const = 0;
 
-  /// Opens the round session. `grads[i]` is worker i's local gradient (all
-  /// size dimension()); `round` indexes shared randomness. The spans must
-  /// outlive the returned session.
+  /// Opens the round session. `grads` has one span per worker: worker
+  /// i's gradient (size dimension()) when this process holds worker i,
+  /// empty otherwise (a rank holds only its own). At least one worker
+  /// must be held; see HeldWorkers. `round` indexes shared randomness.
+  /// The spans must outlive the returned session.
   virtual std::unique_ptr<CodecRound> begin_round(
       std::span<const std::span<const float>> grads, std::uint64_t round) = 0;
 
@@ -188,10 +213,32 @@ class SchemeCodec {
 
   /// Worker `worker`'s error-feedback residual, for diagnostics and the
   /// fault-injection harness's bit-preservation checks. Empty span for
-  /// schemes without EF (or with EF disabled).
+  /// schemes without EF (or with EF disabled). Only the residuals of
+  /// workers the codec's sessions held evolve; on the SPMD path that is
+  /// the rank's own.
   virtual std::span<const float> ef_memory(int /*worker*/) const {
     return {};
   }
+};
+
+/// The workers a round session holds (see CodecRound): validates a
+/// begin_round gradient view — one span per worker, each either
+/// `dimension` long or empty, at least one non-empty — and answers
+/// membership queries for the session's per-worker loops.
+class HeldWorkers {
+ public:
+  HeldWorkers(std::span<const std::span<const float>> grads, int world_size,
+              std::size_t dimension);
+
+  bool holds(std::size_t worker) const noexcept {
+    return worker < held_.size() && held_[worker] != 0;
+  }
+
+  /// Throws gcs::Error naming `codec` unless the session holds `worker`.
+  void require(int worker, const SchemeCodec& codec) const;
+
+ private:
+  std::vector<std::uint8_t> held_;
 };
 
 /// Shared validation for remap_workers implementations: survivors must be

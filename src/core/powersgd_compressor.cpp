@@ -52,6 +52,7 @@ class PowerSgdRound final : public CodecRound {
   enum Stage { kPhaseA = 0, kPhaseB = 1, kDone = 2 };
 
   PowerSgdCodec& codec_;
+  HeldWorkers held_;
   int stage_ = kPhaseA;
   bool any_low_rank_ = false;
   std::vector<std::vector<float>> ys_;
@@ -158,20 +159,21 @@ class PowerSgdCodec final : public SchemeCodec {
 
 PowerSgdRound::PowerSgdRound(PowerSgdCodec& codec,
                              std::span<const std::span<const float>> grads)
-    : codec_(codec) {
+    : codec_(codec),
+      held_(grads, codec.config().world_size, codec.dimension()) {
   const auto& config = codec_.config();
   const std::size_t d = config.layout.total_size();
   const auto n = static_cast<std::size_t>(config.world_size);
-  GCS_CHECK(grads.size() == n);
 
   for (const auto& state : codec_.states()) {
     if (state.rank != 0) any_low_rank_ = true;
   }
 
   // EF compensation.
-  ys_.assign(n, std::vector<float>(d));
+  ys_.resize(n);
   for (std::size_t w = 0; w < n; ++w) {
-    GCS_CHECK(grads[w].size() == d);
+    if (!held_.holds(w)) continue;
+    ys_[w].resize(d);
     codec_.ef().compensate(static_cast<int>(w), grads[w], ys_[w]);
   }
 }
@@ -187,6 +189,7 @@ bool PowerSgdRound::next_stage(WireStage& stage) {
 }
 
 ByteBuffer PowerSgdRound::encode(int worker) {
+  held_.require(worker, codec_);
   const auto w = static_cast<std::size_t>(worker);
   auto& states = codec_.states();
   ByteBuffer buf;
@@ -277,6 +280,7 @@ void PowerSgdRound::finish(std::span<float> out, RoundStats& /*stats*/) {
     std::vector<float> contribution(d);
     const float inv_n = 1.0f / static_cast<float>(n);
     for (std::size_t w = 0; w < n; ++w) {
+      if (!held_.holds(w)) continue;
       for (std::size_t l = 0; l < states.size(); ++l) {
         auto slice = codec_.layer_span_mut(contribution, l);
         auto ow = codec_.layer_span(std::span<const float>(out), l);

@@ -7,18 +7,23 @@
 
 namespace gcs::core {
 
+std::vector<float> seeded_worker_grad(std::size_t dimension,
+                                      std::uint64_t seed, std::uint64_t round,
+                                      int worker) {
+  std::vector<float> grad(dimension);
+  Rng rng(derive_seed(seed + round, worker));
+  for (auto& v : grad) v = static_cast<float>(rng.next_gaussian());
+  return grad;
+}
+
 std::vector<std::vector<float>> seeded_worker_grads(std::size_t dimension,
                                                     int world_size,
                                                     std::uint64_t seed,
                                                     std::uint64_t round) {
-  std::vector<std::vector<float>> grads(
-      static_cast<std::size_t>(world_size),
-      std::vector<float>(dimension));
+  std::vector<std::vector<float>> grads;
+  grads.reserve(static_cast<std::size_t>(world_size));
   for (int w = 0; w < world_size; ++w) {
-    Rng rng(derive_seed(seed + round, w));
-    for (auto& v : grads[static_cast<std::size_t>(w)]) {
-      v = static_cast<float>(rng.next_gaussian());
-    }
+    grads.push_back(seeded_worker_grad(dimension, seed, round, w));
   }
   return grads;
 }

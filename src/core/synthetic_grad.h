@@ -54,14 +54,20 @@ struct SyntheticGradConfig {
 
 /// Deterministic unstructured per-worker gradients from (seed, round,
 /// worker) alone: iid N(0,1) coordinates. The multi-process protocol
-/// binaries (gcs_worker, gcs_driver) and the measurement tests all
-/// regenerate identical tensors from this one recipe in every process —
-/// the cross-process agreement checks depend on there being exactly one
-/// implementation, so nothing but protocol bytes crosses the wire.
+/// binaries (gcs_worker, gcs_driver) derive each rank's tensor from this
+/// one recipe, and the all-worker references regenerate the same tensors
+/// — the cross-process agreement checks depend on there being exactly
+/// one implementation, so nothing but protocol bytes crosses the wire.
 std::vector<std::vector<float>> seeded_worker_grads(std::size_t dimension,
                                                     int world_size,
                                                     std::uint64_t seed,
                                                     std::uint64_t round);
+
+/// Worker `worker`'s tensor of seeded_worker_grads, alone: what an SPMD
+/// rank generates, since it holds only its own gradient.
+std::vector<float> seeded_worker_grad(std::size_t dimension,
+                                      std::uint64_t seed, std::uint64_t round,
+                                      int worker);
 
 /// Deterministic per-round gradient source for a simulated cluster.
 class SyntheticGradients {

@@ -39,6 +39,7 @@ class ThcRound final : public CodecRound {
   enum Stage { kRangeLo = 0, kRangeHi = 1, kLevels = 2, kDone = 3 };
 
   ThcCodec& codec_;
+  HeldWorkers held_;
   std::uint64_t round_;
   int stage_ = kRangeLo;
   // All level blocks are byte-aligned on the wire (block * b a multiple of
@@ -158,12 +159,13 @@ class ThcCodec final : public SchemeCodec {
 ThcRound::ThcRound(ThcCodec& codec,
                    std::span<const std::span<const float>> grads,
                    std::uint64_t round)
-    : codec_(codec), round_(round) {
+    : codec_(codec),
+      held_(grads, codec.config().world_size, codec.config().dimension),
+      round_(round) {
   const auto& config = codec_.config();
   const std::size_t d = config.dimension;
   const std::size_t padded = codec_.padded();
   const auto n = static_cast<std::size_t>(config.world_size);
-  GCS_CHECK(grads.size() == n);
 
   min_op_ = comm::make_fp32_min();
   max_op_ = comm::make_fp32_max();
@@ -180,11 +182,14 @@ ThcRound::ThcRound(ThcCodec& codec,
   if (codec_.rht()) {
     signs_ = rht_signs(padded, config.seed, round_);
   }
-  rotated_.assign(n, std::vector<float>(padded));
-  lo_.assign(n, std::vector<float>(codec_.n_blocks()));
-  hi_.assign(n, std::vector<float>(codec_.n_blocks()));
+  rotated_.resize(n);
+  lo_.resize(n);
+  hi_.resize(n);
   for (std::size_t w = 0; w < n; ++w) {
-    GCS_CHECK(grads[w].size() == d);
+    if (!held_.holds(w)) continue;
+    rotated_[w].resize(padded);
+    lo_[w].resize(codec_.n_blocks());
+    hi_[w].resize(codec_.n_blocks());
     if (codec_.rht()) {
       codec_.rht()->forward(grads[w], rotated_[w], signs_);
     } else {
@@ -223,6 +228,7 @@ bool ThcRound::next_stage(WireStage& stage) {
 }
 
 ByteBuffer ThcRound::encode(int worker) {
+  held_.require(worker, codec_);
   const auto& config = codec_.config();
   const auto w = static_cast<std::size_t>(worker);
   if (stage_ == kRangeLo || stage_ == kRangeHi) {
@@ -270,6 +276,7 @@ bool ThcRound::supports_encode_range() const {
 
 void ThcRound::encode_range(int worker, std::size_t offset,
                             std::span<std::byte> out) {
+  held_.require(worker, codec_);
   const auto& config = codec_.config();
   const auto w = static_cast<std::size_t>(worker);
   GCS_CHECK(stage_ == kLevels && fused_levels_);
@@ -314,14 +321,16 @@ void ThcRound::absorb_reduced(const ByteBuffer& reduced) {
       }
       stage_ = kLevels;
       if (fused_levels_) {
-        // Materialize every worker's stochastic draws now (identical Rng
-        // stream to the legacy per-encode draws: one next_float per padded
-        // coordinate, in coordinate order) so level encoding becomes a
-        // pure function of (worker, range).
+        // Materialize every held worker's stochastic draws now (identical
+        // Rng stream to the legacy per-encode draws: one next_float per
+        // padded coordinate, in coordinate order; each worker's stream is
+        // seeded independently) so level encoding becomes a pure function
+        // of (worker, range).
         const auto n = static_cast<std::size_t>(config.world_size);
         const std::size_t padded = codec_.padded();
         u_.assign(n, {});
         for (std::size_t w = 0; w < n; ++w) {
+          if (!held_.holds(w)) continue;
           Rng rng(derive_seed(config.seed ^ 0x5707c457, round_ * n + w));
           u_[w].resize(padded);
           for (std::size_t i = 0; i < padded; ++i) {

@@ -19,26 +19,15 @@ class TopKRound final : public CodecRound {
  public:
   TopKRound(TopKCodec& codec, std::span<const std::span<const float>> grads);
 
-  bool next_stage(WireStage& stage) override {
-    if (stage_done_) return false;
-    stage_done_ = true;
-    stage = WireStage{};
-    stage.name = "sparse-values";
-    stage.route = AggregationPath::kAllGather;
-    return true;
-  }
-
-  ByteBuffer encode(int worker) override {
-    // Each worker's payload is encoded exactly once per stage; hand the
-    // prebuilt buffer over instead of copying megabytes on the hot path.
-    return std::move(payloads_[static_cast<std::size_t>(worker)]);
-  }
+  bool next_stage(WireStage& stage) override;
+  ByteBuffer encode(int worker) override;
 
   void absorb_gathered(std::span<const ByteBuffer> payloads) override;
   void finish(std::span<float> out, RoundStats& stats) override;
 
  private:
   TopKCodec& codec_;
+  HeldWorkers held_;
   bool stage_done_ = false;
   std::vector<ByteBuffer> payloads_;
   // EF commit is deferred to finish() — the codec-layer contract that an
@@ -99,17 +88,19 @@ class TopKCodec final : public SchemeCodec {
 
 TopKRound::TopKRound(TopKCodec& codec,
                      std::span<const std::span<const float>> grads)
-    : codec_(codec) {
+    : codec_(codec),
+      held_(grads, codec.config().world_size, codec.config().dimension) {
   const auto& config = codec_.config();
   const std::size_t d = config.dimension;
   const auto n = static_cast<std::size_t>(config.world_size);
-  GCS_CHECK(grads.size() == n);
 
   payloads_.resize(n);
-  ys_.assign(n, std::vector<float>(d));
-  masks_.assign(n, std::vector<std::uint8_t>(d));
+  ys_.resize(n);
+  masks_.resize(n);
   for (std::size_t w = 0; w < n; ++w) {
-    GCS_CHECK(grads[w].size() == d);
+    if (!held_.holds(w)) continue;
+    ys_[w].resize(d);
+    masks_[w].resize(d);
     codec_.ef().compensate(static_cast<int>(w), grads[w], ys_[w]);
     const auto idx = top_k_indices(ys_[w], config.k);
     // Plain-index payloads are built by a fused gather+fp16 pass straight
@@ -127,11 +118,31 @@ TopKRound::TopKRound(TopKCodec& codec,
   }
 }
 
+bool TopKRound::next_stage(WireStage& stage) {
+  if (stage_done_) return false;
+  stage_done_ = true;
+  stage = WireStage{};
+  stage.name = "sparse-values";
+  stage.route = AggregationPath::kAllGather;
+  // K entries per worker: fixed size, except that the delta format pads
+  // per worker.
+  stage.symmetric = !codec_.config().delta_indices;
+  return true;
+}
+
+ByteBuffer TopKRound::encode(int worker) {
+  held_.require(worker, codec_);
+  // Each worker's payload is encoded exactly once per stage; hand the
+  // prebuilt buffer over instead of copying megabytes on the hot path.
+  return std::move(payloads_[static_cast<std::size_t>(worker)]);
+}
+
 void TopKRound::finish(std::span<float> out, RoundStats& /*stats*/) {
   std::copy(sum_.begin(), sum_.end(), out.begin());
   if (codec_.ef().enabled()) {
     const auto n = ys_.size();
     for (std::size_t w = 0; w < n; ++w) {
+      if (!held_.holds(w)) continue;
       codec_.ef().absorb_masked(static_cast<int>(w), ys_[w], masks_[w]);
     }
   }

@@ -32,6 +32,7 @@ class TopKCRound final : public CodecRound {
 
  private:
   TopKCCodec& codec_;
+  HeldWorkers held_;
   int stage_ = 0;  // 0 = chunk-norms pending, 1 = values pending, 2 = done
   std::vector<std::vector<float>> ys_;
   std::vector<std::uint32_t> top_chunks_;
@@ -139,19 +140,20 @@ class TopKCCodec final : public SchemeCodec {
 
 TopKCRound::TopKCRound(TopKCCodec& codec,
                        std::span<const std::span<const float>> grads)
-    : codec_(codec) {
+    : codec_(codec),
+      held_(grads, codec.config().world_size, codec.config().dimension) {
   const auto& config = codec_.config();
   const std::size_t d = config.dimension;
   const auto n = static_cast<std::size_t>(config.world_size);
-  GCS_CHECK(grads.size() == n);
 
   // Stage 0: optional locality-destroying permutation (identical on every
   // worker), then EF compensation. The permutation happens first so the EF
   // memories live consistently in the permuted domain.
-  ys_.assign(n, std::vector<float>(d));
+  ys_.resize(n);
   std::vector<float> local(d);
   for (std::size_t w = 0; w < n; ++w) {
-    GCS_CHECK(grads[w].size() == d);
+    if (!held_.holds(w)) continue;
+    ys_[w].resize(d);
     std::copy(grads[w].begin(), grads[w].end(), local.begin());
     if (config.permute) codec_.permute_in_place(local);
     codec_.ef().compensate(static_cast<int>(w), local, ys_[w]);
@@ -173,6 +175,7 @@ bool TopKCRound::next_stage(WireStage& stage) {
 }
 
 ByteBuffer TopKCRound::encode(int worker) {
+  held_.require(worker, codec_);
   const auto& config = codec_.config();
   const auto& y = ys_[static_cast<std::size_t>(worker)];
   if (stage_ == 0) {
@@ -196,6 +199,7 @@ ByteBuffer TopKCRound::encode(int worker) {
 
 void TopKCRound::encode_range(int worker, std::size_t offset,
                               std::span<std::byte> out) {
+  held_.require(worker, codec_);
   GCS_CHECK(stage_ == 1);
   GCS_CHECK(offset % 2 == 0 && out.size() % 2 == 0);
   GCS_CHECK(offset + out.size() <= payload_coords_ * 2);
@@ -274,6 +278,7 @@ void TopKCRound::finish(std::span<float> out, RoundStats& /*stats*/) {
     }
     const auto n = static_cast<std::size_t>(config.world_size);
     for (std::size_t w = 0; w < n; ++w) {
+      if (!held_.holds(w)) continue;
       codec_.ef().absorb_masked(static_cast<int>(w), ys_[w], mask);
     }
   }

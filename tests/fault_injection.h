@@ -18,12 +18,12 @@
 //                     the failure surfaces at the next round's first op.
 //
 // Each rank reports its per-round aggregated-output hash, the world size
-// and epoch the round committed in, and its final error-feedback
-// fingerprints. reference_run computes the ground truth the acceptance
-// criterion demands — a fresh (world-1) continuation seeded with the
-// survivors' carried-over EF state via SchemeCodec::remap_workers on the
-// bit-exact local backend — so the test can assert survivors' gradients
-// are bit-identical to it, round by round.
+// and epoch the round committed in, and the final error-feedback
+// fingerprint of its own worker. reference_run computes the ground truth
+// the acceptance criterion demands — a fresh (world-1) continuation
+// seeded with the survivors' carried-over EF state via
+// SchemeCodec::remap_workers on the bit-exact local backend — so the test
+// can assert survivors' gradients are bit-identical to it, round by round.
 //
 // The harness runs identically with elastic off, which is how the
 // loud-failure regression test pins today's contract: a peer exit
@@ -97,9 +97,8 @@ struct WorldConfig {
 /// membership changes.
 inline std::vector<float> grad_for(const WorldConfig& config,
                                    std::uint64_t round, int original_rank) {
-  auto all = core::seeded_worker_grads(config.dim, config.world,
-                                       config.seed, round);
-  return std::move(all[static_cast<std::size_t>(original_rank)]);
+  return core::seeded_worker_grad(config.dim, config.seed, round,
+                                  original_rank);
 }
 
 /// FNV-1a over raw float bytes: bit-identity is the claim, so a byte
@@ -125,7 +124,9 @@ struct RoundRecord {
 };
 
 /// A rank's report: what committed, what failed, and the EF fingerprints
-/// it ended with (keyed by original rank).
+/// it ended with (keyed by original rank). A rank's codec evolves only its
+/// own worker's residual, so a rank reports one entry, its own; the
+/// reference run reports every survivor's.
 struct RankReport {
   bool completed = false;
   std::vector<RoundRecord> rounds;
@@ -282,22 +283,26 @@ inline RankReport run_rank(const WorldConfig& config, const FaultPlan& fault,
         r == fault.round) {
       transport.arm(3);  // die with a chunk stream already in flight
     }
-    // Cache this round's gradients once per original rank on demand.
-    auto all = core::seeded_worker_grads(config.dim, config.world,
-                                         config.seed, round);
+    // A rank holds only its own gradient, keyed by its original rank.
+    const auto mine = grad_for(config, round, rank);
     const auto start = Clock::now();
     try {
       if (config.elastic) {
         pipeline.aggregate_elastic(
             transport,
             [&](int original) {
-              return std::span<const float>(
-                  all[static_cast<std::size_t>(original)]);
+              if (original != rank) {
+                throw Error("grad_of asked for original rank " +
+                            std::to_string(original) + " on rank " +
+                            std::to_string(rank));
+              }
+              return std::span<const float>(mine);
             },
             out, round);
       } else {
-        std::vector<std::span<const float>> views;
-        for (const auto& g : all) views.emplace_back(g.data(), g.size());
+        std::vector<std::span<const float>> views(
+            static_cast<std::size_t>(config.world));
+        views[static_cast<std::size_t>(fabric.rank())] = mine;
         comm::Communicator comm(transport, fabric.rank());
         pipeline.aggregate_over(
             comm, std::span<const std::span<const float>>(views), out,
@@ -334,16 +339,15 @@ inline RankReport run_rank(const WorldConfig& config, const FaultPlan& fault,
         << ")\n"
         << std::flush;
   }
-  // Final EF fingerprints, keyed by original rank so the reference run
-  // can line them up.
+  // Final EF fingerprint of this rank's own worker, keyed by original rank
+  // so the reference run can line it up.
   const auto& membership = config.elastic
                                ? pipeline.membership()
                                : comm::Membership::identity(config.world);
-  for (int w = 0; w < pipeline.codec().world_size(); ++w) {
-    report.ef_hashes.emplace_back(
-        membership.original_ranks[static_cast<std::size_t>(w)],
-        fnv64(pipeline.codec().ef_memory(w)));
-  }
+  const int self = config.elastic ? membership.self : fabric.rank();
+  report.ef_hashes.emplace_back(
+      membership.original_ranks[static_cast<std::size_t>(self)],
+      fnv64(pipeline.codec().ef_memory(self)));
   report.completed = true;
   return report;
 }

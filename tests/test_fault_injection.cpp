@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/factory.h"
@@ -33,8 +34,12 @@ const char* kAllSchemes[] = {
 
 /// Asserts one elastic world run matches the reference continuation:
 /// the victim died, every survivor completed all rounds, and every
-/// survivor's per-round (world, epoch, output-hash) sequence and final
-/// EF fingerprints are identical to the remap-seeded local-backend run.
+/// survivor's per-round (world, epoch, output-hash) sequence is identical
+/// to the remap-seeded local-backend run. Each survivor reports its own
+/// worker's final EF fingerprint (a rank's codec holds only that one); it
+/// must equal the reference's entry for that original rank, and together
+/// the survivors must cover the reference's fingerprints exactly, so
+/// every survivor's residual is pinned bit for bit.
 void expect_matches_reference(const WorldConfig& config,
                               const FaultPlan& fault) {
   const WorldResult result = run_world(config, fault);
@@ -47,6 +52,7 @@ void expect_matches_reference(const WorldConfig& config,
 
   ASSERT_EQ(result.outcomes.size(),
             static_cast<std::size_t>(config.world));
+  std::vector<std::pair<int, std::uint64_t>> survivor_ef;
   for (const auto& outcome : result.outcomes) {
     if (outcome.rank == fault.victim) {
       EXPECT_FALSE(outcome.ok) << "the victim was supposed to die";
@@ -68,10 +74,23 @@ void expect_matches_reference(const WorldConfig& config,
           << " epoch " << reference.rounds[i].epoch << " hash " << std::hex
           << reference.rounds[i].out_hash;
     }
-    EXPECT_EQ(report.ef_hashes, reference.ef_hashes)
+    ASSERT_EQ(report.ef_hashes.size(), 1u) << "rank " << outcome.rank;
+    const auto& [original, hash] = report.ef_hashes[0];
+    EXPECT_EQ(original, outcome.rank);
+    const auto want = std::find_if(
+        reference.ef_hashes.begin(), reference.ef_hashes.end(),
+        [&](const auto& entry) { return entry.first == original; });
+    ASSERT_NE(want, reference.ef_hashes.end())
+        << "rank " << outcome.rank << " is not a survivor of the reference";
+    EXPECT_EQ(hash, want->second)
         << "rank " << outcome.rank
-        << ": EF residuals diverged across the epoch swap";
+        << ": EF residual diverged across the epoch swap";
+    survivor_ef.push_back(report.ef_hashes[0]);
   }
+  // Outcomes come back in rank order and the reference lists survivors in
+  // increasing original rank, so the union lines up entry for entry.
+  EXPECT_EQ(survivor_ef, reference.ef_hashes)
+      << "the survivors' EF fingerprints do not cover the reference's";
 }
 
 TEST(FaultInjection, KillMatrixEveryRankEveryPhaseWorlds3To5) {

@@ -161,20 +161,26 @@ ScenarioResult run_scenario(const DriverConfig& config,
   std::vector<measure::RoundTrace> timed;
   std::vector<float> out(config.dim);
   for (int r = 0; r < config.rounds; ++r) {
-    const auto grads = make_grads(config, static_cast<std::uint64_t>(r));
-    std::vector<std::span<const float>> views;
-    views.reserve(grads.size());
-    for (const auto& g : grads) views.emplace_back(g.data(), g.size());
-    const std::span<const std::span<const float>> grad_span(views);
+    const auto round = static_cast<std::uint64_t>(r);
     if (multihost_comm != nullptr) {
-      pipeline.aggregate_over(*multihost_comm, grad_span, out,
-                              static_cast<std::uint64_t>(r));
+      // One host, one rank: only this rank's gradient exists here.
+      const int rank = multihost_comm->rank();
+      const auto mine =
+          core::seeded_worker_grad(config.dim, config.seed, round, rank);
+      std::vector<std::span<const float>> views(
+          static_cast<std::size_t>(config.world));
+      views[static_cast<std::size_t>(rank)] = mine;
+      pipeline.aggregate_over(
+          *multihost_comm, std::span<const std::span<const float>>(views),
+          out, round);
     } else {
-      pipeline.aggregate(grad_span, out, static_cast<std::uint64_t>(r));
+      const auto grads = make_grads(config, round);
+      std::vector<std::span<const float>> views(grads.begin(), grads.end());
+      pipeline.aggregate(std::span<const std::span<const float>>(views), out,
+                         round);
     }
     measure::RoundTrace trace = recorder.take(
-        static_cast<std::uint64_t>(r), spec,
-        multihost_comm != nullptr ? "multihost" : config.fabric);
+        round, spec, multihost_comm != nullptr ? "multihost" : config.fabric);
     const bool warmup = config.rounds > 1 && r == 0;
     if (!warmup) timed.push_back(std::move(trace));
   }
