@@ -229,18 +229,12 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
 
   const gcs::ModelLayout layout({gcs::LayerSpec{"flat", config.dim, 1}});
   // The spec's own knobs (validated and resolved by the factory — chunk=,
-  // buckets=, workers=, autotune) win over the --chunk flag; transport
-  // selection belongs to this binary, not the spec (every rank here IS a
-  // socket endpoint already). All ranks pass identical --scheme/--dim, so
-  // every process derives the identical chunk/bucket plan.
+  // buckets=, workers=, autotune) win over the --chunk flag; the
+  // transport is this binary's (every rank here IS a socket endpoint
+  // already). All ranks pass identical --scheme/--dim, so every process
+  // derives the identical chunk/bucket plan.
   gcs::core::PipelineConfig pipeline_config =
       gcs::core::parse_pipeline_config(config.scheme, layout, config.world);
-  if (pipeline_config.backend !=
-      gcs::core::PipelineBackend::kLocalReference) {
-    throw gcs::Error(
-        "gcs_worker: drop fabric=/fabric from --scheme — the transport is "
-        "chosen by this binary (--launch / --rank + --rendezvous)");
-  }
   // chunk_bytes == 0 is a meaningful value (one chunk per payload), so
   // "spec wins" must key on the option's presence, not on its value; the
   // autotuner resolving a chunk size counts as the spec speaking.
@@ -324,8 +318,6 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
     }
   }
   pipeline_config.elastic = config.elastic;
-  pipeline_config.peer_timeout_ms = config.peer_timeout_ms;
-  pipeline_config.rejoin_window_ms = config.rejoin_window_ms;
   if (config.die_rank == rank) {
     const int die_round = config.die_round;
     pipeline_config.fault_hook = [die_round](const char* point,

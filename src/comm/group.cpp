@@ -4,6 +4,7 @@
 #include <mutex>
 #include <thread>
 
+#include "comm/fabric.h"
 #include "common/check.h"
 
 namespace gcs::comm {
@@ -15,14 +16,20 @@ void run_workers(Transport& transport,
   threads.reserve(static_cast<std::size_t>(n));
   std::exception_ptr first_error;
   std::mutex error_mu;
+  auto* fabric = dynamic_cast<Fabric*>(&transport);
   for (int rank = 0; rank < n; ++rank) {
     threads.emplace_back([&, rank] {
       try {
         Communicator comm(transport, rank);
         body(comm);
       } catch (...) {
-        std::lock_guard lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
+        {
+          std::lock_guard lock(error_mu);
+          if (!first_error) first_error = std::current_exception();
+        }
+        // Peers may be blocked in recv on hops this rank will never send:
+        // poison the fabric so they fail too instead of deadlocking.
+        if (fabric != nullptr) fabric->abort();
       }
     });
   }

@@ -23,8 +23,10 @@
 namespace gcs::comm {
 
 /// Runs `body(rank_communicator)` on one thread per rank and joins.
-/// The first exception thrown by any worker is rethrown after join.
-/// `transport` must own every rank (e.g. the in-process Fabric).
+/// The first exception thrown by any worker is rethrown after join. On a
+/// comm::Fabric that first exception also aborts the fabric, so peers
+/// blocked in recv throw instead of hanging. `transport` must own every
+/// rank (e.g. the in-process Fabric).
 void run_workers(Transport& transport,
                  const std::function<void(Communicator&)>& body);
 

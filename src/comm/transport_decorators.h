@@ -7,6 +7,8 @@
 // perturbs. The test harness's kill switch (tests/fault_injection.h) and
 // the straggler-injection DelayTransport below both build on it.
 //
+// TappedTransport gives one rank of a shared transport its own wire tap.
+//
 // DelayTransport generalizes the kill-switch seam from "die on the k-th
 // send" to "be late on every send": it sleeps *before* forwarding, so a
 // wire tap installed on the inner transport times only the real wire
@@ -64,6 +66,41 @@ class ForwardingTransport : public Transport {
 
  private:
   Transport& inner_;
+};
+
+/// One rank's view of a shared transport (the in-process Fabric owns
+/// every rank) with a wire tap of its own: set_wire_tap stays on this
+/// view and times only the sends and receives made through it, so one
+/// rank thread can be traced while its peers run untraced, as each
+/// socket endpoint can. Install the tap from the owning rank's thread.
+class TappedTransport final : public ForwardingTransport {
+ public:
+  using ForwardingTransport::ForwardingTransport;
+
+  void send(int src, int dst, std::uint64_t tag,
+            ByteBuffer payload) override {
+    if (tap_ == nullptr) {
+      ForwardingTransport::send(src, dst, tag, std::move(payload));
+      return;
+    }
+    const std::size_t bytes = payload.size();
+    const auto start = std::chrono::steady_clock::now();
+    ForwardingTransport::send(src, dst, tag, std::move(payload));
+    tap_->on_wire(src, dst, /*is_send=*/true, tag, bytes, start,
+                  std::chrono::steady_clock::now());
+  }
+  Message recv(int dst, int src, std::uint64_t tag) override {
+    if (tap_ == nullptr) return ForwardingTransport::recv(dst, src, tag);
+    const auto start = std::chrono::steady_clock::now();
+    Message msg = ForwardingTransport::recv(dst, src, tag);
+    tap_->on_wire(dst, src, /*is_send=*/false, tag, msg.payload.size(),
+                  start, std::chrono::steady_clock::now());
+    return msg;
+  }
+  void set_wire_tap(WireTap* tap) override { tap_ = tap; }
+
+ private:
+  WireTap* tap_ = nullptr;
 };
 
 /// Makes the owning rank artificially slow: sleeps `send_delay` before

@@ -1,23 +1,17 @@
 #include "core/aggregation_pipeline.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstring>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "comm/chunked_collectives.h"
-#include "comm/fabric.h"
 #include "comm/group.h"
 #include "common/check.h"
 #include "kernels/kernels.h"
 #include "measure/trace.h"
-#include "net/launcher.h"
-#include "net/socket_fabric.h"
 #include "sched/encode_worker_pool.h"
 #include "telemetry/flight_recorder.h"
 
@@ -69,8 +63,8 @@ void run_stage_local(const WireStage& stage, CodecRound& round,
           stage.algorithm == ReduceAlgorithm::kTree
               ? comm::local_tree_all_reduce(payloads, *stage.op)
               : comm::local_ring_all_reduce(payloads, *stage.op);
-      // kReduce covers only the absorb, matching the transport backends
-      // (the local aggregators have no wire, so there are no send/recv
+      // kReduce covers only the absorb, matching aggregate_over (the
+      // local aggregators have no wire, so there are no send/recv
       // spans and the collective time is left unattributed by design).
       measure::ScopedSpan reduce_span(trace, measure::Phase::kReduce,
                                       stage.name);
@@ -100,10 +94,8 @@ void run_stage_local(const WireStage& stage, CodecRound& round,
 
 /// One rank's share of a stage over a real transport: runs the stage's
 /// chunked collective on `mine` (the rank's own payload buffer) and
-/// returns the gather result for kAllGather routes. The same code path
-/// serves the threaded fabric (one thread per rank, shared transport) and
-/// the socket fabric (one process per rank, own endpoint) — byte-identical
-/// traffic on either substrate.
+/// returns the gather result for kAllGather routes. Byte-identical
+/// traffic on every substrate (comm::Fabric, net::SocketFabric).
 std::vector<ByteBuffer> run_stage_rank(const WireStage& stage,
                                        comm::Communicator& comm,
                                        ByteBuffer& mine,
@@ -129,193 +121,6 @@ std::vector<ByteBuffer> run_stage_rank(const WireStage& stage,
                              : comm::all_gather(comm, mine);
   }
   throw Error("AggregationPipeline: unknown stage route");
-}
-
-/// Runs one stage over the threaded fabric with the chunked collectives.
-/// Every rank must end with an identical result (checked); rank 0's copy
-/// is absorbed. Wire bytes are accumulated into `wire`.
-void run_stage_threaded(const WireStage& stage, CodecRound& round,
-                        const std::vector<ByteBuffer>& payloads,
-                        std::span<const comm::ChunkRange> chunks,
-                        int ps_server, WireTraffic& wire,
-                        measure::TraceRecorder* trace) {
-  const auto n = static_cast<int>(payloads.size());
-  comm::Fabric fabric(n);
-  if (trace != nullptr) fabric.set_wire_tap(trace);
-  std::vector<ByteBuffer> bufs(payloads.begin(), payloads.end());
-  std::vector<std::vector<ByteBuffer>> gathered(
-      static_cast<std::size_t>(n));
-  comm::run_workers(fabric, [&](comm::Communicator& comm) {
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    gathered[rank] =
-        run_stage_rank(stage, comm, bufs[rank], chunks, ps_server);
-  });
-  for (int r = 0; r < n; ++r) {
-    wire.sent[static_cast<std::size_t>(r)] += fabric.bytes_sent(r);
-    wire.received[static_cast<std::size_t>(r)] += fabric.bytes_received(r);
-  }
-  measure::ScopedSpan reduce_span(trace, measure::Phase::kReduce,
-                                  stage.name);
-  if (stage.route == AggregationPath::kAllGather) {
-    for (int r = 1; r < n; ++r) {
-      GCS_CHECK_MSG(gathered[static_cast<std::size_t>(r)] == gathered[0],
-                    "stage '" << stage.name
-                              << "': ranks disagree after all-gather");
-    }
-    round.absorb_gathered(gathered[0]);
-  } else {
-    for (int r = 1; r < n; ++r) {
-      GCS_CHECK_MSG(bufs[static_cast<std::size_t>(r)] == bufs[0],
-                    "stage '" << stage.name
-                              << "': ranks disagree after reduction");
-    }
-    round.absorb_reduced(bufs[0]);
-  }
-}
-
-/// Threaded-fabric stage with encode hand-off: rank r's collective thread
-/// blocks until its payload is encoded, so the pool encodes rank k+1's
-/// payload while rank k's hops are already in flight (the chunked
-/// collectives self-synchronize through blocking recv, so timing never
-/// affects values). Reduce routes only — the gather fallback needs every
-/// payload size up front. Payloads are reduced in place; payloads[0]
-/// holds the result.
-void run_stage_threaded_overlapped(const WireStage& stage, CodecRound& round,
-                                   std::vector<ByteBuffer>& payloads,
-                                   std::span<const comm::ChunkRange> chunks,
-                                   int ps_server, WireTraffic& wire,
-                                   sched::EncodeWorkerPool& pool,
-                                   bool ranged,
-                                   measure::TraceRecorder* trace) {
-  const auto n = static_cast<int>(payloads.size());
-  const std::size_t stage_bytes = payloads[0].size();
-  std::vector<std::promise<void>> ready(static_cast<std::size_t>(n));
-  std::vector<std::shared_future<void>> encoded;
-  encoded.reserve(static_cast<std::size_t>(n));
-  for (auto& p : ready) encoded.push_back(p.get_future().share());
-  ready[0].set_value();  // payloads[0] is already encoded (it fixed the plan)
-  const bool use_ranges =
-      ranged && !chunks.empty() && round.supports_encode_range();
-  // Per-worker completion state for the ranged path (heap arrays: atomics
-  // are not movable, and the addresses must be stable for the tasks).
-  std::unique_ptr<std::atomic<std::size_t>[]> remaining;
-  std::unique_ptr<std::atomic<bool>[]> failed;
-  if (use_ranges) {
-    remaining = std::make_unique<std::atomic<std::size_t>[]>(
-        static_cast<std::size_t>(n));
-    failed =
-        std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(n));
-    for (int w = 1; w < n; ++w) {
-      remaining[static_cast<std::size_t>(w)].store(chunks.size());
-      failed[static_cast<std::size_t>(w)].store(false);
-    }
-  }
-  for (int w = 1; w < n; ++w) {
-    const auto ws = static_cast<std::size_t>(w);
-    if (use_ranges) {
-      // Bucket-sized slices: the fabric thread for rank w unblocks once
-      // every chunk of its payload is written (concatenation of the
-      // ranges == encode(w) byte-for-byte by the codec contract).
-      payloads[ws].assign(stage_bytes, std::byte{0});
-      for (const comm::ChunkRange c : chunks) {
-        pool.submit([&round, &payloads, &ready, &remaining, &failed, w, ws,
-                     c, trace] {
-          try {
-            measure::ScopedSpan span(trace, measure::Phase::kEncode, "", w);
-            round.encode_range(
-                w, c.offset,
-                std::span<std::byte>(payloads[ws]).subspan(c.offset, c.size));
-            span.set_bytes(c.size);
-          } catch (...) {
-            // First failing range wins; later ranges of this worker only
-            // decrement the counter.
-            if (!failed[ws].exchange(true)) {
-              ready[ws].set_exception(std::current_exception());
-            }
-          }
-          if (remaining[ws].fetch_sub(1) == 1 && !failed[ws].load()) {
-            ready[ws].set_value();
-          }
-        });
-      }
-      continue;
-    }
-    pool.submit([&round, &payloads, &ready, w, ws, trace] {
-      try {
-        measure::ScopedSpan span(trace, measure::Phase::kEncode, "", w);
-        payloads[ws] = round.encode(w);
-        span.set_bytes(payloads[ws].size());
-        ready[ws].set_value();
-      } catch (...) {
-        // The waiting rank thread rethrows this from its future.
-        ready[ws].set_exception(std::current_exception());
-      }
-    });
-  }
-  comm::Fabric fabric(n);
-  if (trace != nullptr) fabric.set_wire_tap(trace);
-  try {
-    comm::run_workers(fabric, [&](comm::Communicator& comm) {
-      const auto rank = static_cast<std::size_t>(comm.rank());
-      try {
-        encoded[rank].get();
-        GCS_CHECK_MSG(payloads[rank].size() == stage_bytes,
-                      "stage '" << stage.name
-                                << "': asymmetric payload sizes");
-        run_stage_rank(stage, comm, payloads[rank], chunks, ps_server);
-      } catch (...) {
-        // Peers may already be blocked in recv on hops this rank will
-        // never send; poison the fabric so the whole stage fails loudly
-        // instead of deadlocking. run_workers rethrows the first captured
-        // error, which may be a peer's secondary "fabric aborted".
-        fabric.abort();
-        throw;
-      }
-    });
-  } catch (...) {
-    // Drain the pool before unwinding: tasks capture this frame's state.
-    try {
-      pool.wait_idle();
-    } catch (...) {
-    }
-    throw;
-  }
-  pool.wait_idle();
-  for (int r = 0; r < n; ++r) {
-    wire.sent[static_cast<std::size_t>(r)] += fabric.bytes_sent(r);
-    wire.received[static_cast<std::size_t>(r)] += fabric.bytes_received(r);
-  }
-  for (int r = 1; r < n; ++r) {
-    GCS_CHECK_MSG(payloads[static_cast<std::size_t>(r)] == payloads[0],
-                  "stage '" << stage.name
-                            << "': ranks disagree after reduction");
-  }
-  measure::ScopedSpan reduce_span(trace, measure::Phase::kReduce,
-                                  stage.name);
-  round.absorb_reduced(payloads[0]);
-}
-
-/// Builds the rendezvous address for one socket-backend round.
-std::string socket_rendezvous(const PipelineConfig& config) {
-  if (config.socket_port == 0) return net::unique_unix_rendezvous();
-  const std::string host =
-      config.socket_iface.empty() ? "127.0.0.1" : config.socket_iface;
-  return "tcp:" + host + ":" + std::to_string(config.socket_port);
-}
-
-net::SocketFabricConfig socket_fabric_config(const PipelineConfig& config,
-                                             const std::string& rendezvous,
-                                             int world, int rank) {
-  net::SocketFabricConfig fc;
-  fc.rendezvous = rendezvous;
-  fc.world_size = world;
-  fc.rank = rank;
-  fc.elastic = config.elastic;
-  if (config.peer_timeout_ms > 0) fc.recv_timeout_ms = config.peer_timeout_ms;
-  if (config.rejoin_window_ms > 0) {
-    fc.rejoin_window_ms = config.rejoin_window_ms;
-  }
-  return fc;
 }
 
 /// Commit-barrier tags, far above the collectives' tag space (< 2^32) and
@@ -390,11 +195,8 @@ AggregationPipeline::AggregationPipeline(SchemeCodecPtr codec,
     bucket_plan_ = std::make_unique<sched::BucketPlan>(
         sched::plan_buckets(config_.layout, planner));
   }
-  // The pool serves aggregate()'s all-worker encodes on the local and
-  // threaded backends; the socket backend forks, and pool threads must
-  // not straddle a fork.
-  if (config_.encode_workers > 1 &&
-      config_.backend != PipelineBackend::kSocketFabric) {
+  // The pool serves aggregate()'s all-worker encodes.
+  if (config_.encode_workers > 1) {
     pool_ =
         std::make_unique<sched::EncodeWorkerPool>(config_.encode_workers);
   }
@@ -475,16 +277,6 @@ RoundStats AggregationPipeline::aggregate(
   GCS_CHECK(grads.size() == n);
   GCS_CHECK(out.size() == codec_->dimension());
 
-  const PipelineBackend backend = config_.backend;
-  if (backend == PipelineBackend::kSocketFabric) {
-    return aggregate_socket(grads, out, round);
-  }
-  wire_ = WireTraffic{};
-  if (backend == PipelineBackend::kThreadedFabric) {
-    wire_.sent.assign(n, 0);
-    wire_.received.assign(n, 0);
-  }
-
   measure::TraceRecorder* trace = active_trace();
   measure::ScopedSpan round_span(trace, measure::Phase::kRound, "aggregate");
   tel_.rounds.inc();
@@ -513,34 +305,17 @@ RoundStats AggregationPipeline::aggregate(
     const std::size_t granularity =
         stage.op != nullptr ? stage.op->granularity() : 1;
     const auto chunks = stage_chunks(stage_bytes, granularity);
-    if (backend == PipelineBackend::kThreadedFabric && pool_ != nullptr &&
-        stage.route != AggregationPath::kAllGather) {
-      // The hand-off path: collective threads start now; the pool feeds
-      // them payloads as they are encoded (bucket-sized ranges on
-      // bucketed runs).
-      run_stage_threaded_overlapped(stage, *session, payloads, chunks,
-                                    config_.ps_server, wire_, *pool_,
-                                    bucket_plan_ != nullptr, trace);
-    } else {
-      encode_rest(*session, payloads, chunks);
-      for (std::size_t w = 1; w < n; ++w) {
-        // Holding every worker, this driver can verify the declaration
-        // the SPMD ranks have to trust.
-        GCS_CHECK_MSG(!stage.symmetric || payloads[w].size() == stage_bytes,
-                      "stage '" << stage.name
-                                << "': asymmetric payload sizes");
-      }
-      if (backend == PipelineBackend::kThreadedFabric) {
-        run_stage_threaded(stage, *session, payloads, chunks,
-                           config_.ps_server, wire_, trace);
-      } else {
-        run_stage_local(stage, *session, payloads, chunks,
-                        config_.ps_server, trace);
-      }
+    encode_rest(*session, payloads, chunks);
+    for (std::size_t w = 1; w < n; ++w) {
+      // Holding every worker, this driver can verify the declaration the
+      // SPMD ranks have to trust.
+      GCS_CHECK_MSG(!stage.symmetric || payloads[w].size() == stage_bytes,
+                    "stage '" << stage.name << "': asymmetric payload sizes");
     }
+    run_stage_local(stage, *session, payloads, chunks, config_.ps_server,
+                    trace);
     if (tel_.encode_bytes.live()) {
-      // All n worker payloads were encoded in this process; the overlapped
-      // path reduces in place but keeps the (symmetric) sizes.
+      // All n worker payloads were encoded in this process.
       std::uint64_t encoded = 0;
       for (const auto& p : payloads) encoded += p.size();
       tel_.encode_bytes.inc(encoded);
@@ -558,9 +333,7 @@ RoundStats AggregationPipeline::aggregate(
     session->finish(out, stats);
   }
   round_span.close();
-  commit_flight(round, backend == PipelineBackend::kThreadedFabric
-                           ? "threaded"
-                           : "local");
+  commit_flight(round, "local");
   return stats;
 }
 
@@ -573,19 +346,13 @@ RoundStats AggregationPipeline::aggregate_over(
                 "transport world size " << comm.world_size()
                                         << " != codec world size "
                                         << codec_->world_size());
-  // The rank-local view: the codec sees only this rank's gradient, so it
-  // compensates, selects, draws and commits for this worker alone.
-  const auto rank = static_cast<std::size_t>(comm.rank());
-  std::vector<std::span<const float>> local(n);
-  local[rank] = grads[rank];
-  return run_rank(comm, local, out, round);
-}
-
-RoundStats AggregationPipeline::run_rank(
-    comm::Communicator& comm, std::span<const std::span<const float>> grads,
-    std::span<float> out, std::uint64_t round) {
   GCS_CHECK(out.size() == codec_->dimension());
   const int rank = comm.rank();
+  // The rank-local view: the codec sees only this rank's gradient, so it
+  // compensates, selects, draws and commits for this worker alone.
+  std::vector<std::span<const float>> local(n);
+  local[static_cast<std::size_t>(rank)] =
+      grads[static_cast<std::size_t>(rank)];
 
   measure::TraceRecorder* trace = active_trace();
   // The caller's transport reports per-chunk send/recv spans for the
@@ -597,7 +364,7 @@ RoundStats AggregationPipeline::run_rank(
   health::ArmedScope armed(lane_);
   lane_.beat();
 
-  auto session = codec_->begin_round(grads, round);
+  auto session = codec_->begin_round(local, round);
   RoundStats stats;
   WireStage stage;
   while (session->next_stage(stage)) {
@@ -719,62 +486,6 @@ RoundStats AggregationPipeline::aggregate_elastic(
   throw Error("aggregate_elastic: round " + std::to_string(round) +
               " failed after " + std::to_string(max_attempts) +
               " membership rebuilds");
-}
-
-RoundStats AggregationPipeline::aggregate_socket(
-    std::span<const std::span<const float>> grads, std::span<float> out,
-    std::uint64_t round) {
-  const int n = codec_->world_size();
-  const std::size_t dim = codec_->dimension();
-  const std::string rendezvous = socket_rendezvous(config_);
-  wire_ = WireTraffic{};
-  wire_.sent.assign(static_cast<std::size_t>(n), 0);
-  wire_.received.assign(static_cast<std::size_t>(n), 0);
-
-  // Fork ranks 1..n-1 first (while this process is still quiescent — no
-  // reactor thread yet, and no encode pool: it is never built for this
-  // backend), then participate as rank 0. Each child runs the rank-local
-  // SPMD round on its copy-on-write snapshot of the codec and reports its
-  // wire meters plus the aggregated output for cross-process agreement
-  // checking.
-  auto worker = [&](int rank) -> ByteBuffer {
-    net::SocketFabric fabric(
-        socket_fabric_config(config_, rendezvous, n, rank));
-    comm::Communicator comm(fabric, rank);
-    std::vector<float> worker_out(dim);
-    aggregate_over(comm, grads, worker_out, round);
-    ByteBuffer report;
-    ByteWriter w(report);
-    w.put<std::uint64_t>(fabric.bytes_sent(rank));
-    w.put<std::uint64_t>(fabric.bytes_received(rank));
-    w.put_span<float>(std::span<const float>(worker_out));
-    return report;
-  };
-  net::ForkedWorkers peers(1, n, worker);
-
-  // The parent is the process whose codec outlives the round, so its
-  // session holds every worker's gradient and commits every worker's
-  // cross-round state; it still encodes only rank 0's payload (finish()
-  // needs nothing from the peers' encodes).
-  net::SocketFabric fabric(socket_fabric_config(config_, rendezvous, n, 0));
-  comm::Communicator comm(fabric, 0);
-  const RoundStats stats = run_rank(comm, grads, out, round);
-  wire_.sent[0] = fabric.bytes_sent(0);
-  wire_.received[0] = fabric.bytes_received(0);
-
-  const auto reports = peers.join();
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const auto rank = i + 1;
-    ByteReader r(reports[i]);
-    wire_.sent[rank] = r.get<std::uint64_t>();
-    wire_.received[rank] = r.get<std::uint64_t>();
-    const auto values = r.get_span<float>(dim);
-    GCS_CHECK_MSG(std::memcmp(values.data(), out.data(),
-                              dim * sizeof(float)) == 0,
-                  "rank " << rank
-                          << " disagrees with rank 0 after a socket round");
-  }
-  return stats;
 }
 
 }  // namespace gcs::core

@@ -1,30 +1,26 @@
 // The orchestration layer of the aggregation stack (DESIGN.md section 3).
 //
 // AggregationPipeline drives a SchemeCodec's round through the transport
-// layer: for every wire stage it collects the per-worker payloads, splits
-// them into chunks (chunk_bytes), and runs the stage's collective chunk by
-// chunk, so that in a real deployment the encode of chunk k+1 overlaps the
-// hops of chunk k. Three execution backends:
+// layer: for every wire stage it encodes the payload, splits it into
+// chunks (chunk_bytes), and runs the stage's chunked collective chunk by
+// chunk, so that in a real deployment the encode of chunk k+1 overlaps
+// the hops of chunk k. Two entry points:
 //
-//   * local reference (default) — the bit-exact, thread-free aggregators
-//     from comm/group.h; the training simulator's hot path. Chunking is
-//     value-transparent (transport bit-identity contract), so the local
-//     backend validates the chunk plan and reduces once.
-//   * threaded fabric — one thread per rank over comm::Fabric, running the
-//     chunked collectives "for real" inside one process.
-//   * socket fabric — one OS process per rank over net::SocketFabric
-//     (fork-based; the calling process participates as rank 0 so its codec
-//     state survives the round). The identical protocol on real sockets —
-//     the simulator-to-system step.
+//   * aggregate_over() — the SPMD round a real deployment runs. Every
+//     rank calls it with its own endpoint: a comm::Fabric rank thread
+//     (comm::run_workers) or a net::SocketFabric endpoint, one per process
+//     or thread. Each rank holds and encodes only its own worker (see
+//     CodecRound). aggregate_elastic() wraps it with membership recovery.
+//   * aggregate() — the local reference oracle. It holds every worker's
+//     gradient, encodes all of them and reduces with the bit-exact,
+//     thread-free folds from comm/group.h; the training simulator's hot
+//     path. Chunking is value-transparent (transport bit-identity
+//     contract), so it validates the chunk plan and reduces once.
 //
-// aggregate() holds every worker's gradient and encodes all of them: the
-// oracle. aggregate_over() is the SPMD round a real deployment runs: each
-// rank holds and encodes only its own worker (see CodecRound).
-//
-// All three produce bit-identical aggregated values, and the two transport
-// backends meter identical per-rank wire bytes (last_wire()); tests close
-// the loop on both claims. The time saved by per-chunk overlap is charged
-// by sim/cost_model.h (RoundTime::overlap_saved_s), keeping the value path
+// Both produce bit-identical aggregated values on every rank; tests close
+// the loop over both SPMD substrates and read wire bytes off each rank's
+// transport meters. The time saved by per-chunk overlap is charged by
+// sim/cost_model.h (RoundTime::overlap_saved_s), keeping the value path
 // and the clock model in one frame: same chunk plan in, same stage
 // structure out.
 //
@@ -32,18 +28,15 @@
 // bucket_mode = kLayerBuckets the chunk plan comes from a DDP-style
 // layer-aligned BucketPlan instead of a fixed size, and with
 // encode_workers > 1 aggregate()'s per-worker encodes run on an
-// EncodeWorkerPool — on the threaded fabric, collective threads start
-// while later ranks' payloads are still being encoded. The SPMD entry
-// encodes one payload per stage and does not use the pool. Both knobs
-// are value-transparent; the backward-overlap time they buy is charged
-// by CostModel::bucketed_round_for_spec.
+// EncodeWorkerPool. aggregate_over encodes one payload per stage and does
+// not use the pool. Both knobs are value-transparent; the backward-overlap
+// time they buy is charged by CostModel::bucketed_round_for_spec.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "comm/transport.h"
@@ -71,13 +64,6 @@ class FlightRecorder;
 
 namespace gcs::core {
 
-/// Which substrate executes the collectives (see file comment).
-enum class PipelineBackend : std::uint8_t {
-  kLocalReference,
-  kThreadedFabric,
-  kSocketFabric,
-};
-
 struct PipelineConfig {
   /// Target chunk size in bytes for every stage's payload; 0 = one chunk
   /// spanning the whole payload. Values are identical either way —
@@ -85,13 +71,6 @@ struct PipelineConfig {
   std::size_t chunk_bytes = 0;
   /// Server rank for kParameterServer stages.
   int ps_server = 0;
-  /// Execution backend (see the file comment).
-  PipelineBackend backend = PipelineBackend::kLocalReference;
-  /// Socket backend: TCP rendezvous port; 0 = Unix-domain sockets under
-  /// /tmp (the default, no network configuration needed).
-  int socket_port = 0;
-  /// Socket backend: TCP host/interface address; empty = 127.0.0.1.
-  std::string socket_iface;
   /// How stage payloads split into chunks: fixed-size (`chunk_bytes`,
   /// the default) or layer-aligned DDP-style buckets from the sched/
   /// planner (requires `layout`). Values are bit-identical either way.
@@ -101,9 +80,7 @@ struct PipelineConfig {
   std::size_t bucket_bytes = 0;
   /// Encode worker pool width: >1 encodes aggregate()'s per-worker
   /// payloads on a sched::EncodeWorkerPool (deterministic hand-off,
-  /// bit-identical to the serial order) and, on the threaded fabric, lets
-  /// collective threads start while later payloads are still encoding.
-  /// Not built for the socket backend; unused by aggregate_over.
+  /// bit-identical to the serial order). Unused by aggregate_over.
   int encode_workers = 1;
   /// Layer table for kLayerBuckets (the factory passes its layout
   /// through). Must cover the codec's dimension.
@@ -113,8 +90,10 @@ struct PipelineConfig {
   /// worker, per-chunk collective send/recv (via the transport's wire
   /// tap), reduce, decode, stage and round envelopes. Null (the default)
   /// means not a single clock read; either way values and wire bytes are
-  /// untouched. The socket backend traces rank 0's endpoint (the
-  /// surviving process); forked peers run untraced.
+  /// untouched. aggregate_over taps the caller's transport, so give each
+  /// traced rank its own endpoint (a comm::TappedTransport view on a
+  /// shared comm::Fabric); ranks whose pipeline has no recorder run
+  /// untraced.
   measure::TraceRecorder* trace = nullptr;
   /// Always-on flight recorder (non-owning, see
   /// telemetry/flight_recorder.h): when set and `trace` is null, the
@@ -131,13 +110,6 @@ struct PipelineConfig {
   /// peer exit mid-round throws on every surviving rank within the peer
   /// timeout. Factory knob: "elastic=on|off".
   bool elastic = false;
-  /// Socket transport recv deadline in ms — how long a silent peer can
-  /// stall a round before it is declared failed. 0 = the transport's
-  /// default (60 s). Factory knob: "peer_timeout_ms=".
-  int peer_timeout_ms = 0;
-  /// Elastic rejoin window in ms (how long re-rendezvous keeps its doors
-  /// open for survivors). 0 = the transport's default (2 s).
-  int rejoin_window_ms = 0;
   /// Fault-injection hook for the failure-path test harness
   /// (tests/fault_injection.h): when set, invoked at named execution
   /// points of aggregate_over — "encode" right after this rank encodes
@@ -147,13 +119,6 @@ struct PipelineConfig {
   /// (round, point) to simulate a crash; production runs leave it null
   /// and pay nothing.
   std::function<void(const char* point, std::uint64_t round)> fault_hook;
-};
-
-/// Per-rank wire traffic of one aggregate() call, measured by the
-/// transport's byte meters (never from formulas).
-struct WireTraffic {
-  std::vector<std::uint64_t> sent;
-  std::vector<std::uint64_t> received;
 };
 
 /// Drives encode -> communicate -> decode for one codec (see file
@@ -177,9 +142,8 @@ class AggregationPipeline {
   /// SPMD entry: runs the same round as aggregate(), but executes the
   /// collectives over `comm`'s transport as rank comm.rank() — every
   /// participating process (or thread) calls this with its own endpoint
-  /// and ends up with the identical aggregated sum in `out`. Used by the
-  /// socket backend's workers and the gcs_worker binary; wire bytes are
-  /// read off the caller's transport, not last_wire().
+  /// and ends up with the identical aggregated sum in `out`. Wire bytes
+  /// are read off the caller's transport meters.
   ///
   /// The round is rank-local: only grads[comm.rank()] is read (peers'
   /// spans may be empty), the codec session holds only this rank's
@@ -225,10 +189,6 @@ class AggregationPipeline {
     return membership_;
   }
 
-  /// Per-rank wire bytes of the last aggregate() call. Empty vectors for
-  /// the local reference backend (nothing crosses a transport).
-  const WireTraffic& last_wire() const noexcept { return wire_; }
-
   SchemeCodec& codec() noexcept { return *codec_; }
   const SchemeCodec& codec() const noexcept { return *codec_; }
   const PipelineConfig& config() const noexcept { return config_; }
@@ -239,17 +199,6 @@ class AggregationPipeline {
   }
 
  private:
-  RoundStats aggregate_socket(std::span<const std::span<const float>> grads,
-                              std::span<float> out, std::uint64_t round);
-
-  /// One rank's SPMD round with the codec session opened over `grads` as
-  /// given: aggregate_over passes the rank-local view, the socket
-  /// backend's parent every worker's gradient (its codec is the one that
-  /// outlives the round). Either way only this rank's payload is encoded.
-  RoundStats run_rank(comm::Communicator& comm,
-                      std::span<const std::span<const float>> grads,
-                      std::span<float> out, std::uint64_t round);
-
   /// Chunk plan for one stage payload: the bucket plan's layer-aligned
   /// projection under kLayerBuckets, the fixed-size split otherwise.
   std::vector<comm::ChunkRange> stage_chunks(std::size_t payload_bytes,
@@ -278,7 +227,6 @@ class AggregationPipeline {
 
   SchemeCodecPtr codec_;
   PipelineConfig config_;
-  WireTraffic wire_;
   comm::Membership membership_;  ///< set on first aggregate_elastic
   std::unique_ptr<sched::BucketPlan> bucket_plan_;
   std::unique_ptr<sched::EncodeWorkerPool> pool_;

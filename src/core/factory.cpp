@@ -19,10 +19,9 @@ namespace {
 /// Spec keys/flags consumed by the pipeline/scheduler layers rather than
 /// a scheme; every scheme's require_known() treats these as known.
 constexpr const char* kPipelineOptions[] = {
-    "chunk",   "fabric",   "port",          "iface",    "buckets",
-    "bucket",  "workers",  "backward_frac", "autotune", "elastic",
-    "peer_timeout_ms"};
-constexpr const char* kPipelineFlags[] = {"fabric", "autotune"};
+    "chunk",   "fabric",        "buckets",  "bucket",
+    "workers", "backward_frac", "autotune", "elastic"};
+constexpr const char* kPipelineFlags[] = {"autotune"};
 
 struct Spec {
   std::string kind;
@@ -110,63 +109,16 @@ PipelineConfig pipeline_config_of(const Spec& spec,
   PipelineConfig pipeline;
   pipeline.chunk_bytes =
       static_cast<std::size_t>(spec.get_double("chunk", 0.0));
-  if (spec.has_flag("fabric")) {
-    pipeline.backend = PipelineBackend::kThreadedFabric;
-  }
 
+  // ---- transport declaration: fabric=socket names the transport that
+  // elastic= needs; the caller builds the endpoints.
   const auto fabric_it = spec.options.find("fabric");
-  if (fabric_it != spec.options.end()) {
-    const std::string& value = fabric_it->second;
-    if (value == "local") {
-      pipeline.backend = PipelineBackend::kLocalReference;
-    } else if (value == "threaded") {
-      pipeline.backend = PipelineBackend::kThreadedFabric;
-    } else if (value == "socket") {
-      pipeline.backend = PipelineBackend::kSocketFabric;
-    } else {
-      throw Error(
-          "compressor spec: fabric= expects local, threaded or socket, "
-          "got '" +
-          value + "'");
-    }
+  if (fabric_it != spec.options.end() && fabric_it->second != "socket") {
+    throw Error(
+        "compressor spec: fabric= expects socket (the only transport a "
+        "spec declares), got '" +
+        fabric_it->second + "'");
   }
-
-  const bool socket = pipeline.backend == PipelineBackend::kSocketFabric;
-  const auto port_it = spec.options.find("port");
-  if (port_it != spec.options.end()) {
-    if (!socket) {
-      throw Error(
-          "compressor spec: port= is only meaningful with fabric=socket");
-    }
-    const std::string& text = port_it->second;
-    char* end = nullptr;
-    const long port = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || port < 1 || port > 65535) {
-      throw Error("compressor spec: port= expects 1..65535, got '" + text +
-                  "'");
-    }
-    pipeline.socket_port = static_cast<int>(port);
-  }
-  const auto iface_it = spec.options.find("iface");
-  if (iface_it != spec.options.end()) {
-    if (!socket) {
-      throw Error(
-          "compressor spec: iface= is only meaningful with fabric=socket");
-    }
-    if (iface_it->second.empty()) {
-      throw Error("compressor spec: iface= expects a host address");
-    }
-    if (pipeline.socket_port == 0) {
-      throw Error(
-          "compressor spec: iface= needs port= (TCP rendezvous); without "
-          "port= the socket backend uses Unix-domain sockets");
-    }
-    pipeline.socket_iface = iface_it->second;
-  }
-
-  // ---- elastic membership knobs (DESIGN.md "Fault tolerance"):
-  // elastic=on|off, peer_timeout_ms=. Socket-only, like port=/iface= —
-  // the in-process fabrics have no membership to lose.
   const auto elastic_it = spec.options.find("elastic");
   if (elastic_it != spec.options.end()) {
     const std::string& value = elastic_it->second;
@@ -174,30 +126,13 @@ PipelineConfig pipeline_config_of(const Spec& spec,
       throw Error("compressor spec: elastic= expects on or off, got '" +
                   value + "'");
     }
-    if (!socket) {
+    if (fabric_it == spec.options.end()) {
       throw Error(
           "compressor spec: elastic= is only meaningful with "
           "fabric=socket (elastic membership lives in the socket "
           "transport)");
     }
     pipeline.elastic = value == "on";
-  }
-  const auto peer_timeout_it = spec.options.find("peer_timeout_ms");
-  if (peer_timeout_it != spec.options.end()) {
-    if (!socket) {
-      throw Error(
-          "compressor spec: peer_timeout_ms= is only meaningful with "
-          "fabric=socket");
-    }
-    const double ms = spec.get_double("peer_timeout_ms", 0.0);
-    if (ms < 1.0 ||
-        ms != static_cast<double>(static_cast<int>(ms))) {
-      throw Error(
-          "compressor spec: peer_timeout_ms= expects a positive integer "
-          "millisecond count, got '" +
-          peer_timeout_it->second + "'");
-    }
-    pipeline.peer_timeout_ms = static_cast<int>(ms);
   }
   // ---- scheduler knobs (DESIGN.md section 4): buckets=, bucket=,
   // workers=, autotune.
@@ -292,14 +227,13 @@ PipelineConfig pipeline_config_of(const Spec& spec,
     std::string plain = spec.kind;
     for (const auto& [key, value] : spec.options) {
       if (key == "buckets" || key == "workers" || key == "fabric" ||
-          key == "port" || key == "iface" || key == "autotune" ||
-          key == "elastic" || key == "peer_timeout_ms") {
+          key == "autotune" || key == "elastic") {
         continue;
       }
       plain += ":" + key + "=" + value;
     }
     for (const auto& flag : spec.flags) {
-      if (flag == "fabric" || flag == "autotune") continue;
+      if (flag == "autotune") continue;
       plain += ":" + flag;
     }
     const sim::CostModel cost(sim::CostConstants{},

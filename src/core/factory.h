@@ -32,18 +32,11 @@
 //                            pick chunk/bucket bytes by sweeping the cost
 //                            model; rejects an explicit chunk=/bucket=
 //
-// Transport selection (see DESIGN.md section 5):
-//   "fabric"                 shorthand for fabric=threaded (an explicit
-//                            fabric=<value> overrides it)
-//   "fabric=local"           local reference aggregators (the default)
-//   "fabric=threaded"        one thread per rank over comm::Fabric
-//   "fabric=socket"          one OS process per rank over net::SocketFabric
-//   "port=<1..65535>"        socket backend over TCP at this rendezvous
-//                            port (default: Unix-domain sockets in /tmp)
-//   "iface=<host>"           socket backend TCP host (default 127.0.0.1)
-// port=/iface= are only meaningful — and only accepted — together with
-// fabric=socket. The socket backend always runs one epoll reactor loop
-// per process (net/reactor.h).
+// Transport declaration (see DESIGN.md section 5):
+//   "fabric=socket"          the run's ranks talk over net::SocketFabric
+//                            endpoints. The spec builds no transport: SPMD
+//                            callers own their endpoints (addresses, recv
+//                            deadlines) and call aggregate_over.
 //
 // Elastic membership (see DESIGN.md "Fault tolerance"):
 //   "elastic=on|off"         survive a peer failure by re-rendezvousing
@@ -51,9 +44,8 @@
 //                            EF state carried over) instead of failing
 //                            the run. Default off: a peer exit mid-round
 //                            throws loudly on every surviving rank.
-//   "peer_timeout_ms=<ms>"   how long a silent peer can stall a recv
-//                            before it counts as failed (default 60000).
-// Both are socket-only knobs, rejected without fabric=socket.
+// elastic= is rejected without fabric=socket: elastic membership lives in
+// the socket transport.
 //
 // Throws gcs::Error on malformed specs — a typo must not silently run a
 // different experiment.
@@ -82,8 +74,8 @@ SchemeCodecPtr make_scheme_codec(const std::string& spec,
                                  const ModelLayout& layout, int world_size);
 
 /// Parses the shared pipeline/transport/scheduler knobs of a spec
-/// (chunk=, fabric, fabric=, port=, iface=, buckets=, bucket=, workers=,
-/// autotune) without building the codec. Validates the values with the
+/// (chunk=, fabric=, elastic=, buckets=, bucket=, workers=, autotune)
+/// without building the codec. Validates the values with the
 /// same rejection rules as make_pipeline. The layout-free overload
 /// accepts buckets=layer/autotune but leaves PipelineConfig::layout empty
 /// (and the autotuned sizes unresolved) — the caller attaches a layout,

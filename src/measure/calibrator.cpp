@@ -41,6 +41,86 @@ std::vector<double> solve_linear(std::vector<std::vector<double>> a,
   return x;
 }
 
+/// Minimises |A w - t|^2 subject to w >= 0, given the normal equations
+/// Q = A'A and c = A't: Lawson and Hanson's active-set method. Every
+/// coefficient starts at zero (the active set). The one whose gradient
+/// c - Q w most favours growth moves to the passive set, which is then
+/// re-solved unconstrained; a solve that drives a passive coefficient
+/// non-positive steps only as far as the first one reaching zero and
+/// returns it to the active set. Dimensions are tiny (3 + #schemes).
+std::vector<double> solve_nonnegative(
+    const std::vector<std::vector<double>>& q, const std::vector<double>& c) {
+  const std::size_t n = c.size();
+  double tol = 0.0;
+  for (const double v : c) tol = std::max(tol, std::abs(v));
+  tol *= 1e-12;
+  std::vector<double> w(n, 0.0);
+  std::vector<bool> passive(n, false);
+  // The unconstrained solution over the passive set (active ones are 0).
+  const auto solve_passive = [&] {
+    std::vector<std::size_t> idx;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (passive[i]) idx.push_back(i);
+    }
+    std::vector<std::vector<double>> sub_q(
+        idx.size(), std::vector<double>(idx.size(), 0.0));
+    std::vector<double> sub_c(idx.size(), 0.0);
+    for (std::size_t r = 0; r < idx.size(); ++r) {
+      sub_c[r] = c[idx[r]];
+      for (std::size_t k = 0; k < idx.size(); ++k) {
+        sub_q[r][k] = q[idx[r]][idx[k]];
+      }
+    }
+    const auto sub = solve_linear(std::move(sub_q), std::move(sub_c));
+    std::vector<double> z(n, 0.0);
+    for (std::size_t r = 0; r < idx.size(); ++r) z[idx[r]] = sub[r];
+    return z;
+  };
+  // Each outer pass adds one coefficient; the cap turns a numerically
+  // cycling pass into the best feasible fit found so far.
+  for (std::size_t pass = 0; pass < 3 * n; ++pass) {
+    std::size_t best = n;
+    double best_gradient = tol;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (passive[i]) continue;
+      double g = c[i];
+      for (std::size_t k = 0; k < n; ++k) g -= q[i][k] * w[k];
+      if (g > best_gradient) {
+        best = i;
+        best_gradient = g;
+      }
+    }
+    if (best == n) break;  // KKT: no active coefficient wants to grow
+    passive[best] = true;
+    for (;;) {
+      const auto z = solve_passive();
+      std::size_t blocking = n;
+      double step = 1.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!passive[i] || z[i] > 0.0) continue;
+        const double s = w[i] / (w[i] - z[i]);
+        if (blocking == n || s < step) {
+          blocking = i;
+          step = s;
+        }
+      }
+      if (blocking == n) {
+        w = z;
+        break;
+      }
+      for (std::size_t i = 0; i < n; ++i) w[i] += step * (z[i] - w[i]);
+      w[blocking] = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (passive[i] && w[i] <= 0.0) {
+          passive[i] = false;
+          w[i] = 0.0;
+        }
+      }
+    }
+  }
+  return w;
+}
+
 }  // namespace
 
 ScenarioSample sample_from_trace(const RoundTrace& trace,
@@ -151,7 +231,10 @@ CalibratedCostModel Calibrator::fit() const {
   const double lambda = 1e-9 * static_cast<double>(samples_.size());
   for (std::size_t c = 0; c < params; ++c) ata[c][c] += lambda;
 
-  auto w = solve_linear(std::move(ata), std::move(atb));
+  // No cost is negative: a round cannot get faster as it sends more
+  // messages, bytes or coordinates, so a negative coefficient would be
+  // noise fitted, not structure.
+  auto w = solve_nonnegative(ata, atb);
   for (std::size_t c = 0; c < params; ++c) w[c] /= scale[c];
 
   model.fixed_s_ = w[0];

@@ -12,9 +12,10 @@
 // transport plan (the same per-chunk hop counts and metered volumes the
 // rest of the repo asserts on), `coordinates` is the scheme's per-round
 // encode/decode workload, and (fixed, alpha, beta, gamma_*) are fit by
-// least squares over a set of traced rounds. alpha and beta are exactly
-// the alpha-beta link parameters netsim assumes; gamma_scheme is the
-// per-scheme encode/decode coefficient the paper's Table 6 reasons about.
+// non-negative least squares over a set of traced rounds. alpha and beta
+// are exactly the alpha-beta link parameters netsim assumes; gamma_scheme
+// is the per-scheme encode/decode coefficient the paper's Table 6 reasons
+// about.
 //
 // The produced CalibratedCostModel predicts wall-clock for any scenario
 // with known plan features, so its charges can be diffed against measured
@@ -98,8 +99,9 @@ class Calibrator {
     return samples_;
   }
 
-  /// Ridge-regularized least squares over the accumulated samples.
-  /// Throws gcs::Error with fewer samples than fitted parameters
+  /// Ridge-regularized least squares over the accumulated samples,
+  /// constrained to non-negative coefficients (fixed, alpha, beta and
+  /// every gamma are >= 0). Throws gcs::Error with fewer samples than fitted parameters
   /// (3 + number of distinct scheme kinds).
   CalibratedCostModel fit() const;
 

@@ -9,7 +9,9 @@
 #include <cstdint>
 #include <cstring>
 #include <exception>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include "common/check.h"
 
@@ -204,6 +206,33 @@ std::string unique_unix_rendezvous() {
   const std::uint64_t seq = counter.fetch_add(1);
   return "unix:/tmp/gcs-" + std::to_string(::getpid()) + "-" +
          std::to_string(seq);
+}
+
+void run_socket_ranks(
+    int world_size, const std::function<void(SocketFabric&, int rank)>& body,
+    int recv_timeout_ms) {
+  const std::string rendezvous = unique_unix_rendezvous();
+  std::vector<std::thread> threads;
+  std::exception_ptr first_error;
+  std::mutex error_mu;
+  for (int rank = 0; rank < world_size; ++rank) {
+    threads.emplace_back([&, rank] {
+      try {
+        SocketFabricConfig config;
+        config.rendezvous = rendezvous;
+        config.world_size = world_size;
+        config.rank = rank;
+        config.recv_timeout_ms = recv_timeout_ms;
+        SocketFabric fabric(config);
+        body(fabric, rank);
+      } catch (...) {
+        std::lock_guard lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace gcs::net

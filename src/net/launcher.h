@@ -6,8 +6,10 @@
 // over a pipe, and _exit()s the child (bypassing the parent's atexit
 // machinery — the child must never fall back into the caller's stack).
 // The parent may participate as one of the ranks itself by starting the
-// range at 1 and running rank 0 inline: that is how the socket pipeline
-// backend keeps its codec state in the surviving process.
+// range at 1 and running rank 0 inline.
+//
+// run_socket_ranks is the in-process stand-in for one process per rank:
+// one thread per rank, each on its own SocketFabric endpoint.
 //
 // fork() inherits the parent's full address space copy-on-write, so the
 // body can freely read any data structure the parent prepared (gradient
@@ -16,9 +18,11 @@
 #pragma once
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "net/socket_fabric.h"
 
 namespace gcs::net {
 
@@ -75,5 +79,16 @@ class ForkedWorkers {
 /// A fresh unix-domain rendezvous address ("unix:/tmp/gcs-<pid>-<seq>"),
 /// unique within this process and unlikely to collide across processes.
 std::string unique_unix_rendezvous();
+
+/// Runs `body(fabric, rank)` on `world_size` threads, each rank on its own
+/// SocketFabric endpoint meshed over a fresh unix-domain rendezvous with
+/// the given recv deadline (20 s by default: every peer is a thread of
+/// this process, so a longer silence is a hang). Joins every thread, then
+/// rethrows the first rank's error; a rank that throws closes its
+/// endpoint, so its peers fail with PeerFailure instead of waiting out
+/// the deadline.
+void run_socket_ranks(
+    int world_size, const std::function<void(SocketFabric&, int rank)>& body,
+    int recv_timeout_ms = 20000);
 
 }  // namespace gcs::net

@@ -44,7 +44,7 @@
 // streams are FIFO (TCP/UDS ordering), and reassembly only reorders
 // across tags, never within one — so a SocketFabric run is byte-identical
 // to the same collective over the in-process Fabric, payloads and meters
-// alike (asserted by tests/test_socket_pipeline.cpp).
+// alike (asserted by tests/test_spmd_rank_local.cpp).
 #pragma once
 
 #include <condition_variable>
@@ -74,8 +74,8 @@ struct SocketFabricConfig {
   int connect_timeout_ms = 20000;
   /// Deadline for a recv with no matching frame; guards against protocol
   /// bugs hanging a worker forever — and bounds how long a silent (not
-  /// cleanly exited) peer can stall a round. The factory's
-  /// `peer_timeout_ms=` knob lands here.
+  /// cleanly exited) peer can stall a round. gcs_worker's
+  /// `--peer-timeout-ms` flag lands here.
   int recv_timeout_ms = 60000;
   /// Elastic membership: survive peer failure via epoch rebuilds. Off by
   /// default — a peer exit then fails the round loudly (the experiment

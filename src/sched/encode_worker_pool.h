@@ -1,10 +1,10 @@
 // A small persistent thread pool for codec encodes.
 //
-// The orchestration layer encodes one payload per worker per stage;
-// those encodes are independent (each reads shared round state and writes
-// only its own buffer — verified per scheme, asserted by the bit-identity
-// tests), so a pool of N threads can run them concurrently while the
-// fabric already carries earlier payloads.
+// The local oracle (AggregationPipeline::aggregate) encodes one payload
+// per worker per stage; those encodes are independent (each reads shared
+// round state and writes only its own buffer — verified per scheme,
+// asserted by the bit-identity tests), so a pool of N threads can run
+// them concurrently.
 //
 // Determinism rule: the pool never decides *what* bytes are produced,
 // only *when*. Every task writes to a slot chosen by the submitter
@@ -12,7 +12,7 @@
 // caller's hand-off — wait_idle() or a per-slot signal — fixes the order
 // in which results become visible. The multi-worker path is therefore
 // bit-identical to the single-threaded one by construction; tests close
-// the loop for all five schemes on all three pipeline backends.
+// the loop for all five schemes.
 //
 // Exceptions thrown by a task are captured and rethrown from wait_idle()
 // (first one wins), so a codec error inside the pool fails the round

@@ -239,8 +239,6 @@ inline RankReport run_rank(const WorldConfig& config, const FaultPlan& fault,
   core::PipelineConfig pc;
   pc.chunk_bytes = config.chunk;
   pc.elastic = config.elastic;
-  pc.peer_timeout_ms = config.peer_timeout_ms;
-  pc.rejoin_window_ms = config.rejoin_window_ms;
   if (victim &&
       (fault.phase == KillPhase::kMidEncode ||
        fault.phase == KillPhase::kMidDecode)) {

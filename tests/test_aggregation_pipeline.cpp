@@ -1,8 +1,9 @@
 // Tests for the layered aggregation stack: the AggregationPipeline path
 // produces bit-identical aggregated sums to the monolithic path for all
-// five schemes, at every chunk size, on both execution backends (local
-// reference and threaded fabric), with cross-round state (EF memories,
-// PowerSGD warm starts) evolving identically.
+// five schemes, at every chunk size, on the local reference oracle and on
+// SPMD rank threads over comm::Fabric (tests/spmd_ranks.h), with
+// cross-round state (EF memories, PowerSGD warm starts) evolving
+// identically.
 #include "core/aggregation_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "core/thc_compressor.h"
 #include "core/topk_compressor.h"
 #include "core/topkc_compressor.h"
+#include "spmd_ranks.h"
 #include "tensor/layout.h"
 
 namespace gcs::core {
@@ -169,6 +171,29 @@ std::vector<float> run_rounds(AggregationPipeline& pipeline, int rounds,
   return all;
 }
 
+/// The rounds of run_rounds as SPMD ranks over one comm::Fabric, one
+/// pipeline per rank from `make`: every rank's concatenated outputs.
+std::vector<std::vector<float>> run_fabric_ranks(
+    const std::function<SchemeCodecPtr()>& make, const PipelineConfig& config,
+    int rounds) {
+  std::vector<AggregationPipeline> pipelines;
+  for (int r = 0; r < kWorld; ++r) pipelines.emplace_back(make(), config);
+  const std::size_t d = case_dimension(pipelines[0].codec());
+  test::RoundGrads grads;
+  for (int r = 0; r < rounds; ++r) {
+    grads.push_back(random_grads(d, 9000 + static_cast<std::uint64_t>(r)));
+  }
+  const test::SpmdRun run =
+      test::run_spmd(test::Substrate::kFabric, pipelines, grads);
+  std::vector<std::vector<float>> all(kWorld);
+  for (std::size_t rank = 0; rank < all.size(); ++rank) {
+    for (const auto& out : run.outputs[rank]) {
+      all[rank].insert(all[rank].end(), out.begin(), out.end());
+    }
+  }
+  return all;
+}
+
 bool bit_identical(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
@@ -200,16 +225,18 @@ TEST(AggregationPipeline, ChunkedMatchesMonolithicForAllSchemes) {
   }
 }
 
-TEST(AggregationPipeline, ThreadedFabricMatchesLocalReference) {
+TEST(AggregationPipeline, FabricRanksMatchLocalReference) {
   for (const auto& scheme : scheme_cases()) {
     AggregationPipeline local(scheme.make(), PipelineConfig{});
     const auto local_out = run_rounds(local, 2);
-    PipelineConfig threaded_config;
-    threaded_config.backend = PipelineBackend::kThreadedFabric;
-    threaded_config.chunk_bytes = 128;
-    AggregationPipeline threaded(scheme.make(), threaded_config);
-    const auto threaded_out = run_rounds(threaded, 2);
-    EXPECT_TRUE(bit_identical(threaded_out, local_out)) << scheme.label;
+    PipelineConfig spmd_config;
+    spmd_config.chunk_bytes = 128;
+    const auto ranks_out = run_fabric_ranks(scheme.make, spmd_config, 2);
+    for (int rank = 0; rank < kWorld; ++rank) {
+      EXPECT_TRUE(bit_identical(ranks_out[static_cast<std::size_t>(rank)],
+                                local_out))
+          << scheme.label << " rank " << rank;
+    }
   }
 }
 
@@ -232,18 +259,16 @@ TEST(AggregationPipeline, FactoryChunkOptionPreservesSchemeAndValues) {
   EXPECT_TRUE(bit_identical(out_a, out_b));
 }
 
-TEST(AggregationPipeline, FabricSpecFlagRunsThreaded) {
-  // "fabric" routes the factory product through the threaded fabric; the
-  // result stays bit-identical to the local path.
+TEST(AggregationPipeline, FabricSpecFlagIsRejected) {
+  // A spec no longer selects an in-process transport: SPMD callers run
+  // aggregate_over on their own rank threads, and aggregate() is the
+  // local oracle. The old shorthands must fail loudly, not run locally.
   const auto layout = flat_layout(256);
-  auto local = make_pipeline("topkc:b=8", layout, kWorld);
-  auto fabric = make_pipeline("topkc:b=8:chunk=64:fabric", layout, kWorld);
-  const auto grads = random_grads(256, 321);
-  const auto views = views_of(grads);
-  std::vector<float> out_a(256), out_b(256);
-  local.aggregate(std::span<const std::span<const float>>(views), out_a, 0);
-  fabric.aggregate(std::span<const std::span<const float>>(views), out_b, 0);
-  EXPECT_TRUE(bit_identical(out_a, out_b));
+  EXPECT_THROW(make_pipeline("topkc:b=8:chunk=64:fabric", layout, kWorld),
+               Error);
+  EXPECT_THROW(
+      make_pipeline("topkc:b=8:chunk=64:fabric=threaded", layout, kWorld),
+      Error);
 }
 
 TEST(AggregationPipeline, AllGatherAllowsAsymmetricPayloads) {
@@ -269,18 +294,27 @@ TEST(AggregationPipeline, AllGatherAllowsAsymmetricPayloads) {
 
   PipelineConfig chunked_config;
   chunked_config.chunk_bytes = 64;
-  PipelineConfig threaded_config = chunked_config;
-  threaded_config.backend = PipelineBackend::kThreadedFabric;
-  for (const auto& config_variant :
-       {PipelineConfig{}, chunked_config, threaded_config}) {
+  const auto expect_sums = [&](const std::vector<float>& out) {
+    EXPECT_FLOAT_EQ(out[0], 6.0f);
+    EXPECT_FLOAT_EQ(out[1], 1.0f);
+    EXPECT_FLOAT_EQ(out[d - 1], 3.0f);
+  };
+  for (const auto& config_variant : {PipelineConfig{}, chunked_config}) {
     AggregationPipeline pipeline(make_topk_codec(config), config_variant);
     std::vector<float> out(d);
     pipeline.aggregate(std::span<const std::span<const float>>(views), out,
                        0);
-    EXPECT_FLOAT_EQ(out[0], 6.0f);
-    EXPECT_FLOAT_EQ(out[1], 1.0f);
-    EXPECT_FLOAT_EQ(out[d - 1], 3.0f);
+    expect_sums(out);
   }
+  // SPMD ranks each know only their own payload size: the stage's
+  // asymmetry declaration routes them to the monolithic gather.
+  std::vector<AggregationPipeline> ranks;
+  for (int r = 0; r < 2; ++r) {
+    ranks.emplace_back(make_topk_codec(config), chunked_config);
+  }
+  const test::SpmdRun run =
+      test::run_spmd(test::Substrate::kFabric, ranks, {grads});
+  for (const auto& outputs : run.outputs) expect_sums(outputs[0]);
 }
 
 // A minimal codec routing its payload through the parameter server — the
@@ -359,19 +393,26 @@ TEST(AggregationPipeline, ParameterServerRouteFoldsInRankOrder) {
     for (std::size_t i = 0; i < d; ++i) expected[i] += grads[w][i];
   }
 
-  for (bool threaded : {false, true}) {
-    PipelineConfig config;
-    config.chunk_bytes = 32;
-    config.backend = threaded ? PipelineBackend::kThreadedFabric
-                              : PipelineBackend::kLocalReference;
-    AggregationPipeline pipeline(std::make_unique<PsEchoCodec>(d, kWorld),
-                                 config);
-    std::vector<float> out(d);
-    pipeline.aggregate(std::span<const std::span<const float>>(views), out,
-                       0);
+  const auto expect_fold = [&](const std::vector<float>& got,
+                               const std::string& who) {
     for (std::size_t i = 0; i < d; ++i) {
-      EXPECT_NEAR(out[i], expected[i], 1e-4f) << "threaded=" << threaded;
+      EXPECT_NEAR(got[i], expected[i], 1e-4f) << who;
     }
+  };
+  PipelineConfig config;
+  config.chunk_bytes = 32;
+  AggregationPipeline local(std::make_unique<PsEchoCodec>(d, kWorld), config);
+  std::vector<float> out(d);
+  local.aggregate(std::span<const std::span<const float>>(views), out, 0);
+  expect_fold(out, "local");
+  std::vector<AggregationPipeline> ranks;
+  for (int r = 0; r < kWorld; ++r) {
+    ranks.emplace_back(std::make_unique<PsEchoCodec>(d, kWorld), config);
+  }
+  const test::SpmdRun run =
+      test::run_spmd(test::Substrate::kFabric, ranks, {grads});
+  for (std::size_t rank = 0; rank < run.outputs.size(); ++rank) {
+    expect_fold(run.outputs[rank][0], "rank " + std::to_string(rank));
   }
 }
 

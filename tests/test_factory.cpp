@@ -80,72 +80,60 @@ TEST(Factory, UnknownOptionOrFlagThrows) {
   // The socket fabric has one I/O engine; the removed io= knob is unknown.
   EXPECT_THROW(make_pipeline("fp16:fabric=socket:io=threads", l, 4), Error);
   // The real knobs still parse.
-  EXPECT_NO_THROW(make_pipeline("topkc:b=8:chunk=65536:fabric", l, 4));
+  EXPECT_NO_THROW(make_pipeline("topkc:b=8:chunk=65536:fabric=socket", l, 4));
   EXPECT_NO_THROW(make_pipeline("fp16:tree:chunk=64", l, 4));
 }
 
-TEST(Factory, FabricOptionSelectsBackend) {
+TEST(Factory, FabricSocketIsTheOnlyTransportDeclaration) {
   const ModelLayout l({LayerSpec{"x", 100, 1}});
-  EXPECT_NO_THROW(make_pipeline("fp16:fabric=local", l, 4));
-  EXPECT_NO_THROW(make_pipeline("fp16:fabric=threaded", l, 4));
+  // bench/e2e's workload and selfcheck knobs parse verbatim on every
+  // scheme it runs.
+  for (const char* scheme : {"fp16", "topk:b=8", "topkc:b=8",
+                             "thc:q=4:b=4:sat:partial", "powersgd:r=4"}) {
+    for (const char* knobs :
+         {":chunk=1048576", ":chunk=65536", ":chunk=4096",
+          ":fabric=socket:elastic=on",
+          ":buckets=layer:bucket=4194304:workers=2",
+          ":buckets=layer:bucket=32768:workers=2"}) {
+      const std::string spec = std::string(scheme) + knobs;
+      EXPECT_NO_THROW(make_scheme_codec(spec, l, 4)) << spec;
+      EXPECT_NO_THROW(parse_pipeline_config(spec, l, 4)) << spec;
+    }
+  }
+  EXPECT_TRUE(parse_pipeline_config("fp16:fabric=socket:elastic=on").elastic);
   EXPECT_NO_THROW(make_pipeline("fp16:fabric=socket", l, 4));
-  EXPECT_NO_THROW(make_pipeline("fp16:fabric=socket:port=29500", l, 4));
-  EXPECT_NO_THROW(make_pipeline(
-      "fp16:fabric=socket:port=29500:iface=127.0.0.1", l, 4));
-  // parse_pipeline_config exposes the same parse for SPMD drivers.
-  EXPECT_EQ(parse_pipeline_config("fp16:fabric=socket").backend,
-            PipelineBackend::kSocketFabric);
-  EXPECT_EQ(parse_pipeline_config("fp16:fabric").backend,
-            PipelineBackend::kThreadedFabric);
-  // An explicit fabric=<value> beats the bare flag.
-  EXPECT_EQ(parse_pipeline_config("fp16:fabric:fabric=local").backend,
-            PipelineBackend::kLocalReference);
-  EXPECT_EQ(
-      parse_pipeline_config("fp16:fabric=socket:port=29500").socket_port,
-      29500);
+  // The removed transport knobs fail loudly: a spec no longer selects an
+  // in-process transport, and socket addresses and deadlines belong to
+  // the caller's net::SocketFabricConfig.
+  for (const char* removed :
+       {"fp16:fabric", "fp16:fabric=local", "fp16:fabric=threaded",
+        "fp16:fabric=socket:port=29500",
+        "fp16:fabric=socket:port=29500:iface=127.0.0.1",
+        "fp16:fabric=socket:peer_timeout_ms=500"}) {
+    EXPECT_THROW(make_pipeline(removed, l, 4), Error) << removed;
+    EXPECT_THROW(make_scheme_codec(removed, l, 4), Error) << removed;
+  }
 }
 
 TEST(Factory, ElasticKnobsParseAndReject) {
   const ModelLayout l({LayerSpec{"x", 100, 1}});
-  // The knobs parse with fabric=socket and land in the pipeline config.
+  // The knob parses with fabric=socket and lands in the pipeline config.
   EXPECT_NO_THROW(make_pipeline("fp16:fabric=socket:elastic=on", l, 4));
   EXPECT_NO_THROW(make_pipeline("fp16:fabric=socket:elastic=off", l, 4));
-  EXPECT_NO_THROW(
-      make_pipeline("fp16:fabric=socket:peer_timeout_ms=500", l, 4));
   EXPECT_TRUE(parse_pipeline_config("fp16:fabric=socket:elastic=on")
                   .elastic);
   EXPECT_FALSE(parse_pipeline_config("fp16:fabric=socket:elastic=off")
                    .elastic);
   EXPECT_FALSE(parse_pipeline_config("fp16:fabric=socket").elastic);
-  EXPECT_EQ(parse_pipeline_config(
-                "fp16:fabric=socket:elastic=on:peer_timeout_ms=1500")
-                .peer_timeout_ms,
-            1500);
   // Malformed values must not silently run a different experiment.
   EXPECT_THROW(make_pipeline("fp16:fabric=socket:elastic=yes", l, 4),
                Error);
   EXPECT_THROW(make_pipeline("fp16:fabric=socket:elastic=", l, 4), Error);
-  EXPECT_THROW(
-      make_pipeline("fp16:fabric=socket:peer_timeout_ms=0", l, 4), Error);
-  EXPECT_THROW(
-      make_pipeline("fp16:fabric=socket:peer_timeout_ms=-5", l, 4),
-      Error);
-  EXPECT_THROW(
-      make_pipeline("fp16:fabric=socket:peer_timeout_ms=abc", l, 4),
-      Error);
-  EXPECT_THROW(
-      make_pipeline("fp16:fabric=socket:peer_timeout_ms=1.5", l, 4),
-      Error);
-  // Socket-only knobs, like port=/iface=: elastic membership lives in
-  // the socket transport, the in-process fabrics have none to lose.
+  // Elastic membership lives in the socket transport: elastic= needs
+  // fabric=socket.
   EXPECT_THROW(make_pipeline("fp16:elastic=on", l, 4), Error);
-  EXPECT_THROW(make_pipeline("fp16:fabric=threaded:elastic=on", l, 4),
-               Error);
-  EXPECT_THROW(make_pipeline("fp16:peer_timeout_ms=500", l, 4), Error);
-  EXPECT_THROW(
-      make_pipeline("fp16:fabric=threaded:peer_timeout_ms=500", l, 4),
-      Error);
   EXPECT_THROW(make_pipeline("fp16:elastic=off", l, 4), Error);
+  EXPECT_THROW(parse_pipeline_config("fp16:elastic=on"), Error);
 }
 
 TEST(Factory, SchemeCodecEntryValidatesPipelineKnobs) {
@@ -166,20 +154,6 @@ TEST(Factory, MalformedFabricValuesThrow) {
   EXPECT_THROW(make_pipeline("fp16:fabric=sockets", l, 4), Error);
   EXPECT_THROW(make_pipeline("fp16:fabric=bogus", l, 4), Error);
   EXPECT_THROW(make_pipeline("fp16:fabric=", l, 4), Error);
-  // port= bounds and form.
-  EXPECT_THROW(make_pipeline("fp16:fabric=socket:port=0", l, 4), Error);
-  EXPECT_THROW(make_pipeline("fp16:fabric=socket:port=70000", l, 4),
-               Error);
-  EXPECT_THROW(make_pipeline("fp16:fabric=socket:port=abc", l, 4), Error);
-  // port=/iface= are socket-only knobs.
-  EXPECT_THROW(make_pipeline("fp16:port=29500", l, 4), Error);
-  EXPECT_THROW(make_pipeline("fp16:fabric=threaded:port=29500", l, 4),
-               Error);
-  EXPECT_THROW(make_pipeline("fp16:iface=127.0.0.1", l, 4), Error);
-  // iface= needs a value and a TCP rendezvous to attach to.
-  EXPECT_THROW(make_pipeline("fp16:fabric=socket:iface=", l, 4), Error);
-  EXPECT_THROW(make_pipeline("fp16:fabric=socket:iface=127.0.0.1", l, 4),
-               Error);
 }
 
 TEST(Factory, MalformedNumberThrows) {

@@ -31,37 +31,6 @@ ByteBuffer bytes_of(std::initializer_list<int> xs) {
   return b;
 }
 
-/// Runs one body per rank on its own thread, each rank constructing its
-/// own SocketFabric endpoint — the in-process stand-in for real worker
-/// processes (which tests/test_socket_pipeline.cpp and the launcher
-/// cover).
-void run_socket_ranks(
-    int n, const std::function<void(SocketFabric&, int)>& body,
-    int recv_timeout_ms = 20000) {
-  const std::string rendezvous = unique_unix_rendezvous();
-  std::vector<std::thread> threads;
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  for (int rank = 0; rank < n; ++rank) {
-    threads.emplace_back([&, rank] {
-      try {
-        SocketFabricConfig config;
-        config.rendezvous = rendezvous;
-        config.world_size = n;
-        config.rank = rank;
-        config.recv_timeout_ms = recv_timeout_ms;
-        SocketFabric fabric(config);
-        body(fabric, rank);
-      } catch (...) {
-        std::lock_guard lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 TEST(Framing, RoundTripsTagsAndPayloads) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);

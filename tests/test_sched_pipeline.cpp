@@ -1,11 +1,13 @@
 // Acceptance tests of the scheduler layer on the value path: bucketed
-// (buckets=layer) multi-worker (workers>1) aggregation is bit-identical
-// to the PR 1 single-threaded size-chunked pipeline for all five schemes,
-// across world sizes 2-8, on the local, threaded-fabric and socket-fabric
-// backends — and wire bytes per rank are unchanged by the scheduler knobs
-// (the bucket plan changes the schedule, never the traffic).
+// (buckets=layer) aggregation is bit-identical to the single-threaded
+// size-chunked pipeline for all five schemes, across world sizes 2-8, on
+// the local oracle (with an encode worker pool) and on SPMD ranks over
+// comm::Fabric and SocketFabric (tests/spmd_ranks.h) — and wire bytes per
+// rank are unchanged by the bucket plan (it changes the schedule, never
+// the traffic).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "common/rng.h"
 #include "core/aggregation_pipeline.h"
 #include "core/factory.h"
+#include "spmd_ranks.h"
 #include "tensor/layout.h"
 
 namespace gcs::core {
@@ -50,22 +53,28 @@ std::vector<std::span<const float>> views_of(
 }
 
 struct RunResult {
-  std::vector<float> outputs;     ///< concatenated per-round outs
-  std::vector<WireTraffic> wire;  ///< per-round meters
+  std::vector<float> outputs;  ///< concatenated per-round outs
 };
+
+test::RoundGrads round_grads(std::size_t d, int world) {
+  test::RoundGrads grads;
+  for (int r = 0; r < kRounds; ++r) {
+    grads.push_back(
+        random_grads(d, world, 8600 + static_cast<std::uint64_t>(r)));
+  }
+  return grads;
+}
 
 RunResult run_rounds(AggregationPipeline& pipeline, int world) {
   const std::size_t d = pipeline.codec().dimension();
   RunResult result;
   std::vector<float> out(d);
+  const test::RoundGrads grads = round_grads(d, world);
   for (int r = 0; r < kRounds; ++r) {
-    const auto grads =
-        random_grads(d, world, 8600 + static_cast<std::uint64_t>(r));
-    const auto views = views_of(grads);
+    const auto views = views_of(grads[static_cast<std::size_t>(r)]);
     pipeline.aggregate(std::span<const std::span<const float>>(views), out,
                        static_cast<std::uint64_t>(r));
     result.outputs.insert(result.outputs.end(), out.begin(), out.end());
-    result.wire.push_back(pipeline.last_wire());
   }
   return result;
 }
@@ -107,85 +116,67 @@ TEST(SchedPipeline, BucketedMultiWorkerMatchesSizeChunkedLocally) {
   }
 }
 
-TEST(SchedPipeline, BucketedMultiWorkerMatchesOnThreadedFabric) {
-  // Threaded fabric: the hand-off path (collective threads start while
-  // later ranks' payloads are still encoding) must stay bit-identical to
-  // the single-threaded size-chunked run AND meter identical per-rank
-  // wire bytes for the same chunk plan.
+/// Bucketed vs size-chunked SPMD ranks on one substrate: every rank's
+/// outputs bit-identical to the local size-chunked oracle, and per-rank
+/// wire bytes identical between the two chunk plans, round by round.
+void expect_bucketed_matches_size_chunked(test::Substrate substrate,
+                                          std::initializer_list<int> worlds,
+                                          std::size_t bucket_bytes) {
   const ModelLayout layout = test_layout();
-  for (int world : {2, 3, 5, 8}) {
+  for (int world : worlds) {
     for (const char* spec : kSchemes) {
-      PipelineConfig reference_config =
-          parse_pipeline_config(std::string(spec) + ":chunk=512:fabric=threaded");
-      AggregationPipeline reference(
-          make_scheme_codec(spec, layout, world), reference_config);
-      const auto ref = run_rounds(reference, world);
+      SCOPED_TRACE(std::string(spec) + " world=" + std::to_string(world));
+      auto oracle =
+          make_pipeline(std::string(spec) + ":chunk=512", layout, world);
+      const auto ref = run_rounds(oracle, world);
+      const test::RoundGrads grads =
+          round_grads(layout.total_size(), world);
 
-      PipelineConfig bucketed_config = parse_pipeline_config(
-          std::string(spec) +
-              ":buckets=layer:bucket=4096:workers=3:fabric=threaded",
-          layout, world);
-      AggregationPipeline bucketed(make_scheme_codec(spec, layout, world),
-                                   bucketed_config);
-      // Guard against a degenerate plan: bucket=4096 on this ~16 KB
+      auto chunked = test::spmd_pipelines(
+          spec, layout, world,
+          parse_pipeline_config(std::string(spec) + ":chunk=512"));
+      const test::SpmdRun chunked_run =
+          test::run_spmd(substrate, chunked, grads);
+      auto bucketed = test::spmd_pipelines(
+          spec, layout, world,
+          parse_pipeline_config(std::string(spec) +
+                                    ":buckets=layer:bucket=" +
+                                    std::to_string(bucket_bytes),
+                                layout, world));
+      // Guard against a degenerate plan: the bucket cap on this ~16 KB
       // layout must yield genuinely multi-bucket schedules, or the test
       // would silently stop exercising the bucketed collectives.
-      ASSERT_NE(bucketed.bucket_plan(), nullptr);
-      ASSERT_GT(bucketed.bucket_plan()->num_buckets(), 2u) << spec;
-      const auto got = run_rounds(bucketed, world);
-      EXPECT_TRUE(bit_identical(got.outputs, ref.outputs))
-          << spec << " world=" << world;
-      // Chunking is traffic-transparent too: every (step, chunk) hop
-      // carries an intersection of the same block partition, so per-rank
-      // payload bytes match the size-chunked reference exactly.
-      ASSERT_EQ(got.wire.size(), ref.wire.size());
-      for (std::size_t r = 0; r < got.wire.size(); ++r) {
-        EXPECT_EQ(got.wire[r].sent, ref.wire[r].sent)
-            << spec << " world=" << world << " round " << r;
-        EXPECT_EQ(got.wire[r].received, ref.wire[r].received)
-            << spec << " world=" << world << " round " << r;
-      }
+      ASSERT_NE(bucketed[0].bucket_plan(), nullptr);
+      ASSERT_GT(bucketed[0].bucket_plan()->num_buckets(), 2u);
+      const test::SpmdRun bucketed_run =
+          test::run_spmd(substrate, bucketed, grads);
 
-      // Same chunk plan => same traffic: rerun the reference with the
-      // bucketed plan but a single thread to compare meters directly.
-      PipelineConfig single = bucketed_config;
-      single.encode_workers = 1;
-      AggregationPipeline bucketed_serial(
-          make_scheme_codec(spec, layout, world), single);
-      const auto serial = run_rounds(bucketed_serial, world);
-      EXPECT_TRUE(bit_identical(got.outputs, serial.outputs))
-          << spec << " world=" << world;
-      ASSERT_EQ(got.wire.size(), serial.wire.size());
-      for (std::size_t r = 0; r < got.wire.size(); ++r) {
-        EXPECT_EQ(got.wire[r].sent, serial.wire[r].sent)
-            << spec << " world=" << world << " round " << r;
-        EXPECT_EQ(got.wire[r].received, serial.wire[r].received)
-            << spec << " world=" << world << " round " << r;
+      for (std::size_t rank = 0; rank < bucketed_run.outputs.size();
+           ++rank) {
+        std::vector<float> got;
+        for (const auto& out : bucketed_run.outputs[rank]) {
+          got.insert(got.end(), out.begin(), out.end());
+        }
+        EXPECT_TRUE(bit_identical(got, ref.outputs)) << "rank " << rank;
       }
+      // Chunking is traffic-transparent: every (step, chunk) hop carries
+      // an intersection of the same block partition, so per-rank payload
+      // bytes match the size-chunked plan exactly.
+      EXPECT_EQ(bucketed_run.sent, chunked_run.sent);
+      EXPECT_EQ(bucketed_run.received, chunked_run.received);
     }
   }
 }
 
-TEST(SchedPipeline, BucketedMultiWorkerMatchesOnSocketFabric) {
-  // Socket fabric: every aggregate() forks real processes; the child
-  // ranks rebuild their own encode pools post-fork. World sizes kept
-  // small — each (scheme, world) pair is a full multi-process mesh.
-  const ModelLayout layout = test_layout();
-  for (int world : {2, 4}) {
-    for (const char* spec : kSchemes) {
-      auto reference =
-          make_pipeline(std::string(spec) + ":chunk=512", layout, world);
-      const auto ref = run_rounds(reference, world);
+TEST(SchedPipeline, BucketedMatchesSizeChunkedOnFabricRanks) {
+  expect_bucketed_matches_size_chunked(test::Substrate::kFabric,
+                                       {2, 3, 5, 8}, 4096);
+}
 
-      auto bucketed = make_pipeline(
-          std::string(spec) +
-              ":buckets=layer:bucket=2048:workers=2:fabric=socket",
-          layout, world);
-      const auto got = run_rounds(bucketed, world);
-      EXPECT_TRUE(bit_identical(got.outputs, ref.outputs))
-          << spec << " world=" << world;
-    }
-  }
+TEST(SchedPipeline, BucketedMatchesSizeChunkedOnSocketRanks) {
+  // Each (scheme, world) pair is a full Unix-socket mesh: worlds small.
+  expect_bucketed_matches_size_chunked(test::Substrate::kSocket, {2, 4},
+                                       2048);
 }
 
 TEST(SchedPipeline, WorkerPoolAloneIsValueTransparent) {
@@ -215,9 +206,9 @@ TEST(SchedPipeline, AutotunedSpecRunsAndMatches) {
   EXPECT_TRUE(bit_identical(got.outputs, ref.outputs));
 }
 
-// A codec whose encode fails for one worker: the overlapped threaded
-// path must fail the round loudly (Fabric::abort unblocks peers already
-// inside the collective) instead of deadlocking.
+// A codec whose encode fails for one worker: SPMD ranks over comm::Fabric
+// must fail the round loudly (run_workers aborts the fabric, unblocking
+// peers already inside the collective) instead of deadlocking.
 class FailingEncodeCodec final : public SchemeCodec {
  public:
   FailingEncodeCodec(std::size_t d, int n, int failing_worker)
@@ -283,24 +274,25 @@ class FailingEncodeCodec final : public SchemeCodec {
   std::unique_ptr<comm::ReduceOp> op_;
 };
 
-TEST(SchedPipeline, EncodeFailureFailsLoudlyOnOverlappedFabric) {
-  // Worker 3's encode throws while ranks 0-2 are already exchanging hops;
-  // the fabric abort must surface an exception (any rank's) rather than
-  // deadlock in recv.
+TEST(SchedPipeline, EncodeFailureFailsLoudlyOnFabricRanks) {
+  // Rank 3's encode throws while ranks 0-2 are already blocked in the
+  // ring's first recv; the fabric abort must surface an exception (any
+  // rank's) rather than deadlock, and promptly.
   const std::size_t d = 256;
   const int world = 4;
   PipelineConfig config;
-  config.backend = PipelineBackend::kThreadedFabric;
   config.chunk_bytes = 64;
-  config.encode_workers = 2;
-  AggregationPipeline pipeline(
-      std::make_unique<FailingEncodeCodec>(d, world, 3), config);
-  const auto grads = random_grads(d, world, 77);
-  const auto views = views_of(grads);
-  std::vector<float> out(d);
-  EXPECT_THROW(pipeline.aggregate(
-                   std::span<const std::span<const float>>(views), out, 0),
+  std::vector<AggregationPipeline> ranks;
+  for (int r = 0; r < world; ++r) {
+    ranks.emplace_back(std::make_unique<FailingEncodeCodec>(d, world, 3),
+                       config);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(test::run_spmd(test::Substrate::kFabric, ranks,
+                              {random_grads(d, world, 77)}),
                std::exception);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
 }
 
 TEST(SchedPipeline, LayerBucketsRequireACoveringLayout) {

@@ -6,47 +6,60 @@
 // and records what the pipeline asked of it: begin_round must see exactly
 // one non-empty gradient (the rank's own), encode/encode_range must only
 // ever name the rank's own worker, and encode on a peer must throw a
-// typed gcs::Error. Values and wire bytes must still be bit-identical to
-// the all-worker oracles: outputs to kLocalReference, per-rank sent and
-// received bytes to the threaded fabric's aggregate(), and each rank's
-// own EF residual to the oracle's row for that worker after four rounds
-// of carried state. Run over threaded comm::Fabric ranks (callers passing
-// every gradient) and SocketFabric ranks (callers passing only their
-// own), worlds 2-5.
+// typed gcs::Error. Values must still be bit-identical to the all-worker
+// oracle, kLocalReference: every rank's outputs, and each rank's own EF
+// residual against the oracle's row for that worker after four rounds of
+// carried state. Wire bytes must hit a golden table recorded from the
+// all-worker threaded-fabric backend this suite used to compare against,
+// and per-rank sent and received bytes must agree between the two
+// substrates rank by rank and round by round. Run over comm::Fabric ranks
+// (callers passing every gradient) and SocketFabric ranks (callers
+// passing only their own), worlds 2-5 (tests/spmd_ranks.h).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "comm/fabric.h"
-#include "comm/group.h"
 #include "common/check.h"
 #include "core/aggregation_pipeline.h"
 #include "core/factory.h"
 #include "core/synthetic_grad.h"
-#include "net/launcher.h"
-#include "net/socket_fabric.h"
+#include "spmd_ranks.h"
 #include "tensor/layout.h"
 
 namespace gcs::core {
 namespace {
 
+using test::RoundGrads;
+using test::run_spmd;
+using test::SpmdRun;
+using test::Substrate;
+
 constexpr int kRounds = 4;
 constexpr std::size_t kChunkBytes = 512;
 constexpr std::uint64_t kSeed = 4242;
 
-const char* kSpecs[] = {
-    "fp16",
-    "fp32",
-    "topk:b=8",
-    "topk:b=8:delta",
-    "topkc:b=8",
-    "thc:q=4:b=4:sat:partial",
-    "thc:q=4:b=8:full",
-    "powersgd:r=2",
+/// Each spec with its golden wire bytes: the bytes sent, summed over every
+/// rank and all kRounds rounds, for worlds 2-5. Recorded from the
+/// all-worker threaded-fabric backend (one comm::Fabric per stage, every
+/// worker encoded in one process) before that backend was deleted; the
+/// received totals are equal.
+struct GoldenSpec {
+  const char* spec;
+  std::uint64_t sent[4];  ///< worlds 2, 3, 4, 5
+};
+
+const GoldenSpec kSpecs[] = {
+    {"fp16", {45824, 91648, 137472, 183296}},
+    {"fp32", {91648, 183296, 274944, 366592}},
+    {"topk:b=8", {22928, 68784, 137568, 229280}},
+    {"topk:b=8:delta", {22944, 68832, 137664, 229440}},
+    {"topkc:b=8", {22160, 44320, 66480, 88640}},
+    {"thc:q=4:b=4:sat:partial", {16448, 32896, 49344, 65792}},
+    {"thc:q=4:b=8:full", {32832, 65664, 98496, 131328}},
+    {"powersgd:r=2", {5632, 11264, 16896, 22528}},
 };
 
 /// What one rank's pipeline asked of its codec.
@@ -173,40 +186,34 @@ PipelineConfig spmd_config() {
   return config;
 }
 
-std::vector<std::vector<float>> round_grads(std::size_t d, int world,
-                                            int round) {
-  return seeded_worker_grads(d, world, kSeed,
-                             static_cast<std::uint64_t>(round));
+RoundGrads round_grads(std::size_t d, int world) {
+  RoundGrads grads;
+  for (int r = 0; r < kRounds; ++r) {
+    grads.push_back(
+        seeded_worker_grads(d, world, kSeed, static_cast<std::uint64_t>(r)));
+  }
+  return grads;
 }
 
-/// The all-worker oracles for one (spec, world): outputs from
-/// kLocalReference, per-rank wire bytes from the threaded fabric, and
-/// the local reference codec's EF rows after the last round.
+/// The all-worker oracle for one (spec, world): kLocalReference's outputs
+/// and the local reference codec's EF rows after the last round.
 struct Oracle {
   std::vector<std::vector<float>> outputs;  ///< [round]
-  std::vector<WireTraffic> wire;            ///< [round]
   std::vector<std::vector<float>> ef;       ///< [worker]
 };
 
 Oracle run_oracle(const std::string& spec, const ModelLayout& layout,
-                  int world) {
-  const std::size_t d = layout.total_size();
+                  const RoundGrads& grads, int world) {
   AggregationPipeline local(make_scheme_codec(spec, layout, world),
                             spmd_config());
-  PipelineConfig threaded_config = spmd_config();
-  threaded_config.backend = PipelineBackend::kThreadedFabric;
-  AggregationPipeline threaded(make_scheme_codec(spec, layout, world),
-                               threaded_config);
   Oracle oracle;
-  std::vector<float> out(d), unused(d);
+  std::vector<float> out(layout.total_size());
   for (int r = 0; r < kRounds; ++r) {
-    const auto grads = round_grads(d, world, r);
-    const std::vector<std::span<const float>> views(grads.begin(),
-                                                    grads.end());
+    const auto& round = grads[static_cast<std::size_t>(r)];
+    const std::vector<std::span<const float>> views(round.begin(),
+                                                    round.end());
     local.aggregate(views, out, static_cast<std::uint64_t>(r));
-    threaded.aggregate(views, unused, static_cast<std::uint64_t>(r));
     oracle.outputs.push_back(out);
-    oracle.wire.push_back(threaded.last_wire());
   }
   for (int w = 0; w < world; ++w) {
     const auto m = local.codec().ef_memory(w);
@@ -215,40 +222,20 @@ Oracle run_oracle(const std::string& spec, const ModelLayout& layout,
   return oracle;
 }
 
-/// One rank's SPMD state across the rounds of a world.
-struct Rank {
-  Calls calls;
-  std::unique_ptr<AggregationPipeline> pipeline;
-  std::vector<std::vector<float>> outputs;  ///< [round]
-  std::vector<std::uint64_t> sent, received;  ///< [round]
-};
-
-std::vector<Rank> make_ranks(const std::string& spec,
-                             const ModelLayout& layout, int world) {
-  std::vector<Rank> ranks(static_cast<std::size_t>(world));
+/// Each rank's pipeline over a CountingCodec; `calls` must outlive them.
+std::vector<AggregationPipeline> counting_pipelines(
+    const std::string& spec, const ModelLayout& layout, int world,
+    std::vector<Calls>& calls) {
+  calls.assign(static_cast<std::size_t>(world), Calls{});
+  std::vector<AggregationPipeline> pipelines;
   for (int r = 0; r < world; ++r) {
-    auto& rank = ranks[static_cast<std::size_t>(r)];
-    rank.pipeline = std::make_unique<AggregationPipeline>(
+    pipelines.emplace_back(
         std::make_unique<CountingCodec>(
-            make_scheme_codec(spec, layout, world), rank.calls, r),
+            make_scheme_codec(spec, layout, world),
+            calls[static_cast<std::size_t>(r)], r),
         spmd_config());
   }
-  return ranks;
-}
-
-/// Runs one rank's round over `comm` and records its output and meters.
-void rank_round(Rank& rank, comm::Communicator& comm,
-                std::span<const std::span<const float>> views, int round) {
-  const int r = comm.rank();
-  comm::Transport& transport = comm.transport();
-  const std::uint64_t sent0 = transport.bytes_sent(r);
-  const std::uint64_t received0 = transport.bytes_received(r);
-  std::vector<float> out(rank.pipeline->codec().dimension());
-  rank.pipeline->aggregate_over(comm, views, out,
-                                static_cast<std::uint64_t>(round));
-  rank.outputs.push_back(std::move(out));
-  rank.sent.push_back(transport.bytes_sent(r) - sent0);
-  rank.received.push_back(transport.bytes_received(r) - received0);
+  return pipelines;
 }
 
 bool same_bits(std::span<const float> a, std::span<const float> b) {
@@ -257,104 +244,77 @@ bool same_bits(std::span<const float> a, std::span<const float> b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
-void expect_matches_oracle(const std::vector<Rank>& ranks,
-                           const Oracle& oracle, int world) {
+void expect_matches_oracle(const std::vector<Calls>& calls,
+                           std::vector<AggregationPipeline>& pipelines,
+                           const SpmdRun& run, const Oracle& oracle,
+                           std::uint64_t golden_sent, int world) {
+  std::uint64_t sent = 0, received = 0;
   for (int r = 0; r < world; ++r) {
     SCOPED_TRACE("rank " + std::to_string(r));
-    const Rank& rank = ranks[static_cast<std::size_t>(r)];
     const auto ri = static_cast<std::size_t>(r);
-    EXPECT_EQ(rank.calls.begins, kRounds);
-    EXPECT_EQ(rank.calls.begins_not_own, 0)
+    const Calls& c = calls[ri];
+    EXPECT_EQ(c.begins, kRounds);
+    EXPECT_EQ(c.begins_not_own, 0)
         << "begin_round saw a view other than the rank's own gradient";
-    EXPECT_GT(rank.calls.encodes, 0);
-    EXPECT_EQ(rank.calls.encodes_not_own, 0)
+    EXPECT_GT(c.encodes, 0);
+    EXPECT_EQ(c.encodes_not_own, 0)
         << "the pipeline encoded a peer's payload";
-    EXPECT_GT(rank.calls.peer_probes, 0);
-    EXPECT_EQ(rank.calls.peer_probes_threw, rank.calls.peer_probes)
+    EXPECT_GT(c.peer_probes, 0);
+    EXPECT_EQ(c.peer_probes_threw, c.peer_probes)
         << "encode(peer) did not throw gcs::Error";
-    ASSERT_EQ(rank.outputs.size(), static_cast<std::size_t>(kRounds));
+    ASSERT_EQ(run.outputs[ri].size(), static_cast<std::size_t>(kRounds));
     for (int round = 0; round < kRounds; ++round) {
       const auto i = static_cast<std::size_t>(round);
-      EXPECT_TRUE(same_bits(rank.outputs[i], oracle.outputs[i]))
+      EXPECT_TRUE(same_bits(run.outputs[ri][i], oracle.outputs[i]))
           << "round " << round << ": output differs from kLocalReference";
-      EXPECT_EQ(rank.sent[i], oracle.wire[i].sent[ri]) << "round " << round;
-      EXPECT_EQ(rank.received[i], oracle.wire[i].received[ri])
-          << "round " << round;
+      sent += run.sent[i][ri];
+      received += run.received[i][ri];
     }
-    EXPECT_TRUE(same_bits(rank.pipeline->codec().ef_memory(r),
+    EXPECT_TRUE(same_bits(pipelines[ri].codec().ef_memory(r),
                           oracle.ef[ri]))
         << "the rank's own EF residual diverged from the oracle's";
   }
+  EXPECT_EQ(sent, golden_sent) << "wire bytes differ from the golden table";
+  EXPECT_EQ(received, golden_sent);
+}
+
+/// Runs every (spec, world) over `substrate` with counting codecs and
+/// checks it against the oracle and the golden table; returns the
+/// per-rank meters by (spec, world) for cross-substrate comparison.
+std::vector<SpmdRun> run_matrix(Substrate substrate) {
+  const ModelLayout layout = test_layout();
+  std::vector<SpmdRun> runs;
+  for (const GoldenSpec& golden : kSpecs) {
+    for (int world = 2; world <= 5; ++world) {
+      SCOPED_TRACE(std::string(golden.spec) + " world " +
+                   std::to_string(world));
+      const RoundGrads grads = round_grads(layout.total_size(), world);
+      const Oracle oracle = run_oracle(golden.spec, layout, grads, world);
+      std::vector<Calls> calls;
+      auto pipelines = counting_pipelines(golden.spec, layout, world, calls);
+      runs.push_back(run_spmd(substrate, pipelines, grads));
+      expect_matches_oracle(calls, pipelines, runs.back(), oracle,
+                            golden.sent[world - 2], world);
+    }
+  }
+  return runs;
 }
 
 TEST(SpmdRankLocal, ThreadedFabricRanksEncodeOnlyTheirOwnWorker) {
-  const ModelLayout layout = test_layout();
-  const std::size_t d = layout.total_size();
-  for (const char* spec : kSpecs) {
-    for (int world = 2; world <= 5; ++world) {
-      SCOPED_TRACE(std::string(spec) + " world " + std::to_string(world));
-      const Oracle oracle = run_oracle(spec, layout, world);
-      auto ranks = make_ranks(spec, layout, world);
-      comm::Fabric fabric(world);
-      for (int round = 0; round < kRounds; ++round) {
-        // Callers that hold every gradient: aggregate_over narrows the
-        // codec's view to the rank's own.
-        const auto grads = round_grads(d, world, round);
-        const std::vector<std::span<const float>> views(grads.begin(),
-                                                        grads.end());
-        comm::run_workers(fabric, [&](comm::Communicator& comm) {
-          rank_round(ranks[static_cast<std::size_t>(comm.rank())], comm,
-                     views, round);
-        });
-      }
-      expect_matches_oracle(ranks, oracle, world);
-    }
-  }
+  (void)run_matrix(Substrate::kFabric);
 }
 
 TEST(SpmdRankLocal, SocketFabricRanksEncodeOnlyTheirOwnWorker) {
-  const ModelLayout layout = test_layout();
-  const std::size_t d = layout.total_size();
-  for (const char* spec : kSpecs) {
-    for (int world = 2; world <= 5; ++world) {
-      SCOPED_TRACE(std::string(spec) + " world " + std::to_string(world));
-      const Oracle oracle = run_oracle(spec, layout, world);
-      auto ranks = make_ranks(spec, layout, world);
-      const std::string rendezvous = net::unique_unix_rendezvous();
-      std::vector<std::string> errors(static_cast<std::size_t>(world));
-      std::vector<std::thread> threads;
-      for (int r = 0; r < world; ++r) {
-        threads.emplace_back([&, r] {
-          try {
-            net::SocketFabricConfig config;
-            config.rendezvous = rendezvous;
-            config.world_size = world;
-            config.rank = r;
-            config.recv_timeout_ms = 20000;
-            net::SocketFabric fabric(config);
-            comm::Communicator comm(fabric, r);
-            for (int round = 0; round < kRounds; ++round) {
-              // A real rank's caller: only its own gradient exists.
-              const auto mine = seeded_worker_grad(
-                  d, kSeed, static_cast<std::uint64_t>(round), r);
-              std::vector<std::span<const float>> views(
-                  static_cast<std::size_t>(world));
-              views[static_cast<std::size_t>(r)] = mine;
-              rank_round(ranks[static_cast<std::size_t>(r)], comm, views,
-                         round);
-            }
-          } catch (const std::exception& e) {
-            errors[static_cast<std::size_t>(r)] = e.what();
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-      for (int r = 0; r < world; ++r) {
-        ASSERT_EQ(errors[static_cast<std::size_t>(r)], "")
-            << "rank " << r << " failed";
-      }
-      expect_matches_oracle(ranks, oracle, world);
-    }
+  const std::vector<SpmdRun> socket = run_matrix(Substrate::kSocket);
+  const std::vector<SpmdRun> fabric = run_matrix(Substrate::kFabric);
+  ASSERT_EQ(socket.size(), fabric.size());
+  for (std::size_t i = 0; i < socket.size(); ++i) {
+    SCOPED_TRACE(std::string(kSpecs[i / 4].spec) + " world " +
+                 std::to_string(i % 4 + 2));
+    // [round][rank]: the same bytes on either substrate, rank by rank and
+    // round by round.
+    EXPECT_EQ(socket[i].sent, fabric[i].sent);
+    EXPECT_EQ(socket[i].received, fabric[i].received);
   }
 }
 
@@ -362,9 +322,9 @@ TEST(SpmdRankLocal, BeginRoundRejectsMalformedViews) {
   const ModelLayout layout = test_layout();
   const std::size_t d = layout.total_size();
   const std::vector<float> grad(d, 1.0f), short_grad(d - 1, 1.0f);
-  for (const char* spec : kSpecs) {
-    SCOPED_TRACE(spec);
-    auto codec = make_scheme_codec(spec, layout, 3);
+  for (const GoldenSpec& golden : kSpecs) {
+    SCOPED_TRACE(golden.spec);
+    auto codec = make_scheme_codec(golden.spec, layout, 3);
     // No worker held.
     const std::vector<std::span<const float>> none(3);
     EXPECT_THROW((void)codec->begin_round(none, 0), Error);

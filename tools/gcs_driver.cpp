@@ -6,9 +6,9 @@
 // traced span by span, and puts measured and charged side by side:
 //
 //   1. sweeps a list of factory specs (scheme x chunk/bucket/workers)
-//      over a real execution backend, tracing every round's phases
-//      (encode per worker, per-chunk collective send/recv, reduce,
-//      decode) with measure::TraceRecorder;
+//      as SPMD rounds (AggregationPipeline::aggregate_over), tracing
+//      rank 0's phases (its encode, per-chunk collective send/recv,
+//      reduce, decode) with measure::TraceRecorder;
 //   2. probes the substrate's actual link (RTT, bandwidth) and its
 //      n-to-1 incast penalty with measure::LinkProber — the measured
 //      penalty replaces netsim's assumed constant;
@@ -22,16 +22,17 @@
 //      TRACE_round_traces.json (the raw spans as a rank-0 RankTrace,
 //      loadable by gcs_analyze; uploaded by CI).
 //
-// Execution backends:
-//   --fabric=threaded   (default) one thread per rank, in-process
-//   --fabric=socket     one forked OS process per rank per round over
-//                       Unix-domain sockets (loopback); rank 0 is traced
+// Every mode runs the same SPMD driver: each rank calls run_driver with
+// its own endpoint; rank 0 traces, calibrates and writes the artefacts.
+//   --fabric=threaded   (default) --world rank threads in this process
+//                       over one comm::Fabric
+//   --fabric=socket     --world rank threads in this process, each with
+//                       its own Unix-domain SocketFabric endpoint
 //   --rank=<r> --rendezvous=<addr>
 //                       one rank of a multi-host sweep over a shared
 //                       TCP/UDS mesh (the gcs_worker pattern): every
 //                       host runs the identical command with its own
-//                       --rank; rank 0 traces, calibrates and writes the
-//                       artefacts.
+//                       --rank.
 //
 // Exit code: 0 iff the calibrated model's mean absolute error against
 // measured round time beats the uncalibrated model's (the acceptance
@@ -47,6 +48,7 @@
 #include "bench/bench_util.h"
 #include "comm/fabric.h"
 #include "comm/group.h"
+#include "comm/transport_decorators.h"
 #include "common/cli.h"
 #include "common/rng.h"
 #include "core/aggregation_pipeline.h"
@@ -100,12 +102,9 @@ std::string kind_of(const std::string& spec) {
   return spec.substr(0, spec.find(':'));
 }
 
-/// Deterministic per-worker gradients: the one shared recipe every
-/// protocol binary regenerates identically in every process.
-std::vector<std::vector<float>> make_grads(const DriverConfig& config,
-                                           std::uint64_t round) {
-  return core::seeded_worker_grads(config.dim, config.world, config.seed,
-                                   round);
+/// The substrate label of traces and the report.
+std::string backend_of(const DriverConfig& config) {
+  return config.rank >= 0 ? "multihost" : config.fabric;
 }
 
 struct ScenarioResult {
@@ -116,43 +115,18 @@ struct ScenarioResult {
   sim::RoundTime charged;                   ///< uncalibrated testbed charge
 };
 
-/// Builds the pipeline config for one spec on the chosen backend,
-/// mirroring gcs_worker's contract: transport selection belongs to the
-/// driver, not the spec.
-core::PipelineConfig pipeline_config_for(const DriverConfig& config,
-                                         const std::string& spec,
-                                         const ModelLayout& layout,
-                                         measure::TraceRecorder* trace) {
-  core::PipelineConfig pc =
-      core::parse_pipeline_config(spec, layout, config.world);
-  if (pc.backend != core::PipelineBackend::kLocalReference) {
-    throw Error(
-        "gcs_driver: drop fabric=/fabric from --schemes — the execution "
-        "backend is chosen by --fabric/--rank");
-  }
-  if (config.rank >= 0) {
-    pc.backend = core::PipelineBackend::kLocalReference;  // aggregate_over
-  } else if (config.fabric == "socket") {
-    pc.backend = core::PipelineBackend::kSocketFabric;
-  } else {
-    pc.backend = core::PipelineBackend::kThreadedFabric;
-  }
-  pc.trace = trace;
-  return pc;
-}
-
-/// Runs one spec for `rounds` rounds on the in-process backends and
-/// returns its samples (median + all timed rounds). Used for both
-/// --fabric=threaded and --fabric=socket (the pipeline forks per round).
+/// Runs one spec for `rounds` rounds as this rank and returns its samples
+/// (median + all timed rounds); only rank 0 traces, so only its samples
+/// carry measurements.
 ScenarioResult run_scenario(const DriverConfig& config,
                             const std::string& spec,
                             const ModelLayout& layout,
-                            comm::Communicator* multihost_comm) {
+                            comm::Communicator& comm) {
   measure::TraceRecorder recorder;
-  const bool trace_here = multihost_comm == nullptr ||
-                          multihost_comm->rank() == 0;
-  core::PipelineConfig pc = pipeline_config_for(
-      config, spec, layout, trace_here ? &recorder : nullptr);
+  const int rank = comm.rank();
+  core::PipelineConfig pc =
+      core::parse_pipeline_config(spec, layout, config.world);
+  if (rank == 0) pc.trace = &recorder;
   core::AggregationPipeline pipeline(
       core::make_scheme_codec(spec, layout, config.world), pc);
 
@@ -162,25 +136,16 @@ ScenarioResult run_scenario(const DriverConfig& config,
   std::vector<float> out(config.dim);
   for (int r = 0; r < config.rounds; ++r) {
     const auto round = static_cast<std::uint64_t>(r);
-    if (multihost_comm != nullptr) {
-      // One host, one rank: only this rank's gradient exists here.
-      const int rank = multihost_comm->rank();
-      const auto mine =
-          core::seeded_worker_grad(config.dim, config.seed, round, rank);
-      std::vector<std::span<const float>> views(
-          static_cast<std::size_t>(config.world));
-      views[static_cast<std::size_t>(rank)] = mine;
-      pipeline.aggregate_over(
-          *multihost_comm, std::span<const std::span<const float>>(views),
-          out, round);
-    } else {
-      const auto grads = make_grads(config, round);
-      std::vector<std::span<const float>> views(grads.begin(), grads.end());
-      pipeline.aggregate(std::span<const std::span<const float>>(views), out,
-                         round);
-    }
-    measure::RoundTrace trace = recorder.take(
-        round, spec, multihost_comm != nullptr ? "multihost" : config.fabric);
+    // One rank, one gradient: only this rank's exists here.
+    const auto mine =
+        core::seeded_worker_grad(config.dim, config.seed, round, rank);
+    std::vector<std::span<const float>> views(
+        static_cast<std::size_t>(config.world));
+    views[static_cast<std::size_t>(rank)] = mine;
+    pipeline.aggregate_over(
+        comm, std::span<const std::span<const float>>(views), out, round);
+    measure::RoundTrace trace =
+        recorder.take(round, spec, backend_of(config));
     const bool warmup = config.rounds > 1 && r == 0;
     if (!warmup) timed.push_back(std::move(trace));
   }
@@ -216,82 +181,18 @@ ScenarioResult run_scenario(const DriverConfig& config,
   return result;
 }
 
-struct ProbeResults {
-  measure::LinkEstimate link;
-  measure::IncastEstimate incast;
-};
-
-/// Probes over the threaded in-process fabric (SPMD across rank threads).
-ProbeResults probe_threaded(int world) {
-  ProbeResults probes;
-  comm::Fabric fabric(world);
-  comm::run_workers(fabric, [&](comm::Communicator& comm) {
-    const auto link = measure::probe_link(comm, 0, 1 % world);
-    const auto incast = measure::probe_incast(comm, 0);
-    if (comm.rank() == 0) {
-      probes.link = link;
-      probes.incast = incast;
-    }
-  });
-  return probes;
-}
-
-/// Probes over real loopback sockets: one thread per rank, each with its
-/// own Unix-domain SocketFabric endpoint (the --fabric=socket substrate).
-ProbeResults probe_sockets(int world) {
-  ProbeResults probes;
-  const std::string rendezvous = net::unique_unix_rendezvous();
-  std::vector<std::thread> threads;
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  for (int rank = 0; rank < world; ++rank) {
-    threads.emplace_back([&, rank] {
-      try {
-        net::SocketFabricConfig fc;
-        fc.rendezvous = rendezvous;
-        fc.world_size = world;
-        fc.rank = rank;
-        net::SocketFabric fabric(fc);
-        comm::Communicator comm(fabric, rank);
-        const auto link = measure::probe_link(comm, 0, 1 % world);
-        const auto incast = measure::probe_incast(comm, 0);
-        if (rank == 0) {
-          probes.link = link;
-          probes.incast = incast;
-        }
-      } catch (...) {
-        std::lock_guard lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-  return probes;
-}
-
-/// The full sweep + probes + calibration + artefacts on one process (or,
-/// in multi-host mode, on every rank SPMD with rank 0 reporting).
-/// Returns the process exit code.
-int run_driver(const DriverConfig& config,
-               comm::Communicator* multihost_comm) {
+/// The full sweep + probes + calibration + artefacts, run SPMD by every
+/// rank with rank 0 reporting. Returns the exit code (0 on other ranks).
+int run_driver(const DriverConfig& config, comm::Communicator& comm) {
   const ModelLayout layout = make_transformer_like_layout(config.dim);
-  const bool reporter = multihost_comm == nullptr ||
-                        multihost_comm->rank() == 0;
+  const bool reporter = comm.rank() == 0;
 
   // ---- probes first: the link the sweep is about to use.
-  ProbeResults probes;
-  if (multihost_comm != nullptr) {
-    probes.link = measure::probe_link(*multihost_comm, 0,
-                                      1 % config.world);
-    probes.incast = measure::probe_incast(*multihost_comm, 0);
-  } else if (config.fabric == "socket") {
-    probes = probe_sockets(config.world);
-  } else {
-    probes = probe_threaded(config.world);
-  }
+  const measure::LinkEstimate link =
+      measure::probe_link(comm, 0, 1 % config.world);
+  const measure::IncastEstimate incast = measure::probe_incast(comm, 0);
   const netsim::NetworkModel measured_net =
-      measure::probed_network_model(probes.link, probes.incast);
+      measure::probed_network_model(link, incast);
 
   // ---- the sweep.
   std::vector<ScenarioResult> results;
@@ -301,8 +202,7 @@ int run_driver(const DriverConfig& config,
                 << " rounds, d=" << config.dim << ", n=" << config.world
                 << ") ..." << std::flush;
     }
-    results.push_back(
-        run_scenario(config, spec, layout, multihost_comm));
+    results.push_back(run_scenario(config, spec, layout, comm));
     if (reporter) {
       std::cout << " measured "
                 << format_sig(results.back().sample.measured_round_s * 1e3,
@@ -312,7 +212,7 @@ int run_driver(const DriverConfig& config,
                 << " ms\n";
     }
   }
-  if (!reporter) return 0;  // non-zero multi-host ranks only participate
+  if (!reporter) return 0;  // non-zero ranks only participate
 
   // ---- calibration. The reported parameters come from the all-sample
   // fit; the headline MAE is out-of-sample where the sweep allows it:
@@ -371,8 +271,7 @@ int run_driver(const DriverConfig& config,
   bench::BenchJson json("measured_vs_charged");
   json.set("meta", "description",
            "per-phase measured wall-clock vs cost-model charge");
-  json.set("meta", "backend",
-           multihost_comm != nullptr ? "multihost" : config.fabric);
+  json.set("meta", "backend", backend_of(config));
   json.set("meta", "world", static_cast<double>(config.world));
   json.set("meta", "dim", static_cast<double>(config.dim));
   AsciiTable table({"spec", "measured ms", "charged ms", "calibrated ms",
@@ -404,12 +303,12 @@ int run_driver(const DriverConfig& config,
                    format_sig(s.measured_decode_s * 1e6, 3),
                    format_sig(s.messages, 3)});
   }
-  json.set("probe", "link_rtt_us", probes.link.rtt_s * 1e6);
+  json.set("probe", "link_rtt_us", link.rtt_s * 1e6);
   json.set("probe", "link_bandwidth_gbytes",
-           probes.link.bandwidth_bytes_per_sec / 1e9);
-  json.set("probe", "incast_penalty", probes.incast.penalty);
+           link.bandwidth_bytes_per_sec / 1e9);
+  json.set("probe", "incast_penalty", incast.penalty);
   json.set("probe", "incast_senders",
-           static_cast<double>(probes.incast.senders));
+           static_cast<double>(incast.senders));
   // The measured penalty, consumed: PS charge under the probed model.
   {
     const double payload =
@@ -439,12 +338,12 @@ int run_driver(const DriverConfig& config,
 
   std::cout << '\n' << table.to_string() << '\n';
   std::cout << "link: rtt "
-            << format_sig(probes.link.rtt_s * 1e6, 3) << " us, bandwidth "
-            << format_sig(probes.link.bandwidth_bytes_per_sec / 1e9, 3)
-            << " GB/s; incast penalty (" << probes.incast.senders
-            << " senders): " << format_sig(probes.incast.penalty, 3)
+            << format_sig(link.rtt_s * 1e6, 3) << " us, bandwidth "
+            << format_sig(link.bandwidth_bytes_per_sec / 1e9, 3)
+            << " GB/s; incast penalty (" << incast.senders
+            << " senders): " << format_sig(incast.penalty, 3)
             << " (measured, replaces netsim's assumed "
-            << format_sig(netsim::incast_penalty(probes.incast.senders), 3)
+            << format_sig(netsim::incast_penalty(incast.senders), 3)
             << ")\n";
   std::cout << "calibration ("
             << (loo ? "leave-one-scenario-out" : "in-sample")
@@ -489,14 +388,32 @@ int run_driver(const DriverConfig& config,
   return 0;
 }
 
-int run_multihost(const DriverConfig& config) {
-  net::SocketFabricConfig fc;
-  fc.rendezvous = config.rendezvous;
-  fc.world_size = config.world;
-  fc.rank = config.rank;
-  net::SocketFabric fabric(fc);
-  comm::Communicator comm(fabric, config.rank);
-  return run_driver(config, &comm);
+/// The in-process modes: --world rank threads run the multi-host driver,
+/// over one comm::Fabric (rank 0 through its own tapped view, so only its
+/// wire is traced) or over one loopback SocketFabric endpoint each.
+/// Returns rank 0's exit code; rethrows the first rank's error.
+int run_local(const DriverConfig& config) {
+  int exit_code = 0;
+  if (config.fabric == "socket") {
+    net::run_socket_ranks(config.world,
+                          [&](net::SocketFabric& fabric, int rank) {
+                            comm::Communicator comm(fabric, rank);
+                            const int code = run_driver(config, comm);
+                            if (rank == 0) exit_code = code;
+                          });
+    return exit_code;
+  }
+  comm::Fabric fabric(config.world);
+  comm::run_workers(fabric, [&](comm::Communicator& comm) {
+    if (comm.rank() != 0) {
+      run_driver(config, comm);
+      return;
+    }
+    comm::TappedTransport own(fabric);
+    comm::Communicator rank0(own, 0);
+    exit_code = run_driver(config, rank0);
+  });
+  return exit_code;
 }
 
 }  // namespace
@@ -510,9 +427,9 @@ int main(int argc, char** argv) {
              "  --schemes=<s1,s2,..>  factory specs to sweep (default: a\n"
              "                        10-scenario grid over all 5 schemes)\n"
              "  --fabric=<threaded|socket>\n"
-             "                        execution backend (default threaded;\n"
-             "                        socket forks one process per rank\n"
-             "                        per round over Unix sockets)\n"
+             "                        rank substrate (default threaded: one\n"
+             "                        comm::Fabric; socket: one Unix-socket\n"
+             "                        endpoint per rank thread)\n"
              "  --rank=<r> --rendezvous=<addr>\n"
              "                        multi-host mode: one rank per host\n"
              "                        over a shared TCP/UDS mesh; all\n"
@@ -555,8 +472,16 @@ int main(int argc, char** argv) {
       std::cerr << "gcs_driver: --rank mode needs --rendezvous=<addr>\n";
       return 2;
     }
-    if (config.rank >= 0) return run_multihost(config);
-    return run_driver(config, nullptr);
+    if (config.rank >= 0) {
+      net::SocketFabricConfig fc;
+      fc.rendezvous = config.rendezvous;
+      fc.world_size = config.world;
+      fc.rank = config.rank;
+      net::SocketFabric fabric(fc);
+      comm::Communicator comm(fabric, config.rank);
+      return run_driver(config, comm);
+    }
+    return run_local(config);
   } catch (const std::exception& e) {
     std::cerr << "gcs_driver: " << e.what() << '\n';
     return 1;
