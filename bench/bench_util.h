@@ -278,11 +278,13 @@ inline void print_header(const std::string& artefact,
   bench_json().set("meta", "description", description);
 }
 
-/// Writes `content` to `path` if --csv was passed; reports the location.
-inline void maybe_write_csv(const CliFlags& flags, const std::string& name,
+/// Writes `content` to <csv_dir>/<name> unless `csv_dir` (the bench's
+/// --csv=<dir> flag) is empty; reports the location.
+inline void maybe_write_csv(const std::string& csv_dir,
+                            const std::string& name,
                             const std::string& content) {
-  if (!flags.has("csv")) return;
-  const std::string path = flags.get_string("csv", ".") + "/" + name;
+  if (csv_dir.empty()) return;
+  const std::string path = csv_dir + "/" + name;
   std::ofstream out(path);
   if (!out) {
     std::cerr << "warning: cannot write " << path << '\n';

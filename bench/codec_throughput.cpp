@@ -166,6 +166,7 @@ int main(int argc, char** argv) {
                "bytes in; active kernel backend vs forced scalar)");
   const double min_seconds = flags.get_double("min-seconds", 0.4);
   const int max_iters = static_cast<int>(flags.get_double("max-iters", 12));
+  flags.reject_unknown();
 
   const struct {
     const char* label;

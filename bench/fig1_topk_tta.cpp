@@ -46,6 +46,8 @@ void summarize(const std::vector<sim::DdpResult>& results,
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  const std::string csv_dir = flags.get_string("csv", "");
+  flags.reject_unknown();
   print_header("Figure 1",
                "TTA of TopKC vs TopK vs baselines (both tasks)");
 
@@ -59,7 +61,7 @@ int main(int argc, char** argv) {
     std::cout << '\n'
               << sim::tabulate_curves(results, 10);
     summarize(results, train::MetricDirection::kLowerIsBetter, 0.5);
-    maybe_write_csv(flags, "fig1_bert.csv", sim::curves_to_csv(results));
+    maybe_write_csv(csv_dir, "fig1_bert.csv", sim::curves_to_csv(results));
   }
   {
     std::cout << "\n--- (b) VGG proxy: top-1 accuracy, timed as VGG19 ---\n";
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
     std::cout << '\n'
               << sim::tabulate_curves(results, 10);
     summarize(results, train::MetricDirection::kHigherIsBetter, 0.02);
-    maybe_write_csv(flags, "fig1_vgg.csv", sim::curves_to_csv(results));
+    maybe_write_csv(csv_dir, "fig1_vgg.csv", sim::curves_to_csv(results));
   }
 
   std::cout << "\nShape checks (paper Fig. 1): FP16 dominates FP32; TopKC "

@@ -23,6 +23,8 @@ const std::vector<std::string> kSchemes = {
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  const std::string csv_dir = flags.get_string("csv", "");
+  flags.reject_unknown();
   print_header("Figure 2",
                "TTA of THC variants: saturation and partial rotation");
 
@@ -33,7 +35,7 @@ int main(int argc, char** argv) {
                                        sim::make_bert_large_workload(),
                                        nullptr, /*lower_is_better=*/true);
     std::cout << '\n' << sim::tabulate_curves(results, 10);
-    maybe_write_csv(flags, "fig2_bert.csv", sim::curves_to_csv(results));
+    maybe_write_csv(csv_dir, "fig2_bert.csv", sim::curves_to_csv(results));
   }
   {
     std::cout << "\n--- (b) VGG proxy ---\n";
@@ -42,7 +44,7 @@ int main(int argc, char** argv) {
                                        sim::make_vgg19_workload(), nullptr,
                                        /*lower_is_better=*/false);
     std::cout << '\n' << sim::tabulate_curves(results, 10);
-    maybe_write_csv(flags, "fig2_vgg.csv", sim::curves_to_csv(results));
+    maybe_write_csv(csv_dir, "fig2_vgg.csv", sim::curves_to_csv(results));
   }
 
   std::cout << "\nShape checks (paper Fig. 2): adding saturation, then "

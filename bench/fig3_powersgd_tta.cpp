@@ -20,6 +20,8 @@ const std::vector<std::string> kSchemes = {
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  const std::string csv_dir = flags.get_string("csv", "");
+  flags.reject_unknown();
   print_header("Figure 3", "TTA of PowerSGD across ranks");
 
   {
@@ -29,7 +31,7 @@ int main(int argc, char** argv) {
                                        sim::make_bert_large_workload(),
                                        nullptr, /*lower_is_better=*/true);
     std::cout << '\n' << sim::tabulate_curves(results, 10);
-    maybe_write_csv(flags, "fig3_bert.csv", sim::curves_to_csv(results));
+    maybe_write_csv(csv_dir, "fig3_bert.csv", sim::curves_to_csv(results));
   }
   {
     std::cout << "\n--- (b) VGG proxy ---\n";
@@ -38,7 +40,7 @@ int main(int argc, char** argv) {
                                        sim::make_vgg19_workload(), nullptr,
                                        /*lower_is_better=*/false);
     std::cout << '\n' << sim::tabulate_curves(results, 10);
-    maybe_write_csv(flags, "fig3_vgg.csv", sim::curves_to_csv(results));
+    maybe_write_csv(csv_dir, "fig3_vgg.csv", sim::curves_to_csv(results));
   }
 
   std::cout << "\nShape checks (paper Fig. 3): r=1 has the highest "

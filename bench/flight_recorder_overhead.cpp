@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("ring", 8));
   const std::string spec =
       flags.get_string("spec", "topkc:b=4:chunk=65536:workers=2");
+  flags.reject_unknown();
 
   print_header("Flight recorder overhead",
                "Round time with the always-on flight recorder off vs on; "

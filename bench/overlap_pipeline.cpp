@@ -111,6 +111,8 @@ int main(int argc, char** argv) {
   using namespace gcs::bench;
 
   CliFlags flags(argc, argv);
+  const std::string csv_dir = flags.get_string("csv", "");
+  flags.reject_unknown();
   print_header("Overlap Pipeline",
                "round time: monolithic vs chunked/overlapped aggregation");
 
@@ -141,7 +143,7 @@ int main(int argc, char** argv) {
                "schedule (chunking would only add per-hop latency).\n"
             << wins << " scheme/workload scenarios run strictly faster "
             << "chunked.\n\n";
-  maybe_write_csv(flags, "overlap_pipeline.csv", table.to_csv());
+  maybe_write_csv(csv_dir, "overlap_pipeline.csv", table.to_csv());
   write_table_json(table);
   bench_json().set("meta", "chunked_strictly_faster_scenarios",
                    static_cast<double>(wins));

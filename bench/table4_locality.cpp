@@ -20,13 +20,15 @@ constexpr double kPaperPerm[] = {0.398, 0.297, 0.123};
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  const std::string csv_dir = flags.get_string("csv", "");
+  const int rounds = static_cast<int>(flags.get_int("rounds", 4));
+  flags.reject_unknown();
   print_header("Table 4",
                "vNMSE of TopKC vs TopKC+random-permutation (BERT-like "
                "gradients)");
 
   const auto source = bert_like_gradients();
   const std::size_t d = source.dimension();
-  const int rounds = static_cast<int>(flags.get_int("rounds", 4));
 
   AsciiTable table(
       {"Compression", "b=0.5", "b=2", "b=8", "source"});
@@ -59,7 +61,7 @@ int main(int argc, char** argv) {
   std::cout << table.to_string() << '\n'
             << "Shape checks: permutation strictly increases vNMSE at "
                "every b; error falls as b grows.\n";
-  maybe_write_csv(flags, "table4.csv", table.to_csv());
+  maybe_write_csv(csv_dir, "table4.csv", table.to_csv());
   write_table_json(table);
   return 0;
 }

@@ -18,6 +18,8 @@ constexpr double kPaperVgg[] = {0.119, 0.121, 0.082};
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  const std::string csv_dir = flags.get_string("csv", "");
+  flags.reject_unknown();
   print_header("Table 6",
                "TopK compression overhead (% of round time in heavy "
                "components)");
@@ -61,7 +63,7 @@ int main(int argc, char** argv) {
             << contrast.to_string() << '\n'
             << "Shape checks: TopK overhead ~8-13% across b; TopKC well "
                "under 5%.\n";
-  maybe_write_csv(flags, "table6.csv", table.to_csv());
+  maybe_write_csv(csv_dir, "table6.csv", table.to_csv());
   write_table_json(table);
   return 0;
 }

@@ -22,11 +22,13 @@ constexpr double kPaperTopkc[] = {0.273, 0.142, 0.0280};
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  const std::string csv_dir = flags.get_string("csv", "");
+  const int rounds = static_cast<int>(flags.get_int("rounds", 4));
+  flags.reject_unknown();
   print_header("Table 7", "vNMSE of TopK vs TopKC (BERT-like gradients)");
 
   const auto source = bert_like_gradients();
   const std::size_t d = source.dimension();
-  const int rounds = static_cast<int>(flags.get_int("rounds", 4));
   const double bits[] = {0.5, 2.0, 8.0};
 
   AsciiTable table({"Compression", "b=0.5", "b=2", "b=8", "source"});
@@ -75,7 +77,7 @@ int main(int argc, char** argv) {
   std::cout << table.to_string() << '\n'
             << "Shape checks: TopKC <= TopK vNMSE at every b (J' > K at "
                "equal budget); both fall with b.\n";
-  maybe_write_csv(flags, "table7.csv", table.to_csv());
+  maybe_write_csv(csv_dir, "table7.csv", table.to_csv());
   write_table_json(table);
   return 0;
 }

@@ -35,6 +35,8 @@ std::string cell(double v) { return v < 0 ? "N/A" : format_sig(v, 3); }
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  const std::string csv_dir = flags.get_string("csv", "");
+  flags.reject_unknown();
   print_header("Table 8",
                "THC throughput: saturation + rotation ablations vs the "
                "b=8 overflow-headroom baseline");
@@ -104,7 +106,7 @@ int main(int argc, char** argv) {
             << "Shape checks: no-rotation > partial > full in throughput; "
                "Sat(b=q) beats BL(b=8) by ~25-30%; b=2 > b=4 in throughput "
                "(but see Figure 2 for its TTA collapse).\n";
-  maybe_write_csv(flags, "table8.csv", table.to_csv());
+  maybe_write_csv(csv_dir, "table8.csv", table.to_csv());
   write_table_json(table);
   return 0;
 }

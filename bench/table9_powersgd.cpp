@@ -24,6 +24,8 @@ constexpr PaperRow kPaper[2][4] = {
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  const std::string csv_dir = flags.get_string("csv", "");
+  flags.reject_unknown();
   print_header("Table 9",
                "PowerSGD bits/coordinate and throughput vs rank r");
 
@@ -53,7 +55,7 @@ int main(int argc, char** argv) {
                "as r rises despite negligible communication — "
                "orthogonalization compute dominates (the paper's point "
                "that compression ratio alone says nothing about utility).\n";
-  maybe_write_csv(flags, "table9.csv", table.to_csv());
+  maybe_write_csv(csv_dir, "table9.csv", table.to_csv());
   write_table_json(table);
   return 0;
 }

@@ -92,6 +92,7 @@ int main(int argc, char** argv) {
   const int warmup = static_cast<int>(flags.get_int("warmup", 3));
   const std::string spec =
       flags.get_string("spec", "topkc:b=4:chunk=65536:workers=2");
+  flags.reject_unknown();
 
   print_header("Telemetry overhead",
                "Round time with telemetry off vs on; off must register "

@@ -157,6 +157,7 @@ int main(int argc, char** argv) {
   const auto payload = static_cast<std::size_t>(
       flags.get_int("payload", quick ? 16384 : 65536));
   const int warmup = static_cast<int>(flags.get_int("warmup", quick ? 1 : 3));
+  flags.reject_unknown();
 
   print_header("World scaling",
                "Ring rounds/s vs world size over the epoll reactor "

@@ -14,6 +14,8 @@
 int main(int argc, char** argv) {
   using namespace gcs;
   CliFlags flags(argc, argv);
+  const int max_rounds = static_cast<int>(flags.get_int("rounds", 3000));
+  flags.reject_unknown();
 
   train::GaussianMixtureDataset::Config data_config;
   data_config.features = 32;
@@ -42,7 +44,7 @@ int main(int argc, char** argv) {
     config.world_size = 4;
     config.hidden = {64};
     config.learning_rate = 0.1;
-    config.max_rounds = static_cast<int>(flags.get_int("rounds", 3000));
+    config.max_rounds = max_rounds;
     config.eval_every = 25;
     config.rolling_window = 6;
     config.patience = 30;

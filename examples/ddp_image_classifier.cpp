@@ -37,16 +37,23 @@ int main(int argc, char** argv) {
   // backward<->comm overlap (both from the same spec knobs).
   const std::string sched =
       flags.get_string("sched", "buckets=layer:workers=2");
-  auto run = [&](std::string scheme) {
-    if (!sched.empty() && !core::has_scheduler_knobs(scheme)) {
-      scheme += ":" + sched;
+  const int max_rounds = static_cast<int>(flags.get_int("rounds", 4000));
+  const std::string scheme = flags.get_string("scheme", "topkc:b=2");
+  // The default target depends on the baseline run, which must not start
+  // before every flag is known good.
+  const bool has_target = flags.has("target");
+  const double target_flag = flags.get_double("target", 0.0);
+  flags.reject_unknown();
+  auto run = [&](std::string spec) {
+    if (!sched.empty() && !core::has_scheduler_knobs(spec)) {
+      spec += ":" + sched;
     }
     sim::DdpConfig config;
-    config.scheme = scheme;
+    config.scheme = spec;
     config.world_size = 4;
     config.hidden = {64};
     config.learning_rate = 0.1;
-    config.max_rounds = static_cast<int>(flags.get_int("rounds", 4000));
+    config.max_rounds = max_rounds;
     config.eval_every = 25;
     config.rolling_window = 6;
     config.patience = 30;
@@ -55,7 +62,6 @@ int main(int argc, char** argv) {
                           sim::CostModel());
   };
 
-  const std::string scheme = flags.get_string("scheme", "topkc:b=2");
   std::cout << "Training classifier proxy (timed as VGG19): FP16 baseline "
                "vs "
             << scheme << "...\n";
@@ -63,7 +69,7 @@ int main(int argc, char** argv) {
   const auto candidate = run(scheme);
 
   const double target =
-      flags.get_double("target", baseline.best_metric - 0.02);
+      has_target ? target_flag : baseline.best_metric - 0.02;
   AsciiTable table({"scheme", "rounds/s", "b", "final acc", "TTA (h)",
                     "buckets", "hidden ms"});
   for (const auto* r : {&baseline, &candidate}) {

@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   config.hidden = {64};
   config.learning_rate = flags.get_double("lr", 0.25);
   config.max_rounds = static_cast<int>(flags.get_int("rounds", 2000));
+  flags.reject_unknown();
   config.eval_every = 25;
   config.rolling_window = 6;
   config.patience = 30;

@@ -8,8 +8,8 @@
 // inputs and the run needs no input files.
 //
 // Single-machine launch (forks all ranks, Unix-domain sockets):
-//   ./build/example_gcs_worker --launch --world=4 --scheme=topkc:b=8
-//       --rounds=3 --dim=65536 --chunk=4096
+//   ./build/example_gcs_worker --launch --world=4 --scheme=topkc:b=8:chunk=4096
+//       --rounds=3 --dim=65536
 //
 // Multi-host launch (one invocation per rank, TCP rendezvous at rank 0):
 //   host0$ ./build/example_gcs_worker --rank=0 --world=4
@@ -28,6 +28,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <thread>
@@ -36,7 +37,7 @@
 #include "comm/collectives.h"
 #include "comm/transport_decorators.h"
 #include "common/cli.h"
-#include "common/rng.h"
+#include "common/check.h"
 #include "common/table.h"
 #include "core/aggregation_pipeline.h"
 #include "core/factory.h"
@@ -57,64 +58,49 @@
 
 namespace {
 
+/// Rounds between clock-sync refreshes (the rendezvous sync always runs);
+/// periodic refreshes feed the drift estimate for long runs.
+constexpr int kClockSyncEveryRounds = 32;
+
+/// Deployment and demo flags. The pipeline's own knobs (chunk=, buckets=,
+/// workers=, autotune, fabric=socket:elastic=on) live only in the
+/// --scheme spec; the library configs below take their flags directly
+/// and keep their library defaults otherwise.
 struct WorkerConfig {
-  std::string scheme = "topkc:b=8";
-  std::string rendezvous;
-  int world = 4;
+  std::string scheme = "topkc:b=8:chunk=4096";
   int rounds = 2;
   std::size_t dim = 1 << 16;
-  std::size_t chunk = 4096;
   std::uint64_t seed = 1234;
   /// Round-trace output prefix; each rank writes
   /// <trace>.rank<r>.json (measure/trace.h spans: encode, per-chunk
   /// send/recv, reduce, decode). Empty = tracing off (zero overhead).
   std::string trace;
-  /// Elastic membership: survive peer failure (kill -9 one of the
-  /// workers and watch the survivors re-rendezvous) instead of failing
-  /// the run loudly.
-  bool elastic = false;
-  /// Recv deadline in ms (0 = transport default, 60 s).
-  int peer_timeout_ms = 0;
-  /// Elastic rejoin window in ms (0 = transport default, 2 s).
-  int rejoin_window_ms = 0;
+  /// With --trace: also write <prefix>.rank<r>.chrome.json, the Chrome
+  /// trace-event export (chrome://tracing / Perfetto-loadable).
+  bool chrome_trace = false;
   /// Fault demo: this original rank kills itself (SIGKILL-equivalent
   /// _exit) while encoding round `die_round`. -1 = nobody dies.
   int die_rank = -1;
   int die_round = 0;
-  /// Live telemetry (src/telemetry/): enable the metrics registry for
-  /// this run. Implied by --stats-port.
-  bool telemetry = false;
   /// Stats endpoint base port: rank r serves Prometheus text exposition
   /// on 127.0.0.1:(stats_port + r). -1 = no endpoint.
   int stats_port = -1;
   /// Keep the stats endpoint (and the process) alive this long after the
-  /// last round, so an external scraper (tools/gcs_stat, CI) has a
+  /// last round, so an external scraper (tools/gcs_top, CI) has a
   /// race-free window to read final counters.
   int stats_hold_ms = 0;
-  /// With --trace: also write <prefix>.rank<r>.chrome.json, the Chrome
-  /// trace-event export (chrome://tracing / Perfetto-loadable).
-  bool chrome_trace = false;
   /// Straggler injection (the causal profiler's acceptance seam): this
   /// original rank sleeps --delay-send-ms before every transport send,
   /// making it artificially late without touching payloads. -1 = nobody.
   int delay_rank = -1;
   int delay_send_ms = 0;
-  /// Always-on flight recorder: ring of the last N completed rounds,
-  /// dumped post mortem on peer failure or fatal signal (0 = off).
-  int flight_rounds = 8;
-  /// Directory flight-recorder dumps land in.
-  std::string flight_dir = ".";
-  /// Clock-sync refresh period in rounds (the rendezvous sync always
-  /// runs); 0 = rendezvous only. Periodic refreshes feed the drift
-  /// estimate for long runs.
-  int clock_sync_every = 32;
+  /// Deferred straggler: --delay-rank starts sleeping only at this round
+  /// (-1 = from round 0). Lets the detectors build a clean baseline
+  /// before the regression is injected.
+  int delay_after_round = -1;
   /// Health plane (src/health/): hang watchdog + anomaly detectors +
-  /// /health on the stats endpoint. Implies --telemetry.
+  /// /health on the stats endpoint. Enables telemetry.
   bool health = false;
-  /// Anomaly-detector sampling period.
-  int health_interval_ms = 200;
-  /// Watchdog armed-lane deadline (default 5000 with --health).
-  int watchdog_ms = 0;
   /// On a per-peer reader-lane stall, administratively fail the stuck
   /// peer's channel (SocketFabric::fail_peer) so the round aborts with a
   /// PeerFailure and elastic recovery engages. Implies --health.
@@ -127,35 +113,16 @@ struct WorkerConfig {
   /// How long the frozen rank holds before hard-exiting (bounds the
   /// demo even if nobody aborts it).
   int freeze_hold_ms = 30000;
-  /// Deferred straggler: --delay-rank starts sleeping only at this round
-  /// (-1 = from round 0). Lets the detectors build a clean baseline
-  /// before the regression is injected.
-  int delay_after_round = -1;
   /// Sleep between rounds on every rank: paces the round rate so the
   /// per-tick detector sampling sees enough windows to warm up.
   int round_gap_ms = 0;
+  /// --rendezvous, --world, --peer-timeout-ms, --rejoin-window-ms.
+  gcs::net::SocketFabricConfig fabric;
+  /// --watchdog-ms.
+  gcs::health::WatchdogConfig watchdog;
+  /// --flight-rounds (0 = off), --flight-dir.
+  gcs::telemetry::FlightRecorderOptions flight;
 };
-
-/// This rank's deterministic gradient: every process derives its own
-/// tensor from (seed, round, original rank) and holds no peer's, so
-/// nothing but protocol bytes crosses the wire. One shared recipe
-/// (core/synthetic_grad.h) across every protocol binary — the
-/// cross-process checks depend on it.
-std::vector<float> make_grad(const WorkerConfig& config, std::uint64_t round,
-                             int rank) {
-  return gcs::core::seeded_worker_grad(config.dim, config.seed, round, rank);
-}
-
-/// FNV-1a over the aggregated floats — a cheap cross-process agreement
-/// check (bit-identity is the claim, so a byte hash is the right probe).
-std::uint64_t checksum(std::span<const float> values) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
-  for (std::size_t i = 0; i < values.size() * sizeof(float); ++i) {
-    h = (h ^ bytes[i]) * 1099511628211ull;
-  }
-  return h;
-}
 
 struct WorkerResult {
   std::uint64_t checksum = 0;
@@ -165,22 +132,58 @@ struct WorkerResult {
   int final_world = 0;
 };
 
+void write_or_warn(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  if (out) {
+    out << text;
+  } else {
+    std::cerr << "gcs_worker: warning: cannot write " << path << '\n';
+  }
+}
+
+/// The usage error in `c`, or "". A demo whose injection can never fire
+/// would misreport a healthy run, so each is rejected up front.
+std::string usage_error(const WorkerConfig& c) {
+  const int world = c.fabric.world_size;
+  for (const auto& [flag, r] : {std::pair{"--freeze-rank", c.freeze_rank},
+                                {"--delay-rank", c.delay_rank},
+                                {"--die-rank", c.die_rank}}) {
+    if (r >= world) {
+      return std::string(flag) + "=" + std::to_string(r) +
+             " is outside --world=" + std::to_string(world);
+    }
+  }
+  if (c.freeze_rank >= 0 &&
+      (c.freeze_after_sends < 0 || c.freeze_hold_ms <= 0)) {
+    return "--freeze-rank needs --freeze-after-sends >= 0 and "
+           "--freeze-hold-ms > 0";
+  }
+  if (c.delay_rank >= 0 && c.delay_send_ms <= 0) {
+    return "--delay-rank needs --delay-send-ms > 0";
+  }
+  if (c.die_rank >= 0 && (c.die_round < 0 || c.die_round >= c.rounds)) {
+    return "--die-round=" + std::to_string(c.die_round) +
+           " is outside --rounds=" + std::to_string(c.rounds);
+  }
+  return "";
+}
+
 /// Runs all rounds as one rank over its own socket endpoint.
 WorkerResult run_worker(const WorkerConfig& config, int rank) {
   // Telemetry must be on before any instrumented object is constructed —
   // handles are resolved at construction time (src/telemetry/metrics.h).
-  if (config.telemetry || config.stats_port >= 0 || config.health) {
+  if (config.stats_port >= 0 || config.health) {
     gcs::telemetry::set_enabled(true);
   }
-  gcs::net::SocketFabricConfig fc;
-  fc.rendezvous = config.rendezvous;
-  fc.world_size = config.world;
+  const gcs::ModelLayout layout({gcs::LayerSpec{"flat", config.dim, 1}});
+  // The spec is the only source of the pipeline's knobs (validated and
+  // resolved by the factory). All ranks pass identical --scheme/--dim, so
+  // every process derives the identical chunk/bucket plan.
+  gcs::core::PipelineConfig pipeline_config = gcs::core::parse_pipeline_config(
+      config.scheme, layout, config.fabric.world_size);
+  gcs::net::SocketFabricConfig fc = config.fabric;
   fc.rank = rank;
-  fc.elastic = config.elastic;
-  if (config.peer_timeout_ms > 0) fc.recv_timeout_ms = config.peer_timeout_ms;
-  if (config.rejoin_window_ms > 0) {
-    fc.rejoin_window_ms = config.rejoin_window_ms;
-  }
+  fc.elastic = pipeline_config.elastic;
   gcs::net::SocketFabric fabric(fc);
   // Decorator stack, innermost first: freeze (hang injection) directly on
   // the fabric, then the straggler delay, then — outermost, health only —
@@ -206,13 +209,10 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
           rank == config.delay_rank && config.delay_after_round < 0
               ? static_cast<std::int64_t>(config.delay_send_ms) * 1000
               : 0));
-  std::unique_ptr<gcs::health::MonitoredTransport> monitored;
-  if (config.health) {
-    monitored = std::make_unique<gcs::health::MonitoredTransport>(delayed);
-  }
+  std::optional<gcs::health::MonitoredTransport> monitored;
+  if (config.health) monitored.emplace(delayed);
   gcs::comm::Transport& transport =
-      monitored != nullptr ? static_cast<gcs::comm::Transport&>(*monitored)
-                           : delayed;
+      monitored ? static_cast<gcs::comm::Transport&>(*monitored) : delayed;
   gcs::comm::Communicator comm(transport, fabric.rank());
 
   // Rendezvous clock sync: estimate this rank's offset against rank 0 so
@@ -225,24 +225,9 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
   // Periodic refreshes (drift tracking) need a stable membership and all
   // ranks alive at the same round boundary; the demos that violate that
   // keep the rendezvous model.
-  const bool clock_refresh_ok = !config.elastic && config.die_rank < 0;
+  const bool clock_refresh_ok =
+      !pipeline_config.elastic && config.die_rank < 0;
 
-  const gcs::ModelLayout layout({gcs::LayerSpec{"flat", config.dim, 1}});
-  // The spec's own knobs (validated and resolved by the factory — chunk=,
-  // buckets=, workers=, autotune) win over the --chunk flag; the
-  // transport is this binary's (every rank here IS a socket endpoint
-  // already). All ranks pass identical --scheme/--dim, so every process
-  // derives the identical chunk/bucket plan.
-  gcs::core::PipelineConfig pipeline_config =
-      gcs::core::parse_pipeline_config(config.scheme, layout, config.world);
-  // chunk_bytes == 0 is a meaningful value (one chunk per payload), so
-  // "spec wins" must key on the option's presence, not on its value; the
-  // autotuner resolving a chunk size counts as the spec speaking.
-  const bool spec_sets_chunk =
-      config.scheme.find(":chunk=") != std::string::npos ||
-      config.scheme.find("autotune") != std::string::npos ||
-      pipeline_config.bucket_mode == gcs::sched::BucketMode::kLayerBuckets;
-  if (!spec_sets_chunk) pipeline_config.chunk_bytes = config.chunk;
   gcs::measure::TraceRecorder recorder;
   if (!config.trace.empty()) pipeline_config.trace = &recorder;
   // Always-on flight recorder: keeps the last N rounds' spans in a ring
@@ -251,10 +236,8 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
   // --trace the user recorder stays the sink and completed rounds are
   // observe()d into the ring from the round loop below.
   std::unique_ptr<gcs::telemetry::FlightRecorder> flight;
-  if (config.flight_rounds > 0) {
-    gcs::telemetry::FlightRecorderOptions fo;
-    fo.ring_rounds = static_cast<std::size_t>(config.flight_rounds);
-    fo.dump_dir = config.flight_dir;
+  if (config.flight.ring_rounds > 0) {
+    gcs::telemetry::FlightRecorderOptions fo = config.flight;
     fo.rank = rank;
     flight = std::make_unique<gcs::telemetry::FlightRecorder>(fo);
     flight->set_clock(clock_sync.model());
@@ -267,10 +250,7 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
   std::unique_ptr<gcs::health::Watchdog> watchdog;
   std::unique_ptr<gcs::health::HealthMonitor> monitor;
   if (config.health) {
-    gcs::health::WatchdogConfig wc;
-    wc.deadline_ms = config.watchdog_ms > 0
-                         ? static_cast<std::uint64_t>(config.watchdog_ms)
-                         : 5000;
+    gcs::health::WatchdogConfig wc = config.watchdog;
     if (wc.deadline_ms / 4 < wc.poll_interval_ms) {
       wc.poll_interval_ms = wc.deadline_ms / 4 + 1;
     }
@@ -297,8 +277,6 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
 
     gcs::health::HealthMonitorConfig hc;
     hc.rank = rank;
-    hc.interval_ms = static_cast<std::uint64_t>(
-        config.health_interval_ms > 0 ? config.health_interval_ms : 200);
     hc.watchdog = watchdog.get();
     if (!config.trace.empty()) hc.trace = &recorder;
     monitor = std::make_unique<gcs::health::HealthMonitor>(hc);
@@ -317,11 +295,9 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
           [m = monitor.get()] { return m->health_json(); });
     }
   }
-  pipeline_config.elastic = config.elastic;
   if (config.die_rank == rank) {
-    const int die_round = config.die_round;
-    pipeline_config.fault_hook = [die_round](const char* point,
-                                             std::uint64_t round) {
+    pipeline_config.fault_hook = [die_round = config.die_round](
+                                     const char* point, std::uint64_t round) {
       if (round == static_cast<std::uint64_t>(die_round) &&
           std::string_view(point) == "encode") {
         std::cerr << "rank dying on purpose at round " << round << "\n";
@@ -330,7 +306,8 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
     };
   }
   gcs::core::AggregationPipeline pipeline(
-      gcs::core::make_scheme_codec(config.scheme, layout, config.world),
+      gcs::core::make_scheme_codec(config.scheme, layout,
+                                   config.fabric.world_size),
       pipeline_config);
 
   std::vector<float> out(config.dim);
@@ -351,13 +328,15 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
       std::cerr << "rank " << rank << ": injecting " << config.delay_send_ms
                 << " ms per-send delay from round " << r << "\n";
     }
-    if (clock_refresh_ok && config.clock_sync_every > 0 && r > 0 &&
-        r % config.clock_sync_every == 0) {
+    if (clock_refresh_ok && r > 0 && r % kClockSyncEveryRounds == 0) {
       clock_sync.refresh(sync_comm);
       if (flight != nullptr) flight->set_clock(clock_sync.model());
     }
-    const auto grad = make_grad(config, static_cast<std::uint64_t>(r), rank);
-    if (config.elastic) {
+    // This rank's gradient from (seed, round, original rank) alone: it
+    // holds no peer's, so nothing but protocol bytes crosses the wire.
+    const auto grad = gcs::core::seeded_worker_grad(
+        config.dim, config.seed, static_cast<std::uint64_t>(r), rank);
+    if (pipeline_config.elastic) {
       // The gradient stays keyed by the worker's immutable original rank:
       // a survivor keeps its own gradient stream across epoch swaps.
       // aggregate_elastic asks only for this rank's own.
@@ -375,14 +354,14 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
     } else {
       // Peers' slots stay empty: a rank holds only its own gradient.
       std::vector<std::span<const float>> views(
-          static_cast<std::size_t>(config.world));
+          static_cast<std::size_t>(config.fabric.world_size));
       views[static_cast<std::size_t>(comm.rank())] = grad;
       pipeline.aggregate_over(
           comm, std::span<const std::span<const float>>(views), out,
           static_cast<std::uint64_t>(r));
     }
-    sum_hash ^= checksum(out) + 0x9e3779b97f4a7c15ull + (sum_hash << 6) +
-                (sum_hash >> 2);
+    sum_hash ^= gcs::core::fnv64(out) + 0x9e3779b97f4a7c15ull +
+                (sum_hash << 6) + (sum_hash >> 2);
     if (!config.trace.empty()) {
       traces.push_back(recorder.take(static_cast<std::uint64_t>(r),
                                      config.scheme, "socket"));
@@ -390,57 +369,42 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
     }
   }
   if (!config.trace.empty()) {
-    const std::string path =
-        config.trace + ".rank" + std::to_string(rank) + ".json";
     gcs::measure::RankTrace rank_trace;
     rank_trace.rank = rank;
     rank_trace.clock = clock_sync.model();
     rank_trace.traces = std::move(traces);
-    std::ofstream trace_out(path);
-    if (trace_out) {
-      trace_out << gcs::measure::rank_trace_to_json(rank_trace);
-    } else {
-      std::cerr << "gcs_worker: warning: cannot write " << path << '\n';
-    }
+    const std::string prefix = config.trace + ".rank" + std::to_string(rank);
+    write_or_warn(prefix + ".json",
+                  gcs::measure::rank_trace_to_json(rank_trace));
     if (config.chrome_trace) {
-      const std::string chrome_path =
-          config.trace + ".rank" + std::to_string(rank) + ".chrome.json";
-      std::ofstream chrome_out(chrome_path);
-      if (chrome_out) {
-        chrome_out << gcs::telemetry::chrome_trace_json(rank_trace);
-      } else {
-        std::cerr << "gcs_worker: warning: cannot write " << chrome_path
-                  << '\n';
-      }
+      write_or_warn(prefix + ".chrome.json",
+                    gcs::telemetry::chrome_trace_json(rank_trace));
     }
   }
   if (stats != nullptr && config.stats_hold_ms > 0) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(config.stats_hold_ms));
   }
-  WorkerResult result;
-  result.checksum = sum_hash;
-  result.bytes_sent = fabric.bytes_sent(fabric.rank());
-  result.bytes_received = fabric.bytes_received(fabric.rank());
-  result.final_epoch = fabric.membership().epoch;
-  result.final_world = fabric.world_size();
-  return result;
+  return {sum_hash, fabric.bytes_sent(fabric.rank()),
+          fabric.bytes_received(fabric.rank()), fabric.membership().epoch,
+          fabric.world_size()};
 }
 
 int launch_all(WorkerConfig config) {
   using namespace gcs;
-  if (config.rendezvous.empty()) {
-    config.rendezvous = net::unique_unix_rendezvous();
+  if (config.fabric.rendezvous.empty()) {
+    config.fabric.rendezvous = net::unique_unix_rendezvous();
   }
-  std::cout << "Launching " << config.world << " worker processes ("
-            << config.scheme << ", d=" << config.dim << ", "
-            << config.rounds << " rounds, rendezvous "
-            << config.rendezvous << ")\n";
+  std::cout << "Launching " << config.fabric.world_size
+            << " worker processes (" << config.scheme << ", d=" << config.dim
+            << ", " << config.rounds << " rounds, rendezvous "
+            << config.fabric.rendezvous << ")\n";
   if (config.die_rank >= 0) {
     std::cout << "Fault demo: rank " << config.die_rank
               << " dies at round " << config.die_round
-              << (config.elastic ? " (elastic: survivors recover)\n"
-                                 : " (elastic off: run fails loudly)\n");
+              << (core::parse_pipeline_config(config.scheme).elastic
+                      ? " (elastic: survivors recover)\n"
+                      : " (elastic off: run fails loudly)\n");
   }
   if (config.delay_rank >= 0) {
     std::cout << "Straggler demo: rank " << config.delay_rank << " sleeps "
@@ -461,15 +425,12 @@ int launch_all(WorkerConfig config) {
   // Children inherit stdio buffers copy-on-write; flush before forking so
   // the banner cannot be replayed by a child's own flush.
   std::cout.flush();
-  net::ForkedWorkers workers(0, config.world, [&](int rank) {
+  net::ForkedWorkers workers(0, config.fabric.world_size, [&](int rank) {
     const WorkerResult r = run_worker(config, rank);
-    ByteBuffer report;
-    ByteWriter w(report);
-    w.put<std::uint64_t>(r.checksum);
-    w.put<std::uint64_t>(r.bytes_sent);
-    w.put<std::uint64_t>(r.bytes_received);
-    w.put<std::uint64_t>(r.final_epoch);
-    w.put<std::uint64_t>(static_cast<std::uint64_t>(r.final_world));
+    // Parent and children are one binary, so the struct's bytes are the
+    // report format.
+    ByteBuffer report(sizeof(WorkerResult));
+    std::memcpy(report.data(), &r, sizeof(WorkerResult));
     return report;
   });
   const auto outcomes = workers.join_outcomes();
@@ -487,13 +448,9 @@ int launch_all(WorkerConfig config) {
                      "-", "-", "-"});
       continue;
     }
-    ByteReader r(out.report);
     WorkerResult res;
-    res.checksum = r.get<std::uint64_t>();
-    res.bytes_sent = r.get<std::uint64_t>();
-    res.bytes_received = r.get<std::uint64_t>();
-    res.final_epoch = r.get<std::uint64_t>();
-    res.final_world = static_cast<int>(r.get<std::uint64_t>());
+    GCS_CHECK(out.report.size() == sizeof(WorkerResult));
+    std::memcpy(&res, out.report.data(), sizeof(WorkerResult));
     results.push_back(res);
     std::ostringstream hash;
     hash << std::hex << res.checksum;
@@ -532,29 +489,27 @@ int main(int argc, char** argv) {
              "  --rank=<r>            run as one rank (multi-host mode)\n"
              "  --world=<n>           world size (default 4)\n"
              "  --rendezvous=<addr>   unix:<path> or tcp:<host>:<port>\n"
-             "  --scheme=<spec>       factory spec (default topkc:b=8);\n"
-             "                        scheduler knobs (buckets=layer,\n"
-             "                        workers=N, autotune) are honored\n"
+             "  --scheme=<spec>       factory spec, the only source of the\n"
+             "                        pipeline knobs (default\n"
+             "                        topkc:b=8:chunk=4096): chunk=,\n"
+             "                        buckets=layer, workers=N, autotune;\n"
+             "                        fabric=socket:elastic=on survives\n"
+             "                        peer failure (the survivors\n"
+             "                        re-rendezvous with EF state intact)\n"
              "  --rounds=<k>          aggregation rounds (default 2)\n"
              "  --dim=<d>             gradient dimension (default 65536)\n"
-             "  --chunk=<bytes>       pipeline chunk size (default 4096)\n"
              "  --seed=<s>            gradient seed (default 1234)\n"
              "  --trace=<prefix>      write per-rank round traces to\n"
              "                        <prefix>.rank<r>.json (measure/)\n"
              "  --chrome-trace        with --trace: also write the Chrome\n"
              "                        trace-event export to\n"
              "                        <prefix>.rank<r>.chrome.json\n"
-             "  --telemetry           enable the live metrics registry\n"
-             "                        (src/telemetry/; also via\n"
-             "                        GCS_TELEMETRY=1)\n"
              "  --stats-port=<p>      serve Prometheus text exposition on\n"
-             "                        127.0.0.1:(p + rank); implies\n"
-             "                        --telemetry (scrape with gcs_stat)\n"
+             "                        127.0.0.1:(p + rank) and enable\n"
+             "                        telemetry (scrape with gcs_top; also\n"
+             "                        enabled by GCS_TELEMETRY=1)\n"
              "  --stats-hold-ms=<t>   keep the stats endpoint up this long\n"
              "                        after the last round\n"
-             "  --elastic             survive peer failure: re-rendezvous\n"
-             "                        the survivors (new epoch, dense\n"
-             "                        re-ranking) with EF state intact\n"
              "  --peer-timeout-ms=<t> recv deadline (default 60000)\n"
              "  --rejoin-window-ms=<t> elastic rejoin window (default\n"
              "                        2000)\n"
@@ -568,15 +523,10 @@ int main(int argc, char** argv) {
              "                        failure / fatal signal (default 8;\n"
              "                        0 = off)\n"
              "  --flight-dir=<d>      flight-dump directory (default .)\n"
-             "  --clock-sync-every=<k> refresh the cross-rank clock model\n"
-             "                        every k rounds (default 32; 0 =\n"
-             "                        rendezvous sync only)\n"
              "  --health              health plane (src/health/): hang\n"
              "                        watchdog + anomaly detectors + the\n"
              "                        /health endpoint (scrape with\n"
-             "                        gcs_top); implies --telemetry\n"
-             "  --health-interval-ms=<t> detector sampling period\n"
-             "                        (default 200)\n"
+             "                        gcs_top); enables telemetry\n"
              "  --watchdog-ms=<t>     armed-lane stall deadline (default\n"
              "                        5000); implies --health\n"
              "  --watchdog-abort      on a reader-lane stall, fail the\n"
@@ -597,41 +547,24 @@ int main(int argc, char** argv) {
     }
     WorkerConfig config;
     config.scheme = flags.get_string("scheme", config.scheme);
-    config.rendezvous = flags.get_string("rendezvous", "");
-    config.world = static_cast<int>(flags.get_int("world", config.world));
     config.rounds = static_cast<int>(flags.get_int("rounds", config.rounds));
     config.dim = static_cast<std::size_t>(
         flags.get_int("dim", static_cast<std::int64_t>(config.dim)));
-    config.chunk = static_cast<std::size_t>(
-        flags.get_int("chunk", static_cast<std::int64_t>(config.chunk)));
     config.seed = static_cast<std::uint64_t>(
         flags.get_int("seed", static_cast<std::int64_t>(config.seed)));
     config.trace = flags.get_string("trace", "");
     config.chrome_trace = flags.get_bool("chrome-trace", false);
-    config.telemetry = flags.get_bool("telemetry", false);
     config.stats_port = static_cast<int>(flags.get_int("stats-port", -1));
     config.stats_hold_ms =
         static_cast<int>(flags.get_int("stats-hold-ms", 0));
-    config.elastic = flags.get_bool("elastic", false);
-    config.peer_timeout_ms =
-        static_cast<int>(flags.get_int("peer-timeout-ms", 0));
-    config.rejoin_window_ms =
-        static_cast<int>(flags.get_int("rejoin-window-ms", 0));
     config.die_rank = static_cast<int>(flags.get_int("die-rank", -1));
     config.die_round = static_cast<int>(flags.get_int("die-round", 0));
     config.delay_rank = static_cast<int>(flags.get_int("delay-rank", -1));
     config.delay_send_ms =
         static_cast<int>(flags.get_int("delay-send-ms", 1));
-    config.flight_rounds = static_cast<int>(
-        flags.get_int("flight-rounds", config.flight_rounds));
-    config.flight_dir = flags.get_string("flight-dir", config.flight_dir);
-    config.clock_sync_every = static_cast<int>(
-        flags.get_int("clock-sync-every", config.clock_sync_every));
+    config.delay_after_round =
+        static_cast<int>(flags.get_int("delay-after-round", -1));
     config.health = flags.get_bool("health", false);
-    config.health_interval_ms = static_cast<int>(
-        flags.get_int("health-interval-ms", config.health_interval_ms));
-    config.watchdog_ms =
-        static_cast<int>(flags.get_int("watchdog-ms", config.watchdog_ms));
     config.watchdog_abort = flags.get_bool("watchdog-abort", false);
     config.freeze_rank =
         static_cast<int>(flags.get_int("freeze-rank", -1));
@@ -639,64 +572,47 @@ int main(int argc, char** argv) {
         flags.get_int("freeze-after-sends", config.freeze_after_sends));
     config.freeze_hold_ms = static_cast<int>(
         flags.get_int("freeze-hold-ms", config.freeze_hold_ms));
-    config.delay_after_round =
-        static_cast<int>(flags.get_int("delay-after-round", -1));
     config.round_gap_ms =
         static_cast<int>(flags.get_int("round-gap-ms", 0));
+    net::SocketFabricConfig& fabric = config.fabric;
+    fabric.rendezvous = flags.get_string("rendezvous", "");
+    fabric.world_size = static_cast<int>(flags.get_int("world", 4));
+    fabric.recv_timeout_ms = static_cast<int>(
+        flags.get_int("peer-timeout-ms", fabric.recv_timeout_ms));
+    fabric.rejoin_window_ms = static_cast<int>(
+        flags.get_int("rejoin-window-ms", fabric.rejoin_window_ms));
+    const std::int64_t watchdog_ms = flags.get_int(
+        "watchdog-ms", static_cast<std::int64_t>(config.watchdog.deadline_ms));
+    const std::int64_t flight_rounds = flags.get_int(
+        "flight-rounds", static_cast<std::int64_t>(config.flight.ring_rounds));
+    config.flight.dump_dir =
+        flags.get_string("flight-dir", config.flight.dump_dir);
+    const bool launch = flags.get_bool("launch", false);
+    const int rank = static_cast<int>(flags.get_int("rank", -1));
+    flags.reject_unknown();
+
     // A watchdog or abort request is a health-plane request.
-    if (config.watchdog_ms > 0 || config.watchdog_abort) {
+    if (flags.has("watchdog-ms") || config.watchdog_abort) {
       config.health = true;
     }
-    if (config.freeze_rank >= 0) {
-      if (config.freeze_rank >= config.world) {
-        std::cerr << "--freeze-rank=" << config.freeze_rank
-                  << " is outside --world=" << config.world << "\n";
-        return 2;
-      }
-      if (config.freeze_after_sends < 0 || config.freeze_hold_ms <= 0) {
-        std::cerr << "--freeze-rank needs --freeze-after-sends >= 0 and "
-                     "--freeze-hold-ms > 0\n";
-        return 2;
-      }
-    }
-    if (config.delay_rank >= 0) {
-      if (config.delay_rank >= config.world) {
-        std::cerr << "--delay-rank=" << config.delay_rank
-                  << " is outside --world=" << config.world << "\n";
-        return 2;
-      }
-      if (config.delay_send_ms <= 0) {
-        std::cerr << "--delay-rank needs --delay-send-ms > 0\n";
-        return 2;
-      }
-    }
-    if (config.flight_rounds < 0) {
-      std::cerr << "--flight-rounds must be >= 0\n";
+    if (watchdog_ms <= 0 || flight_rounds < 0) {
+      std::cerr << "--watchdog-ms must be > 0 and --flight-rounds >= 0\n";
       return 2;
     }
-    if (config.die_rank >= 0) {
-      // A fault demo whose hook can never fire would report a healthy
-      // run as "0 rank(s) died unexpectedly" — reject it up front.
-      if (config.die_rank >= config.world) {
-        std::cerr << "--die-rank=" << config.die_rank
-                  << " is outside --world=" << config.world << "\n";
-        return 2;
-      }
-      if (config.die_round < 0 || config.die_round >= config.rounds) {
-        std::cerr << "--die-round=" << config.die_round
-                  << " is outside --rounds=" << config.rounds << "\n";
-        return 2;
-      }
+    config.watchdog.deadline_ms = static_cast<std::uint64_t>(watchdog_ms);
+    config.flight.ring_rounds = static_cast<std::size_t>(flight_rounds);
+    if (const std::string why = usage_error(config); !why.empty()) {
+      std::cerr << why << "\n";
+      return 2;
     }
 
-    if (flags.get_bool("launch", false)) return launch_all(config);
+    if (launch) return launch_all(config);
 
-    const int rank = static_cast<int>(flags.get_int("rank", -1));
     if (rank < 0) {
       std::cerr << "pass --launch or --rank=<r> (see --help)\n";
       return 2;
     }
-    if (config.rendezvous.empty()) {
+    if (fabric.rendezvous.empty()) {
       std::cerr << "--rank mode needs --rendezvous=<addr>\n";
       return 2;
     }

@@ -31,10 +31,20 @@ CliFlags::CliFlags(int argc, const char* const* argv) {
 }
 
 bool CliFlags::has(const std::string& name) const {
-  return values_.count(name) != 0;
+  return lookup(name).has_value();
+}
+
+void CliFlags::reject_unknown() const {
+  std::string unknown;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) != 0) continue;
+    unknown += (unknown.empty() ? "--" : ", --") + name;
+  }
+  if (!unknown.empty()) throw Error("unknown flag(s): " + unknown);
 }
 
 std::optional<std::string> CliFlags::lookup(const std::string& name) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
   return it->second;

@@ -1,13 +1,16 @@
 // Minimal --key=value command-line parsing for benches and examples.
 //
 // Deliberately tiny: flags are "--name=value" or "--name value"; "--help"
-// prints registered flags. Unknown flags throw (a typo silently changing an
-// experiment's parameters is the failure mode we care about).
+// prints registered flags. Every has()/get_*() records the name it looked
+// up, and reject_unknown() — called once a main has read all its flags —
+// throws for any flag that was passed but never read (a typo silently
+// changing an experiment's parameters is the failure mode we care about).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,10 @@ class CliFlags {
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 
+  /// Throws gcs::Error naming every passed flag that no has()/get_*()
+  /// call has looked up. Call after the last flag is read.
+  void reject_unknown() const;
+
   /// True when --help was passed; callers should print usage and exit 0.
   bool help_requested() const noexcept { return help_; }
 
@@ -38,6 +45,9 @@ class CliFlags {
   std::optional<std::string> lookup(const std::string& name) const;
 
   std::map<std::string, std::string> values_;
+  /// Names looked up so far. Lookups write it, so a CliFlags is read from
+  /// one thread (a main's flag parsing), like argv itself.
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
   bool help_ = false;
 };

@@ -16,6 +16,15 @@ std::vector<float> seeded_worker_grad(std::size_t dimension,
   return grad;
 }
 
+std::uint64_t fnv64(std::span<const float> values) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+  for (std::size_t i = 0; i < values.size() * sizeof(float); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
 std::vector<std::vector<float>> seeded_worker_grads(std::size_t dimension,
                                                     int world_size,
                                                     std::uint64_t seed,

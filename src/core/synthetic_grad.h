@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/layout.h"
@@ -68,6 +69,11 @@ std::vector<std::vector<float>> seeded_worker_grads(std::size_t dimension,
 std::vector<float> seeded_worker_grad(std::size_t dimension,
                                       std::uint64_t seed, std::uint64_t round,
                                       int worker);
+
+/// FNV-1a over raw float bytes: the cross-process agreement probe for
+/// aggregates of the seeded gradients above. Bit-identity is the claim,
+/// so a byte hash is the right probe.
+std::uint64_t fnv64(std::span<const float> values);
 
 /// Deterministic per-round gradient source for a simulated cluster.
 class SyntheticGradients {

@@ -364,7 +364,7 @@ std::string to_prometheus_text(const std::vector<MetricSnapshot>& metrics) {
         out += std::to_string(m.histogram.count);
         out += '\n';
         // Estimated quantiles as gauge-style companion lines: dashboards
-        // (tools/gcs_stat, gcs_top) get tail latency without re-deriving
+        // (tools/gcs_top) get tail latency without re-deriving
         // it from 252 cumulative buckets client-side.
         if (m.histogram.count > 0) {
           static constexpr struct {

@@ -6,7 +6,7 @@
 // file answers "what is the process doing *right now*": monotonic
 // counters, gauges and log-bucketed duration/size histograms that every
 // subsystem reports into continuously and that a scrape (the stats
-// endpoint, tools/gcs_stat) can read mid-run without stopping anything.
+// endpoint, tools/gcs_top) can read mid-run without stopping anything.
 //
 // Design constraints, in order:
 //   * Zero cost when off. Instrumented code holds *handles*, acquired

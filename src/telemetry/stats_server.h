@@ -2,7 +2,7 @@
 //
 // A StatsServer is a tiny single-threaded HTTP/1.0 responder that serves
 // the telemetry registry's merged snapshot to anything that connects —
-// `curl`, a Prometheus scraper, or tools/gcs_stat. One accept thread,
+// `curl`, a Prometheus scraper, or tools/gcs_top. One accept thread,
 // one request per connection, response written and the connection
 // closed; no keep-alive, and exactly four routes: /metrics (also "/"
 // and the legacy empty request) returns the exposition text, /healthz

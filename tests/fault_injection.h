@@ -101,18 +101,6 @@ inline std::vector<float> grad_for(const WorldConfig& config,
                                   original_rank);
 }
 
-/// FNV-1a over raw float bytes: bit-identity is the claim, so a byte
-/// hash is the right probe (and small enough to ship over the report
-/// pipe for every round).
-inline std::uint64_t fnv64(std::span<const float> values) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
-  for (std::size_t i = 0; i < values.size() * sizeof(float); ++i) {
-    h = (h ^ bytes[i]) * 1099511628211ull;
-  }
-  return h;
-}
-
 /// One committed round, as a rank observed it.
 struct RoundRecord {
   std::uint64_t round = 0;
@@ -324,7 +312,7 @@ inline RankReport run_rank(const WorldConfig& config, const FaultPlan& fault,
     }
     RoundRecord rec;
     rec.round = round;
-    rec.out_hash = fnv64(out);
+    rec.out_hash = core::fnv64(out);
     if (config.elastic) {
       rec.epoch = pipeline.membership().epoch;
       rec.world = pipeline.membership().world_size();
@@ -345,7 +333,7 @@ inline RankReport run_rank(const WorldConfig& config, const FaultPlan& fault,
   const int self = config.elastic ? membership.self : fabric.rank();
   report.ef_hashes.emplace_back(
       membership.original_ranks[static_cast<std::size_t>(self)],
-      fnv64(pipeline.codec().ef_memory(self)));
+      core::fnv64(pipeline.codec().ef_memory(self)));
   report.completed = true;
   return report;
 }
@@ -415,7 +403,7 @@ inline RankReport reference_run(const WorldConfig& config,
     full.aggregate(std::span<const std::span<const float>>(views), out,
                    static_cast<std::uint64_t>(r));
     report.rounds.push_back(RoundRecord{static_cast<std::uint64_t>(r), 0,
-                                        config.world, fnv64(out)});
+                                        config.world, core::fnv64(out)});
   }
 
   std::vector<int> survivors;
@@ -439,11 +427,11 @@ inline RankReport reference_run(const WorldConfig& config,
     report.rounds.push_back(RoundRecord{
         static_cast<std::uint64_t>(r),
         fault.phase == KillPhase::kPreRendezvous ? 0u : 1u, m,
-        fnv64(out)});
+        core::fnv64(out)});
   }
   for (int i = 0; i < m; ++i) {
     report.ef_hashes.emplace_back(survivors[static_cast<std::size_t>(i)],
-                                  fnv64(shrunk.codec().ef_memory(i)));
+                                  core::fnv64(shrunk.codec().ef_memory(i)));
   }
   report.completed = true;
   return report;

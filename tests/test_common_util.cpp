@@ -105,6 +105,35 @@ TEST(Cli, Positional) {
   EXPECT_EQ(flags.positional()[0], "file.csv");
 }
 
+TEST(Cli, RejectUnknownNamesEveryUnreadFlag) {
+  const char* argv[] = {"prog", "--chunk=2048", "--dim=8", "--validate",
+                        "--seed", "3"};
+  CliFlags flags(6, argv);
+  EXPECT_EQ(flags.get_int("dim", 0), 8);
+  EXPECT_FALSE(flags.has("quick"));  // a lookup of an absent flag is fine
+  try {
+    flags.reject_unknown();
+    FAIL() << "unread flags were accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--chunk"), std::string::npos) << what;
+    EXPECT_NE(what.find("--validate"), std::string::npos) << what;
+    EXPECT_NE(what.find("--seed"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--dim"), std::string::npos) << what;
+  }
+  // has() counts as reading; once every flag is read, nothing throws.
+  EXPECT_TRUE(flags.has("chunk"));
+  EXPECT_TRUE(flags.get_bool("validate", false));
+  EXPECT_EQ(flags.get_int("seed", 0), 3);
+  EXPECT_NO_THROW(flags.reject_unknown());
+}
+
+TEST(Cli, RejectUnknownIgnoresHelpAndPositionals) {
+  const char* argv[] = {"prog", "file.json", "--help"};
+  CliFlags flags(3, argv);
+  EXPECT_NO_THROW(flags.reject_unknown());
+}
+
 TEST(Json, EscapeRoundTripsEveryByte) {
   std::string all;
   for (int c = 1; c < 256; ++c) all += static_cast<char>(c);

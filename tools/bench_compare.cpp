@@ -121,6 +121,7 @@ int main(int argc, char** argv) {
     const double tolerance = flags.get_double("tolerance", 0.10);
     const auto higher = gcs::split_csv(flags.get_string("higher", ""));
     const auto lower = gcs::split_csv(flags.get_string("lower", ""));
+    flags.reject_unknown();
 
     const auto baseline = load_bench(baseline_path);
     const auto current = load_bench(current_path);

@@ -207,6 +207,14 @@ int main(int argc, char** argv) {
       std::cerr << "gcs_analyze: no input files\n";
       return 2;
     }
+    gcs::measure::MergeOptions options;
+    options.repair_causality = !flags.get_bool("no-repair", false);
+    const std::string out_dir = flags.get_string("out", ".");
+    const bool write_chrome = !flags.get_bool("no-chrome", false);
+    const bool gate = flags.get_bool("gate", false);
+    const std::vector<std::string> required =
+        gcs::split_csv(flags.get_string("require", ""));
+    flags.reject_unknown();
 
     std::vector<RankTrace> rank_traces;
     for (const std::string& path : files) {
@@ -224,15 +232,12 @@ int main(int argc, char** argv) {
       rank_traces.push_back(std::move(rt));
     }
 
-    gcs::measure::MergeOptions options;
-    options.repair_causality = !flags.get_bool("no-repair", false);
     const MergeResult merged =
         gcs::measure::merge_rank_traces(rank_traces, options);
     const AnalysisSummary summary = gcs::measure::analyze(merged);
     print_report(merged, summary);
 
-    const std::string out_dir = flags.get_string("out", ".");
-    if (!flags.get_bool("no-chrome", false)) {
+    if (write_chrome) {
       const std::string chrome_path = out_dir + "/gcs_merged.chrome.json";
       std::ofstream chrome(chrome_path);
       if (!chrome) {
@@ -245,7 +250,7 @@ int main(int argc, char** argv) {
     write_bench_json(out_dir, merged, summary);
 
     bool ok = true;
-    if (flags.get_bool("gate", false)) {
+    if (gate) {
       if (merged.violations_after > 0) {
         std::cerr << "GATE: " << merged.violations_after
                   << " residual causality violation(s) after repair\n";
@@ -270,8 +275,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    for (const std::string& clause :
-         gcs::split_csv(flags.get_string("require", ""))) {
+    for (const std::string& clause : required) {
       if (clause.rfind("straggler=", 0) == 0) {
         const int want = std::stoi(clause.substr(10));
         if (summary.straggler != want) {

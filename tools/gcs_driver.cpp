@@ -456,6 +456,7 @@ int main(int argc, char** argv) {
     config.rendezvous = flags.get_string("rendezvous", "");
     config.rank = static_cast<int>(flags.get_int("rank", -1));
     config.out = flags.get_string("out", config.out);
+    flags.reject_unknown();
     if (config.world < 2) {
       std::cerr << "gcs_driver: --world must be >= 2\n";
       return 2;
