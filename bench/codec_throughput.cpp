@@ -1,4 +1,4 @@
-// Codec encode-side throughput per scheme per payload size.
+// Codec encode-side and collective-fold throughput per payload size.
 //
 // The paper's thesis is that utility is decided by end-to-end system cost,
 // and encode CPU time is the dominant self-inflicted cost in this stack:
@@ -7,22 +7,33 @@
 // bench times the encode side of every scheme — begin_round (rotation, EF
 // compensation, TopK selection), every stage's per-worker encodes, and the
 // intermediate consensus absorbs that gate later stages — and reports MB/s
-// of gradient bytes processed. The final absorb/decode is excluded: it is
-// the decode side, measured elsewhere.
+// of gradient bytes processed. The final absorb/decode is excluded; this
+// bench does not time decode.
+//
+// The fold rows time the two sum-type ReduceOps every chunked collective
+// hop runs: fp16_sum (dense fp16, TopKC, PowerSGD) and sat_int4 (THC's
+// default lanes), one in-place fold of a peer payload into a local one.
+// Their MB/s counts the gradient bytes the payload encodes (4 bytes per
+// coordinate), so a fold row reads on the same scale as the encode row of
+// the same payload size.
 //
 // BENCH_codec_throughput.json is bench_compare-gated against
-// bench/baselines/ (--higher=encode_MBps): the committed baseline is the
-// pre-kernel scalar code, so the gate enforces that the SIMD kernel layer
-// never silently falls back below the scalar floor. Wall-clock MB/s varies
-// across machines, hence the generous CI tolerance; the point of the gate
-// is catching order-of-magnitude losses (a broken dispatch, a dropped
-// fusion), not 10% jitter.
+// bench/baselines/ (--higher=encode_MBps,fold_MBps, plus backend_speedup,
+// which the gate tracks by name). The committed baseline is a measurement
+// of the current kernel layer, and CI's tolerance comes from the measured
+// run-to-run spread of repeated runs: the gate catches a broken dispatch
+// or a dropped fusion, not jitter. Absolute MB/s is machine-dependent.
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "comm/group.h"
+#include "comm/reduce_op.h"
 #include "common/rng.h"
 #include "core/baselines.h"
 #include "core/powersgd_compressor.h"
@@ -30,6 +41,7 @@
 #include "core/topk_compressor.h"
 #include "core/topkc_compressor.h"
 #include "kernels/kernels.h"
+#include "quant/satint.h"
 #include "tensor/layout.h"
 
 namespace {
@@ -157,13 +169,68 @@ double measure_mbps(core::SchemeCodec& codec,
   return bytes_per_pass * iters / elapsed / 1e6;
 }
 
+/// Times `op` folding `in` into a fresh copy of `acc` until `min_seconds`
+/// of fold time accumulate (the copy is not timed); returns MB/s of the
+/// d-coordinate gradient the payloads encode.
+double measure_fold_mbps(const comm::ReduceOp& op, const ByteBuffer& acc,
+                         const ByteBuffer& in, std::size_t d,
+                         double min_seconds) {
+  ByteBuffer work(acc.size());
+  double elapsed = 0.0;
+  long folds = 0;
+  while (folds < 2 || elapsed < min_seconds) {
+    std::memcpy(work.data(), acc.data(), acc.size());
+    const double t0 = now_seconds();
+    op.accumulate(work, in);
+    elapsed += now_seconds() - t0;
+    ++folds;
+  }
+  return static_cast<double>(d) * 4.0 * static_cast<double>(folds) /
+         elapsed / 1e6;
+}
+
+struct FoldCase {
+  std::string label;
+  std::unique_ptr<comm::ReduceOp> op;
+  ByteBuffer acc, in;
+};
+
+/// The two sum folds over payloads two workers' gradients produce: fp16
+/// halves, and 4-bit Sat lanes holding centered levels (each coordinate
+/// in [-1, 1] scaled by 8 and rounded, which spans the lane domain the way
+/// THC's centered q = 4 levels do).
+std::vector<FoldCase> make_folds(std::span<const std::span<const float>> g) {
+  std::vector<FoldCase> out;
+  const std::size_t d = g[0].size();
+  FoldCase fp16{"fold/fp16_sum", comm::make_fp16_sum(), {}, {}};
+  fp16.acc.resize(2 * d);
+  fp16.in.resize(2 * d);
+  kernels::scalar().fp32_to_fp16(
+      g[0].data(), d, reinterpret_cast<std::uint16_t*>(fp16.acc.data()));
+  kernels::scalar().fp32_to_fp16(
+      g[1].data(), d, reinterpret_cast<std::uint16_t*>(fp16.in.data()));
+  out.push_back(std::move(fp16));
+  const auto lanes = [&](std::span<const float> x) {
+    std::vector<std::int32_t> l(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      l[i] = std::clamp(static_cast<std::int32_t>(std::lround(x[i] * 8.0f)),
+                        sat_min(4), sat_max(4));
+    }
+    return pack_signed_lanes(l, 4);
+  };
+  out.push_back({"fold/sat_int4", comm::make_sat_int(4, nullptr),
+                 lanes(g[0]), lanes(g[1])});
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
   print_header("codec throughput",
-               "Encode-side MB/s per scheme per payload size (gradient "
-               "bytes in; active kernel backend vs forced scalar)");
+               "Encode-side MB/s per scheme and fold MB/s per sum op per "
+               "payload size (gradient bytes in; active kernel backend vs "
+               "forced scalar)");
   const double min_seconds = flags.get_double("min-seconds", 0.4);
   const int max_iters = static_cast<int>(flags.get_double("max-iters", 12));
   flags.reject_unknown();
@@ -229,6 +296,29 @@ int main(int argc, char** argv) {
       json.set(row, "encode_MBps_scalar", scalar_mbps);
       json.set(row, "backend_speedup", speedup);
       json.set(row, "wire_bytes", static_cast<double>(wire_bytes));
+      std::cout << "  " << row << ": " << format_sig(mbps, 4) << " MB/s ("
+                << format_sig(scalar_mbps, 4) << " scalar, "
+                << format_sig(speedup, 3) << "x)\n";
+    }
+
+    for (auto& fold : make_folds(view_span)) {
+      kernels::force_backend_for_testing("scalar");
+      const double scalar_mbps =
+          measure_fold_mbps(*fold.op, fold.acc, fold.in, d, min_seconds);
+      kernels::force_backend_for_testing(nullptr);
+      const double mbps =
+          measure_fold_mbps(*fold.op, fold.acc, fold.in, d, min_seconds);
+      const double speedup = scalar_mbps > 0.0 ? mbps / scalar_mbps : 0.0;
+      const std::string row = fold.label + "/" + payload.label;
+      table.add_row({fold.label, payload.label, format_sig(mbps, 4),
+                     format_sig(scalar_mbps, 4), format_sig(speedup, 3),
+                     std::to_string(fold.in.size())});
+      auto& json = bench_json();
+      json.set(row, "payload", std::string(payload.label));
+      json.set(row, "fold_MBps", mbps);
+      json.set(row, "fold_MBps_scalar", scalar_mbps);
+      json.set(row, "backend_speedup", speedup);
+      json.set(row, "wire_bytes", static_cast<double>(fold.in.size()));
       std::cout << "  " << row << ": " << format_sig(mbps, 4) << " MB/s ("
                 << format_sig(scalar_mbps, 4) << " scalar, "
                 << format_sig(speedup, 3) << "x)\n";

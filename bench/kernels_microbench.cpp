@@ -20,7 +20,6 @@
 #include "numeric/half.h"
 #include "quant/packing.h"
 #include "quant/quantize.h"
-#include "quant/satint.h"
 #include "sparse/chunks.h"
 #include "sparse/sparse_wire.h"
 #include "sparse/topk.h"
@@ -115,18 +114,6 @@ void BM_PackLanes(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_PackLanes)->Args({1 << 18, 2})->Args({1 << 18, 4});
-
-void BM_SatAddLanes(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::int32_t> acc(n, 1), in(n, 2);
-  SatStats stats;
-  for (auto _ : state) {
-    sat_add_lanes(acc, in, 8, &stats);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_SatAddLanes)->Arg(1 << 18);
 
 void BM_Orthogonalize(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
@@ -322,6 +309,59 @@ void BM_KernelThcDecodeLanes(benchmark::State& state) {
   set_fp32_bytes(state, n);
 }
 BENCHMARK(BM_KernelThcDecodeLanes)->Arg(0)->Arg(1);
+
+void BM_KernelFp16Sum(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  const std::size_t n = 1 << 20;
+  std::vector<std::uint16_t> acc(n), in(n);
+  kernels::scalar().fp32_to_fp16(random_vec(n, 31).data(), n, acc.data());
+  kernels::scalar().fp32_to_fp16(random_vec(n, 32).data(), n, in.data());
+  const auto start = acc;
+  for (auto _ : state) {
+    // Refold from the same accumulator so repeated sums never reach Inf
+    // (which would take the vector kernel's scalar fallback).
+    state.PauseTiming();
+    acc = start;
+    state.ResumeTiming();
+    backend->fp16_sum(acc.data(), in.data(), n);
+    benchmark::DoNotOptimize(acc.data());
+  }
+  set_fp32_bytes(state, n);
+}
+BENCHMARK(BM_KernelFp16Sum)->Arg(0)->Arg(1);
+
+/// The packed Sat fold THC's all-reduce hops run, per lane width; bytes
+/// are counted per coordinate (4 bytes) like the other kernel rows.
+void BM_KernelSatAddPacked(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  const auto b = static_cast<unsigned>(state.range(1));
+  const std::size_t n = 1 << 20;
+  const std::size_t nbytes = n * b / 8;
+  std::vector<std::uint8_t> acc(nbytes), in(nbytes);
+  Rng rng(33);
+  for (auto& v : acc) v = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto& v : in) v = static_cast<std::uint8_t>(rng.next_u64());
+  const auto start = acc;
+  for (auto _ : state) {
+    // Refold from the same accumulator: repeated folds would saturate it
+    // and change the scalar kernel's clip branches.
+    state.PauseTiming();
+    acc = start;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        backend->sat_add_packed(acc.data(), in.data(), nbytes, b));
+  }
+  set_fp32_bytes(state, n);
+}
+BENCHMARK(BM_KernelSatAddPacked)
+    ->Args({0, 2})
+    ->Args({1, 2})
+    ->Args({0, 4})
+    ->Args({1, 4})
+    ->Args({0, 8})
+    ->Args({1, 8});
 
 }  // namespace
 

@@ -4,7 +4,7 @@
 #include <mutex>
 
 #include "common/check.h"
-#include "numeric/half.h"
+#include "kernels/kernels.h"
 
 namespace gcs::comm {
 namespace {
@@ -16,8 +16,7 @@ class Fp32Sum final : public ReduceOp {
     GCS_CHECK(acc.size() == in.size() && acc.size() % sizeof(float) == 0);
     auto* a = reinterpret_cast<float*>(acc.data());
     const auto* b = reinterpret_cast<const float*>(in.data());
-    const std::size_t n = acc.size() / sizeof(float);
-    for (std::size_t i = 0; i < n; ++i) a[i] += b[i];
+    kernels::active().add(a, b, acc.size() / sizeof(float), a);
   }
   std::size_t granularity() const noexcept override { return sizeof(float); }
   std::string name() const override { return "fp32_sum"; }
@@ -30,13 +29,9 @@ class Fp16Sum final : public ReduceOp {
     GCS_CHECK(acc.size() == in.size() && acc.size() % 2 == 0);
     auto* a = reinterpret_cast<std::uint16_t*>(acc.data());
     const auto* b = reinterpret_cast<const std::uint16_t*>(in.data());
-    const std::size_t n = acc.size() / 2;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Add in FP32, round back to FP16: GPU accumulator semantics. This
-      // per-hop rounding is exactly the FP16 baseline's aggregation error.
-      const float sum = half_bits_to_float(a[i]) + half_bits_to_float(b[i]);
-      a[i] = float_to_half_bits(sum);
-    }
+    // Add in FP32, round back to FP16 (GPU accumulator semantics): this
+    // per-hop rounding is exactly the FP16 baseline's aggregation error.
+    kernels::active().fp16_sum(a, b, acc.size() / 2);
   }
   std::size_t granularity() const noexcept override { return 2; }
   std::string name() const override { return "fp16_sum"; }
@@ -75,14 +70,11 @@ class SatIntSum final : public ReduceOp {
   void accumulate(std::span<std::byte> acc,
                   std::span<const std::byte> in) const override {
     GCS_CHECK(acc.size() == in.size());
-    const std::size_t lanes = acc.size() * (8 / bits_);
-    auto a = unpack_signed_lanes(acc, lanes, bits_);
-    const auto b = unpack_signed_lanes(in, lanes, bits_);
     SatStats local;
-    sat_add_lanes(a, b, bits_, &local);
-    const ByteBuffer repacked = pack_signed_lanes(a, bits_);
-    GCS_CHECK(repacked.size() == acc.size());
-    std::copy(repacked.begin(), repacked.end(), acc.begin());
+    local.additions = acc.size() * (8 / bits_);
+    local.clips = kernels::active().sat_add_packed(
+        reinterpret_cast<std::uint8_t*>(acc.data()),
+        reinterpret_cast<const std::uint8_t*>(in.data()), acc.size(), bits_);
     if (stats_ != nullptr) {
       std::lock_guard lock(mu_);
       stats_->merge(local);

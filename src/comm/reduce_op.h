@@ -13,6 +13,10 @@
 // straddle blocks, and packed q-bit lanes split on byte boundaries (all
 // supported q divide 8, so a byte always holds whole lanes).
 //
+// The FP32/FP16 sums and the saturating add are element-wise folds on the
+// kernel layer (kernels::Backend add, fp16_sum, sat_add_packed), so they
+// are bit-identical across backends and never allocate.
+//
 // Non-associativity: FP16 sum and saturating add are order-sensitive, so
 // every collective documents (and fixes) its reduction order; the local
 // reference aggregator in comm/group.h reproduces the ring's order exactly.

@@ -15,6 +15,7 @@
 #include "common/check.h"
 #include "numeric/half.h"
 #include "numeric/precision.h"
+#include "quant/satint.h"
 #include "telemetry/metrics.h"
 
 namespace gcs::kernels {
@@ -120,6 +121,45 @@ void thc_decode_lanes_scalar(const std::uint8_t* in, std::size_t n, float lo,
   }
 }
 
+void fp16_sum_scalar(std::uint16_t* acc, const std::uint16_t* in,
+                     std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    acc[i] = float_to_half_bits(half_bits_to_float(acc[i]) +
+                                half_bits_to_float(in[i]));
+  }
+}
+
+std::uint64_t sat_add_packed_scalar(std::uint8_t* acc, const std::uint8_t* in,
+                                    std::size_t nbytes, unsigned b) {
+  // unpack_signed_lanes -> sat_add_lanes -> pack_signed_lanes, one byte
+  // (8/b whole lanes) at a time.
+  const std::int32_t offset = 1 << (b - 1);
+  const std::int32_t hi = sat_max(b);
+  const std::int32_t lo = sat_min(b);
+  const unsigned mask = (1u << b) - 1u;
+  std::uint64_t clips = 0;
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    unsigned out = 0;
+    for (unsigned shift = 0; shift < 8; shift += b) {
+      const std::int32_t x =
+          static_cast<std::int32_t>((acc[i] >> shift) & mask) - offset;
+      const std::int32_t y =
+          static_cast<std::int32_t>((in[i] >> shift) & mask) - offset;
+      std::int32_t sum = x + y;
+      if (sum > hi) {
+        sum = hi;
+        ++clips;
+      } else if (sum < lo) {
+        sum = lo;
+        ++clips;
+      }
+      out |= static_cast<unsigned>(sum + offset) << shift;
+    }
+    acc[i] = static_cast<std::uint8_t>(out);
+  }
+  return clips;
+}
+
 void abs_scalar(const float* x, std::size_t n, float* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = std::fabs(x[i]);
 }
@@ -151,6 +191,8 @@ constexpr Backend kScalar = {
     min_max_scalar,
     thc_encode_lanes_scalar,
     thc_decode_lanes_scalar,
+    fp16_sum_scalar,
+    sat_add_packed_scalar,
     abs_scalar,
     count_gt_scalar,
     collect_ge_scalar,

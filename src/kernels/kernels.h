@@ -1,11 +1,12 @@
-// Single-pass encode kernels with swappable backends.
+// Single-pass encode and fold kernels with swappable backends.
 //
 // Every codec hot loop — fp32->fp16 conversion, stochastic quantization +
-// bit packing, Hadamard butterflies, TopK threshold select — funnels
-// through this narrow interface (Vitis-streaming-kernel style: flat
-// pointer + count, no allocation, no virtual dispatch inside the loop). A
-// scalar reference backend defines the semantics; an AVX2 backend is
-// selected at runtime via CPUID when the host supports it.
+// bit packing, Hadamard butterflies, TopK threshold select — and every
+// sum-type collective fold (fp32/fp16 sums, saturating packed lanes)
+// funnels through this narrow interface (Vitis-streaming-kernel style:
+// flat pointer + count, no allocation, no virtual dispatch inside the
+// loop). A scalar reference backend defines the semantics; an AVX2
+// backend is selected at runtime via CPUID when the host supports it.
 //
 // Bit-identity contract: every backend must produce byte-for-byte the
 // output of the scalar reference for every input, including NaN payloads,
@@ -15,7 +16,9 @@
 // implements the same RNE semantics as numeric/half (tests/test_kernels.cpp
 // cross-checks all of this exhaustively). The contract is what lets the
 // wire-byte and EF-residual fingerprints stay fixed across backends, and
-// lets CI run the whole tier-1 suite under GCS_FORCE_SCALAR=1.
+// lets CI run the whole tier-1 suite under GCS_FORCE_SCALAR=1. Folds are
+// element-wise, so a backend changes only the per-element arithmetic,
+// never the collective's fold order (DESIGN.md section 10).
 //
 // Dispatch rules:
 //   1. force_backend_for_testing() override, when set (tests/benches only);
@@ -60,7 +63,9 @@ struct Backend {
   /// x[i] *= s[i].
   void (*mul_inplace)(float* x, const float* s, std::size_t n);
 
-  /// out[i] = a[i] + b[i] (the error-feedback compensate pass).
+  /// out[i] = a[i] + b[i] (the error-feedback compensate pass and the
+  /// fp32 sum fold). out may alias a (out == a is the in-place fold); no
+  /// other overlap is allowed.
   void (*add)(const float* a, const float* b, std::size_t n, float* out);
 
   /// Min and max of x[0..n), bit-identical to the sequential
@@ -88,6 +93,24 @@ struct Backend {
   void (*thc_decode_lanes)(const std::uint8_t* in, std::size_t n, float lo,
                            float hi, unsigned q, unsigned b,
                            unsigned n_workers, float* out);
+
+  /// The fp16 sum fold, in place:
+  ///   acc[i] = float_to_half_bits(half_bits_to_float(acc[i]) +
+  ///                               half_bits_to_float(in[i])),
+  /// i.e. add in fp32 and round back to fp16 (RNE) per hop. Finite
+  /// overflow rounds to +-Inf; NaN payloads (signaling included) follow
+  /// the scalar conversions bit for bit.
+  void (*fp16_sum)(std::uint16_t* acc, const std::uint16_t* in,
+                   std::size_t n);
+
+  /// The saturating lane fold, in place, over nbytes of offset-binary,
+  /// LSB-first packed b-bit lanes (the pack_signed_lanes layout), for
+  /// b in {2, 4, 8}: every lane becomes Sat(acc, in), clamped into
+  /// [sat_min(b), sat_max(b)] — the fusion of unpack_signed_lanes,
+  /// sat_add_lanes and pack_signed_lanes. Returns the number of lanes
+  /// that clipped (nbytes * 8 / b additions were performed).
+  std::uint64_t (*sat_add_packed)(std::uint8_t* acc, const std::uint8_t* in,
+                                  std::size_t nbytes, unsigned b);
 
   /// out[i] = |x[i]| (sign-bit clear; NaNs keep their payload).
   void (*abs)(const float* x, std::size_t n, float* out);

@@ -13,7 +13,9 @@
 //     take a scalar fallback because VCVTPH2PS quietens signaling NaNs
 //     where half_bits_to_float preserves them bit-for-bit;
 //   - FWHT butterflies built from true vaddps/vsubps pairs (blend-merged),
-//     not sign-flip tricks that would change NaN sign propagation.
+//     not sign-flip tricks that would change NaN sign propagation;
+//   - runt tails and fallback groups of the folds calling the scalar
+//     reference table itself, so there is one copy of their semantics.
 #include "kernels/kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -403,6 +405,106 @@ void thc_decode_lanes_avx2(const std::uint8_t* in, std::size_t n, float lo,
   thc_decode_lanes_tail(in, n - i, lo, hi, q, b, n_workers, out + i);
 }
 
+void fp16_sum_avx2(std::uint16_t* acc, const std::uint16_t* in,
+                   std::size_t n) {
+  const __m128i exp = _mm_set1_epi16(0x7C00);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i a =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
+    const __m128i b =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
+    const __m128i hit =
+        _mm_or_si128(_mm_cmpeq_epi16(_mm_and_si128(a, exp), exp),
+                     _mm_cmpeq_epi16(_mm_and_si128(b, exp), exp));
+    if (_mm_testz_si128(hit, hit) == 0) {
+      // An Inf/NaN operand takes the scalar reference (the rule
+      // fp16_to_fp32 uses), so NaN results never depend on how
+      // VCVTPH2PS/VADDPS propagate payloads.
+      scalar().fp16_sum(acc + i, in + i, 8);
+      continue;
+    }
+    // Both operands finite, so |sum| <= 2 * 65504 is a finite fp32 and
+    // VCVTPS2PH rounds it (to +-Inf on overflow) exactly as
+    // float_to_half_bits does.
+    const __m256 sum = _mm256_add_ps(_mm256_cvtph_ps(a), _mm256_cvtph_ps(b));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(acc + i),
+        _mm256_cvtps_ph(sum, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+  }
+  scalar().fp16_sum(acc + i, in + i, n - i);
+}
+
+/// Lanes that differ between two byte vectors (clip accounting).
+inline std::uint64_t count_ne_epi8(__m256i x, __m256i y) {
+  const auto same =
+      static_cast<unsigned>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(x, y)));
+  return 32u - static_cast<unsigned>(__builtin_popcount(same));
+}
+
+/// b = 2 or 4: each of the 8/B lane positions of a byte is widened to one
+/// lane per byte. Offset-binary raw lanes add to r = ra + rb < 2^{B+1}
+/// (no byte overflow), and Sat in the signed domain is the unsigned clamp
+/// of r into [2^{B-1}, 2^{B-1} + 2^B - 1] followed by removing one offset.
+template <unsigned B>
+std::size_t sat_add_narrow_lanes(std::uint8_t* acc, const std::uint8_t* in,
+                                 std::size_t nbytes, std::uint64_t* clips) {
+  const __m256i mask = _mm256_set1_epi8(static_cast<char>((1u << B) - 1u));
+  const __m256i lo = _mm256_set1_epi8(static_cast<char>(1u << (B - 1)));
+  const __m256i hi = _mm256_set1_epi8(
+      static_cast<char>((1u << (B - 1)) + (1u << B) - 1u));
+  std::size_t i = 0;
+  for (; i + 32 <= nbytes; i += 32) {
+    const __m256i a =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
+    const __m256i b =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
+    __m256i out = _mm256_setzero_si256();
+    for (unsigned shift = 0; shift < 8; shift += B) {
+      // 16-bit shifts: bits crossing in from the neighbouring byte land
+      // above the lane mask (down) or stay inside their byte (up).
+      const __m256i r = _mm256_add_epi8(
+          _mm256_and_si256(_mm256_srli_epi16(a, shift), mask),
+          _mm256_and_si256(_mm256_srli_epi16(b, shift), mask));
+      const __m256i c = _mm256_min_epu8(_mm256_max_epu8(r, lo), hi);
+      *clips += count_ne_epi8(c, r);
+      out = _mm256_or_si256(
+          out, _mm256_slli_epi16(_mm256_sub_epi8(c, lo), shift));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), out);
+  }
+  return i;
+}
+
+std::uint64_t sat_add_packed_avx2(std::uint8_t* acc, const std::uint8_t* in,
+                                  std::size_t nbytes, unsigned b) {
+  std::uint64_t clips = 0;
+  std::size_t i = 0;
+  if (b == 8) {
+    // Offset-binary ^ 0x80 is the two's-complement lane, so Sat is
+    // vpaddsb; a lane clipped exactly where it differs from the wrapping
+    // add.
+    const __m256i flip = _mm256_set1_epi8(static_cast<char>(0x80));
+    for (; i + 32 <= nbytes; i += 32) {
+      const __m256i a = _mm256_xor_si256(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i)),
+          flip);
+      const __m256i x = _mm256_xor_si256(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i)),
+          flip);
+      const __m256i sat = _mm256_adds_epi8(a, x);
+      clips += count_ne_epi8(sat, _mm256_add_epi8(a, x));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
+                          _mm256_xor_si256(sat, flip));
+    }
+  } else if (b == 4) {
+    i = sat_add_narrow_lanes<4>(acc, in, nbytes, &clips);
+  } else if (b == 2) {
+    i = sat_add_narrow_lanes<2>(acc, in, nbytes, &clips);
+  }
+  return clips + scalar().sat_add_packed(acc + i, in + i, nbytes - i, b);
+}
+
 void abs_avx2(const float* x, std::size_t n, float* out) {
   const __m256 mask =
       _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
@@ -459,6 +561,8 @@ constexpr Backend kAvx2 = {
     min_max_avx2,
     thc_encode_lanes_avx2,
     thc_decode_lanes_avx2,
+    fp16_sum_avx2,
+    sat_add_packed_avx2,
     abs_avx2,
     count_gt_avx2,
     collect_ge_avx2,

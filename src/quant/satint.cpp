@@ -76,13 +76,4 @@ std::vector<std::int32_t> unpack_signed_lanes(std::span<const std::byte> data,
   return out;
 }
 
-void sat_reduce_packed(ByteBuffer& acc, std::span<const std::byte> in,
-                       std::size_t lane_count, unsigned bits,
-                       SatStats* stats) {
-  auto a = unpack_signed_lanes(acc, lane_count, bits);
-  const auto b = unpack_signed_lanes(in, lane_count, bits);
-  sat_add_lanes(a, b, bits, stats);
-  acc = pack_signed_lanes(a, bits);
-}
-
 }  // namespace gcs

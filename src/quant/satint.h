@@ -10,7 +10,9 @@
 // complement domain [-2^{b-1}, 2^{b-1} - 1] (one extra value at the
 // bottom), under which a centered q-bit level fits exactly at b = q. On
 // the wire a lane is stored offset-binary (value + 2^{b-1}) in b packed
-// bits.
+// bits. The helpers here are the lane-level reference; the fold an
+// all-reduce hop runs on packed payloads is comm::make_sat_int, backed by
+// kernels::Backend::sat_add_packed.
 //
 // NOTE: saturated addition is commutative but NOT associative once any
 // intermediate sum clips, so the reduction order matters. gcs::comm fixes a
@@ -72,12 +74,5 @@ ByteBuffer pack_signed_lanes(std::span<const std::int32_t> lanes,
 std::vector<std::int32_t> unpack_signed_lanes(std::span<const std::byte> data,
                                               std::size_t count,
                                               unsigned bits);
-
-/// Saturated reduction directly on packed wire payloads: unpack both sides,
-/// Sat lane-wise, repack into `acc`. This is the exact operation an
-/// intermediate all-reduce hop performs on THC traffic.
-void sat_reduce_packed(ByteBuffer& acc, std::span<const std::byte> in,
-                       std::size_t lane_count, unsigned bits,
-                       SatStats* stats);
 
 }  // namespace gcs

@@ -12,14 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "comm/group.h"
+#include "comm/reduce_op.h"
 #include "common/bytes.h"
 #include "common/check.h"
 #include "common/rng.h"
@@ -239,6 +242,12 @@ TEST(Kernels, AddCrossBackend) {
     kernels::scalar().add(a.data(), b.data(), n, ra.data());
     kernels::avx2().add(a.data(), b.data(), n, rb.data());
     ASSERT_EQ(std::memcmp(ra.data(), rb.data(), n * sizeof(float)), 0);
+    // out == a is the in-place fp32 sum fold.
+    auto ia = a, ib = a;
+    kernels::scalar().add(ia.data(), b.data(), n, ia.data());
+    kernels::avx2().add(ib.data(), b.data(), n, ib.data());
+    ASSERT_EQ(std::memcmp(ia.data(), ra.data(), n * sizeof(float)), 0);
+    ASSERT_EQ(std::memcmp(ib.data(), ra.data(), n * sizeof(float)), 0);
     for (std::size_t i = 0; i < n; ++i) {
       if (std::isnan(a[i] + b[i])) continue;
       EXPECT_EQ(ra[i], a[i] + b[i]);
@@ -384,6 +393,191 @@ TEST(Kernels, ThcDecodeLanesMatchesLegacyComposition) {
               std::memcmp(ref.data(), got2.data(), n * sizeof(float)), 0)
               << "avx2 q=" << q << " b=" << b;
         }
+      }
+    }
+  }
+}
+
+/// The fp16 sum fold's defining expression (kernels.h).
+std::uint16_t fp16_sum_reference(std::uint16_t a, std::uint16_t b) {
+  return float_to_half_bits(half_bits_to_float(a) + half_bits_to_float(b));
+}
+
+/// Addends for the fp16 fold: NaN payloads (quiet and signaling, both
+/// signs), +-Inf, +-0, denormals, the largest finite values, RNE tie
+/// makers against the exhaustive accumulator, and random patterns.
+std::vector<std::uint16_t> fp16_sum_addends() {
+  std::vector<std::uint16_t> v = {
+      0x7E00, 0x7E01, 0xFE00, 0x7FFF,  // quiet NaNs
+      0x7C01, 0x7D55, 0xFC01,          // signaling NaNs
+      0x7C00, 0xFC00,                  // +-Inf
+      0x0000, 0x8000,                  // +-0
+      0x0001, 0x03FF, 0x8001, 0x8200,  // denormals
+      0x0400, 0x8400,                  // smallest normals
+      0x7BFF, 0xFBFF,                  // +-65504
+      0x3C00, 0xBC00, 0x1000, 0x1400,  // 1, -1, 2^-11, 2^-10
+      0x6800, 0x6801, 0x3555,          // 2048, 2050, ~1/3
+  };
+  Rng rng(95);
+  for (int i = 0; i < 38; ++i) {
+    v.push_back(static_cast<std::uint16_t>(rng.next_u64()));
+  }
+  return v;
+}
+
+TEST(Kernels, Fp16SumExhaustiveAccumulatorCrossBackend) {
+  // Every accumulator bit pattern meets every sampled addend once.
+  const auto addends = fp16_sum_addends();
+  const std::size_t n = 1u << 16;
+  std::vector<std::uint16_t> in(n), ref(n), got(n);
+  for (std::size_t k = 0; k < addends.size(); ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      ref[i] = static_cast<std::uint16_t>(i);
+      in[i] = addends[(i + k) % addends.size()];
+    }
+    got = ref;
+    kernels::scalar().fp16_sum(ref.data(), in.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(ref[i], fp16_sum_reference(static_cast<std::uint16_t>(i),
+                                           in[i]))
+          << "acc=" << i << " in=" << in[i];
+    }
+    if (!have_avx2()) continue;
+    kernels::avx2().fp16_sum(got.data(), in.data(), n);
+    ASSERT_EQ(ref, got) << "rotation " << k;
+  }
+}
+
+TEST(Kernels, Fp16SumSignedZeroOverflowAndTies) {
+  const std::pair<std::array<std::uint16_t, 2>, std::uint16_t> cases[] = {
+      {{0x8000, 0x8000}, 0x8000},  // -0 + -0 = -0
+      {{0x8000, 0x0000}, 0x0000},  // -0 + +0 = +0 under RNE
+      {{0x7BFF, 0x7BFF}, 0x7C00},  // 65504 + 65504 overflows to +Inf
+      {{0xFBFF, 0xFBFF}, 0xFC00},  // and to -Inf
+      {{0x6800, 0x3C00}, 0x6800},  // 2048 + 1: tie, rounds to even 2048
+      {{0x6801, 0x3C00}, 0x6802},  // 2050 + 1: tie, rounds to even 2052
+      {{0x0001, 0x0001}, 0x0002},  // denormals add exactly
+  };
+  for (const auto* backend : {&kernels::scalar(), &kernels::avx2()}) {
+    if (backend != &kernels::scalar() && !have_avx2()) continue;
+    // Pad to a full 8-lane group so the vector path runs, not the tail.
+    for (const auto& [operands, expected] : cases) {
+      std::vector<std::uint16_t> acc(8, operands[0]), in(8, operands[1]);
+      backend->fp16_sum(acc.data(), in.data(), acc.size());
+      for (std::uint16_t h : acc) {
+        EXPECT_EQ(h, expected) << backend->name << " " << operands[0]
+                               << " + " << operands[1];
+      }
+    }
+  }
+}
+
+TEST(Kernels, Fp16SumRuntTailsCrossBackend) {
+  if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  const auto addends = fp16_sum_addends();
+  Rng rng(96);
+  std::vector<std::size_t> lengths(18);
+  for (std::size_t n = 0; n < lengths.size(); ++n) lengths[n] = n;
+  lengths.push_back(1000 + 3);
+  for (std::size_t n : lengths) {
+    // One guard element past n must come back untouched.
+    std::vector<std::uint16_t> acc(n + 1), in(n + 1);
+    for (std::size_t i = 0; i <= n; ++i) {
+      acc[i] = static_cast<std::uint16_t>(rng.next_u64());
+      in[i] = addends[rng.next_u64() % addends.size()];
+    }
+    auto a = acc, b = acc;
+    kernels::scalar().fp16_sum(a.data(), in.data(), n);
+    kernels::avx2().fp16_sum(b.data(), in.data(), n);
+    ASSERT_EQ(a, b) << "n=" << n;
+    ASSERT_EQ(a[n], acc[n]) << "n=" << n;
+  }
+}
+
+/// The legacy packed Sat fold the sat_add_packed kernel fuses:
+/// unpack_signed_lanes -> sat_add_lanes -> pack_signed_lanes.
+ByteBuffer sat_add_packed_reference(const ByteBuffer& acc,
+                                    const ByteBuffer& in, unsigned b,
+                                    SatStats* stats) {
+  const std::size_t lanes = acc.size() * 8 / b;
+  auto x = unpack_signed_lanes(acc, lanes, b);
+  const auto y = unpack_signed_lanes(in, lanes, b);
+  sat_add_lanes(x, y, b, stats);
+  return pack_signed_lanes(x, b);
+}
+
+/// Runs one backend's sat_add_packed on a copy of acc; returns the bytes.
+ByteBuffer run_sat_add_packed(const Backend& backend, ByteBuffer acc,
+                              const ByteBuffer& in, unsigned b,
+                              std::uint64_t* clips) {
+  *clips = backend.sat_add_packed(
+      reinterpret_cast<std::uint8_t*>(acc.data()),
+      reinterpret_cast<const std::uint8_t*>(in.data()), acc.size(), b);
+  return acc;
+}
+
+TEST(Kernels, SatAddPackedAllBytePairsMatchLegacyComposition) {
+  // Every (acc byte, in byte) pair: all lane combinations at every lane
+  // position, for every lane width.
+  ByteBuffer acc(1u << 16), in(1u << 16);
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    acc[i] = static_cast<std::byte>(i & 0xFF);
+    in[i] = static_cast<std::byte>(i >> 8);
+  }
+  for (unsigned b : {2u, 4u, 8u}) {
+    SatStats ref_stats;
+    const ByteBuffer ref = sat_add_packed_reference(acc, in, b, &ref_stats);
+    ASSERT_EQ(ref_stats.additions, acc.size() * 8 / b);
+    ASSERT_GT(ref_stats.clips, 0u);
+    std::uint64_t clips = 0;
+    EXPECT_EQ(run_sat_add_packed(kernels::scalar(), acc, in, b, &clips), ref)
+        << "scalar b=" << b;
+    EXPECT_EQ(clips, ref_stats.clips) << "scalar b=" << b;
+    if (have_avx2()) {
+      EXPECT_EQ(run_sat_add_packed(kernels::avx2(), acc, in, b, &clips), ref)
+          << "avx2 b=" << b;
+      EXPECT_EQ(clips, ref_stats.clips) << "avx2 b=" << b;
+    }
+    // The ReduceOp reports the same additions and clips on each backend.
+    for (const char* name : {"scalar", "avx2"}) {
+      if (std::string(name) == "avx2" && !have_avx2()) continue;
+      BackendGuard guard(name);
+      SatStats stats;
+      ByteBuffer folded = acc;
+      comm::make_sat_int(b, &stats)->accumulate(folded, in);
+      EXPECT_EQ(folded, ref) << name << " b=" << b;
+      EXPECT_EQ(stats.additions, ref_stats.additions) << name << " b=" << b;
+      EXPECT_EQ(stats.clips, ref_stats.clips) << name << " b=" << b;
+    }
+  }
+}
+
+TEST(Kernels, SatAddPackedRuntLengthsCrossBackend) {
+  Rng rng(97);
+  for (unsigned b : {2u, 4u, 8u}) {
+    for (std::size_t n : {0u, 1u, 7u, 31u, 33u, 63u, 100u, 257u, 1000u}) {
+      // One guard byte past n must come back untouched.
+      ByteBuffer acc(n + 1), in(n + 1);
+      for (std::size_t i = 0; i <= n; ++i) {
+        acc[i] = static_cast<std::byte>(rng.next_u64());
+        in[i] = static_cast<std::byte>(rng.next_u64());
+      }
+      const ByteBuffer acc_n(acc.begin(), acc.begin() + n);
+      const ByteBuffer in_n(in.begin(), in.begin() + n);
+      SatStats ref_stats;
+      const ByteBuffer ref =
+          sat_add_packed_reference(acc_n, in_n, b, &ref_stats);
+      for (const auto* backend : {&kernels::scalar(), &kernels::avx2()}) {
+        if (backend != &kernels::scalar() && !have_avx2()) continue;
+        ByteBuffer got = acc;
+        const std::uint64_t clips = backend->sat_add_packed(
+            reinterpret_cast<std::uint8_t*>(got.data()),
+            reinterpret_cast<const std::uint8_t*>(in.data()), n, b);
+        EXPECT_EQ(ByteBuffer(got.begin(), got.begin() + n), ref)
+            << backend->name << " b=" << b << " n=" << n;
+        EXPECT_EQ(got[n], acc[n]) << backend->name << " b=" << b;
+        EXPECT_EQ(clips, ref_stats.clips)
+            << backend->name << " b=" << b << " n=" << n;
       }
     }
   }

@@ -63,6 +63,16 @@ TEST(Fp16Sum, ExactForSmallIntegers) {
   EXPECT_EQ(half_bits_to_float(bits[1]), 0.5f);
 }
 
+TEST(Fp16Sum, HostileSizesThrow) {
+  const auto op = make_fp16_sum();
+  auto acc = halves_payload({1.0f, 2.0f});
+  const auto longer = halves_payload({1.0f, 2.0f, 3.0f});
+  EXPECT_THROW(op->accumulate(acc, longer), std::logic_error);
+  // Equal but odd byte counts: a half cannot be split.
+  ByteBuffer odd_acc(3), odd_in(3);
+  EXPECT_THROW(op->accumulate(odd_acc, odd_in), std::logic_error);
+}
+
 TEST(MinMax, Elementwise) {
   auto acc = floats_payload({1.0f, 5.0f});
   const auto in = floats_payload({3.0f, 2.0f});
@@ -84,6 +94,17 @@ TEST(SatInt, ReducesPackedLanesWithStats) {
   EXPECT_EQ(lanes[1], -3);
   EXPECT_EQ(stats.clips, 1u);
   EXPECT_EQ(stats.additions, 2u);
+}
+
+TEST(SatInt, MismatchedLengthsThrow) {
+  for (unsigned bits : {2u, 4u, 8u}) {
+    SatStats stats;
+    const auto op = make_sat_int(bits, &stats);
+    ByteBuffer acc(5), in(4);
+    EXPECT_THROW(op->accumulate(acc, in), std::logic_error) << bits;
+    EXPECT_THROW(op->accumulate(in, acc), std::logic_error) << bits;
+    EXPECT_EQ(stats.additions, 0u) << bits;
+  }
 }
 
 TEST(SatInt, RejectsUnsupportedWidths) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "comm/reduce_op.h"
 #include "common/rng.h"
 
 namespace gcs {
@@ -99,13 +100,14 @@ TEST(SatReducePacked, MatchesLaneOperation) {
   ByteBuffer acc = pack_signed_lanes(a, 4);
   const ByteBuffer in = pack_signed_lanes(b, 4);
   SatStats stats;
-  sat_reduce_packed(acc, in, 4, 4, &stats);
+  comm::make_sat_int(4, &stats)->accumulate(acc, in);
   const auto result = unpack_signed_lanes(acc, 4, 4);
   EXPECT_EQ(result[0], 7);  // clipped at the top
   EXPECT_EQ(result[1], -9 < sat_min(4) ? sat_min(4) : -9);  // -8, clipped
   EXPECT_EQ(result[2], 0);
   EXPECT_EQ(result[3], 1);
   EXPECT_EQ(stats.clips, 2u);
+  EXPECT_EQ(stats.additions, 4u);
 }
 
 TEST(SatReduce, NoClipsForSmallValues) {
