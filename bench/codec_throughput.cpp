@@ -7,8 +7,9 @@
 // bench times the encode side of every scheme — begin_round (rotation, EF
 // compensation, TopK selection), every stage's per-worker encodes, and the
 // intermediate consensus absorbs that gate later stages — and reports MB/s
-// of gradient bytes processed. The final absorb/decode is excluded; this
-// bench does not time decode.
+// of gradient bytes processed. The decode rows time the rest of a round:
+// the final stage's absorb plus finish (decode, reconstruction, EF
+// residual), on the same MB/s-of-gradient scale.
 //
 // The fold rows time the two sum-type ReduceOps every chunked collective
 // hop runs: fp16_sum (dense fp16, TopKC, PowerSGD) and sat_int4 (THC's
@@ -18,7 +19,8 @@
 // the same payload size.
 //
 // BENCH_codec_throughput.json is bench_compare-gated against
-// bench/baselines/ (--higher=encode_MBps,fold_MBps, plus backend_speedup,
+// bench/baselines/ (--higher=encode_MBps,decode_MBps,fold_MBps, plus
+// backend_speedup,
 // which the gate tracks by name). The committed baseline is a measurement
 // of the current kernel layer, and CI's tolerance comes from the measured
 // run-to-run spread of repeated runs: the gate catches a broken dispatch
@@ -102,6 +104,16 @@ std::vector<SchemeCase> make_schemes(std::size_t d) {
   return out;
 }
 
+/// Absorbs one stage's payloads through the local reference reduction.
+void absorb_stage(core::CodecRound& session, const core::WireStage& stage,
+                  const std::vector<ByteBuffer>& payloads) {
+  if (stage.route == core::AggregationPath::kAllGather) {
+    session.absorb_gathered(payloads);
+  } else {
+    session.absorb_reduced(comm::local_ring_all_reduce(payloads, *stage.op));
+  }
+}
+
 /// One encode-side pass: begin_round, all workers' encodes per stage, and
 /// the consensus absorbs that gate later stages. Stops before the last
 /// stage's absorb (sessions are abandonable by the codec contract).
@@ -120,13 +132,40 @@ std::size_t encode_side_pass(core::SchemeCodec& codec,
       wire_bytes += payloads[static_cast<std::size_t>(w)].size();
     }
     if (s + 1 == n_stages) break;  // the rest is the decode side
-    if (stage.route == core::AggregationPath::kAllGather) {
-      session->absorb_gathered(payloads);
-    } else {
-      session->absorb_reduced(comm::local_ring_all_reduce(payloads, *stage.op));
-    }
+    absorb_stage(*session, stage, payloads);
   }
   return wire_bytes;
+}
+
+/// One whole round; returns the seconds spent in the decode side: the
+/// final stage's absorb plus finish (the last stage's reduction itself is
+/// transport work and is not timed).
+double decode_side_pass(core::SchemeCodec& codec,
+                        std::span<const std::span<const float>> views,
+                        std::uint64_t round, int n_stages,
+                        std::vector<float>& out) {
+  auto session = codec.begin_round(views, round);
+  core::WireStage stage;
+  std::vector<ByteBuffer> payloads(kWorld);
+  for (int s = 0; s < n_stages; ++s) {
+    GCS_CHECK(session->next_stage(stage));
+    for (int w = 0; w < kWorld; ++w) {
+      payloads[static_cast<std::size_t>(w)] = session->encode(w);
+    }
+    if (s + 1 < n_stages) absorb_stage(*session, stage, payloads);
+  }
+  const bool gathered = stage.route == core::AggregationPath::kAllGather;
+  ByteBuffer reduced;
+  if (!gathered) reduced = comm::local_ring_all_reduce(payloads, *stage.op);
+  core::RoundStats stats;
+  const double t0 = now_seconds();
+  if (gathered) {
+    session->absorb_gathered(payloads);
+  } else {
+    session->absorb_reduced(reduced);
+  }
+  session->finish(out, stats);
+  return now_seconds() - t0;
 }
 
 int count_stages(core::SchemeCodec& codec,
@@ -140,11 +179,7 @@ int count_stages(core::SchemeCodec& codec,
     for (int w = 0; w < kWorld; ++w) {
       payloads[static_cast<std::size_t>(w)] = session->encode(w);
     }
-    if (stage.route == core::AggregationPath::kAllGather) {
-      session->absorb_gathered(payloads);
-    } else {
-      session->absorb_reduced(comm::local_ring_all_reduce(payloads, *stage.op));
-    }
+    absorb_stage(*session, stage, payloads);
   }
   return n_stages;
 }
@@ -189,6 +224,25 @@ double measure_fold_mbps(const comm::ReduceOp& op, const ByteBuffer& acc,
          elapsed / 1e6;
 }
 
+/// Times whole rounds until `min_seconds` of decode-side time or
+/// `max_iters` rounds accumulate; returns MB/s of gradient input over the
+/// decode side alone.
+double measure_decode_mbps(core::SchemeCodec& codec,
+                           std::span<const std::span<const float>> views,
+                           std::size_t d, int n_stages, double min_seconds,
+                           int max_iters, std::uint64_t& round) {
+  std::vector<float> out(d);
+  double elapsed = 0.0;
+  int iters = 0;
+  while (iters < 2 || (elapsed < min_seconds && iters < max_iters)) {
+    elapsed += decode_side_pass(codec, views, round++, n_stages, out);
+    ++iters;
+  }
+  const double bytes_per_pass =
+      static_cast<double>(kWorld) * static_cast<double>(d) * 4.0;
+  return bytes_per_pass * iters / elapsed / 1e6;
+}
+
 struct FoldCase {
   std::string label;
   std::unique_ptr<comm::ReduceOp> op;
@@ -228,9 +282,9 @@ std::vector<FoldCase> make_folds(std::span<const std::span<const float>> g) {
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
   print_header("codec throughput",
-               "Encode-side MB/s per scheme and fold MB/s per sum op per "
-               "payload size (gradient bytes in; active kernel backend vs "
-               "forced scalar)");
+               "Encode-side and decode-side MB/s per scheme and fold MB/s "
+               "per sum op per payload size (gradient bytes in; active "
+               "kernel backend vs forced scalar)");
   const double min_seconds = flags.get_double("min-seconds", 0.4);
   const int max_iters = static_cast<int>(flags.get_double("max-iters", 12));
   flags.reject_unknown();
@@ -299,6 +353,28 @@ int main(int argc, char** argv) {
       std::cout << "  " << row << ": " << format_sig(mbps, 4) << " MB/s ("
                 << format_sig(scalar_mbps, 4) << " scalar, "
                 << format_sig(speedup, 3) << "x)\n";
+
+      kernels::force_backend_for_testing("scalar");
+      const double dec_scalar_mbps =
+          measure_decode_mbps(*scheme.codec, local_views, dim, n_stages,
+                              min_seconds, max_iters, round);
+      kernels::force_backend_for_testing(nullptr);
+      const double dec_mbps =
+          measure_decode_mbps(*scheme.codec, local_views, dim, n_stages,
+                              min_seconds, max_iters, round);
+      const double dec_speedup =
+          dec_scalar_mbps > 0.0 ? dec_mbps / dec_scalar_mbps : 0.0;
+      const std::string dec_row = "decode/" + row;
+      table.add_row({"decode/" + scheme.label, payload.label,
+                     format_sig(dec_mbps, 4), format_sig(dec_scalar_mbps, 4),
+                     format_sig(dec_speedup, 3), "-"});
+      json.set(dec_row, "payload", std::string(payload.label));
+      json.set(dec_row, "decode_MBps", dec_mbps);
+      json.set(dec_row, "decode_MBps_scalar", dec_scalar_mbps);
+      json.set(dec_row, "backend_speedup", dec_speedup);
+      std::cout << "  " << dec_row << ": " << format_sig(dec_mbps, 4)
+                << " MB/s (" << format_sig(dec_scalar_mbps, 4) << " scalar, "
+                << format_sig(dec_speedup, 3) << "x)\n";
     }
 
     for (auto& fold : make_folds(view_span)) {

@@ -23,7 +23,9 @@
 //   bench_compare bench/baselines/BENCH_health_overhead.json
 //       BENCH_health_overhead.json
 //       --lower=overhead_ratio,watchdog_stalls,false_positives
-//       --tolerance=1.0
+//       --tolerance=0.5
+// (the tolerance is twice the measured run-to-run spread of
+// overhead_ratio; see the CI step).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>

@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -362,6 +363,94 @@ BENCHMARK(BM_KernelSatAddPacked)
     ->Args({1, 4})
     ->Args({0, 8})
     ->Args({1, 8});
+
+/// TopKC's chunk scores (chunk = 64, the default at b = 8), one chunk per
+/// lane on AVX2.
+void BM_KernelChunkSqNorms(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  const std::size_t n = 1 << 20;
+  const auto chunk = static_cast<std::size_t>(state.range(1));
+  const auto x = random_vec(n, 34);
+  std::vector<float> out(num_chunks(n, chunk));
+  for (auto _ : state) {
+    backend->chunk_sq_norms(x.data(), n, chunk, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  set_fp32_bytes(state, n);
+}
+BENCHMARK(BM_KernelChunkSqNorms)
+    ->Args({0, 64})
+    ->Args({1, 64})
+    ->Args({0, 128})
+    ->Args({1, 128});
+
+// PowerSGD's matmul panels at rank 4 on the two bert25 layer shapes
+// (arg 1 = rows, arg 2 = cols); bytes are M's fp32 bytes.
+
+struct PanelOperands {
+  std::size_t rows, cols;
+  std::vector<float> m, p, q, out;
+};
+
+PanelOperands panel_operands(benchmark::State& state) {
+  PanelOperands o;
+  o.rows = static_cast<std::size_t>(state.range(1));
+  o.cols = static_cast<std::size_t>(state.range(2));
+  o.m = random_vec(o.rows * o.cols, 35);
+  o.p = random_vec(o.rows * 4, 36);
+  o.q = random_vec(o.cols * 4, 37);
+  o.out.resize(o.rows * o.cols);
+  return o;
+}
+
+void BM_KernelPanelMQ(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  auto o = panel_operands(state);
+  for (auto _ : state) {
+    backend->panel_mq(o.m.data(), o.q.data(), o.rows, o.cols, 4, o.p.data());
+    benchmark::DoNotOptimize(o.p.data());
+    benchmark::ClobberMemory();
+  }
+  set_fp32_bytes(state, o.rows * o.cols);
+}
+
+void BM_KernelPanelMtP(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  auto o = panel_operands(state);
+  for (auto _ : state) {
+    backend->panel_mtp(o.m.data(), o.p.data(), o.rows, o.cols, 4, o.q.data());
+    benchmark::DoNotOptimize(o.q.data());
+    benchmark::ClobberMemory();
+  }
+  set_fp32_bytes(state, o.rows * o.cols);
+}
+
+void BM_KernelPanelPQt(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  auto o = panel_operands(state);
+  for (auto _ : state) {
+    backend->panel_pqt(o.p.data(), o.q.data(), o.rows, o.cols, 4,
+                       o.out.data());
+    benchmark::DoNotOptimize(o.out.data());
+    benchmark::ClobberMemory();
+  }
+  set_fp32_bytes(state, o.rows * o.cols);
+}
+
+void panel_args(benchmark::internal::Benchmark* b) {
+  for (const auto& shape : {std::pair{4096, 1024}, std::pair{1024, 1024}}) {
+    for (int backend : {0, 1}) b->Args({backend, shape.first, shape.second});
+  }
+  b->Unit(benchmark::kMillisecond);
+}
+BENCHMARK(BM_KernelPanelMQ)->Apply(panel_args);
+BENCHMARK(BM_KernelPanelMtP)->Apply(panel_args);
+BENCHMARK(BM_KernelPanelPQt)->Apply(panel_args);
 
 }  // namespace
 

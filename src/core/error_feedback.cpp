@@ -30,14 +30,6 @@ void ErrorFeedback::compensate(int worker, std::span<const float> grad,
   kernels::active().add(grad.data(), m.data(), dimension_, y.data());
 }
 
-void ErrorFeedback::absorb(int worker, std::span<const float> y,
-                           std::span<const float> contribution) {
-  if (!enabled_) return;
-  GCS_CHECK(y.size() == dimension_ && contribution.size() == dimension_);
-  auto& m = memories_[static_cast<std::size_t>(worker)];
-  for (std::size_t i = 0; i < dimension_; ++i) m[i] = y[i] - contribution[i];
-}
-
 void ErrorFeedback::absorb_masked(int worker, std::span<const float> y,
                                   std::span<const std::uint8_t> sent_mask) {
   if (!enabled_) return;
@@ -46,6 +38,12 @@ void ErrorFeedback::absorb_masked(int worker, std::span<const float> y,
   for (std::size_t i = 0; i < dimension_; ++i) {
     m[i] = sent_mask[i] != 0 ? 0.0f : y[i];
   }
+}
+
+std::span<float> ErrorFeedback::mutable_memory(int worker) {
+  GCS_CHECK(enabled_);
+  auto& m = memories_[static_cast<std::size_t>(worker)];
+  return {m.data(), m.size()};
 }
 
 void ErrorFeedback::reset() {

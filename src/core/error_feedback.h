@@ -10,8 +10,10 @@
 // Semantics captured here:
 //   y_i = x_i + m_i                       (compensate)
 //   m_i' = y_i - contribution_i           (store what was NOT transmitted)
-// where contribution_i is scheme-specific — each compressor tells the
-// memory what it actually sent on behalf of worker i.
+// where contribution_i is scheme-specific — what the compressor actually
+// sent on behalf of worker i. Sparse schemes store it by sent mask
+// (absorb_masked); PowerSGD writes y - reconstruction / n into the memory
+// itself (mutable_memory), fused with its reconstruction pass.
 #pragma once
 
 #include <cstddef>
@@ -33,15 +35,16 @@ class ErrorFeedback {
   void compensate(int worker, std::span<const float> grad,
                   std::span<float> y) const;
 
-  /// Stores m_i' = y - contribution. No-op when disabled.
-  void absorb(int worker, std::span<const float> y,
-              std::span<const float> contribution);
-
   /// Variant used when only selected coordinates were transmitted:
   /// m_i'[j] = 0 for transmitted j (exactly what was sent was y[j]),
   /// m_i'[j] = y[j] otherwise. `sent_mask` has one byte per coordinate.
   void absorb_masked(int worker, std::span<const float> y,
                      std::span<const std::uint8_t> sent_mask);
+
+  /// The worker's memory, for a scheme that writes its residual m_i'
+  /// itself, fused with its own decode pass (PowerSGD). Requires
+  /// enabled().
+  std::span<float> mutable_memory(int worker);
 
   void reset();
 

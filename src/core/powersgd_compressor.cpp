@@ -251,7 +251,6 @@ void PowerSgdRound::absorb_reduced(const ByteBuffer& reduced) {
 
 void PowerSgdRound::finish(std::span<float> out, RoundStats& /*stats*/) {
   const auto& config = codec_.config();
-  const std::size_t d = config.layout.total_size();
   const auto n = static_cast<std::size_t>(config.world_size);
   auto& states = codec_.states();
 
@@ -275,26 +274,25 @@ void PowerSgdRound::finish(std::span<float> out, RoundStats& /*stats*/) {
   }
 
   // EF: memory = y - reconstruction/n on low-rank layers only (dense
-  // layers are transmitted exactly, modulo FP16 rounding).
+  // layers are transmitted exactly, modulo FP16 rounding, so their
+  // memory is y - y), written straight into each worker's memory in one
+  // pass per layer.
   if (codec_.ef().enabled()) {
-    std::vector<float> contribution(d);
     const float inv_n = 1.0f / static_cast<float>(n);
+    const auto& k = kernels::active();
     for (std::size_t w = 0; w < n; ++w) {
       if (!held_.holds(w)) continue;
+      auto memory = codec_.ef().mutable_memory(static_cast<int>(w));
       for (std::size_t l = 0; l < states.size(); ++l) {
-        auto slice = codec_.layer_span_mut(contribution, l);
-        auto ow = codec_.layer_span(std::span<const float>(out), l);
+        auto mw = codec_.layer_span_mut(memory, l);
         auto yw = codec_.layer_span(std::span<const float>(ys_[w]), l);
         if (states[l].rank == 0) {
-          // Exact transmission: nothing left behind.
-          std::copy(yw.begin(), yw.end(), slice.begin());
+          for (std::size_t i = 0; i < mw.size(); ++i) mw[i] = yw[i] - yw[i];
         } else {
-          for (std::size_t i = 0; i < slice.size(); ++i) {
-            slice[i] = ow[i] * inv_n;
-          }
+          auto ow = codec_.layer_span(std::span<const float>(out), l);
+          k.sub_scaled(yw.data(), ow.data(), inv_n, mw.size(), mw.data());
         }
       }
-      codec_.ef().absorb(static_cast<int>(w), ys_[w], contribution);
     }
   }
 }

@@ -180,8 +180,8 @@ ByteBuffer TopKCRound::encode(int worker) {
   const auto& y = ys_[static_cast<std::size_t>(worker)];
   if (stage_ == 0) {
     // Squared chunk norms, rounded to FP16 exactly as they travel. The
-    // norm accumulation order is wire-visible, so it stays scalar; only
-    // the conversion goes through the bulk kernel.
+    // norm accumulation order is wire-visible; the chunk_sq_norms kernel
+    // keeps it (one chunk per lane, sequential within the chunk).
     std::vector<float> scores(codec_.n_chunks());
     chunk_squared_norms(y, config.chunk_size, scores);
     ByteBuffer buf(scores.size() * sizeof(std::uint16_t));

@@ -179,6 +179,72 @@ std::size_t collect_ge_scalar(const float* x, std::size_t n, float t,
   return count;
 }
 
+void chunk_sq_norms_scalar(const float* x, std::size_t n, std::size_t chunk,
+                           float* out) {
+  for (std::size_t begin = 0, c = 0; begin < n; begin += chunk, ++c) {
+    const std::size_t end = std::min(begin + chunk, n);
+    float acc = 0.0f;  // FP32 accumulate, as a GPU reduction kernel would
+    for (std::size_t i = begin; i < end; ++i) acc += x[i] * x[i];
+    out[c] = acc;
+  }
+}
+
+void sub_scaled_scalar(const float* y, const float* x, float s,
+                       std::size_t n, float* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = y[i] - x[i] * s;
+}
+
+void axpy_scalar(float a, const float* x, std::size_t n, float* y) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
+// The panels below are the pinned fold of kernels.h: the loop nests only
+// choose which output elements advance together; each element still sums
+// its terms in ascending contraction index from +0.0f, skipping a == 0.
+
+void panel_mq_scalar(const float* m, const float* q, std::size_t rows,
+                     std::size_t cols, std::size_t r, float* p) {
+  std::fill(p, p + rows * r, 0.0f);
+  // i-k-j order: streams through Q and P rows contiguously.
+  for (std::size_t i = 0; i < rows; ++i) {
+    float* prow = p + i * r;
+    for (std::size_t k = 0; k < cols; ++k) {
+      const float a = m[i * cols + k];
+      if (a == 0.0f) continue;
+      const float* qrow = q + k * r;
+      for (std::size_t j = 0; j < r; ++j) prow[j] += a * qrow[j];
+    }
+  }
+}
+
+void panel_mtp_scalar(const float* m, const float* p, std::size_t rows,
+                      std::size_t cols, std::size_t r, float* q) {
+  std::fill(q, q + cols * r, 0.0f);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* mrow = m + i * cols;
+    const float* prow = p + i * r;
+    for (std::size_t c = 0; c < cols; ++c) {
+      const float a = mrow[c];
+      if (a == 0.0f) continue;
+      float* qrow = q + c * r;
+      for (std::size_t j = 0; j < r; ++j) qrow[j] += a * prow[j];
+    }
+  }
+}
+
+void panel_pqt_scalar(const float* p, const float* q, std::size_t rows,
+                      std::size_t cols, std::size_t r, float* m_hat) {
+  std::fill(m_hat, m_hat + rows * cols, 0.0f);
+  for (std::size_t i = 0; i < rows; ++i) {
+    float* out_row = m_hat + i * cols;
+    for (std::size_t k = 0; k < r; ++k) {
+      const float a = p[i * r + k];
+      if (a == 0.0f) continue;
+      for (std::size_t c = 0; c < cols; ++c) out_row[c] += a * q[c * r + k];
+    }
+  }
+}
+
 constexpr Backend kScalar = {
     "scalar",
     fp32_to_fp16_scalar,
@@ -196,6 +262,12 @@ constexpr Backend kScalar = {
     abs_scalar,
     count_gt_scalar,
     collect_ge_scalar,
+    chunk_sq_norms_scalar,
+    sub_scaled_scalar,
+    axpy_scalar,
+    panel_mq_scalar,
+    panel_mtp_scalar,
+    panel_pqt_scalar,
 };
 
 const Backend& default_backend() noexcept {

@@ -1,8 +1,10 @@
 // Single-pass encode and fold kernels with swappable backends.
 //
 // Every codec hot loop — fp32->fp16 conversion, stochastic quantization +
-// bit packing, Hadamard butterflies, TopK threshold select — and every
-// sum-type collective fold (fp32/fp16 sums, saturating packed lanes)
+// bit packing, Hadamard butterflies, TopK threshold select, TopKC chunk
+// scores, PowerSGD's low-rank matmul panels and its EF residual, the
+// training MLP's backward axpy — and
+// every sum-type collective fold (fp32/fp16 sums, saturating packed lanes)
 // funnels through this narrow interface (Vitis-streaming-kernel style:
 // flat pointer + count, no allocation, no virtual dispatch inside the
 // loop). A scalar reference backend defines the semantics; an AVX2
@@ -18,7 +20,10 @@
 // wire-byte and EF-residual fingerprints stay fixed across backends, and
 // lets CI run the whole tier-1 suite under GCS_FORCE_SCALAR=1. Folds are
 // element-wise, so a backend changes only the per-element arithmetic,
-// never the collective's fold order (DESIGN.md section 10).
+// never the collective's fold order (DESIGN.md section 10). The kernels
+// that reduce (chunk_sq_norms, the panels) pin their summation order in
+// their contracts below; a backend may only change which outputs it
+// computes side by side, never the order of any one output's sum.
 //
 // Dispatch rules:
 //   1. force_backend_for_testing() override, when set (tests/benches only);
@@ -122,6 +127,45 @@ struct Backend {
   /// out must have room for n entries.
   std::size_t (*collect_ge)(const float* x, std::size_t n, float t,
                             std::uint32_t* out);
+
+  /// TopKC's chunk scores: out[c] is the squared L2 norm of
+  /// x[c*chunk .. min((c+1)*chunk, n)) for every c < ceil(n / chunk),
+  /// folded as acc = +0.0f; acc = acc + x[i] * x[i] in ascending i (the
+  /// order is wire-visible: the scores are consensus-summed). Requires
+  /// chunk >= 1.
+  void (*chunk_sq_norms)(const float* x, std::size_t n, std::size_t chunk,
+                         float* out);
+
+  /// out[i] = y[i] - x[i] * s (multiply, then subtract): PowerSGD's
+  /// fused error-feedback residual, memory = y - reconstruction / n.
+  /// out may alias y or x.
+  void (*sub_scaled)(const float* y, const float* x, float s,
+                     std::size_t n, float* out);
+
+  /// y[i] = y[i] + a * x[i] (multiply, then add): the element-wise
+  /// updates of the training MLP's backward pass. y must not overlap x.
+  void (*axpy)(float a, const float* x, std::size_t n, float* y);
+
+  // PowerSGD's matmul panels. All matrices are dense row-major; m is
+  // rows x cols, p is rows x r, q is cols x r. Pinned fold order: every
+  // output element is the sequential sum over its contraction index in
+  // ascending order, starting from +0.0f, of the products a * b (a the
+  // M-side multiplicand; for panel_pqt the P-side one), skipping every
+  // term whose a compares equal to 0 — so a zero or -0.0 in M never
+  // meets an Inf/NaN in the other factor, and an all-skipped sum is +0.0.
+  // No FMA. Outputs are fully overwritten and must not alias the inputs.
+
+  /// P = M * Q: p[i*r + j] = sum_k m[i*cols + k] * q[k*r + j].
+  void (*panel_mq)(const float* m, const float* q, std::size_t rows,
+                   std::size_t cols, std::size_t r, float* p);
+
+  /// Q = M^T * P: q[c*r + j] = sum_i m[i*cols + c] * p[i*r + j].
+  void (*panel_mtp)(const float* m, const float* p, std::size_t rows,
+                    std::size_t cols, std::size_t r, float* q);
+
+  /// M_hat = P * Q^T: m_hat[i*cols + c] = sum_k p[i*r + k] * q[c*r + k].
+  void (*panel_pqt)(const float* p, const float* q, std::size_t rows,
+                    std::size_t cols, std::size_t r, float* m_hat);
 };
 
 /// The scalar reference backend (always available; defines the semantics).

@@ -15,7 +15,11 @@
 //   - FWHT butterflies built from true vaddps/vsubps pairs (blend-merged),
 //     not sign-flip tricks that would change NaN sign propagation;
 //   - runt tails and fallback groups of the folds calling the scalar
-//     reference table itself, so there is one copy of their semantics.
+//     reference table itself, so there is one copy of their semantics;
+//   - the summing kernels (chunk scores, matmul panels, EF residual,
+//     axpy) keeping each output's pinned fold order and recomputing any block
+//     whose result holds a NaN with the scalar reference, so a NaN
+//     payload never depends on operand order.
 #include "kernels/kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -549,6 +553,294 @@ std::size_t collect_ge_avx2(const float* x, std::size_t n, float t,
   return count;
 }
 
+/// In-register transpose of the 8x8 tile r[0..7] (r[k] lane e becomes
+/// r[e] lane k).
+inline void transpose8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+  r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+  r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+  r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+  r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+  r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+  r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+  r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+/// Lanes of v that are NaN.
+inline __m256 nan_lanes(__m256 v) { return _mm256_cmp_ps(v, v, _CMP_UNORD_Q); }
+
+// The kernels below (chunk scores, EF residual, axpy, panels) share
+// one NaN rule: a vector block whose result holds a NaN is recomputed by
+// the scalar reference. A sum or product is NaN exactly when a NaN entered
+// it, and without NaNs IEEE add and mul are commutative, so a NaN-free
+// result cannot depend on operand order; a NaN payload can (x86 keeps the
+// first operand's), and which operand the compiler puts first in the
+// scalar loop is its own choice. Recomputing keeps NaN payloads the
+// reference's by construction.
+
+void chunk_sq_norms_avx2(const float* x, std::size_t n, std::size_t chunk,
+                         float* out) {
+  // One chunk per lane: eight whole chunks are read as 8x8 tiles, each
+  // tile transposed so lane c holds eight consecutive coordinates of
+  // chunk c, and every lane runs its own sequential acc + x * x chain —
+  // the scalar fold, eight chunks side by side. Chunk sizes that are not
+  // a multiple of 8, the last partial chunk and the < 8 leftover chunks
+  // take the scalar reference.
+  std::size_t c = 0;
+  if (chunk % 8 == 0) {
+    const std::size_t whole = n / chunk;
+    for (; c + 8 <= whole; c += 8) {
+      const float* base = x + c * chunk;
+      __m256 acc = _mm256_setzero_ps();
+      for (std::size_t t = 0; t < chunk; t += 8) {
+        __m256 tile[8];
+        for (std::size_t k = 0; k < 8; ++k) {
+          tile[k] = _mm256_loadu_ps(base + k * chunk + t);
+        }
+        transpose8(tile);
+        for (const __m256 v : tile) {
+          acc = _mm256_add_ps(acc, _mm256_mul_ps(v, v));
+        }
+      }
+      if (_mm256_movemask_ps(nan_lanes(acc)) != 0) {
+        scalar().chunk_sq_norms(base, 8 * chunk, chunk, out + c);
+      } else {
+        _mm256_storeu_ps(out + c, acc);
+      }
+    }
+  }
+  scalar().chunk_sq_norms(x + c * chunk, n - c * chunk, chunk, out + c);
+}
+
+void sub_scaled_avx2(const float* y, const float* x, float s, std::size_t n,
+                     float* out) {
+  const __m256 vs = _mm256_set1_ps(s);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_sub_ps(_mm256_loadu_ps(y + i),
+                                   _mm256_mul_ps(_mm256_loadu_ps(x + i), vs));
+    if (_mm256_movemask_ps(nan_lanes(v)) != 0) {
+      scalar().sub_scaled(y + i, x + i, s, 8, out + i);
+    } else {
+      _mm256_storeu_ps(out + i, v);
+    }
+  }
+  scalar().sub_scaled(y + i, x + i, s, n - i, out + i);
+}
+
+void axpy_avx2(float a, const float* x, std::size_t n, float* y) {
+  const __m256 va = _mm256_set1_ps(a);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_add_ps(_mm256_loadu_ps(y + i),
+                                   _mm256_mul_ps(va, _mm256_loadu_ps(x + i)));
+    if (_mm256_movemask_ps(nan_lanes(v)) != 0) {
+      scalar().axpy(a, x + i, 8, y + i);
+    } else {
+      _mm256_storeu_ps(y + i, v);
+    }
+  }
+  scalar().axpy(a, x + i, n - i, y + i);
+}
+
+// PowerSGD panels, vectorised for r = 4 (every other r takes the scalar
+// reference). The vector paths never test for a == 0: the accumulator
+// starts at +0.0f, and a sum is -0.0 only when both addends are, so it
+// never holds -0.0. A skipped term with a finite partner is a product of
+// +-0.0, and adding that leaves the accumulator unchanged, exactly as the
+// skip does. With an Inf/NaN partner the product is NaN, and the NaN rule
+// recomputes the block with the reference, which skips.
+
+/// P = M Q for r = 4 on kPairs row pairs starting at row i0: one vector
+/// holds the 4 rank lanes of rows i and i+1, [P[i, 0..3] | P[i+1, 0..3]],
+/// i.e. the 8 contiguous floats p[i*4 .. i*4 + 8).
+template <std::size_t kPairs>
+void panel_mq_r4_rows(const float* m, const float* q, std::size_t i0,
+                      std::size_t cols, float* p) {
+  __m256 acc[kPairs];
+  for (auto& a : acc) a = _mm256_setzero_ps();
+  std::size_t k = 0;
+  for (; k + 4 <= cols; k += 4) {
+    const __m256 q0 = _mm256_broadcast_ps(
+        reinterpret_cast<const __m128*>(q + (k + 0) * 4));
+    const __m256 q1 = _mm256_broadcast_ps(
+        reinterpret_cast<const __m128*>(q + (k + 1) * 4));
+    const __m256 q2 = _mm256_broadcast_ps(
+        reinterpret_cast<const __m128*>(q + (k + 2) * 4));
+    const __m256 q3 = _mm256_broadcast_ps(
+        reinterpret_cast<const __m128*>(q + (k + 3) * 4));
+    for (std::size_t t = 0; t < kPairs; ++t) {
+      const float* row = m + (i0 + 2 * t) * cols + k;
+      // [M[i, k..k+3] | M[i+1, k..k+3]]; vpermilps then broadcasts one
+      // column within each 128-bit half.
+      const __m256 mm = _mm256_loadu2_m128(row + cols, row);
+      const __m256 m0 = _mm256_permute_ps(mm, 0x00);
+      const __m256 m1 = _mm256_permute_ps(mm, 0x55);
+      const __m256 m2 = _mm256_permute_ps(mm, 0xAA);
+      const __m256 m3 = _mm256_permute_ps(mm, 0xFF);
+      acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(m0, q0));
+      acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(m1, q1));
+      acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(m2, q2));
+      acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(m3, q3));
+    }
+  }
+  for (; k < cols; ++k) {
+    const __m256 qk =
+        _mm256_broadcast_ps(reinterpret_cast<const __m128*>(q + k * 4));
+    for (std::size_t t = 0; t < kPairs; ++t) {
+      const float* row = m + (i0 + 2 * t) * cols + k;
+      const __m256 mk =
+          _mm256_set_m128(_mm_set1_ps(row[cols]), _mm_set1_ps(row[0]));
+      acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(mk, qk));
+    }
+  }
+  __m256 nan = _mm256_setzero_ps();
+  for (std::size_t t = 0; t < kPairs; ++t) {
+    nan = _mm256_or_ps(nan, nan_lanes(acc[t]));
+    _mm256_storeu_ps(p + (i0 + 2 * t) * 4, acc[t]);
+  }
+  if (_mm256_movemask_ps(nan) != 0) {
+    scalar().panel_mq(m + i0 * cols, q, 2 * kPairs, cols, 4, p + i0 * 4);
+  }
+}
+
+void panel_mq_avx2(const float* m, const float* q, std::size_t rows,
+                   std::size_t cols, std::size_t r, float* p) {
+  if (r != 4) {
+    scalar().panel_mq(m, q, rows, cols, r, p);
+    return;
+  }
+  // Four row pairs in flight hide the add latency of each pair's chain.
+  std::size_t i = 0;
+  for (; i + 8 <= rows; i += 8) panel_mq_r4_rows<4>(m, q, i, cols, p);
+  for (; i + 2 <= rows; i += 2) panel_mq_r4_rows<1>(m, q, i, cols, p);
+  if (i < rows) {
+    scalar().panel_mq(m + i * cols, q, rows - i, cols, r, p + i * 4);
+  }
+}
+
+void panel_mtp_avx2(const float* m, const float* p, std::size_t rows,
+                    std::size_t cols, std::size_t r, float* q) {
+  if (r != 4) {
+    scalar().panel_mtp(m, p, rows, cols, r, q);
+    return;
+  }
+  // Q's row c holds 4 rank lanes, so the 8 contiguous floats q[c*4 ..
+  // c*4 + 8) are columns c and c+1 of the product: one vector updates two
+  // columns, [M[i, c] x4 | M[i, c+1] x4] * [P[i, 0..3] | P[i, 0..3]].
+  // Rows stream in ascending order (each column's fold order) and Q's
+  // accumulators stay cache-resident between rows; an odd last column
+  // runs the same fold in scalar. A column range is no sub-problem of the
+  // reference (M's rows are strided), so a NaN anywhere in Q redoes the
+  // call.
+  std::fill(q, q + cols * 4, 0.0f);
+  const __m256i pair0 = _mm256_setr_epi32(0, 0, 0, 0, 1, 1, 1, 1);
+  const __m256i pair1 = _mm256_setr_epi32(2, 2, 2, 2, 3, 3, 3, 3);
+  const __m256i pair2 = _mm256_setr_epi32(4, 4, 4, 4, 5, 5, 5, 5);
+  const __m256i pair3 = _mm256_setr_epi32(6, 6, 6, 6, 7, 7, 7, 7);
+  const auto update = [](float* qc, __m256 m, __m256 pv) {
+    _mm256_storeu_ps(qc, _mm256_add_ps(_mm256_loadu_ps(qc),
+                                       _mm256_mul_ps(m, pv)));
+  };
+  const std::size_t cols8 = cols & ~std::size_t{7};
+  const std::size_t cols2 = cols & ~std::size_t{1};
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* mrow = m + i * cols;
+    const __m256 pv =
+        _mm256_broadcast_ps(reinterpret_cast<const __m128*>(p + i * 4));
+    std::size_t c = 0;
+    for (; c < cols8; c += 8) {
+      const __m256 mm = _mm256_loadu_ps(mrow + c);
+      float* qc = q + c * 4;
+      update(qc, _mm256_permutevar8x32_ps(mm, pair0), pv);
+      update(qc + 8, _mm256_permutevar8x32_ps(mm, pair1), pv);
+      update(qc + 16, _mm256_permutevar8x32_ps(mm, pair2), pv);
+      update(qc + 24, _mm256_permutevar8x32_ps(mm, pair3), pv);
+    }
+    for (; c < cols2; c += 2) {
+      update(q + c * 4,
+             _mm256_set_m128(_mm_set1_ps(mrow[c + 1]), _mm_set1_ps(mrow[c])),
+             pv);
+    }
+    if (c < cols) {
+      for (std::size_t j = 0; j < 4; ++j) q[c * 4 + j] += mrow[c] * p[i * 4 + j];
+    }
+  }
+  __m256 nan = _mm256_setzero_ps();
+  std::size_t j = 0;
+  for (; j + 8 <= cols * 4; j += 8) {
+    nan = _mm256_or_ps(nan, nan_lanes(_mm256_loadu_ps(q + j)));
+  }
+  bool any_nan = _mm256_movemask_ps(nan) != 0;
+  for (; j < cols * 4; ++j) any_nan = any_nan || std::isnan(q[j]);
+  if (any_nan) scalar().panel_mtp(m, p, rows, cols, r, q);
+}
+
+void panel_pqt_avx2(const float* p, const float* q, std::size_t rows,
+                    std::size_t cols, std::size_t r, float* m_hat) {
+  if (r != 4) {
+    scalar().panel_pqt(p, q, rows, cols, r, m_hat);
+    return;
+  }
+  // Q^T is staged one column block at a time (qt[k][c], 8 KiB on the
+  // stack), then every row accumulates 8 output columns per vector over
+  // k = 0..3; the block's columns past the last multiple of 8 run the
+  // same fold in scalar. A row block holding a NaN is recomputed by the
+  // reference (one row against a column block is a sub-problem of it).
+  constexpr std::size_t kBlock = 512;
+  alignas(32) float qt[4][kBlock];
+  for (std::size_t c0 = 0; c0 < cols; c0 += kBlock) {
+    const std::size_t w = std::min(kBlock, cols - c0);
+    for (std::size_t c = 0; c < w; ++c) {
+      for (std::size_t k = 0; k < 4; ++k) qt[k][c] = q[(c0 + c) * 4 + k];
+    }
+    const std::size_t w8 = w & ~std::size_t{7};
+    for (std::size_t i = 0; i < rows; ++i) {
+      const float* pi = p + i * 4;
+      float* out = m_hat + i * cols + c0;
+      const __m256 p0 = _mm256_set1_ps(pi[0]);
+      const __m256 p1 = _mm256_set1_ps(pi[1]);
+      const __m256 p2 = _mm256_set1_ps(pi[2]);
+      const __m256 p3 = _mm256_set1_ps(pi[3]);
+      __m256 nan = _mm256_setzero_ps();
+      std::size_t c = 0;
+      for (; c < w8; c += 8) {
+        __m256 acc = _mm256_setzero_ps();
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(p0, _mm256_load_ps(&qt[0][c])));
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(p1, _mm256_load_ps(&qt[1][c])));
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(p2, _mm256_load_ps(&qt[2][c])));
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(p3, _mm256_load_ps(&qt[3][c])));
+        nan = _mm256_or_ps(nan, nan_lanes(acc));
+        _mm256_storeu_ps(out + c, acc);
+      }
+      bool any_nan = _mm256_movemask_ps(nan) != 0;
+      for (; c < w; ++c) {
+        float acc = 0.0f;
+        for (std::size_t k = 0; k < 4; ++k) acc += pi[k] * qt[k][c];
+        any_nan = any_nan || std::isnan(acc);
+        out[c] = acc;
+      }
+      if (any_nan) scalar().panel_pqt(pi, q + c0 * 4, 1, w, 4, out);
+    }
+  }
+}
+
 constexpr Backend kAvx2 = {
     "avx2",
     fp32_to_fp16_avx2,
@@ -566,6 +858,12 @@ constexpr Backend kAvx2 = {
     abs_avx2,
     count_gt_avx2,
     collect_ge_avx2,
+    chunk_sq_norms_avx2,
+    sub_scaled_avx2,
+    axpy_avx2,
+    panel_mq_avx2,
+    panel_mtp_avx2,
+    panel_pqt_avx2,
 };
 
 }  // namespace

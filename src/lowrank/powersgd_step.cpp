@@ -4,7 +4,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "tensor/vecops.h"
+#include "kernels/kernels.h"
 
 namespace gcs {
 
@@ -29,17 +29,19 @@ void powersgd_compute_p(std::span<const float> m,
                         const PowerSgdLayerState& st, std::span<float> p) {
   GCS_CHECK(m.size() >= st.rows * st.cols);
   GCS_CHECK(p.size() >= st.rows * st.rank);
-  matmul(m, st.q, p, st.rows, st.cols, st.rank);
+  GCS_CHECK(st.q.size() >= st.cols * st.rank);
+  kernels::active().panel_mq(m.data(), st.q.data(), st.rows, st.cols,
+                             st.rank, p.data());
 }
 
 void powersgd_compute_q(std::span<const float> m,
                         const PowerSgdLayerState& st,
                         std::span<const float> p, std::span<float> q_out) {
   GCS_CHECK(m.size() >= st.rows * st.cols);
+  GCS_CHECK(p.size() >= st.rows * st.rank);
   GCS_CHECK(q_out.size() >= st.cols * st.rank);
-  // Q = M^T P: M is rows x cols, so M^T is cols x rows; matmul_at treats
-  // its first argument as stored k x m with k = rows, m = cols.
-  matmul_at(m, p, q_out, st.cols, st.rows, st.rank);
+  kernels::active().panel_mtp(m.data(), p.data(), st.rows, st.cols, st.rank,
+                              q_out.data());
 }
 
 void powersgd_reconstruct(const PowerSgdLayerState& st,
@@ -48,21 +50,8 @@ void powersgd_reconstruct(const PowerSgdLayerState& st,
   GCS_CHECK(m_hat.size() >= st.rows * st.cols);
   GCS_CHECK(p.size() >= st.rows * st.rank);
   GCS_CHECK(q.size() >= st.cols * st.rank);
-  // M_hat[i, j] = sum_k P[i, k] * Q[j, k]; Q^T is rank x cols.
-  // Compute via matmul with B = Q^T materialized implicitly: iterate k.
-  std::fill(m_hat.begin(),
-            m_hat.begin() + static_cast<std::ptrdiff_t>(st.rows * st.cols),
-            0.0f);
-  for (std::size_t i = 0; i < st.rows; ++i) {
-    for (std::size_t k = 0; k < st.rank; ++k) {
-      const float pik = p[i * st.rank + k];
-      if (pik == 0.0f) continue;
-      float* out_row = &m_hat[i * st.cols];
-      for (std::size_t j = 0; j < st.cols; ++j) {
-        out_row[j] += pik * q[j * st.rank + k];
-      }
-    }
-  }
+  kernels::active().panel_pqt(p.data(), q.data(), st.rows, st.cols, st.rank,
+                              m_hat.data());
 }
 
 }  // namespace gcs

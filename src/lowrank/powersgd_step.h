@@ -7,8 +7,10 @@
 //     M_hat = P Q^T
 // Only P (m x r) and Q (c x r) cross the network — 16r(m+c) bits per layer
 // in FP16 — which is where the scheme's large compression ratios come from.
-// This header provides the per-matrix steps; the core-library compressor
-// (core/powersgd.h) sequences them across layers and drives the collectives.
+// This header provides the per-matrix steps — the products run on the
+// kernel layer's matmul panels, whose fold order is pinned (kernels.h) —
+// and the core-library compressor (core/powersgd_compressor.h) sequences
+// them across layers and drives the collectives.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,7 @@
 
 #include "common/bits.h"
 #include "common/check.h"
+#include "kernels/kernels.h"
 #include "numeric/half.h"
 #include "sparse/topk.h"
 
@@ -15,14 +16,9 @@ std::size_t num_chunks(std::size_t d, std::size_t chunk_size) noexcept {
 
 void chunk_squared_norms(std::span<const float> x, std::size_t chunk_size,
                          std::span<float> out) noexcept {
-  const std::size_t n = num_chunks(x.size(), chunk_size);
-  for (std::size_t c = 0; c < n; ++c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(begin + chunk_size, x.size());
-    float acc = 0.0f;  // FP32 accumulate, as a GPU reduction kernel would
-    for (std::size_t i = begin; i < end; ++i) acc += x[i] * x[i];
-    out[c] = acc;
-  }
+  if (chunk_size == 0) return;  // num_chunks() is 0: no scores
+  kernels::active().chunk_sq_norms(x.data(), x.size(), chunk_size,
+                                   out.data());
 }
 
 void round_scores_fp16(std::span<float> scores) noexcept {

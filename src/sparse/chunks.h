@@ -18,7 +18,8 @@ namespace gcs {
 /// Number of chunks of size C covering d coordinates (last may be partial).
 std::size_t num_chunks(std::size_t d, std::size_t chunk_size) noexcept;
 
-/// Squared L2 norm of each chunk. out.size() must be num_chunks(d, C).
+/// Squared L2 norm of each chunk, the kernel layer's chunk_sq_norms (FP32,
+/// sequential per chunk). out.size() must be num_chunks(d, C).
 void chunk_squared_norms(std::span<const float> x, std::size_t chunk_size,
                          std::span<float> out) noexcept;
 

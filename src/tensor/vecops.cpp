@@ -1,9 +1,6 @@
 #include "tensor/vecops.h"
 
 #include <cmath>
-#include <cstring>
-
-#include "common/check.h"
 
 namespace gcs {
 
@@ -69,40 +66,6 @@ double mse(std::span<const float> a, std::span<const float> b) noexcept {
     acc += d * d;
   }
   return acc / static_cast<double>(n);
-}
-
-void matmul(std::span<const float> a, std::span<const float> b,
-            std::span<float> c, std::size_t m, std::size_t k,
-            std::size_t n) {
-  GCS_CHECK(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
-  std::memset(c.data(), 0, m * n * sizeof(float));
-  // i-k-j order: streams through B and C rows contiguously.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const float aip = a[i * k + p];
-      if (aip == 0.0f) continue;
-      const float* brow = &b[p * n];
-      float* crow = &c[i * n];
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
-    }
-  }
-}
-
-void matmul_at(std::span<const float> a, std::span<const float> b,
-               std::span<float> c, std::size_t m, std::size_t k,
-               std::size_t n) {
-  GCS_CHECK(a.size() >= k * m && b.size() >= k * n && c.size() >= m * n);
-  std::memset(c.data(), 0, m * n * sizeof(float));
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* arow = &a[p * m];
-    const float* brow = &b[p * n];
-    for (std::size_t i = 0; i < m; ++i) {
-      const float api = arow[i];
-      if (api == 0.0f) continue;
-      float* crow = &c[i * n];
-      for (std::size_t j = 0; j < n; ++j) crow[j] += api * brow[j];
-    }
-  }
 }
 
 }  // namespace gcs

@@ -3,7 +3,9 @@
 // These are the hot loops of the compressors and the training substrate;
 // they are written as plain, auto-vectorizable loops over spans (the
 // environment has no GPU, and the simulated time model — not CPU wall time
-// — is what reproduces the paper's throughput numbers).
+// — is what reproduces the paper's throughput numbers). PowerSGD's matrix
+// products are not here: they are the kernel layer's matmul panels
+// (kernels/kernels.h), whose fold order is pinned across backends.
 #pragma once
 
 #include <cstddef>
@@ -39,17 +41,5 @@ std::size_t argmax_abs(std::span<const float> x) noexcept;
 
 /// Mean squared error between two equal-length spans (FP64 accumulation).
 double mse(std::span<const float> a, std::span<const float> b) noexcept;
-
-/// Row-major matrix multiply: C[m x n] = A[m x k] * B[k x n].
-/// Deliberately simple tiled loop; PowerSGD's matrices are skinny (k or n
-/// equals the rank r <= 64) so this is adequate.
-void matmul(std::span<const float> a, std::span<const float> b,
-            std::span<float> c, std::size_t m, std::size_t k,
-            std::size_t n);
-
-/// C[m x n] = A^T[m x k] * B[k x n] where A is stored k x m row-major.
-void matmul_at(std::span<const float> a, std::span<const float> b,
-               std::span<float> c, std::size_t m, std::size_t k,
-               std::size_t n);
 
 }  // namespace gcs

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "kernels/kernels.h"
 
 namespace gcs::train {
 namespace {
@@ -102,6 +103,8 @@ double MlpModel::forward_backward(const Batch& batch, std::span<float> grad) {
   const float inv_b = 1.0f / static_cast<float>(bsz);
 
   std::fill(grad.begin(), grad.end(), 0.0f);
+  // The element-wise updates y += a * x run on the kernel layer's axpy.
+  const auto& k = kernels::active();
 
   // delta at the top: (p - onehot(y)) / B.
   delta_.assign(bsz * classes, 0.0f);
@@ -128,8 +131,7 @@ double MlpModel::forward_backward(const Batch& batch, std::span<float> grad) {
         const float dso = d[o];
         if (dso == 0.0f) continue;
         gb[o] += dso;
-        float* grow = gw + o * in;
-        for (std::size_t i = 0; i < in; ++i) grow[i] += dso * x[i];
+        k.axpy(dso, x, in, gw + o * in);
       }
     }
 
@@ -142,8 +144,7 @@ double MlpModel::forward_backward(const Batch& batch, std::span<float> grad) {
       for (std::size_t o = 0; o < out; ++o) {
         const float dso = d[o];
         if (dso == 0.0f) continue;
-        const float* wrow = w + o * in;
-        for (std::size_t i = 0; i < in; ++i) dn[i] += dso * wrow[i];
+        k.axpy(dso, w + o * in, in, dn);
       }
       const float* act = a + s * in;
       for (std::size_t i = 0; i < in; ++i) {

@@ -18,8 +18,8 @@ TEST(ErrorFeedback, DisabledIsPassThrough) {
   ef.compensate(0, grad, y);
   EXPECT_EQ(y, grad);
   EXPECT_FALSE(ef.enabled());
-  // absorb is a no-op; no crash.
-  ef.absorb(0, y, grad);
+  // absorb_masked is a no-op; no crash.
+  ef.absorb_masked(0, y, std::vector<std::uint8_t>(3, 0));
 }
 
 TEST(ErrorFeedback, MemoryStartsZero) {
@@ -30,11 +30,14 @@ TEST(ErrorFeedback, MemoryStartsZero) {
   EXPECT_EQ(y, grad);
 }
 
-TEST(ErrorFeedback, AbsorbStoresResidual) {
+TEST(ErrorFeedback, ResidualWrittenInPlaceIsAddedBack) {
+  // A scheme that fuses its residual into its own decode pass (PowerSGD)
+  // writes m' = y - sent straight into the memory.
   ErrorFeedback ef(1, 2, true);
   const std::vector<float> y{4.0f, 2.0f};
   const std::vector<float> sent{3.0f, 2.0f};
-  ef.absorb(0, y, sent);
+  auto residual = ef.mutable_memory(0);
+  for (std::size_t i = 0; i < y.size(); ++i) residual[i] = y[i] - sent[i];
   const auto mem = ef.memory(0);
   EXPECT_EQ(mem[0], 1.0f);
   EXPECT_EQ(mem[1], 0.0f);
@@ -61,14 +64,14 @@ TEST(ErrorFeedback, MaskedAbsorbKeepsUnsent) {
 
 TEST(ErrorFeedback, WorkersAreIndependent) {
   ErrorFeedback ef(2, 1, true);
-  ef.absorb(0, std::vector<float>{7.0f}, std::vector<float>{0.0f});
+  ef.absorb_masked(0, std::vector<float>{7.0f}, std::vector<std::uint8_t>{0});
   EXPECT_EQ(ef.memory(0)[0], 7.0f);
   EXPECT_EQ(ef.memory(1)[0], 0.0f);
 }
 
 TEST(ErrorFeedback, ResetClears) {
   ErrorFeedback ef(1, 1, true);
-  ef.absorb(0, std::vector<float>{3.0f}, std::vector<float>{0.0f});
+  ef.absorb_masked(0, std::vector<float>{3.0f}, std::vector<std::uint8_t>{0});
   ef.reset();
   EXPECT_EQ(ef.memory(0)[0], 0.0f);
 }
@@ -77,10 +80,10 @@ TEST(ErrorFeedback, EnergyIsConserved) {
   // Over two rounds where nothing is transmitted, the memory accumulates
   // the full gradient sum (no leakage).
   ErrorFeedback ef(1, 2, true);
-  const std::vector<float> zero{0.0f, 0.0f};
+  const std::vector<std::uint8_t> none_sent{0, 0};
   std::vector<float> y(2);
   ef.compensate(0, std::vector<float>{1.0f, 2.0f}, y);
-  ef.absorb(0, y, zero);
+  ef.absorb_masked(0, y, none_sent);
   ef.compensate(0, std::vector<float>{1.0f, 2.0f}, y);
   EXPECT_EQ(y[0], 2.0f);
   EXPECT_EQ(y[1], 4.0f);
@@ -99,13 +102,13 @@ TEST(ErrorFeedback, RemapCarriesSurvivorRowsBitExact) {
   // residual is gone.
   ErrorFeedback ef(4, 3, true);
   std::vector<float> y(3);
-  const std::vector<float> zero(3, 0.0f);
+  const std::vector<std::uint8_t> none_sent(3, 0);
   for (int w = 0; w < 4; ++w) {
     const std::vector<float> grad{0.5f * static_cast<float>(w + 1),
                                   -1.25f * static_cast<float>(w),
                                   3.75f};
     ef.compensate(w, grad, y);
-    ef.absorb(w, y, zero);  // memory = y (nothing transmitted)
+    ef.absorb_masked(w, y, none_sent);  // memory = y (nothing transmitted)
   }
   const std::vector<int> survivors{0, 1, 3};
   const ErrorFeedback remapped = ef.remap(survivors);

@@ -255,6 +255,341 @@ TEST(Kernels, AddCrossBackend) {
   }
 }
 
+/// Bitwise equality, or both NaN (any payload): the comparison for a
+/// reference written in another translation unit, where the compiler may
+/// order the operands of a commutative op differently.
+bool same_or_both_nan(float a, float b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+TEST(Kernels, SubScaledCrossBackend) {
+  if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  Rng rng(97);
+  const auto specials = special_floats();
+  for (std::size_t n : {1u, 7u, 8u, 9u, 64u, 1029u}) {
+    std::vector<float> y(n), x(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] = static_cast<float>(rng.next_gaussian());
+      x[i] = static_cast<float>(rng.next_gaussian());
+      if (i % 5 == 1) y[i] = specials[i % specials.size()];
+      if (i % 7 == 2) x[i] = specials[(i / 7) % specials.size()];
+    }
+    for (float s : {0.25f, 1.0f / 3.0f, -2.0f,
+                    std::numeric_limits<float>::quiet_NaN()}) {
+      std::vector<float> ra(n), rb(n);
+      kernels::scalar().sub_scaled(y.data(), x.data(), s, n, ra.data());
+      kernels::avx2().sub_scaled(y.data(), x.data(), s, n, rb.data());
+      ASSERT_EQ(std::memcmp(ra.data(), rb.data(), n * sizeof(float)), 0)
+          << "n=" << n << " s=" << s;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(same_or_both_nan(ra[i], y[i] - x[i] * s)) << i;
+      }
+    }
+  }
+}
+
+TEST(Kernels, AxpyCrossBackend) {
+  if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  Rng rng(96);
+  const auto specials = special_floats();
+  for (std::size_t n : {1u, 7u, 8u, 9u, 64u, 1029u}) {
+    std::vector<float> y(n), x(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] = static_cast<float>(rng.next_gaussian());
+      x[i] = static_cast<float>(rng.next_gaussian());
+      if (i % 5 == 1) y[i] = specials[i % specials.size()];
+      if (i % 7 == 2) x[i] = specials[(i / 7) % specials.size()];
+    }
+    for (float a : {0.25f, -3.0f, 0.0f,
+                    std::numeric_limits<float>::quiet_NaN()}) {
+      auto ya = y, yb = y;
+      kernels::scalar().axpy(a, x.data(), n, ya.data());
+      kernels::avx2().axpy(a, x.data(), n, yb.data());
+      ASSERT_EQ(std::memcmp(ya.data(), yb.data(), n * sizeof(float)), 0)
+          << "n=" << n << " a=" << a;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(same_or_both_nan(ya[i], y[i] + a * x[i])) << i;
+      }
+    }
+  }
+}
+
+/// The chunk-score fold the kernel is pinned to.
+std::vector<float> chunk_norms_reference(const std::vector<float>& x,
+                                         std::size_t chunk) {
+  std::vector<float> out;
+  for (std::size_t begin = 0; begin < x.size(); begin += chunk) {
+    float acc = 0.0f;
+    for (std::size_t i = begin; i < std::min(begin + chunk, x.size()); ++i) {
+      acc = acc + x[i] * x[i];
+    }
+    out.push_back(acc);
+  }
+  return out;
+}
+
+TEST(Kernels, ChunkSqNormsCrossBackend) {
+  if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  Rng rng(98);
+  const auto specials = special_floats();
+  for (std::size_t chunk : {1u, 3u, 8u, 16u, 24u, 64u, 128u}) {
+    for (std::size_t n : {1u, 7u, 64u, 511u, 512u, 1000u, 4109u}) {
+      for (int fill = 0; fill < 3; ++fill) {
+        std::vector<float> x(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (fill == 2) {
+            x[i] = std::bit_cast<float>(
+                static_cast<std::uint32_t>(rng.next_u64()));
+          } else {
+            x[i] = static_cast<float>(rng.next_gaussian());
+            if (fill == 1 && i % 11 == 3) x[i] = specials[i % specials.size()];
+          }
+        }
+        const std::size_t nc = (n + chunk - 1) / chunk;
+        std::vector<float> ra(nc, 7.0f), rb(nc, 9.0f);
+        kernels::scalar().chunk_sq_norms(x.data(), n, chunk, ra.data());
+        kernels::avx2().chunk_sq_norms(x.data(), n, chunk, rb.data());
+        ASSERT_EQ(std::memcmp(ra.data(), rb.data(), nc * sizeof(float)), 0)
+            << "chunk=" << chunk << " n=" << n << " fill=" << fill;
+        const auto ref = chunk_norms_reference(x, chunk);
+        for (std::size_t c = 0; c < nc; ++c) {
+          ASSERT_TRUE(same_or_both_nan(ra[c], ref[c]))
+              << "chunk=" << chunk << " n=" << n << " c=" << c;
+        }
+      }
+    }
+  }
+}
+
+// ---- PowerSGD matmul panels ----
+
+TEST(Kernels, PanelScalarSmallKnownProduct) {
+  // M = [1 2; 3 4], Q = [5 6; 7 8] -> P = M Q = [19 22; 43 50].
+  const std::vector<float> m{1, 2, 3, 4}, q{5, 6, 7, 8};
+  std::vector<float> p(4);
+  kernels::scalar().panel_mq(m.data(), q.data(), 2, 2, 2, p.data());
+  EXPECT_EQ(p, (std::vector<float>{19, 22, 43, 50}));
+  // M^T Q = [1 3; 2 4] [5 6; 7 8] = [26 30; 38 44].
+  std::vector<float> qt(4);
+  kernels::scalar().panel_mtp(m.data(), q.data(), 2, 2, 2, qt.data());
+  EXPECT_EQ(qt, (std::vector<float>{26, 30, 38, 44}));
+  // M Q^T = [1 2; 3 4] [5 7; 6 8] = [17 23; 39 53].
+  std::vector<float> mh(4);
+  kernels::scalar().panel_pqt(m.data(), q.data(), 2, 2, 2, mh.data());
+  EXPECT_EQ(mh, (std::vector<float>{17, 23, 39, 53}));
+  // (1x3) * (3x2): rectangular, with a zero-skipped term.
+  const std::vector<float> a{1, 0, 3}, b{1, 0, 0, 1, 1, 1};
+  std::vector<float> c(2);
+  kernels::scalar().panel_mq(a.data(), b.data(), 1, 3, 2, c.data());
+  EXPECT_EQ(c, (std::vector<float>{4, 3}));
+}
+
+TEST(Kernels, PanelScalarIdentityPreserves) {
+  const std::vector<float> eye{1, 0, 0, 1}, b{2, 3, 4, 5};
+  std::vector<float> c(4);
+  kernels::scalar().panel_mq(eye.data(), b.data(), 2, 2, 2, c.data());
+  EXPECT_EQ(c, b);
+  kernels::scalar().panel_mtp(eye.data(), b.data(), 2, 2, 2, c.data());
+  EXPECT_EQ(c, b);
+}
+
+TEST(Kernels, PanelScalarTransposesAgreeBitForBit) {
+  // panel_mtp(M) is panel_mq on an explicit M^T and panel_pqt(P, Q) is
+  // panel_mq(P, explicit Q^T): the same ascending folds with the same
+  // skips, so the bits agree, not just the values.
+  Rng rng(3);
+  const std::size_t rows = 7, cols = 5, r = 4;
+  std::vector<float> m(rows * cols), p(rows * r), q(cols * r);
+  for (auto& v : m) v = static_cast<float>(rng.next_gaussian());
+  for (auto& v : p) v = static_cast<float>(rng.next_gaussian());
+  for (auto& v : q) v = static_cast<float>(rng.next_gaussian());
+  m[3] = 0.0f;
+  p[5] = -0.0f;
+  std::vector<float> mt(cols * rows), qt(r * cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) mt[j * rows + i] = m[i * cols + j];
+  }
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t k = 0; k < r; ++k) qt[k * cols + c] = q[c * r + k];
+  }
+  const auto& sc = kernels::scalar();
+  std::vector<float> a(cols * r), b(cols * r);
+  sc.panel_mtp(m.data(), p.data(), rows, cols, r, a.data());
+  sc.panel_mq(mt.data(), p.data(), cols, rows, r, b.data());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+  std::vector<float> c1(rows * cols), c2(rows * cols);
+  sc.panel_pqt(p.data(), q.data(), rows, cols, r, c1.data());
+  sc.panel_mq(p.data(), qt.data(), rows, r, cols, c2.data());
+  EXPECT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)), 0);
+}
+
+/// Fills x for a panel cross-check: 0 = Gaussian, 1 = Gaussian seeded with
+/// exact zeros, -0.0, denormals, Inf and NaN payloads (the zero-skip and
+/// its interaction with non-finite partners), 2 = random fp32 bit
+/// patterns.
+void fill_panel_operand(std::vector<float>& x, int fill, Rng& rng) {
+  static const float kSpecials[] = {
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -1e-39f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      std::bit_cast<float>(0x7F800001u),  // signaling NaN
+      std::bit_cast<float>(0xFFC00002u),  // negative NaN with a payload
+  };
+  for (auto& v : x) {
+    if (fill == 2) {
+      v = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next_u64()));
+      continue;
+    }
+    v = static_cast<float>(rng.next_gaussian());
+    if (fill == 1) {
+      const std::uint64_t roll = rng.next_u64() % 16;
+      if (roll < 3) v = roll == 0 ? -0.0f : 0.0f;  // skipped terms
+      else if (roll == 3) v = kSpecials[rng.next_u64() % std::size(kSpecials)];
+    }
+  }
+}
+
+/// All three panels, scalar vs AVX2, byte for byte.
+void expect_panels_identical(std::size_t rows, std::size_t cols,
+                             std::size_t r, int fill, Rng& rng) {
+  std::vector<float> m(rows * cols), p(rows * r), q(cols * r);
+  fill_panel_operand(m, fill, rng);
+  fill_panel_operand(p, fill, rng);
+  fill_panel_operand(q, fill, rng);
+  const auto& sc = kernels::scalar();
+  const auto& vx = kernels::avx2();
+  const auto same = [](const std::vector<float>& a,
+                       const std::vector<float>& b) {
+    return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  std::vector<float> a(rows * r, 1.0f), b(rows * r, 2.0f);
+  sc.panel_mq(m.data(), q.data(), rows, cols, r, a.data());
+  vx.panel_mq(m.data(), q.data(), rows, cols, r, b.data());
+  ASSERT_TRUE(same(a, b)) << "panel_mq rows=" << rows << " cols=" << cols
+                          << " r=" << r << " fill=" << fill;
+  a.assign(cols * r, 1.0f);
+  b.assign(cols * r, 2.0f);
+  sc.panel_mtp(m.data(), p.data(), rows, cols, r, a.data());
+  vx.panel_mtp(m.data(), p.data(), rows, cols, r, b.data());
+  ASSERT_TRUE(same(a, b)) << "panel_mtp rows=" << rows << " cols=" << cols
+                          << " r=" << r << " fill=" << fill;
+  a.assign(rows * cols, 1.0f);
+  b.assign(rows * cols, 2.0f);
+  sc.panel_pqt(p.data(), q.data(), rows, cols, r, a.data());
+  vx.panel_pqt(p.data(), q.data(), rows, cols, r, b.data());
+  ASSERT_TRUE(same(a, b)) << "panel_pqt rows=" << rows << " cols=" << cols
+                          << " r=" << r << " fill=" << fill;
+}
+
+TEST(Kernels, PanelsCrossBackendRaggedShapesAndSpecials) {
+  if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  Rng rng(99);
+  for (std::size_t r : {1u, 2u, 3u, 4u, 8u}) {
+    for (std::size_t rows : {1u, 2u, 3u, 7u, 8u, 9u, 16u, 17u, 33u}) {
+      for (std::size_t cols : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 17u, 27u, 33u}) {
+        for (int fill = 0; fill < 3; ++fill) {
+          expect_panels_identical(rows, cols, r, fill, rng);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  // Wide enough to cross panel_pqt's 512-column Q^T blocks, with a
+  // ragged last block.
+  for (int fill = 0; fill < 3; ++fill) {
+    expect_panels_identical(11, 1029, 4, fill, rng);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Kernels, PanelSumsOfNegativeZeroTermsArePositiveZero) {
+  // Every term is nonzero * nonzero underflowing to -0.0: nothing is
+  // skipped, and the fold's +0.0f start makes each sum +0.0 — a backend
+  // that seeds its accumulator with the first product would read -0.0.
+  const std::size_t rows = 9, cols = 13, r = 4;
+  const std::vector<float> neg(std::max(rows, cols) * cols, -1e-30f);
+  const std::vector<float> pos(std::max(rows, cols) * r, 1e-30f);
+  std::vector<const kernels::Backend*> backends{&kernels::scalar()};
+  if (have_avx2()) backends.push_back(&kernels::avx2());
+  for (const auto* b : backends) {
+    std::vector<float> out(rows * cols, 1.0f);
+    b->panel_mq(neg.data(), pos.data(), rows, cols, r, out.data());
+    for (std::size_t i = 0; i < rows * r; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]), 0u) << b->name << i;
+    }
+    out.assign(rows * cols, 1.0f);
+    b->panel_mtp(neg.data(), pos.data(), rows, cols, r, out.data());
+    for (std::size_t i = 0; i < cols * r; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]), 0u) << b->name << i;
+    }
+    out.assign(rows * cols, 1.0f);
+    b->panel_pqt(neg.data(), pos.data(), rows, cols, r, out.data());
+    for (std::size_t i = 0; i < rows * cols; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]), 0u) << b->name << i;
+    }
+  }
+}
+
+TEST(Kernels, PanelsFollowThePinnedFold) {
+  // The scalar panels against the contract's fold written out per
+  // element: ascending index, from +0.0f, skipping a == 0 — so 0 * Inf
+  // and -0.0 * NaN never enter a sum, and an all-skipped sum is +0.0.
+  Rng rng(100);
+  const std::size_t rows = 9, cols = 13, r = 4;
+  std::vector<float> m(rows * cols), p(rows * r), q(cols * r);
+  fill_panel_operand(m, 1, rng);
+  fill_panel_operand(p, 1, rng);
+  fill_panel_operand(q, 1, rng);
+  std::fill(m.begin() + 2 * cols, m.begin() + 3 * cols, -0.0f);  // row 2
+  const auto fold = [](std::size_t n, auto a, auto b) {
+    float acc = 0.0f;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (a(k) == 0.0f) continue;
+      acc = acc + a(k) * b(k);
+    }
+    return acc;
+  };
+  const auto& sc = kernels::scalar();
+  std::vector<float> out(rows * r);
+  sc.panel_mq(m.data(), q.data(), rows, cols, r, out.data());
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < r; ++j) {
+      const float ref = fold(
+          cols, [&](std::size_t k) { return m[i * cols + k]; },
+          [&](std::size_t k) { return q[k * r + j]; });
+      ASSERT_TRUE(same_or_both_nan(out[i * r + j], ref)) << i << "," << j;
+    }
+  }
+  for (std::size_t j = 0; j < r; ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(out[2 * r + j]), 0u);  // +0.0
+  }
+  out.assign(cols * r, 0.0f);
+  sc.panel_mtp(m.data(), p.data(), rows, cols, r, out.data());
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t j = 0; j < r; ++j) {
+      const float ref = fold(
+          rows, [&](std::size_t i) { return m[i * cols + c]; },
+          [&](std::size_t i) { return p[i * r + j]; });
+      ASSERT_TRUE(same_or_both_nan(out[c * r + j], ref)) << c << "," << j;
+    }
+  }
+  out.assign(rows * cols, 0.0f);
+  sc.panel_pqt(p.data(), q.data(), rows, cols, r, out.data());
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const float ref = fold(
+          r, [&](std::size_t k) { return p[i * r + k]; },
+          [&](std::size_t k) { return q[c * r + k]; });
+      ASSERT_TRUE(same_or_both_nan(out[i * cols + c], ref)) << i << "," << c;
+    }
+  }
+}
+
 /// The sequential fold min_max is contractually pinned to.
 void min_max_reference(const std::vector<float>& x, float* lo, float* hi) {
   float mn = x[0], mx = x[0];
@@ -741,11 +1076,26 @@ SchemeRun run_scheme(const std::string& spec, const ModelLayout& layout,
 TEST(Kernels, AllSchemesBitIdenticalAcrossBackends) {
   if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
   const auto layout = make_transformer_like_layout(4096);
-  for (const char* spec :
-       {"fp16", "fp32", "topk:b=8", "topkc:b=8",
-        "thc:q=4:b=4:sat:partial", "thc:q=4:b=8:full", "powersgd:r=2"}) {
-    const SchemeRun s = run_scheme(spec, layout, 4, 3, "scalar");
-    const SchemeRun a = run_scheme(spec, layout, 4, 3, "avx2");
+  // PowerSGD's panels vectorise r = 4; this layout hands them a ragged
+  // layer (37 rows, 27 cols), a dense-exact bias, and a layer wide enough
+  // to cross the reconstruct's column blocks.
+  const ModelLayout ragged(
+      {{"ragged", 37, 27}, {"ragged.bias", 37, 1}, {"wide", 12, 1030}});
+  const std::pair<const char*, const ModelLayout*> cases[] = {
+      {"fp16", &layout},
+      {"fp32", &layout},
+      {"topk:b=8", &layout},
+      {"topkc:b=8", &layout},
+      {"thc:q=4:b=4:sat:partial", &layout},
+      {"thc:q=4:b=8:full", &layout},
+      {"powersgd:r=2", &layout},
+      {"powersgd:r=4", &layout},
+      {"powersgd:r=4", &ragged},
+      {"powersgd:r=2", &ragged},
+  };
+  for (const auto& [spec, case_layout] : cases) {
+    const SchemeRun s = run_scheme(spec, *case_layout, 4, 3, "scalar");
+    const SchemeRun a = run_scheme(spec, *case_layout, 4, 3, "avx2");
     ASSERT_EQ(s.outputs.size(), a.outputs.size()) << spec;
     for (std::size_t r = 0; r < s.outputs.size(); ++r) {
       ASSERT_EQ(std::memcmp(s.outputs[r].data(), a.outputs[r].data(),

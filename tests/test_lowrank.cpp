@@ -89,6 +89,18 @@ TEST(PowerSgdStep, ExactForRankDeficientMatrix) {
   }
 }
 
+TEST(PowerSgdStep, SizeChecksThrow) {
+  // The panels take flat pointers; the spans are checked one level up.
+  Rng rng(5);
+  const auto st = PowerSgdLayerState::init(6, 5, 2, rng);
+  std::vector<float> m(6 * 5), p(6 * 2), q(5 * 2), m_hat(6 * 5);
+  std::vector<float> short_m(6 * 5 - 1), short_p(6 * 2 - 1);
+  EXPECT_THROW(powersgd_compute_p(short_m, st, p), std::logic_error);
+  EXPECT_THROW(powersgd_compute_p(m, st, short_p), std::logic_error);
+  EXPECT_THROW(powersgd_compute_q(m, st, short_p, q), std::logic_error);
+  EXPECT_THROW(powersgd_reconstruct(st, p, q, short_m), std::logic_error);
+}
+
 TEST(PowerSgdStep, WarmStartConvergesToDominantSubspace) {
   // Iterating P/Q on a fixed matrix must monotonically improve the
   // approximation (power iteration convergence).

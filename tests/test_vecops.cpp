@@ -1,12 +1,10 @@
-// Tests for tensor/vecops including matmul identities.
+// Tests for tensor/vecops.
 #include "tensor/vecops.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
-
-#include "common/rng.h"
 
 namespace gcs {
 namespace {
@@ -50,55 +48,6 @@ TEST(VecOps, Mse) {
   std::vector<float> a{1.0f, 2.0f}, b{2.0f, 4.0f};
   EXPECT_DOUBLE_EQ(mse(a, b), (1.0 + 4.0) / 2.0);
   EXPECT_DOUBLE_EQ(mse(a, a), 0.0);
-}
-
-TEST(MatMul, SmallKnownProduct) {
-  // A = [1 2; 3 4], B = [5 6; 7 8] -> C = [19 22; 43 50]
-  std::vector<float> a{1, 2, 3, 4}, b{5, 6, 7, 8}, c(4);
-  matmul(a, b, c, 2, 2, 2);
-  EXPECT_EQ(c[0], 19.0f);
-  EXPECT_EQ(c[1], 22.0f);
-  EXPECT_EQ(c[2], 43.0f);
-  EXPECT_EQ(c[3], 50.0f);
-}
-
-TEST(MatMul, IdentityPreserves) {
-  std::vector<float> eye{1, 0, 0, 1};
-  std::vector<float> b{2, 3, 4, 5}, c(4);
-  matmul(eye, b, c, 2, 2, 2);
-  EXPECT_EQ(c, b);
-}
-
-TEST(MatMulAt, AgreesWithExplicitTranspose) {
-  Rng rng(3);
-  const std::size_t k = 7, m = 5, n = 4;
-  std::vector<float> a(k * m), b(k * n);
-  for (auto& v : a) v = static_cast<float>(rng.next_gaussian());
-  for (auto& v : b) v = static_cast<float>(rng.next_gaussian());
-  // Explicit A^T (m x k).
-  std::vector<float> at(m * k);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < m; ++j) at[j * k + i] = a[i * m + j];
-  }
-  std::vector<float> c1(m * n), c2(m * n);
-  matmul(at, b, c1, m, k, n);
-  matmul_at(a, b, c2, m, k, n);
-  for (std::size_t i = 0; i < m * n; ++i) {
-    EXPECT_NEAR(c1[i], c2[i], 1e-4f) << i;
-  }
-}
-
-TEST(MatMul, RectangularShapes) {
-  // (1x3) * (3x2)
-  std::vector<float> a{1, 2, 3}, b{1, 0, 0, 1, 1, 1}, c(2);
-  matmul(a, b, c, 1, 3, 2);
-  EXPECT_EQ(c[0], 1.0f + 0.0f + 3.0f);
-  EXPECT_EQ(c[1], 0.0f + 2.0f + 3.0f);
-}
-
-TEST(MatMul, SizeCheckThrows) {
-  std::vector<float> a(3), b(4), c(4);
-  EXPECT_THROW(matmul(a, b, c, 2, 2, 2), std::logic_error);
 }
 
 }  // namespace
