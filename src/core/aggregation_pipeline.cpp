@@ -51,33 +51,36 @@ void check_stage(const WireStage& stage) {
 
 /// Runs one stage over the local reference aggregators. Chunking is
 /// value-transparent, so the chunk plan is validated and the reduction
-/// happens once (see comm/chunked_collectives.h).
+/// happens once (see comm/chunked_collectives.h). A reduced payload is
+/// appended to `reduced`, which the caller keeps until finish(): the
+/// session may hold a view of its bytes (the CodecRound contract).
 void run_stage_local(const WireStage& stage, CodecRound& round,
                      const std::vector<ByteBuffer>& payloads,
                      std::span<const comm::ChunkRange> chunks,
-                     int ps_server, measure::TraceRecorder* trace) {
+                     int ps_server, measure::TraceRecorder* trace,
+                     std::vector<ByteBuffer>& reduced) {
   switch (stage.route) {
     case AggregationPath::kAllReduce: {
       comm::check_chunk_plan(chunks, payloads[0].size());
-      const ByteBuffer reduced =
+      reduced.push_back(
           stage.algorithm == ReduceAlgorithm::kTree
               ? comm::local_tree_all_reduce(payloads, *stage.op)
-              : comm::local_ring_all_reduce(payloads, *stage.op);
+              : comm::local_ring_all_reduce(payloads, *stage.op));
       // kReduce covers only the absorb, matching aggregate_over (the
       // local aggregators have no wire, so there are no send/recv
       // spans and the collective time is left unattributed by design).
       measure::ScopedSpan reduce_span(trace, measure::Phase::kReduce,
                                       stage.name);
-      round.absorb_reduced(reduced);
+      round.absorb_reduced(reduced.back());
       return;
     }
     case AggregationPath::kParameterServer: {
       comm::check_chunk_plan(chunks, payloads[0].size());
-      const ByteBuffer reduced =
-          comm::local_ps_aggregate(payloads, *stage.op, ps_server);
+      reduced.push_back(
+          comm::local_ps_aggregate(payloads, *stage.op, ps_server));
       measure::ScopedSpan reduce_span(trace, measure::Phase::kReduce,
                                       stage.name);
-      round.absorb_reduced(reduced);
+      round.absorb_reduced(reduced.back());
       return;
     }
     case AggregationPath::kAllGather: {
@@ -288,6 +291,7 @@ RoundStats AggregationPipeline::aggregate(
   RoundStats stats;
   WireStage stage;
   std::vector<ByteBuffer> payloads(n);
+  std::vector<ByteBuffer> reduced;  // every stage's, alive until finish()
   while (session->next_stage(stage)) {
     lane_.beat();
     measure::ScopedSpan stage_span(trace, measure::Phase::kStage,
@@ -313,7 +317,7 @@ RoundStats AggregationPipeline::aggregate(
                     "stage '" << stage.name << "': asymmetric payload sizes");
     }
     run_stage_local(stage, *session, payloads, chunks, config_.ps_server,
-                    trace);
+                    trace, reduced);
     if (tel_.encode_bytes.live()) {
       // All n worker payloads were encoded in this process.
       std::uint64_t encoded = 0;
@@ -367,7 +371,7 @@ RoundStats AggregationPipeline::aggregate_over(
   auto session = codec_->begin_round(local, round);
   RoundStats stats;
   WireStage stage;
-  while (session->next_stage(stage)) {
+  for (std::size_t s = 0; session->next_stage(stage); ++s) {
     lane_.beat();
     measure::ScopedSpan stage_span(trace, measure::Phase::kStage,
                                    stage.name);
@@ -375,11 +379,17 @@ RoundStats AggregationPipeline::aggregate_over(
     check_stage(stage);
     // Only this rank's payload is encoded; the stage's declared symmetry
     // stands in for the peers' sizes, so the rank's own size fixes the
-    // chunk plan every rank shares.
-    ByteBuffer mine;
+    // chunk plan every rank shares. It is encoded into the stage's own
+    // buffer, kept across rounds; the collective reduces in place, and
+    // the reduced bytes outlive finish() as the CodecRound contract asks.
+    if (stage_payloads_.size() <= s) stage_payloads_.resize(s + 1);
+    ByteBuffer& mine = stage_payloads_[s];
+    if (scratch_poisoning()) {
+      std::fill(mine.begin(), mine.end(), std::byte{0xFF});
+    }
     {
       measure::ScopedSpan span(trace, measure::Phase::kEncode, "", rank);
-      mine = session->encode(rank);
+      session->encode_into(rank, mine);
       span.set_bytes(mine.size());
     }
     if (config_.fault_hook) config_.fault_hook("encode", round);

@@ -230,6 +230,10 @@ class AggregationPipeline {
   comm::Membership membership_;  ///< set on first aggregate_elastic
   std::unique_ptr<sched::BucketPlan> bucket_plan_;
   std::unique_ptr<sched::EncodeWorkerPool> pool_;
+  /// aggregate_over's payload buffer per stage, kept across rounds so a
+  /// codec that encodes in place (CodecRound::encode_into) reuses its
+  /// capacity instead of page-faulting a fresh gradient-sized buffer in.
+  std::vector<ByteBuffer> stage_payloads_;
 
   /// Live-telemetry handles (src/telemetry/metrics.h), acquired at
   /// construction; dead (single-branch no-ops) when telemetry is off.

@@ -21,9 +21,12 @@ class DenseRound final : public CodecRound {
 
   bool next_stage(WireStage& stage) override;
   ByteBuffer encode(int worker) override;
+  void encode_into(int worker, ByteBuffer& out) override;
   bool supports_encode_range() const override { return true; }
   void encode_range(int worker, std::size_t offset,
                     std::span<std::byte> out) override;
+  // A view, not a copy: the reduced bytes stay valid until finish() (the
+  // CodecRound contract), which decodes them.
   void absorb_reduced(const ByteBuffer& reduced) override {
     reduced_ = reduced;
   }
@@ -37,7 +40,7 @@ class DenseRound final : public CodecRound {
   std::span<const std::span<const float>> grads_;
   HeldWorkers held_;
   bool stage_done_ = false;
-  ByteBuffer reduced_;
+  std::span<const std::byte> reduced_;
 };
 
 class DenseCodec final : public SchemeCodec {
@@ -108,18 +111,19 @@ bool DenseRound::next_stage(WireStage& stage) {
 }
 
 ByteBuffer DenseRound::encode(int worker) {
-  const auto grad = held_grad(worker);
   ByteBuffer buf;
-  if (codec_.config().comm_precision == Precision::kFp32) {
-    ByteWriter w(buf);
-    w.put_span<float>(grad);
-  } else {
-    buf.resize(grad.size() * sizeof(std::uint16_t));
-    kernels::active().fp32_to_fp16(
-        grad.data(), grad.size(),
-        reinterpret_cast<std::uint16_t*>(buf.data()));
-  }
+  encode_into(worker, buf);
   return buf;
+}
+
+void DenseRound::encode_into(int worker, ByteBuffer& out) {
+  const auto grad = held_grad(worker);
+  const std::size_t width =
+      codec_.config().comm_precision == Precision::kFp32
+          ? sizeof(float)
+          : sizeof(std::uint16_t);
+  out.resize(grad.size() * width);
+  encode_range(worker, 0, out);
 }
 
 void DenseRound::encode_range(int worker, std::size_t offset,
@@ -144,6 +148,8 @@ void DenseRound::encode_range(int worker, std::size_t offset,
 }
 
 void DenseRound::finish(std::span<float> out, RoundStats& /*stats*/) {
+  require_stage(!reduced_.empty(), codec_,
+                "finish before the values were absorbed");
   const std::size_t d = codec_.config().dimension;
   if (codec_.config().comm_precision == Precision::kFp32) {
     GCS_CHECK(reduced_.size() == d * sizeof(float));

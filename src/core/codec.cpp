@@ -1,8 +1,23 @@
 #include "core/codec.h"
 
+#include <atomic>
+
 #include "common/check.h"
 
 namespace gcs::core {
+namespace {
+
+std::atomic<bool> g_scratch_poisoning{false};
+
+}  // namespace
+
+void set_scratch_poisoning_for_testing(bool on) noexcept {
+  g_scratch_poisoning.store(on, std::memory_order_relaxed);
+}
+
+bool scratch_poisoning() noexcept {
+  return g_scratch_poisoning.load(std::memory_order_relaxed);
+}
 
 std::string to_string(AggregationPath path) {
   switch (path) {
@@ -11,6 +26,10 @@ std::string to_string(AggregationPath path) {
     case AggregationPath::kParameterServer: return "parameter-server";
   }
   return "?";
+}
+
+void CodecRound::encode_into(int worker, ByteBuffer& out) {
+  out = encode(worker);
 }
 
 void CodecRound::absorb_reduced(const ByteBuffer& /*reduced*/) {
@@ -60,6 +79,10 @@ void HeldWorkers::require(int worker, const SchemeCodec& codec) const {
                 " is not held by this round session (its gradient was "
                 "empty at begin_round)");
   }
+}
+
+void require_stage(bool ok, const SchemeCodec& codec, const char* what) {
+  if (!ok) throw Error(codec.name() + ": " + what);
 }
 
 void check_survivor_set(std::span<const int> survivors, int world_size) {

@@ -25,9 +25,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "comm/reduce_op.h"
@@ -122,8 +124,15 @@ struct WireStage {
 /// cross-round state from begin-time buffers plus the collective's
 /// result, so no worker's state depends on another worker's encode.
 ///
-/// The gradients passed to SchemeCodec::begin_round must stay alive until
-/// finish() returns.
+/// The gradients passed to SchemeCodec::begin_round, and the bytes of
+/// every payload passed to absorb_reduced, must stay alive and unmodified
+/// until finish() returns: a session may keep a view of either instead of
+/// a copy (the dense baselines decode the reduced payload in finish()).
+/// The ByteBuffer object itself may move; its bytes may not.
+///
+/// A session works in round scratch its codec lends it (see
+/// lend_scratch), so at most one session per codec is live: begin_round
+/// invalidates every earlier session of the same codec.
 class CodecRound {
  public:
   virtual ~CodecRound() = default;
@@ -137,6 +146,13 @@ class CodecRound {
   /// asymmetric (WireStage::symmetric). Throws gcs::Error when the
   /// session does not hold `worker`.
   virtual ByteBuffer encode(int worker) = 0;
+
+  /// encode() into a caller-owned buffer: on return `out` holds exactly
+  /// the bytes encode(worker) would return. The orchestration layer keeps
+  /// one buffer per stage across rounds, so a codec that writes in place
+  /// (resize + fill) makes a steady-state round allocation-free. The
+  /// default is `out = encode(worker)`.
+  virtual void encode_into(int worker, ByteBuffer& out);
 
   /// True when encode_range() may be used for the *current* stage: the
   /// stage's payload is a pure per-range function of state fixed before
@@ -172,8 +188,8 @@ class CodecRound {
 };
 
 /// One process's codec state of a scheme (see the file comment). Owns
-/// whatever must persist across rounds; stateless between begin_round()
-/// calls otherwise.
+/// whatever must persist across rounds, plus the round scratch it lends
+/// its sessions; stateless between begin_round() calls otherwise.
 class SchemeCodec {
  public:
   virtual ~SchemeCodec() = default;
@@ -241,11 +257,41 @@ class HeldWorkers {
   std::vector<std::uint8_t> held_;
 };
 
+/// The stage-order guard of a session: throws gcs::Error naming `codec`
+/// and `what` unless `ok`. A session checks its own per-round progress
+/// with it before reading round scratch, which after the first round
+/// always holds an earlier round's values rather than nothing.
+void require_stage(bool ok, const SchemeCodec& codec, const char* what);
+
 /// Shared validation for remap_workers implementations: survivors must be
 /// a non-empty, strictly increasing subset of [0, world). Throws
 /// gcs::Error otherwise.
 void check_survivor_set(std::span<const int> survivors, int world_size);
 
 using SchemeCodecPtr = std::unique_ptr<SchemeCodec>;
+
+/// Test-only hook, not an env var or a spec knob: while on, lend_scratch
+/// fills every buffer it lends with all-ones bytes, a NaN in every float
+/// and an out-of-range value in every index, so a session that reads
+/// scratch it did not write this round corrupts its outputs or wire bytes
+/// visibly. Process-wide; forked ranks inherit it.
+void set_scratch_poisoning_for_testing(bool on) noexcept;
+bool scratch_poisoning() noexcept;
+
+/// Lends codec-owned round scratch to a session: sizes `buf` to `n`
+/// elements, allocating only when it grows (the first round), and
+/// returns it. The contents are unspecified, so the session writes before
+/// it reads. Scratch is not state (DESIGN.md 3.1): remap_workers does not
+/// carry it, reset() does not clear it, and an aborted round that leaves
+/// it half-written changes nothing the next round reads.
+template <typename T>
+std::span<T> lend_scratch(std::vector<T>& buf, std::size_t n) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  buf.resize(n);
+  if (scratch_poisoning() && n > 0) {
+    std::memset(static_cast<void*>(buf.data()), 0xFF, n * sizeof(T));
+  }
+  return {buf.data(), n};
+}
 
 }  // namespace gcs::core

@@ -1,7 +1,6 @@
 #include "core/error_feedback.h"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "common/check.h"
 #include "core/codec.h"
@@ -30,14 +29,12 @@ void ErrorFeedback::compensate(int worker, std::span<const float> grad,
   kernels::active().add(grad.data(), m.data(), dimension_, y.data());
 }
 
-void ErrorFeedback::absorb_masked(int worker, std::span<const float> y,
-                                  std::span<const std::uint8_t> sent_mask) {
-  if (!enabled_) return;
-  GCS_CHECK(y.size() == dimension_ && sent_mask.size() == dimension_);
-  auto& m = memories_[static_cast<std::size_t>(worker)];
-  for (std::size_t i = 0; i < dimension_; ++i) {
-    m[i] = sent_mask[i] != 0 ? 0.0f : y[i];
-  }
+std::span<float> ErrorFeedback::absorb_unsent(int worker,
+                                              std::span<const float> y) {
+  GCS_CHECK(y.size() == dimension_);
+  const auto memory = mutable_memory(worker);
+  std::copy(y.begin(), y.end(), memory.begin());
+  return memory;
 }
 
 std::span<float> ErrorFeedback::mutable_memory(int worker) {

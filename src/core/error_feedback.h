@@ -11,13 +11,13 @@
 //   y_i = x_i + m_i                       (compensate)
 //   m_i' = y_i - contribution_i           (store what was NOT transmitted)
 // where contribution_i is scheme-specific — what the compressor actually
-// sent on behalf of worker i. Sparse schemes store it by sent mask
-// (absorb_masked); PowerSGD writes y - reconstruction / n into the memory
-// itself (mutable_memory), fused with its reconstruction pass.
+// sent on behalf of worker i. Sparse schemes store it by exception
+// (absorb_unsent: m = y, then zero the sent coordinates); PowerSGD writes
+// y - reconstruction / n into the memory itself (mutable_memory), fused
+// with its reconstruction pass.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,11 +35,12 @@ class ErrorFeedback {
   void compensate(int worker, std::span<const float> grad,
                   std::span<float> y) const;
 
-  /// Variant used when only selected coordinates were transmitted:
-  /// m_i'[j] = 0 for transmitted j (exactly what was sent was y[j]),
-  /// m_i'[j] = y[j] otherwise. `sent_mask` has one byte per coordinate.
-  void absorb_masked(int worker, std::span<const float> y,
-                     std::span<const std::uint8_t> sent_mask);
+  /// The absorb of a scheme that transmits selected coordinates exactly
+  /// (TopK, TopKC), by exception: writes m_i' = y and returns the memory,
+  /// and the caller zeroes each transmitted coordinate j (m_i'[j] = 0:
+  /// exactly y[j] was sent). The same bits as a per-coordinate select on
+  /// a sent mask, without the d-byte mask. Requires enabled().
+  std::span<float> absorb_unsent(int worker, std::span<const float> y);
 
   /// The worker's memory, for a scheme that writes its residual m_i'
   /// itself, fused with its own decode pass (PowerSGD). Requires

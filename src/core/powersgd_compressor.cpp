@@ -25,7 +25,7 @@ void put_fp16(ByteBuffer& buf, std::span<const float> values) {
 }
 
 /// Decodes `count` FP16 values starting at byte `offset`.
-void get_fp16(const ByteBuffer& buf, std::size_t offset,
+void get_fp16(std::span<const std::byte> buf, std::size_t offset,
               std::span<float> out) {
   GCS_CHECK(offset + out.size() * 2 <= buf.size());
   kernels::active().fp16_to_fp32(
@@ -45,6 +45,7 @@ class PowerSgdRound final : public CodecRound {
 
   bool next_stage(WireStage& stage) override;
   ByteBuffer encode(int worker) override;
+  void encode_into(int worker, ByteBuffer& out) override;
   void absorb_reduced(const ByteBuffer& reduced) override;
   void finish(std::span<float> out, RoundStats& stats) override;
 
@@ -55,10 +56,15 @@ class PowerSgdRound final : public CodecRound {
   HeldWorkers held_;
   int stage_ = kPhaseA;
   bool any_low_rank_ = false;
-  std::vector<std::vector<float>> ys_;
-  std::vector<std::vector<float>> p_hats_;
-  std::vector<std::vector<float>> dense_sums_;
-  ByteBuffer reduced_b_;
+  // Views of the codec's round scratch (PowerSgdCodec::Scratch): per held
+  // worker the compensated gradient, per layer the orthonormalized P sum
+  // (low-rank layers) or the reduced values (dense layers).
+  std::vector<std::span<float>> ys_;
+  std::vector<std::span<float>> p_hats_;
+  std::vector<std::span<float>> dense_sums_;
+  // The reduced Q payload, decoded in finish(): absorb_reduced's bytes
+  // stay valid until then (the CodecRound contract).
+  std::span<const std::byte> reduced_b_;
 };
 
 class PowerSgdCodec final : public SchemeCodec {
@@ -76,6 +82,9 @@ class PowerSgdCodec final : public SchemeCodec {
       if (is_low_rank(layer)) {
         states_.push_back(PowerSgdLayerState::init(layer.rows, layer.cols,
                                                    config_.rank, rng));
+        const auto& st = states_.back();
+        max_factor_ = std::max(max_factor_,
+                               std::max(st.rows, st.cols) * st.rank);
       } else {
         states_.push_back(PowerSgdLayerState{});  // dense-exact layer
       }
@@ -150,11 +159,26 @@ class PowerSgdCodec final : public SchemeCodec {
                      config_.layout.layer(l).size());
   }
 
+  /// The largest P or Q factor of any low-rank layer, in floats.
+  std::size_t max_factor() const noexcept { return max_factor_; }
+
+  /// Round scratch lent to each session (see lend_scratch): not state, so
+  /// remap_workers builds a codec without it.
+  struct Scratch {
+    std::vector<std::vector<float>> ys;       // per worker, d
+    std::vector<std::vector<float>> factors;  // per worker, max_factor()
+    std::vector<std::vector<float>> p_hats;   // per low-rank layer
+    std::vector<std::vector<float>> dense_sums;  // per dense layer
+  };
+  Scratch& scratch() noexcept { return scratch_; }
+
  private:
   PowerSgdConfig config_;
   ErrorFeedback ef_;
   std::unique_ptr<comm::ReduceOp> fp16_sum_;
   std::vector<PowerSgdLayerState> states_;
+  std::size_t max_factor_ = 0;
+  Scratch scratch_;
 };
 
 PowerSgdRound::PowerSgdRound(PowerSgdCodec& codec,
@@ -170,10 +194,13 @@ PowerSgdRound::PowerSgdRound(PowerSgdCodec& codec,
   }
 
   // EF compensation.
+  auto& scratch = codec_.scratch();
+  scratch.ys.resize(n);
+  scratch.factors.resize(n);
   ys_.resize(n);
   for (std::size_t w = 0; w < n; ++w) {
     if (!held_.holds(w)) continue;
-    ys_[w].resize(d);
+    ys_[w] = lend_scratch(scratch.ys[w], d);
     codec_.ef().compensate(static_cast<int>(w), grads[w], ys_[w]);
   }
 }
@@ -189,36 +216,46 @@ bool PowerSgdRound::next_stage(WireStage& stage) {
 }
 
 ByteBuffer PowerSgdRound::encode(int worker) {
+  ByteBuffer buf;
+  encode_into(worker, buf);
+  return buf;
+}
+
+void PowerSgdRound::encode_into(int worker, ByteBuffer& out) {
   held_.require(worker, codec_);
+  require_stage(stage_ < kDone, codec_, "encode after the last stage");
   const auto w = static_cast<std::size_t>(worker);
   auto& states = codec_.states();
-  ByteBuffer buf;
+  // The worker's own factor buffer: encodes of distinct workers may run
+  // concurrently.
+  const auto factor =
+      lend_scratch(codec_.scratch().factors[w], codec_.max_factor());
+  out.clear();
   if (stage_ == kPhaseA) {
     // P = M Q per low-rank layer; dense layers ride along uncompressed
     // (both are FP16 payloads under the same fp16-sum ring).
     for (std::size_t l = 0; l < states.size(); ++l) {
       const auto& layer = codec_.config().layout.layer(l);
-      auto m = codec_.layer_span(std::span<const float>(ys_[w]), l);
+      auto m = codec_.layer_span(ys_[w], l);
       if (states[l].rank == 0) {
-        put_fp16(buf, m);
+        put_fp16(out, m);
       } else {
-        std::vector<float> p(layer.rows * states[l].rank);
+        const auto p = factor.first(layer.rows * states[l].rank);
         powersgd_compute_p(m, states[l], p);
-        put_fp16(buf, p);
+        put_fp16(out, p);
       }
     }
-    return buf;
+    return;
   }
   // Phase B: Q = M^T P_hat per low-rank layer.
   for (std::size_t l = 0; l < states.size(); ++l) {
     if (states[l].rank == 0) continue;
     const auto& layer = codec_.config().layout.layer(l);
-    auto m = codec_.layer_span(std::span<const float>(ys_[w]), l);
-    std::vector<float> q(layer.cols * states[l].rank);
+    auto m = codec_.layer_span(ys_[w], l);
+    const auto q = factor.first(layer.cols * states[l].rank);
     powersgd_compute_q(m, states[l], p_hats_[l], q);
-    put_fp16(buf, q);
+    put_fp16(out, q);
   }
-  return buf;
 }
 
 void PowerSgdRound::absorb_reduced(const ByteBuffer& reduced) {
@@ -226,17 +263,21 @@ void PowerSgdRound::absorb_reduced(const ByteBuffer& reduced) {
   if (stage_ == kPhaseA) {
     // Orthonormalize each P sum (identical on every worker since the
     // input is identical); stash dense-layer sums.
+    auto& scratch = codec_.scratch();
+    scratch.p_hats.resize(states.size());
+    scratch.dense_sums.resize(states.size());
     p_hats_.assign(states.size(), {});
     dense_sums_.assign(states.size(), {});
     std::size_t offset = 0;
     for (std::size_t l = 0; l < states.size(); ++l) {
       const auto& layer = codec_.config().layout.layer(l);
       if (states[l].rank == 0) {
-        dense_sums_[l].resize(layer.size());
+        dense_sums_[l] = lend_scratch(scratch.dense_sums[l], layer.size());
         get_fp16(reduced, offset, dense_sums_[l]);
         offset += layer.size() * 2;
       } else {
-        p_hats_[l].resize(layer.rows * states[l].rank);
+        p_hats_[l] = lend_scratch(scratch.p_hats[l],
+                                  layer.rows * states[l].rank);
         get_fp16(reduced, offset, p_hats_[l]);
         offset += p_hats_[l].size() * 2;
         orthogonalize_columns(p_hats_[l], layer.rows, states[l].rank);
@@ -245,31 +286,35 @@ void PowerSgdRound::absorb_reduced(const ByteBuffer& reduced) {
     stage_ = any_low_rank_ ? kPhaseB : kDone;
     return;
   }
+  require_stage(stage_ == kPhaseB, codec_,
+                "Q absorbed before this round's P consensus");
   reduced_b_ = reduced;
   stage_ = kDone;
 }
 
 void PowerSgdRound::finish(std::span<float> out, RoundStats& /*stats*/) {
+  require_stage(stage_ == kDone, codec_,
+                "finish before the last stage was absorbed");
   const auto& config = codec_.config();
   const auto n = static_cast<std::size_t>(config.world_size);
   auto& states = codec_.states();
 
-  // Reconstruct the aggregated sum estimate and update warm starts.
+  // Reconstruct the aggregated sum estimate and update warm starts: the
+  // reduced Q sum is decoded straight into the layer's iterate, which
+  // the reconstruction reads only through its argument.
   {
     std::size_t offset = 0;
     for (std::size_t l = 0; l < states.size(); ++l) {
-      const auto& layer = config.layout.layer(l);
       auto out_slice = codec_.layer_span_mut(out, l);
       if (states[l].rank == 0) {
         std::copy(dense_sums_[l].begin(), dense_sums_[l].end(),
                   out_slice.begin());
         continue;
       }
-      std::vector<float> q_sum(layer.cols * states[l].rank);
+      auto& q_sum = states[l].q;  // warm start for the next round
       get_fp16(reduced_b_, offset, q_sum);
       offset += q_sum.size() * 2;
       powersgd_reconstruct(states[l], p_hats_[l], q_sum, out_slice);
-      states[l].q = std::move(q_sum);  // warm start for the next round
     }
   }
 
@@ -285,7 +330,7 @@ void PowerSgdRound::finish(std::span<float> out, RoundStats& /*stats*/) {
       auto memory = codec_.ef().mutable_memory(static_cast<int>(w));
       for (std::size_t l = 0; l < states.size(); ++l) {
         auto mw = codec_.layer_span_mut(memory, l);
-        auto yw = codec_.layer_span(std::span<const float>(ys_[w]), l);
+        auto yw = codec_.layer_span(ys_[w], l);
         if (states[l].rank == 0) {
           for (std::size_t i = 0; i < mw.size(); ++i) mw[i] = yw[i] - yw[i];
         } else {

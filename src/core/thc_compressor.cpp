@@ -29,6 +29,7 @@ class ThcRound final : public CodecRound {
 
   bool next_stage(WireStage& stage) override;
   ByteBuffer encode(int worker) override;
+  void encode_into(int worker, ByteBuffer& out) override;
   bool supports_encode_range() const override;
   void encode_range(int worker, std::size_t offset,
                     std::span<std::byte> out) override;
@@ -37,6 +38,9 @@ class ThcRound final : public CodecRound {
 
  private:
   enum Stage { kRangeLo = 0, kRangeHi = 1, kLevels = 2, kDone = 3 };
+
+  /// The legacy multi-pass levels encode (see fused_levels_).
+  ByteBuffer encode_levels_unfused(std::size_t w) const;
 
   ThcCodec& codec_;
   HeldWorkers held_;
@@ -47,18 +51,21 @@ class ThcRound final : public CodecRound {
   // encoding applicable. When false (e.g. a tiny full-rotation transform),
   // the legacy multi-pass level path is used instead.
   bool fused_levels_;
-  std::vector<std::vector<float>> rotated_;
-  std::vector<float> signs_;  // shared RHT diagonal, generated once per round
-  std::vector<std::vector<float>> lo_, hi_;  // per worker, per block
-  // Per-worker stochastic rounding draws (one per padded coordinate, in
+  // Views of the codec's round scratch (ThcCodec::Scratch): the shared RHT
+  // diagonal, generated once per round, and per held worker its rotated
+  // gradient and stochastic rounding draws (one per padded coordinate, in
   // coordinate order — the exact Rng consumption of the legacy encode),
-  // precomputed when the range consensus completes so that level encoding
-  // is pure and per-range calls can run concurrently.
-  std::vector<std::vector<float>> u_;
+  // the draws precomputed when the range consensus completes so that
+  // level encoding is pure and per-range calls can run concurrently.
+  std::span<float> signs_;
+  std::vector<std::span<float>> rotated_, u_;
+  std::vector<std::vector<float>> lo_, hi_;  // per worker, per block
   std::vector<QuantRange> ranges_;
   SatStats sat_;
   std::unique_ptr<comm::ReduceOp> min_op_, max_op_, sat_op_;
-  std::vector<float> rotated_sum_;
+  // The decoded level sums. They reuse a held worker's rotated_ buffer,
+  // which every encode has finished reading once the levels are absorbed.
+  std::span<float> rotated_sum_;
 };
 
 class ThcCodec final : public SchemeCodec {
@@ -141,11 +148,19 @@ class ThcCodec final : public SchemeCodec {
   const std::optional<RhtTransform>& rht() const noexcept { return rht_; }
   std::optional<RhtTransform>& rht() noexcept { return rht_; }
 
-  std::span<float> block_span(std::vector<float>& x, std::size_t blk) const {
+  std::span<float> block_span(std::span<float> x, std::size_t blk) const {
     const std::size_t begin = blk * block_;
     const std::size_t len = std::min(block_, padded_ - begin);
     return {x.data() + begin, len};
   }
+
+  /// Round scratch lent to each session (see lend_scratch): not state, so
+  /// remap_workers builds a codec without it.
+  struct Scratch {
+    std::vector<float> signs;
+    std::vector<std::vector<float>> rotated, u;  // per worker, padded
+  };
+  Scratch& scratch() noexcept { return scratch_; }
 
  private:
   ThcConfig config_;
@@ -154,6 +169,7 @@ class ThcCodec final : public SchemeCodec {
   std::size_t block_ = 0;
   std::size_t n_blocks_ = 0;
   std::optional<RhtTransform> rht_;
+  Scratch scratch_;
 };
 
 ThcRound::ThcRound(ThcCodec& codec,
@@ -179,22 +195,29 @@ ThcRound::ThcRound(ThcCodec& codec,
   // commutes with summation across workers), then compute the per-block
   // ranges both consensus stages serialize from. The sign diagonal is the
   // same for every worker — generate it once per round.
+  auto& scratch = codec_.scratch();
   if (codec_.rht()) {
-    signs_ = rht_signs(padded, config.seed, round_);
+    signs_ = lend_scratch(scratch.signs, padded);
+    rht_signs(signs_, config.seed, round_);
   }
+  scratch.rotated.resize(n);
+  scratch.u.resize(n);
   rotated_.resize(n);
+  u_.resize(n);
   lo_.resize(n);
   hi_.resize(n);
   for (std::size_t w = 0; w < n; ++w) {
     if (!held_.holds(w)) continue;
-    rotated_[w].resize(padded);
+    rotated_[w] = lend_scratch(scratch.rotated[w], padded);
+    if (fused_levels_) u_[w] = lend_scratch(scratch.u[w], padded);
     lo_[w].resize(codec_.n_blocks());
     hi_[w].resize(codec_.n_blocks());
     if (codec_.rht()) {
       codec_.rht()->forward(grads[w], rotated_[w], signs_);
     } else {
       std::memcpy(rotated_[w].data(), grads[w].data(), d * sizeof(float));
-      std::memset(rotated_[w].data() + d, 0, (padded - d) * sizeof(float));
+      std::fill(rotated_[w].begin() + static_cast<std::ptrdiff_t>(d),
+                rotated_[w].end(), 0.0f);
     }
     for (std::size_t blk = 0; blk < codec_.n_blocks(); ++blk) {
       const auto range = compute_range(codec_.block_span(rotated_[w], blk));
@@ -228,23 +251,34 @@ bool ThcRound::next_stage(WireStage& stage) {
 }
 
 ByteBuffer ThcRound::encode(int worker) {
+  ByteBuffer buf;
+  encode_into(worker, buf);
+  return buf;
+}
+
+void ThcRound::encode_into(int worker, ByteBuffer& out) {
   held_.require(worker, codec_);
-  const auto& config = codec_.config();
+  require_stage(stage_ < kDone, codec_, "encode after the last stage");
   const auto w = static_cast<std::size_t>(worker);
   if (stage_ == kRangeLo || stage_ == kRangeHi) {
-    ByteBuffer buf;
-    ByteWriter writer(buf);
-    writer.put_span<float>(stage_ == kRangeLo ? lo_[w] : hi_[w]);
-    return buf;
+    const auto& range = stage_ == kRangeLo ? lo_[w] : hi_[w];
+    out.resize(range.size() * sizeof(float));
+    std::memcpy(out.data(), range.data(), out.size());
+    return;
   }
-  const std::size_t padded = codec_.padded();
   if (fused_levels_) {
     // Single fused pass per block: stochastic level, offset-binary lane,
     // LSB-first bit packing — one kernel call instead of three sweeps.
-    ByteBuffer buf(packed_bytes(padded, config.b));
-    encode_range(worker, 0, buf);
-    return buf;
+    out.resize(packed_bytes(codec_.padded(), codec_.config().b));
+    encode_range(worker, 0, out);
+    return;
   }
+  out = encode_levels_unfused(w);
+}
+
+ByteBuffer ThcRound::encode_levels_unfused(std::size_t w) const {
+  const auto& config = codec_.config();
+  const std::size_t padded = codec_.padded();
   // Quantize against the shared ranges; centered signed lanes.
   const std::int32_t offset = 1 << (config.q - 1);
   const auto n = static_cast<std::size_t>(config.world_size);
@@ -279,8 +313,12 @@ void ThcRound::encode_range(int worker, std::size_t offset,
   held_.require(worker, codec_);
   const auto& config = codec_.config();
   const auto w = static_cast<std::size_t>(worker);
-  GCS_CHECK(stage_ == kLevels && fused_levels_);
-  GCS_CHECK(!u_.empty());  // precomputed when range consensus completed
+  // stage_ is this round's: kLevels means this round's range consensus
+  // completed and drew u_ (the scratch holds some earlier round's draws
+  // before that).
+  require_stage(stage_ == kLevels && fused_levels_, codec_,
+                "encode_range needs the levels stage of a fused round, "
+                "after this round's range consensus");
   const std::size_t total = packed_bytes(codec_.padded(), config.b);
   GCS_CHECK(offset + out.size() <= total);
   const unsigned lanes_per_byte = 8u / config.b;  // b in {2, 4, 8}
@@ -327,15 +365,10 @@ void ThcRound::absorb_reduced(const ByteBuffer& reduced) {
         // seeded independently) so level encoding becomes a pure function
         // of (worker, range).
         const auto n = static_cast<std::size_t>(config.world_size);
-        const std::size_t padded = codec_.padded();
-        u_.assign(n, {});
         for (std::size_t w = 0; w < n; ++w) {
           if (!held_.holds(w)) continue;
           Rng rng(derive_seed(config.seed ^ 0x5707c457, round_ * n + w));
-          u_[w].resize(padded);
-          for (std::size_t i = 0; i < padded; ++i) {
-            u_[w][i] = rng.next_float();
-          }
+          for (float& u : u_[w]) u = rng.next_float();
         }
       }
     }
@@ -346,10 +379,18 @@ void ThcRound::absorb_reduced(const ByteBuffer& reduced) {
     GCS_CHECK_MSG(sat_.clips == 0,
                   "overflow in wide (non-saturating) THC aggregation");
   }
-  // Homomorphic decode of the aggregated level sums.
+  // Homomorphic decode of the aggregated level sums; both paths write
+  // every padded coordinate.
+  require_stage(stage_ == kLevels, codec_,
+                "levels absorbed before the range consensus");
   const std::size_t padded = codec_.padded();
   const auto n = static_cast<unsigned>(config.world_size);
-  rotated_sum_.assign(padded, 0.0f);
+  for (const auto& rotated : rotated_) {
+    if (!rotated.empty()) {
+      rotated_sum_ = rotated;
+      break;
+    }
+  }
   if (fused_levels_) {
     // Fused unpack + dequantize per block (int32 level sums are exact
     // here: n * 2^{q-1} + 2^{b-1} is far below 2^31 for q, b <= 8).
@@ -386,6 +427,8 @@ void ThcRound::absorb_reduced(const ByteBuffer& reduced) {
 }
 
 void ThcRound::finish(std::span<float> out, RoundStats& stats) {
+  require_stage(stage_ == kDone, codec_,
+                "finish before the levels were absorbed");
   const std::size_t d = codec_.config().dimension;
   if (codec_.rht()) {
     codec_.rht()->inverse(rotated_sum_, out, signs_);

@@ -21,6 +21,7 @@ class TopKRound final : public CodecRound {
 
   bool next_stage(WireStage& stage) override;
   ByteBuffer encode(int worker) override;
+  void encode_into(int worker, ByteBuffer& out) override;
 
   void absorb_gathered(std::span<const ByteBuffer> payloads) override;
   void finish(std::span<float> out, RoundStats& stats) override;
@@ -29,14 +30,16 @@ class TopKRound final : public CodecRound {
   TopKCodec& codec_;
   HeldWorkers held_;
   bool stage_done_ = false;
-  std::vector<ByteBuffer> payloads_;
-  // EF commit is deferred to finish() — the codec-layer contract that an
-  // abandoned session (an aborted round on an elastic transport) leaves
-  // the codec's cross-round state untouched, so the round can be retried
-  // on a shrunken world from exactly the pre-round state.
-  std::vector<std::vector<float>> ys_;
-  std::vector<std::vector<std::uint8_t>> masks_;
-  std::vector<float> sum_;
+  // Views of the codec's round scratch (TopKCodec::Scratch): per held
+  // worker the compensated gradient y and its selection, and the
+  // scatter-add sum. EF commit is deferred to finish() — the codec-layer
+  // contract that an abandoned session (an aborted round on an elastic
+  // transport) leaves the codec's cross-round state untouched, so the
+  // round can be retried on a shrunken world from exactly the pre-round
+  // state.
+  std::vector<std::span<float>> ys_;
+  std::span<const std::vector<std::uint32_t>> idx_;
+  std::span<float> sum_;
 };
 
 class TopKCodec final : public SchemeCodec {
@@ -81,9 +84,22 @@ class TopKCodec final : public SchemeCodec {
   const TopKConfig& config() const noexcept { return config_; }
   ErrorFeedback& ef() noexcept { return ef_; }
 
+  /// Round scratch lent to each session (see lend_scratch): not state, so
+  /// remap_workers builds a codec without it.
+  struct Scratch {
+    std::vector<std::vector<float>> ys;           // per worker, d
+    std::vector<std::vector<std::uint32_t>> idx;  // per worker, k
+    // The selection's working buffers. Its d-float `mags` doubles as the
+    // round's scatter-add sum: every selection is done by the time the
+    // gathered payloads arrive.
+    TopKScratch select;
+  };
+  Scratch& scratch() noexcept { return scratch_; }
+
  private:
   TopKConfig config_;
   ErrorFeedback ef_;
+  Scratch scratch_;
 };
 
 TopKRound::TopKRound(TopKCodec& codec,
@@ -94,27 +110,16 @@ TopKRound::TopKRound(TopKCodec& codec,
   const std::size_t d = config.dimension;
   const auto n = static_cast<std::size_t>(config.world_size);
 
-  payloads_.resize(n);
+  auto& scratch = codec_.scratch();
+  scratch.ys.resize(n);
+  scratch.idx.resize(n);
   ys_.resize(n);
-  masks_.resize(n);
+  idx_ = scratch.idx;
   for (std::size_t w = 0; w < n; ++w) {
     if (!held_.holds(w)) continue;
-    ys_[w].resize(d);
-    masks_[w].resize(d);
+    ys_[w] = lend_scratch(scratch.ys[w], d);
     codec_.ef().compensate(static_cast<int>(w), grads[w], ys_[w]);
-    const auto idx = top_k_indices(ys_[w], config.k);
-    // Plain-index payloads are built by a fused gather+fp16 pass straight
-    // into the wire buffer (byte-identical to extract_sparse + encode).
-    payloads_[w] = config.delta_indices
-                       ? encode_sparse_delta16(extract_sparse(ys_[w], idx))
-                       : encode_sparse_fp16_gather(ys_[w], idx);
-    // The transmitted contribution is the FP16-rounded selected values;
-    // the EF memory keeps everything else (see the masked-absorb contract
-    // in core/error_feedback.h). The absorb itself waits for finish():
-    // memories are per-worker, so deferring the writes past the other
-    // workers' compensate reads is bit-transparent — and it keeps aborted
-    // rounds side-effect-free.
-    for (auto i : idx) masks_[w][i] = 1;
+    top_k_indices(ys_[w], config.k, scratch.select, scratch.idx[w]);
   }
 }
 
@@ -131,26 +136,47 @@ bool TopKRound::next_stage(WireStage& stage) {
 }
 
 ByteBuffer TopKRound::encode(int worker) {
+  ByteBuffer buf;
+  encode_into(worker, buf);
+  return buf;
+}
+
+void TopKRound::encode_into(int worker, ByteBuffer& out) {
   held_.require(worker, codec_);
-  // Each worker's payload is encoded exactly once per stage; hand the
-  // prebuilt buffer over instead of copying megabytes on the hot path.
-  return std::move(payloads_[static_cast<std::size_t>(worker)]);
+  const auto w = static_cast<std::size_t>(worker);
+  // Plain-index payloads are built by a fused gather+fp16 pass straight
+  // into the wire buffer (byte-identical to extract_sparse + encode).
+  if (codec_.config().delta_indices) {
+    out = encode_sparse_delta16(extract_sparse(ys_[w], idx_[w]));
+  } else {
+    encode_sparse_fp16_gather(ys_[w], idx_[w], out);
+  }
 }
 
 void TopKRound::finish(std::span<float> out, RoundStats& /*stats*/) {
+  require_stage(!sum_.empty(), codec_,
+                "finish before the gathered payloads were absorbed");
   std::copy(sum_.begin(), sum_.end(), out.begin());
+  // The transmitted contribution is the FP16-rounded selected values; the
+  // EF memory keeps everything else, written by exception (see
+  // ErrorFeedback::absorb_unsent). Memories are per-worker, so deferring
+  // the writes to finish() is bit-transparent, and it keeps aborted
+  // rounds side-effect-free.
   if (codec_.ef().enabled()) {
     const auto n = ys_.size();
     for (std::size_t w = 0; w < n; ++w) {
       if (!held_.holds(w)) continue;
-      codec_.ef().absorb_masked(static_cast<int>(w), ys_[w], masks_[w]);
+      const auto memory =
+          codec_.ef().absorb_unsent(static_cast<int>(w), ys_[w]);
+      for (const std::uint32_t i : idx_[w]) memory[i] = 0.0f;
     }
   }
 }
 
 void TopKRound::absorb_gathered(std::span<const ByteBuffer> payloads) {
   const auto& config = codec_.config();
-  sum_.assign(config.dimension, 0.0f);
+  sum_ = lend_scratch(codec_.scratch().select.mags, config.dimension);
+  std::fill(sum_.begin(), sum_.end(), 0.0f);
   // Every worker receives all payloads and scatter-adds in rank order.
   for (const auto& payload : payloads) {
     if (config.delta_indices) {

@@ -24,6 +24,7 @@ class TopKCRound final : public CodecRound {
 
   bool next_stage(WireStage& stage) override;
   ByteBuffer encode(int worker) override;
+  void encode_into(int worker, ByteBuffer& out) override;
   bool supports_encode_range() const override { return stage_ == 1; }
   void encode_range(int worker, std::size_t offset,
                     std::span<std::byte> out) override;
@@ -34,15 +35,11 @@ class TopKCRound final : public CodecRound {
   TopKCCodec& codec_;
   HeldWorkers held_;
   int stage_ = 0;  // 0 = chunk-norms pending, 1 = values pending, 2 = done
-  std::vector<std::vector<float>> ys_;
-  std::vector<std::uint32_t> top_chunks_;
+  // Per held worker, the compensated gradient y: a view of the codec's
+  // round scratch (TopKCCodec::Scratch), like the selection tables the
+  // stage-1 calls read, which are valid from stage 1 on.
+  std::vector<std::span<float>> ys_;
   std::size_t payload_coords_ = 0;
-  // Per selected chunk: begin coordinate in y, and the cumulative payload
-  // coordinate offset (sel_prefix_ has one extra trailing entry ==
-  // payload_coords_). Built with the selection; lets encode_range map a
-  // payload byte range back to (chunk, intra-chunk offset) pairs.
-  std::vector<std::size_t> sel_begin_, sel_len_, sel_prefix_;
-  std::vector<float> summed_;
 };
 
 class TopKCCodec final : public SchemeCodec {
@@ -116,17 +113,34 @@ class TopKCCodec final : public SchemeCodec {
     return coords;
   }
 
-  void permute_in_place(std::span<float> x) const {
-    scratch_.resize(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) scratch_[i] = x[perm_[i]];
-    std::copy(scratch_.begin(), scratch_.end(), x.begin());
+  /// out[i] = x[perm[i]]: x in the permuted domain.
+  void permute(std::span<const float> x, std::span<float> out) const {
+    for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[perm_[i]];
   }
 
-  void unpermute_in_place(std::span<float> x) const {
-    scratch_.resize(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) scratch_[i] = x[inv_perm_[i]];
-    std::copy(scratch_.begin(), scratch_.end(), x.begin());
+  /// Maps x back from the permuted domain, through d floats of `tmp`.
+  void unpermute_in_place(std::span<float> x, std::span<float> tmp) const {
+    for (std::size_t i = 0; i < x.size(); ++i) tmp[i] = x[inv_perm_[i]];
+    std::copy(tmp.begin(), tmp.end(), x.begin());
   }
+
+  /// Round scratch lent to each session (see lend_scratch): not state, so
+  /// remap_workers builds a codec without it.
+  struct Scratch {
+    std::vector<std::vector<float>> ys;      // per worker, d
+    std::vector<std::vector<float>> scores;  // per worker, one per chunk
+    std::vector<float> permuted;  // d: the (un)permutation's staging copy
+    std::vector<float> consensus;            // aggregated chunk scores
+    std::vector<std::uint32_t> top_chunks;   // the selected chunk ids
+    // Per selected chunk: begin coordinate in y, length, and the
+    // cumulative payload coordinate offset (sel_prefix has one extra
+    // trailing entry == the payload's coordinates). Built with the
+    // selection; lets encode_range map a payload byte range back to
+    // (chunk, intra-chunk offset) pairs.
+    std::vector<std::size_t> sel_begin, sel_len, sel_prefix;
+    std::vector<float> summed;  // the reduced selected values
+  };
+  Scratch& scratch() noexcept { return scratch_; }
 
  private:
   TopKCConfig config_;
@@ -135,7 +149,7 @@ class TopKCCodec final : public SchemeCodec {
   std::unique_ptr<comm::ReduceOp> fp16_sum_;
   std::vector<std::uint32_t> perm_;
   std::vector<std::uint32_t> inv_perm_;
-  mutable std::vector<float> scratch_;
+  Scratch scratch_;
 };
 
 TopKCRound::TopKCRound(TopKCCodec& codec,
@@ -149,14 +163,20 @@ TopKCRound::TopKCRound(TopKCCodec& codec,
   // Stage 0: optional locality-destroying permutation (identical on every
   // worker), then EF compensation. The permutation happens first so the EF
   // memories live consistently in the permuted domain.
+  auto& scratch = codec_.scratch();
+  scratch.ys.resize(n);
+  scratch.scores.resize(n);
   ys_.resize(n);
-  std::vector<float> local(d);
   for (std::size_t w = 0; w < n; ++w) {
     if (!held_.holds(w)) continue;
-    ys_[w].resize(d);
-    std::copy(grads[w].begin(), grads[w].end(), local.begin());
-    if (config.permute) codec_.permute_in_place(local);
-    codec_.ef().compensate(static_cast<int>(w), local, ys_[w]);
+    ys_[w] = lend_scratch(scratch.ys[w], d);
+    std::span<const float> grad = grads[w];
+    if (config.permute) {
+      const auto permuted = lend_scratch(scratch.permuted, d);
+      codec_.permute(grad, permuted);
+      grad = permuted;
+    }
+    codec_.ef().compensate(static_cast<int>(w), grad, ys_[w]);
   }
 }
 
@@ -175,47 +195,61 @@ bool TopKCRound::next_stage(WireStage& stage) {
 }
 
 ByteBuffer TopKCRound::encode(int worker) {
+  ByteBuffer buf;
+  encode_into(worker, buf);
+  return buf;
+}
+
+void TopKCRound::encode_into(int worker, ByteBuffer& out) {
   held_.require(worker, codec_);
-  const auto& config = codec_.config();
-  const auto& y = ys_[static_cast<std::size_t>(worker)];
+  require_stage(stage_ < 2, codec_, "encode after the last stage");
+  const auto w = static_cast<std::size_t>(worker);
   if (stage_ == 0) {
     // Squared chunk norms, rounded to FP16 exactly as they travel. The
     // norm accumulation order is wire-visible; the chunk_sq_norms kernel
-    // keeps it (one chunk per lane, sequential within the chunk).
-    std::vector<float> scores(codec_.n_chunks());
-    chunk_squared_norms(y, config.chunk_size, scores);
-    ByteBuffer buf(scores.size() * sizeof(std::uint16_t));
+    // keeps it (one chunk per lane, sequential within the chunk). The
+    // scores buffer is the worker's own: encodes of distinct workers may
+    // run concurrently.
+    const auto scores =
+        lend_scratch(codec_.scratch().scores[w], codec_.n_chunks());
+    chunk_squared_norms(ys_[w], codec_.config().chunk_size, scores);
+    out.resize(scores.size() * sizeof(std::uint16_t));
     kernels::active().fp32_to_fp16(
         scores.data(), scores.size(),
-        reinterpret_cast<std::uint16_t*>(buf.data()));
-    return buf;
+        reinterpret_cast<std::uint16_t*>(out.data()));
+    return;
   }
   // Fused per-chunk gather + FP16 conversion straight into the wire
   // buffer: no intermediate gathered copy.
-  ByteBuffer buf(payload_coords_ * sizeof(std::uint16_t));
-  encode_range(worker, 0, buf);
-  return buf;
+  out.resize(payload_coords_ * sizeof(std::uint16_t));
+  encode_range(worker, 0, out);
 }
 
 void TopKCRound::encode_range(int worker, std::size_t offset,
                               std::span<std::byte> out) {
   held_.require(worker, codec_);
-  GCS_CHECK(stage_ == 1);
+  // stage_ is this round's: the selection tables below are rebuilt by
+  // this round's consensus before it reaches 1.
+  require_stage(stage_ == 1, codec_,
+                "encode_range needs this round's chunk selection");
   GCS_CHECK(offset % 2 == 0 && out.size() % 2 == 0);
   GCS_CHECK(offset + out.size() <= payload_coords_ * 2);
-  const auto& y = ys_[static_cast<std::size_t>(worker)];
+  const auto y = ys_[static_cast<std::size_t>(worker)];
+  const auto& sel_begin = codec_.scratch().sel_begin;
+  const auto& sel_len = codec_.scratch().sel_len;
+  const auto& sel_prefix = codec_.scratch().sel_prefix;
   const auto& backend = kernels::active();
   std::size_t coord = offset / 2;
   std::size_t left = out.size() / 2;
   auto* dst = reinterpret_cast<std::uint16_t*>(out.data());
   // Locate the selected chunk containing `coord` in the payload layout.
   std::size_t c = static_cast<std::size_t>(
-      std::upper_bound(sel_prefix_.begin(), sel_prefix_.end(), coord) -
-      sel_prefix_.begin() - 1);
+      std::upper_bound(sel_prefix.begin(), sel_prefix.end(), coord) -
+      sel_prefix.begin() - 1);
   while (left > 0) {
-    const std::size_t local = coord - sel_prefix_[c];
-    const std::size_t take = std::min(left, sel_len_[c] - local);
-    backend.fp32_to_fp16(y.data() + sel_begin_[c] + local, take, dst);
+    const std::size_t local = coord - sel_prefix[c];
+    const std::size_t take = std::min(left, sel_len[c] - local);
+    backend.fp32_to_fp16(y.data() + sel_begin[c] + local, take, dst);
     dst += take;
     coord += take;
     left -= take;
@@ -224,62 +258,69 @@ void TopKCRound::encode_range(int worker, std::size_t offset,
 }
 
 void TopKCRound::absorb_reduced(const ByteBuffer& reduced) {
+  auto& scratch = codec_.scratch();
   if (stage_ == 0) {
     // Consensus: identical aggregated scores => identical selection on
     // every worker, with no further traffic.
     GCS_CHECK(reduced.size() == codec_.n_chunks() * 2);
-    std::vector<float> scores(codec_.n_chunks());
+    const auto scores = lend_scratch(scratch.consensus, codec_.n_chunks());
     kernels::active().fp16_to_fp32(
         reinterpret_cast<const std::uint16_t*>(reduced.data()),
         scores.size(), scores.data());
-    top_chunks_ = select_top_chunks(scores, codec_.config().num_top_chunks);
-    payload_coords_ = codec_.payload_size(top_chunks_);
+    select_top_chunks(scores, codec_.config().num_top_chunks,
+                      scratch.top_chunks);
+    payload_coords_ = codec_.payload_size(scratch.top_chunks);
     // Chunk layout tables for per-range value encoding.
     const auto& config = codec_.config();
-    sel_begin_.clear();
-    sel_len_.clear();
-    sel_prefix_.assign(1, 0);
-    for (auto chunk : top_chunks_) {
+    scratch.sel_begin.clear();
+    scratch.sel_len.clear();
+    scratch.sel_prefix.assign(1, 0);
+    for (auto chunk : scratch.top_chunks) {
       const std::size_t begin =
           static_cast<std::size_t>(chunk) * config.chunk_size;
       const std::size_t len =
           std::min(config.chunk_size, config.dimension - begin);
-      sel_begin_.push_back(begin);
-      sel_len_.push_back(len);
-      sel_prefix_.push_back(sel_prefix_.back() + len);
+      scratch.sel_begin.push_back(begin);
+      scratch.sel_len.push_back(len);
+      scratch.sel_prefix.push_back(scratch.sel_prefix.back() + len);
     }
     stage_ = 1;
     return;
   }
+  require_stage(stage_ == 1, codec_,
+                "values absorbed before this round's chunk selection");
   GCS_CHECK(reduced.size() == payload_coords_ * 2);
-  summed_.resize(payload_coords_);
   kernels::active().fp16_to_fp32(
       reinterpret_cast<const std::uint16_t*>(reduced.data()),
-      payload_coords_, summed_.data());
+      payload_coords_, lend_scratch(scratch.summed, payload_coords_).data());
   stage_ = 2;
 }
 
 void TopKCRound::finish(std::span<float> out, RoundStats& /*stats*/) {
+  require_stage(stage_ == 2, codec_,
+                "finish before the chunk values were absorbed");
   const auto& config = codec_.config();
-  const std::size_t d = config.dimension;
-  scatter_chunks(summed_, config.chunk_size, top_chunks_, out);
-  if (config.permute) codec_.unpermute_in_place(out);
+  auto& scratch = codec_.scratch();
+  scatter_chunks(scratch.summed, config.chunk_size, scratch.top_chunks, out);
+  if (config.permute) {
+    codec_.unpermute_in_place(
+        out, lend_scratch(scratch.permuted, config.dimension));
+  }
 
-  // EF: the transmitted contribution per worker is its selected chunks.
+  // EF: the transmitted contribution per worker is its selected chunks,
+  // so the memory keeps y with those ranges zeroed (by exception, see
+  // ErrorFeedback::absorb_unsent).
   if (codec_.ef().enabled()) {
-    std::vector<std::uint8_t> mask(d, 0);
-    for (auto chunk : top_chunks_) {
-      const std::size_t begin =
-          static_cast<std::size_t>(chunk) * config.chunk_size;
-      const std::size_t end = std::min(begin + config.chunk_size, d);
-      std::fill(mask.begin() + static_cast<std::ptrdiff_t>(begin),
-                mask.begin() + static_cast<std::ptrdiff_t>(end),
-                std::uint8_t{1});
-    }
     const auto n = static_cast<std::size_t>(config.world_size);
     for (std::size_t w = 0; w < n; ++w) {
       if (!held_.holds(w)) continue;
-      codec_.ef().absorb_masked(static_cast<int>(w), ys_[w], mask);
+      const auto memory =
+          codec_.ef().absorb_unsent(static_cast<int>(w), ys_[w]);
+      for (std::size_t c = 0; c < scratch.sel_begin.size(); ++c) {
+        std::fill_n(memory.begin() +
+                        static_cast<std::ptrdiff_t>(scratch.sel_begin[c]),
+                    scratch.sel_len[c], 0.0f);
+      }
     }
   }
 }

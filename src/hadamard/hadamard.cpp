@@ -1,7 +1,6 @@
 #include "hadamard/hadamard.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "common/bits.h"
 #include "common/check.h"
@@ -54,10 +53,15 @@ void fwht_inverse(std::span<float> x, unsigned l_iters) { fwht(x, l_iters); }
 
 std::vector<float> rht_signs(std::size_t size, std::uint64_t seed,
                              std::uint64_t round) {
-  Rng rng(derive_seed(seed, round));
   std::vector<float> signs(size);
-  for (float& s : signs) s = rng.next_sign();
+  rht_signs(signs, seed, round);
   return signs;
+}
+
+void rht_signs(std::span<float> out, std::uint64_t seed,
+               std::uint64_t round) noexcept {
+  Rng rng(derive_seed(seed, round));
+  for (float& s : out) s = rng.next_sign();
 }
 
 void apply_signs(std::span<float> x, std::span<const float> signs) noexcept {
@@ -102,7 +106,7 @@ void RhtTransform::forward(std::span<const float> x, std::span<float> out,
   forward(x, out, rht_signs(padded_, seed_, round));
 }
 
-void RhtTransform::inverse(std::span<const float> in, std::span<float> x,
+void RhtTransform::inverse(std::span<float> in, std::span<float> x,
                            std::uint64_t round) const {
   inverse(in, x, rht_signs(padded_, seed_, round));
 }
@@ -120,15 +124,15 @@ void RhtTransform::forward(std::span<const float> x, std::span<float> out,
   fwht(out, l_iters_);
 }
 
-void RhtTransform::inverse(std::span<const float> in, std::span<float> x,
+void RhtTransform::inverse(std::span<float> in, std::span<float> x,
                            std::span<const float> signs) const {
   GCS_CHECK(in.size() == padded_);
   GCS_CHECK(x.size() == size_);
   GCS_CHECK(signs.size() == padded_);
-  std::vector<float> tmp(in.begin(), in.end());
-  fwht(std::span<float>(tmp), l_iters_);  // orthonormal involution
-  apply_signs(tmp, signs);  // signs are +-1: self-inverse
-  std::memcpy(x.data(), tmp.data(), size_ * sizeof(float));
+  fwht(in, l_iters_);  // orthonormal involution, in place
+  // Signs are +-1, so the diagonal is self-inverse; the unpad is the
+  // product's length (the same products apply_signs would form).
+  kernels::active().mul(in.data(), signs.data(), size_, x.data());
 }
 
 }  // namespace gcs

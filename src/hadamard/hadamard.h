@@ -42,6 +42,10 @@ void fwht_inverse(std::span<float> x, unsigned l_iters);
 std::vector<float> rht_signs(std::size_t size, std::uint64_t seed,
                              std::uint64_t round);
 
+/// rht_signs(out.size(), seed, round) written into `out` in place.
+void rht_signs(std::span<float> out, std::uint64_t seed,
+               std::uint64_t round) noexcept;
+
 /// Applies the sign diagonal in place: x[i] *= signs[i].
 void apply_signs(std::span<float> x, std::span<const float> signs) noexcept;
 
@@ -74,7 +78,9 @@ class RhtTransform {
                std::uint64_t round) const;
 
   /// x = unpad(D_round^-1 * H_partial^-1 * in). Inverse of forward().
-  void inverse(std::span<const float> in, std::span<float> x,
+  /// `in` is the workspace: the inverse butterflies run in place on it,
+  /// so it holds H_partial^-1 * in on return.
+  void inverse(std::span<float> in, std::span<float> x,
                std::uint64_t round) const;
 
   /// forward() with a precomputed sign diagonal (signs.size() ==
@@ -85,8 +91,9 @@ class RhtTransform {
   void forward(std::span<const float> x, std::span<float> out,
                std::span<const float> signs) const;
 
-  /// inverse() with a precomputed sign diagonal.
-  void inverse(std::span<const float> in, std::span<float> x,
+  /// inverse() with a precomputed sign diagonal; `in` is overwritten the
+  /// same way.
+  void inverse(std::span<float> in, std::span<float> x,
                std::span<const float> signs) const;
 
  private:

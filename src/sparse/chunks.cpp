@@ -30,6 +30,11 @@ std::vector<std::uint32_t> select_top_chunks(std::span<const float> scores,
   return top_j_by_value(scores, j);
 }
 
+void select_top_chunks(std::span<const float> scores, std::size_t j,
+                       std::vector<std::uint32_t>& ids) {
+  top_j_by_value(scores, j, ids);
+}
+
 std::size_t gather_chunks(std::span<const float> x, std::size_t chunk_size,
                           std::span<const std::uint32_t> chunk_ids,
                           std::span<float> out) {

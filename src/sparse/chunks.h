@@ -32,6 +32,10 @@ void round_scores_fp16(std::span<float> scores) noexcept;
 std::vector<std::uint32_t> select_top_chunks(std::span<const float> scores,
                                              std::size_t j);
 
+/// select_top_chunks(scores, j) written into `ids`, reusing its capacity.
+void select_top_chunks(std::span<const float> scores, std::size_t j,
+                       std::vector<std::uint32_t>& ids);
+
 /// Gathers the coordinates of the selected chunks into a dense payload
 /// (concatenated in chunk-id order; the last chunk may be short).
 /// Returns the number of gathered coordinates.

@@ -43,8 +43,18 @@ SparseVector decode_sparse_fp16(std::span<const std::byte> data) {
 
 ByteBuffer encode_sparse_fp16_gather(std::span<const float> x,
                                      std::span<const std::uint32_t> indices) {
-  for (std::uint32_t idx : indices) GCS_CHECK(idx < x.size());
   ByteBuffer out;
+  encode_sparse_fp16_gather(x, indices, out);
+  return out;
+}
+
+void encode_sparse_fp16_gather(std::span<const float> x,
+                               std::span<const std::uint32_t> indices,
+                               ByteBuffer& out) {
+  for (std::uint32_t idx : indices) GCS_CHECK(idx < x.size());
+  out.clear();
+  out.reserve(sizeof(std::uint32_t) +
+              indices.size() * (sizeof(std::uint32_t) + sizeof(std::uint16_t)));
   ByteWriter w(out);
   w.put<std::uint32_t>(static_cast<std::uint32_t>(indices.size()));
   w.put_span<std::uint32_t>(indices);
@@ -53,7 +63,6 @@ ByteBuffer encode_sparse_fp16_gather(std::span<const float> x,
   kernels::active().gather_fp32_to_fp16(
       x.data(), indices.data(), indices.size(),
       reinterpret_cast<std::uint16_t*>(out.data() + val_off));
-  return out;
 }
 
 void scatter_add_sparse_fp16(std::span<const std::byte> data,

@@ -43,6 +43,11 @@ SparseVector decode_sparse_fp16(std::span<const std::byte> data);
 ByteBuffer encode_sparse_fp16_gather(std::span<const float> x,
                                      std::span<const std::uint32_t> indices);
 
+/// encode_sparse_fp16_gather written over `out`, reusing its capacity.
+void encode_sparse_fp16_gather(std::span<const float> x,
+                               std::span<const std::uint32_t> indices,
+                               ByteBuffer& out);
+
 /// Fused equivalent of scatter_add(decode_sparse_fp16(data), acc):
 /// decodes fp16 values in bulk and accumulates in wire order without
 /// materializing a SparseVector. Bit-identical accumulation.

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <functional>
-#include <memory>
 #include <numeric>
 
 #include "kernels/kernels.h"
@@ -28,12 +27,21 @@ struct AbsGreater {
 
 std::vector<std::uint32_t> top_k_indices(std::span<const float> x,
                                          std::size_t k) {
+  TopKScratch scratch;
+  std::vector<std::uint32_t> idx;
+  top_k_indices(x, k, scratch, idx);
+  return idx;
+}
+
+void top_k_indices(std::span<const float> x, std::size_t k,
+                   TopKScratch& scratch, std::vector<std::uint32_t>& idx) {
   k = std::min(k, x.size());
-  if (k == 0) return {};
+  idx.clear();
+  if (k == 0) return;
   if (k == x.size()) {
-    std::vector<std::uint32_t> idx(x.size());
+    idx.resize(x.size());
     std::iota(idx.begin(), idx.end(), 0u);
-    return idx;
+    return;
   }
   // Threshold select instead of nth_element over an index permutation:
   // find t = the k-th largest |x| on a flat magnitude copy (cheap cache
@@ -43,11 +51,10 @@ std::vector<std::uint32_t> top_k_indices(std::span<const float> x,
   // bit-for-bit the legacy selection (cross-checked against
   // top_k_indices_reference in tests).
   const auto& backend = kernels::active();
-  // Uninitialized scratch: both buffers are fully overwritten before any
-  // read, and value-initializing ~26MB twice per call showed up in the
-  // encode profile at large d.
-  const auto mags_buf = std::make_unique_for_overwrite<float[]>(x.size());
-  float* const mags = mags_buf.get();
+  // Every scratch buffer is fully overwritten before any read, so reuse
+  // never leaks one call's values into the next.
+  scratch.mags.resize(x.size());
+  float* const mags = scratch.mags.data();
   backend.abs(x.data(), x.size(), mags);
   // t = the k-th largest magnitude, found by exact radix select instead of
   // nth_element over a full d-sized copy (the old encode bottleneck at
@@ -55,7 +62,8 @@ std::vector<std::uint32_t> top_k_indices(std::span<const float> x,
   // patterns order exactly like their values: histogram the top 16 bits,
   // walk buckets from the top to the one holding rank k, then rank only
   // that bucket's members — same t, two cheap passes.
-  std::vector<std::uint32_t> hist(std::size_t{1} << 16, 0u);
+  auto& hist = scratch.hist;
+  hist.assign(std::size_t{1} << 16, 0u);
   for (std::size_t i = 0; i < x.size(); ++i) {
     ++hist[std::bit_cast<std::uint32_t>(mags[i]) >> 16];
   }
@@ -65,8 +73,11 @@ std::vector<std::uint32_t> top_k_indices(std::span<const float> x,
     rank -= hist[bucket];
     --bucket;
   }
-  std::vector<float> members;
-  members.reserve(hist[bucket]);
+  // Reserved at full size once: the bucket's population varies round to
+  // round, and untouched capacity costs address space, not memory.
+  auto& members = scratch.members;
+  members.reserve(x.size());
+  members.clear();
   for (std::size_t i = 0; i < x.size(); ++i) {
     if ((std::bit_cast<std::uint32_t>(mags[i]) >> 16) == bucket) {
       members.push_back(mags[i]);
@@ -77,10 +88,10 @@ std::vector<std::uint32_t> top_k_indices(std::span<const float> x,
                    members.end(), std::greater<float>());
   const float t = members[rank - 1];
   const std::size_t greater = backend.count_gt(mags, x.size(), t);
-  const auto cand_buf = std::make_unique_for_overwrite<std::uint32_t[]>(x.size());
-  std::uint32_t* const candidates = cand_buf.get();
-  const std::size_t n_cand = backend.collect_ge(mags, x.size(), t, candidates);
-  std::vector<std::uint32_t> idx;
+  scratch.candidates.resize(x.size());
+  const std::uint32_t* const candidates = scratch.candidates.data();
+  const std::size_t n_cand =
+      backend.collect_ge(mags, x.size(), t, scratch.candidates.data());
   idx.reserve(k);
   std::size_t ties_left = k - greater;
   for (std::size_t c = 0; c < n_cand && idx.size() < k; ++c) {
@@ -92,7 +103,6 @@ std::vector<std::uint32_t> top_k_indices(std::span<const float> x,
       --ties_left;
     }
   }
-  return idx;
 }
 
 std::vector<std::uint32_t> top_k_indices_reference(std::span<const float> x,
@@ -108,8 +118,15 @@ std::vector<std::uint32_t> top_k_indices_reference(std::span<const float> x,
 
 std::vector<std::uint32_t> top_j_by_value(std::span<const float> scores,
                                           std::size_t j) {
+  std::vector<std::uint32_t> idx;
+  top_j_by_value(scores, j, idx);
+  return idx;
+}
+
+void top_j_by_value(std::span<const float> scores, std::size_t j,
+                    std::vector<std::uint32_t>& idx) {
   j = std::min(j, scores.size());
-  std::vector<std::uint32_t> idx(scores.size());
+  idx.resize(scores.size());
   std::iota(idx.begin(), idx.end(), 0u);
   auto greater = [&scores](std::uint32_t a, std::uint32_t b) noexcept {
     if (scores[a] != scores[b]) return scores[a] > scores[b];
@@ -121,7 +138,6 @@ std::vector<std::uint32_t> top_j_by_value(std::span<const float> scores,
     idx.resize(j);
   }
   std::sort(idx.begin(), idx.end());
-  return idx;
 }
 
 }  // namespace gcs

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/baselines.h"
 #include "core/factory.h"
@@ -414,6 +417,46 @@ TEST(AggregationPipeline, ParameterServerRouteFoldsInRankOrder) {
   for (std::size_t rank = 0; rank < run.outputs.size(); ++rank) {
     expect_fold(run.outputs[rank][0], "rank " + std::to_string(rank));
   }
+}
+
+TEST(AggregationPipeline, SessionsRefuseOutOfOrderCallsOnReusedScratch) {
+  // Codecs lend their sessions round scratch that survives the round, so
+  // once a round has run it always holds some earlier round's values. A
+  // session must still refuse to finish before its last absorb, and
+  // TopKC's encode_range before its chunk selection, with a typed error:
+  // on stale scratch these would otherwise return last round's numbers.
+  const auto layout = make_transformer_like_layout(4096);
+  const auto grads = random_grads(layout.total_size(), 77);
+  const auto views = views_of(grads);
+  for (const char* spec : {"fp16", "fp32", "topk:b=8", "topkc:b=8",
+                           "thc:q=4:b=4:sat:partial", "powersgd:r=2"}) {
+    SCOPED_TRACE(spec);
+    AggregationPipeline pipeline(make_scheme_codec(spec, layout, kWorld));
+    std::vector<float> out(layout.total_size());
+    pipeline.aggregate(views, out, 0);
+    auto session = pipeline.codec().begin_round(views, 1);
+    RoundStats stats;
+    EXPECT_THROW(session->finish(out, stats), Error);
+    WireStage stage;
+    ASSERT_TRUE(session->next_stage(stage));
+    if (std::string(spec) == "topkc:b=8") {
+      ByteBuffer values(16);
+      EXPECT_THROW(session->encode_range(0, 0, values), Error);
+    }
+  }
+}
+
+TEST(AggregationPipeline, LendScratchPoisonsOnlyUnderTheTestHook) {
+  // gcs_tests_poisoned is only meaningful if the hook really poisons.
+  const bool was = scratch_poisoning();
+  std::vector<float> floats(3, 1.0f);
+  set_scratch_poisoning_for_testing(false);
+  for (const float v : lend_scratch(floats, 5).first(3)) EXPECT_EQ(v, 1.0f);
+  set_scratch_poisoning_for_testing(true);
+  for (const float v : lend_scratch(floats, 4)) EXPECT_TRUE(std::isnan(v));
+  std::vector<std::uint32_t> indices;
+  for (const auto i : lend_scratch(indices, 2)) EXPECT_EQ(i, 0xFFFFFFFFu);
+  set_scratch_poisoning_for_testing(was);
 }
 
 }  // namespace

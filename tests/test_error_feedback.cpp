@@ -18,8 +18,8 @@ TEST(ErrorFeedback, DisabledIsPassThrough) {
   ef.compensate(0, grad, y);
   EXPECT_EQ(y, grad);
   EXPECT_FALSE(ef.enabled());
-  // absorb_masked is a no-op; no crash.
-  ef.absorb_masked(0, y, std::vector<std::uint8_t>(3, 0));
+  // There is no memory to absorb into: callers check enabled() first.
+  EXPECT_THROW((void)ef.absorb_unsent(0, y), std::logic_error);
 }
 
 TEST(ErrorFeedback, MemoryStartsZero) {
@@ -50,11 +50,14 @@ TEST(ErrorFeedback, ResidualWrittenInPlaceIsAddedBack) {
   EXPECT_EQ(y2[1], 10.0f);
 }
 
-TEST(ErrorFeedback, MaskedAbsorbKeepsUnsent) {
+TEST(ErrorFeedback, AbsorbByExceptionKeepsUnsent) {
+  // The sparse schemes' absorb: m = y, then the caller zeroes what it
+  // sent (here coordinates 0 and 2).
   ErrorFeedback ef(1, 4, true);
   const std::vector<float> y{1.0f, 2.0f, 3.0f, 4.0f};
-  const std::vector<std::uint8_t> mask{1, 0, 1, 0};
-  ef.absorb_masked(0, y, mask);
+  const auto memory = ef.absorb_unsent(0, y);
+  memory[0] = 0.0f;
+  memory[2] = 0.0f;
   const auto mem = ef.memory(0);
   EXPECT_EQ(mem[0], 0.0f);
   EXPECT_EQ(mem[1], 2.0f);
@@ -64,14 +67,14 @@ TEST(ErrorFeedback, MaskedAbsorbKeepsUnsent) {
 
 TEST(ErrorFeedback, WorkersAreIndependent) {
   ErrorFeedback ef(2, 1, true);
-  ef.absorb_masked(0, std::vector<float>{7.0f}, std::vector<std::uint8_t>{0});
+  (void)ef.absorb_unsent(0, std::vector<float>{7.0f});
   EXPECT_EQ(ef.memory(0)[0], 7.0f);
   EXPECT_EQ(ef.memory(1)[0], 0.0f);
 }
 
 TEST(ErrorFeedback, ResetClears) {
   ErrorFeedback ef(1, 1, true);
-  ef.absorb_masked(0, std::vector<float>{3.0f}, std::vector<std::uint8_t>{0});
+  (void)ef.absorb_unsent(0, std::vector<float>{3.0f});
   ef.reset();
   EXPECT_EQ(ef.memory(0)[0], 0.0f);
 }
@@ -80,10 +83,9 @@ TEST(ErrorFeedback, EnergyIsConserved) {
   // Over two rounds where nothing is transmitted, the memory accumulates
   // the full gradient sum (no leakage).
   ErrorFeedback ef(1, 2, true);
-  const std::vector<std::uint8_t> none_sent{0, 0};
   std::vector<float> y(2);
   ef.compensate(0, std::vector<float>{1.0f, 2.0f}, y);
-  ef.absorb_masked(0, y, none_sent);
+  (void)ef.absorb_unsent(0, y);
   ef.compensate(0, std::vector<float>{1.0f, 2.0f}, y);
   EXPECT_EQ(y[0], 2.0f);
   EXPECT_EQ(y[1], 4.0f);
@@ -94,6 +96,7 @@ TEST(ErrorFeedback, SizeMismatchThrows) {
   std::vector<float> y(2);
   EXPECT_THROW(ef.compensate(0, std::vector<float>{1.0f}, y),
                std::logic_error);
+  EXPECT_THROW((void)ef.absorb_unsent(0, y), std::logic_error);
 }
 
 TEST(ErrorFeedback, RemapCarriesSurvivorRowsBitExact) {
@@ -102,13 +105,12 @@ TEST(ErrorFeedback, RemapCarriesSurvivorRowsBitExact) {
   // residual is gone.
   ErrorFeedback ef(4, 3, true);
   std::vector<float> y(3);
-  const std::vector<std::uint8_t> none_sent(3, 0);
   for (int w = 0; w < 4; ++w) {
     const std::vector<float> grad{0.5f * static_cast<float>(w + 1),
                                   -1.25f * static_cast<float>(w),
                                   3.75f};
     ef.compensate(w, grad, y);
-    ef.absorb_masked(w, y, none_sent);  // memory = y (nothing transmitted)
+    (void)ef.absorb_unsent(w, y);  // memory = y (nothing transmitted)
   }
   const std::vector<int> survivors{0, 1, 3};
   const ErrorFeedback remapped = ef.remap(survivors);

@@ -971,6 +971,7 @@ void check_encode_range_concatenation(const std::string& spec,
   auto session = codec->begin_round(
       std::span<const std::span<const float>>(views), 1);
   core::WireStage stage;
+  std::vector<ByteBuffer> reduced;  // alive until finish(), as required
   while (session->next_stage(stage)) {
     std::vector<ByteBuffer> payloads(static_cast<std::size_t>(world));
     for (int w = 0; w < world; ++w) {
@@ -1000,7 +1001,8 @@ void check_encode_range_concatenation(const std::string& spec,
     if (stage.route == core::AggregationPath::kAllGather) {
       session->absorb_gathered(payloads);
     } else {
-      session->absorb_reduced(comm::local_ring_all_reduce(payloads, *stage.op));
+      reduced.push_back(comm::local_ring_all_reduce(payloads, *stage.op));
+      session->absorb_reduced(reduced.back());
     }
   }
   std::vector<float> out(layout.total_size());

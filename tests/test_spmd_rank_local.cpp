@@ -66,7 +66,7 @@ const GoldenSpec kSpecs[] = {
 struct Calls {
   int begins = 0;
   int begins_not_own = 0;  ///< begin_round views other than {own} held
-  int encodes = 0;         ///< encode + encode_range calls
+  int encodes = 0;  ///< encode, encode_into and encode_range calls
   int encodes_not_own = 0;
   int peer_probes = 0;
   int peer_probes_threw = 0;  ///< peer encodes that threw gcs::Error
@@ -99,6 +99,11 @@ class CountingRound final : public CodecRound {
   ByteBuffer encode(int worker) override {
     count(worker);
     return inner_->encode(worker);
+  }
+
+  void encode_into(int worker, ByteBuffer& out) override {
+    count(worker);
+    inner_->encode_into(worker, out);
   }
 
   bool supports_encode_range() const override {

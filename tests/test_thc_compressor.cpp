@@ -6,6 +6,8 @@
 
 #include <cmath>
 
+#include "comm/group.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/aggregation_pipeline.h"
 #include "core/vnmse.h"
@@ -255,6 +257,35 @@ TEST(Thc, Q2B2Works) {
   // significant degradation (Figure 2, BERT b=q=2): coarse levels plus
   // saturated sums lose most per-round precision. Sanity-bound only.
   EXPECT_LT(err, 1.2);
+}
+
+TEST(Thc, StageGuardsHoldAfterARoundFilledTheScratch) {
+  // Round scratch is the codec's and outlives a round, so after round 0
+  // the stochastic draws and level sums of some earlier round are always
+  // there to read. The session's own stage state must still refuse an
+  // out-of-order call with a typed error, round after round.
+  const std::size_t d = 256;
+  auto codec = make_thc_codec(base_config(d, 2));
+  const auto grads = random_grads(2, d, 41);
+  const auto views = views_of(grads);
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    auto session = codec->begin_round(views, round);
+    WireStage stage;
+    ASSERT_TRUE(session->next_stage(stage));  // range-lo
+    ByteBuffer levels(16);
+    EXPECT_THROW(session->encode_range(0, 0, levels), Error);
+    std::vector<float> out(d);
+    RoundStats stats;
+    EXPECT_THROW(session->finish(out, stats), Error);
+    // Complete the round, so the next one starts on filled scratch.
+    do {
+      std::vector<ByteBuffer> payloads{session->encode(0), session->encode(1)};
+      session->absorb_reduced(
+          comm::local_ring_all_reduce(payloads, *stage.op));
+    } while (session->next_stage(stage));
+    session->finish(out, stats);
+    EXPECT_THROW(session->encode(0), Error);
+  }
 }
 
 }  // namespace
