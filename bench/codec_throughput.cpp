@@ -18,8 +18,16 @@
 // coordinate), so a fold row reads on the same scale as the encode row of
 // the same payload size.
 //
+// The kernel rows time THC's two per-coordinate passes that run outside
+// the level kernels: rng/uniform_fill fills one stream of stochastic-
+// rounding uniforms (the lane-parallel xoshiro fill), and rht/rotate runs
+// one block-fused forward plus one inverse partial rotation (sign bits,
+// 8192-float blocks) over the payload. Their kernel_MBps counts the
+// gradient bytes covered (4 bytes per coordinate).
+//
 // BENCH_codec_throughput.json is bench_compare-gated against
-// bench/baselines/ (--higher=encode_MBps,decode_MBps,fold_MBps, plus
+// bench/baselines/ (--higher=encode_MBps,decode_MBps,fold_MBps,kernel_MBps,
+// plus
 // backend_speedup,
 // which the gate tracks by name). The committed baseline is a measurement
 // of the current kernel layer, and CI's tolerance comes from the measured
@@ -29,11 +37,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/bits.h"
 #include "comm/group.h"
 #include "comm/reduce_op.h"
 #include "common/rng.h"
@@ -42,7 +52,9 @@
 #include "core/thc_compressor.h"
 #include "core/topk_compressor.h"
 #include "core/topkc_compressor.h"
+#include "hadamard/hadamard.h"
 #include "kernels/kernels.h"
+#include "quant/packing.h"
 #include "quant/satint.h"
 #include "tensor/layout.h"
 
@@ -243,6 +255,57 @@ double measure_decode_mbps(core::SchemeCodec& codec,
   return bytes_per_pass * iters / elapsed / 1e6;
 }
 
+/// Calls `pass` until `min_seconds` of it accumulate; returns MB/s of a
+/// d-coordinate gradient per pass.
+template <typename Pass>
+double measure_kernel_mbps(std::size_t d, double min_seconds, Pass&& pass) {
+  double elapsed = 0.0;
+  long passes = 0;
+  while (passes < 2 || elapsed < min_seconds) {
+    const double t0 = now_seconds();
+    pass();
+    elapsed += now_seconds() - t0;
+    ++passes;
+  }
+  return static_cast<double>(d) * 4.0 * static_cast<double>(passes) /
+         elapsed / 1e6;
+}
+
+struct KernelCase {
+  std::string label;
+  std::function<void()> pass;
+};
+
+/// THC's stream fill and block-fused rotation over one d-coordinate
+/// gradient, with the codec's defaults (partial rotation, 32 KiB blocks).
+std::vector<KernelCase> make_kernel_cases(std::span<const float> grad) {
+  const std::size_t d = grad.size();
+  const core::ThcConfig thc;  // shared_memory_bytes and seed defaults
+  const unsigned iters = partial_iterations(next_pow2(d),
+                                            thc.shared_memory_bytes);
+  auto split = std::make_shared<StreamSplit>(d);
+  auto uniforms = std::make_shared<std::vector<float>>(d);
+  auto rht = std::make_shared<RhtTransform>(d, iters, thc.seed);
+  auto bits = std::make_shared<std::vector<std::uint64_t>>(rht->sign_words());
+  rht->sign_bits(1, *bits);
+  auto rotated = std::make_shared<std::vector<float>>(rht->padded_size());
+  auto out = std::make_shared<std::vector<float>>(d);
+  std::vector<KernelCase> cases;
+  cases.push_back({"rng/uniform_fill", [=] {
+                     kernels::active().uniform_fill(split->lanes(7), d,
+                                                    uniforms->data());
+                   }});
+  cases.push_back({"rht/rotate", [=] {
+                     rht->forward(grad, *rotated, *bits,
+                                  [](std::size_t, std::span<float>) {});
+                     rht->inverse(*out, *bits, [&](std::size_t blk) {
+                       return std::span<float>(*rotated).subspan(
+                           blk * rht->block_size(), rht->block_size());
+                     });
+                   }});
+  return cases;
+}
+
 struct FoldCase {
   std::string label;
   std::unique_ptr<comm::ReduceOp> op;
@@ -265,12 +328,15 @@ std::vector<FoldCase> make_folds(std::span<const std::span<const float>> g) {
       g[1].data(), d, reinterpret_cast<std::uint16_t*>(fp16.in.data()));
   out.push_back(std::move(fp16));
   const auto lanes = [&](std::span<const float> x) {
-    std::vector<std::int32_t> l(x.size());
+    // Offset-binary 4-bit lanes (value + 2^3) of the rounded, clamped x.
+    std::vector<std::uint16_t> raw(x.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
-      l[i] = std::clamp(static_cast<std::int32_t>(std::lround(x[i] * 8.0f)),
-                        sat_min(4), sat_max(4));
+      raw[i] = static_cast<std::uint16_t>(
+          std::clamp(static_cast<std::int32_t>(std::lround(x[i] * 8.0f)),
+                     sat_min(4), sat_max(4)) -
+          sat_min(4));
     }
-    return pack_signed_lanes(l, 4);
+    return pack_lanes(raw, 4);
   };
   out.push_back({"fold/sat_int4", comm::make_sat_int(4, nullptr),
                  lanes(g[0]), lanes(g[1])});
@@ -395,6 +461,27 @@ int main(int argc, char** argv) {
       json.set(row, "fold_MBps_scalar", scalar_mbps);
       json.set(row, "backend_speedup", speedup);
       json.set(row, "wire_bytes", static_cast<double>(fold.in.size()));
+      std::cout << "  " << row << ": " << format_sig(mbps, 4) << " MB/s ("
+                << format_sig(scalar_mbps, 4) << " scalar, "
+                << format_sig(speedup, 3) << "x)\n";
+    }
+
+    for (auto& kernel : make_kernel_cases(views[0])) {
+      kernels::force_backend_for_testing("scalar");
+      const double scalar_mbps =
+          measure_kernel_mbps(d, min_seconds, kernel.pass);
+      kernels::force_backend_for_testing(nullptr);
+      const double mbps = measure_kernel_mbps(d, min_seconds, kernel.pass);
+      const double speedup = scalar_mbps > 0.0 ? mbps / scalar_mbps : 0.0;
+      const std::string row = kernel.label + "/" + payload.label;
+      table.add_row({kernel.label, payload.label, format_sig(mbps, 4),
+                     format_sig(scalar_mbps, 4), format_sig(speedup, 3),
+                     "-"});
+      auto& json = bench_json();
+      json.set(row, "payload", std::string(payload.label));
+      json.set(row, "kernel_MBps", mbps);
+      json.set(row, "kernel_MBps_scalar", scalar_mbps);
+      json.set(row, "backend_speedup", speedup);
       std::cout << "  " << row << ": " << format_sig(mbps, 4) << " MB/s ("
                 << format_sig(scalar_mbps, 4) << " scalar, "
                 << format_sig(speedup, 3) << "x)\n";

@@ -9,7 +9,7 @@
 #include "comm/fabric.h"
 #include "comm/group.h"
 #include "common/rng.h"
-#include "quant/satint.h"
+#include "quant/packing.h"
 
 namespace {
 
@@ -127,11 +127,10 @@ void BM_SatIntRingReduce(benchmark::State& state) {
   std::vector<ByteBuffer> inputs;
   for (int w = 0; w < n; ++w) {
     Rng rng(derive_seed(7, w));
-    std::vector<std::int32_t> ls(lanes);
-    for (auto& l : ls) {
-      l = static_cast<std::int32_t>(rng.next_below(15)) - 7;
-    }
-    inputs.push_back(pack_signed_lanes(ls, 4));
+    // Offset-binary 4-bit lanes of the signed values -7..7.
+    std::vector<std::uint16_t> raw(lanes);
+    for (auto& l : raw) l = static_cast<std::uint16_t>(rng.next_below(15) + 1);
+    inputs.push_back(pack_lanes(raw, 4));
   }
   const auto op = make_sat_int(4, nullptr);
   for (auto _ : state) {

@@ -85,21 +85,6 @@ void BM_ChunkNorms(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkNorms)->Arg(1 << 20);
 
-void BM_QuantizeStochastic(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto q = static_cast<unsigned>(state.range(1));
-  const auto x = random_vec(n);
-  const auto range = compute_range(x);
-  std::vector<std::uint16_t> levels(n);
-  Rng rng(2);
-  for (auto _ : state) {
-    quantize_stochastic(x, range, q, rng, levels);
-    benchmark::DoNotOptimize(levels.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_QuantizeStochastic)->Args({1 << 18, 2})->Args({1 << 18, 4});
-
 void BM_PackLanes(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto bits = static_cast<unsigned>(state.range(1));
@@ -310,6 +295,56 @@ void BM_KernelThcDecodeLanes(benchmark::State& state) {
   set_fp32_bytes(state, n);
 }
 BENCHMARK(BM_KernelThcDecodeLanes)->Arg(0)->Arg(1);
+
+void BM_KernelUniformFill(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  const std::size_t n = 1 << 20;
+  const StreamSplit split(n);
+  const StreamLanes lanes = split.lanes(17);
+  std::vector<float> out(n);
+  for (auto _ : state) {
+    backend->uniform_fill(lanes, n, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  set_fp32_bytes(state, n);
+}
+BENCHMARK(BM_KernelUniformFill)->Arg(0)->Arg(1);
+
+void BM_KernelSignApply(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  const std::size_t n = 1 << 20;
+  const auto x = random_vec(n, 26);
+  std::vector<std::uint64_t> bits((n + 63) / 64);
+  backend->sign_bits_fill(StreamSplit(n).lanes(5), n, bits.data());
+  std::vector<float> out(n);
+  for (auto _ : state) {
+    backend->sign_apply(x.data(), bits.data(), 0, n, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  set_fp32_bytes(state, n);
+}
+BENCHMARK(BM_KernelSignApply)->Arg(0)->Arg(1);
+
+void BM_KernelDenseForward(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  // The LM proxy's 64 -> 1024 layer over a batch of 32.
+  const std::size_t batch = 32, in = 64, out = 1024;
+  const auto w = random_vec(in * out, 27);
+  const auto b = random_vec(out, 28);
+  const auto x = random_vec(batch * in, 29);
+  std::vector<float> z(batch * out);
+  for (auto _ : state) {
+    backend->dense_forward(w.data(), b.data(), x.data(), batch, in, out,
+                           z.data());
+    benchmark::DoNotOptimize(z.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch * in * out));
+}
+BENCHMARK(BM_KernelDenseForward)->Arg(0)->Arg(1);
 
 void BM_KernelFp16Sum(benchmark::State& state) {
   const auto* backend = backend_arg(state);

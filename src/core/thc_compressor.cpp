@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "hadamard/hadamard.h"
 #include "kernels/kernels.h"
-#include "quant/packing.h"
 #include "quant/quantize.h"
 
 namespace gcs::core {
@@ -39,33 +38,26 @@ class ThcRound final : public CodecRound {
  private:
   enum Stage { kRangeLo = 0, kRangeHi = 1, kLevels = 2, kDone = 3 };
 
-  /// The legacy multi-pass levels encode (see fused_levels_).
-  ByteBuffer encode_levels_unfused(std::size_t w) const;
-
   ThcCodec& codec_;
   HeldWorkers held_;
   std::uint64_t round_;
   int stage_ = kRangeLo;
-  // All level blocks are byte-aligned on the wire (block * b a multiple of
-  // 8), which makes the single-pass fused level kernels and per-range
-  // encoding applicable. When false (e.g. a tiny full-rotation transform),
-  // the legacy multi-pass level path is used instead.
-  bool fused_levels_;
   // Views of the codec's round scratch (ThcCodec::Scratch): the shared RHT
-  // diagonal, generated once per round, and per held worker its rotated
-  // gradient and stochastic rounding draws (one per padded coordinate, in
-  // coordinate order — the exact Rng consumption of the legacy encode),
-  // the draws precomputed when the range consensus completes so that
-  // level encoding is pure and per-range calls can run concurrently.
-  std::span<float> signs_;
+  // sign diagonal as bits, generated once per round, and per held worker
+  // its rotated gradient and stochastic rounding draws (one per lane, in
+  // coordinate order), the draws filled when the range consensus
+  // completes so that level encoding is pure and per-range calls can run
+  // concurrently.
+  std::span<std::uint64_t> signs_;
   std::vector<std::span<float>> rotated_, u_;
   std::vector<std::vector<float>> lo_, hi_;  // per worker, per block
   std::vector<QuantRange> ranges_;
   SatStats sat_;
   std::unique_ptr<comm::ReduceOp> min_op_, max_op_, sat_op_;
-  // The decoded level sums. They reuse a held worker's rotated_ buffer,
-  // which every encode has finished reading once the levels are absorbed.
-  std::span<float> rotated_sum_;
+  // The reduced levels payload, a view kept until finish() (the
+  // CodecRound contract keeps its bytes alive), decoded block by block
+  // there straight into the inverse rotation.
+  const std::uint8_t* levels_ = nullptr;
 };
 
 class ThcCodec final : public SchemeCodec {
@@ -107,6 +99,23 @@ class ThcCodec final : public SchemeCodec {
                  ? (std::size_t{1} << iters_)
                  : padded_;
     n_blocks_ = ceil_div(padded_, block_);
+    // The levels payload is whole bytes of lanes, and every level block
+    // starts on a byte, which the fused level kernels and per-range
+    // encoding rely on. Only rotation blocks of one or two coordinates
+    // break that. A single such block (d <= 2 with b < 8) is padded to a
+    // byte of lanes that quantize zeros; several (a shared-memory budget
+    // under 16 bytes makes 2-float blocks) at b = 2 would split bytes
+    // between ranges, so that config is refused.
+    lanes_ = ceil_div(padded_ * config_.b, 8) * 8 / config_.b;
+    level_block_ = n_blocks_ == 1 ? lanes_ : block_;
+    if (level_block_ * config_.b % 8 != 0) {
+      throw Error("THC: " + std::to_string(block_) +
+                  "-coordinate rotation blocks at b=" +
+                  std::to_string(config_.b) +
+                  " split wire bytes; use shared_memory_bytes >= 16 or "
+                  "b >= 4");
+    }
+    u_split_ = StreamSplit(lanes_);
   }
 
   std::string name() const override {
@@ -145,20 +154,20 @@ class ThcCodec final : public SchemeCodec {
   std::size_t padded() const noexcept { return padded_; }
   std::size_t block() const noexcept { return block_; }
   std::size_t n_blocks() const noexcept { return n_blocks_; }
+  /// Lanes of the levels payload (padded, rounded up to whole bytes) and
+  /// of one level block (block(), or every lane when n_blocks() == 1).
+  std::size_t lanes() const noexcept { return lanes_; }
+  std::size_t level_block() const noexcept { return level_block_; }
   const std::optional<RhtTransform>& rht() const noexcept { return rht_; }
-  std::optional<RhtTransform>& rht() noexcept { return rht_; }
 
-  std::span<float> block_span(std::span<float> x, std::size_t blk) const {
-    const std::size_t begin = blk * block_;
-    const std::size_t len = std::min(block_, padded_ - begin);
-    return {x.data() + begin, len};
-  }
+  /// Lane starts of the stochastic-rounding streams (lanes() draws each).
+  const StreamSplit& u_split() const noexcept { return u_split_; }
 
   /// Round scratch lent to each session (see lend_scratch): not state, so
   /// remap_workers builds a codec without it.
   struct Scratch {
-    std::vector<float> signs;
-    std::vector<std::vector<float>> rotated, u;  // per worker, padded
+    std::vector<std::uint64_t> signs;            // one bit per coordinate
+    std::vector<std::vector<float>> rotated, u;  // per worker, lanes()
   };
   Scratch& scratch() noexcept { return scratch_; }
 
@@ -168,7 +177,10 @@ class ThcCodec final : public SchemeCodec {
   unsigned iters_ = 0;
   std::size_t block_ = 0;
   std::size_t n_blocks_ = 0;
+  std::size_t lanes_ = 0;
+  std::size_t level_block_ = 0;
   std::optional<RhtTransform> rht_;
+  StreamSplit u_split_;
   Scratch scratch_;
 };
 
@@ -187,18 +199,16 @@ ThcRound::ThcRound(ThcCodec& codec,
   max_op_ = comm::make_fp32_max();
   sat_op_ = comm::make_sat_int(config.b, &sat_);
 
-  // padded is always a whole number of blocks, so byte alignment of one
-  // block implies byte alignment of every block boundary on the wire.
-  fused_levels_ = (codec_.block() * config.b) % 8 == 0;
-
   // Rotate each worker's gradient (shared sign diagonal, so the transform
-  // commutes with summation across workers), then compute the per-block
-  // ranges both consensus stages serialize from. The sign diagonal is the
-  // same for every worker — generate it once per round.
+  // commutes with summation across workers) and take each block's range
+  // while the rotated block is still in cache; both consensus stages
+  // serialize from those ranges. The sign diagonal is the same for every
+  // worker — generate it once per round.
   auto& scratch = codec_.scratch();
-  if (codec_.rht()) {
-    signs_ = lend_scratch(scratch.signs, padded);
-    rht_signs(signs_, config.seed, round_);
+  const auto& rht = codec_.rht();
+  if (rht) {
+    signs_ = lend_scratch(scratch.signs, rht->sign_words());
+    rht->sign_bits(round_, signs_);
   }
   scratch.rotated.resize(n);
   scratch.u.resize(n);
@@ -208,21 +218,30 @@ ThcRound::ThcRound(ThcCodec& codec,
   hi_.resize(n);
   for (std::size_t w = 0; w < n; ++w) {
     if (!held_.holds(w)) continue;
-    rotated_[w] = lend_scratch(scratch.rotated[w], padded);
-    if (fused_levels_) u_[w] = lend_scratch(scratch.u[w], padded);
-    lo_[w].resize(codec_.n_blocks());
-    hi_[w].resize(codec_.n_blocks());
-    if (codec_.rht()) {
-      codec_.rht()->forward(grads[w], rotated_[w], signs_);
+    rotated_[w] = lend_scratch(scratch.rotated[w], codec_.lanes());
+    u_[w] = lend_scratch(scratch.u[w], codec_.lanes());
+    const std::span<float> rotated = rotated_[w].first(padded);
+    std::fill(rotated_[w].begin() + static_cast<std::ptrdiff_t>(padded),
+              rotated_[w].end(), 0.0f);
+    auto& lo = lo_[w];
+    auto& hi = hi_[w];
+    lo.resize(codec_.n_blocks());
+    hi.resize(codec_.n_blocks());
+    const auto take_range = [&lo, &hi](std::size_t blk,
+                                       std::span<const float> block) {
+      const auto range = compute_range(block);
+      lo[blk] = range.lo;
+      hi[blk] = range.hi;
+    };
+    if (rht) {
+      // Range blocks are the rotation blocks (the whole vector for the
+      // full transform).
+      rht->forward(grads[w], rotated, signs_, take_range);
     } else {
-      std::memcpy(rotated_[w].data(), grads[w].data(), d * sizeof(float));
-      std::fill(rotated_[w].begin() + static_cast<std::ptrdiff_t>(d),
-                rotated_[w].end(), 0.0f);
-    }
-    for (std::size_t blk = 0; blk < codec_.n_blocks(); ++blk) {
-      const auto range = compute_range(codec_.block_span(rotated_[w], blk));
-      lo_[w][blk] = range.lo;
-      hi_[w][blk] = range.hi;
+      std::memcpy(rotated.data(), grads[w].data(), d * sizeof(float));
+      std::fill(rotated.begin() + static_cast<std::ptrdiff_t>(d),
+                rotated.end(), 0.0f);
+      take_range(0, rotated);
     }
   }
 }
@@ -266,46 +285,16 @@ void ThcRound::encode_into(int worker, ByteBuffer& out) {
     std::memcpy(out.data(), range.data(), out.size());
     return;
   }
-  if (fused_levels_) {
-    // Single fused pass per block: stochastic level, offset-binary lane,
-    // LSB-first bit packing — one kernel call instead of three sweeps.
-    out.resize(packed_bytes(codec_.padded(), codec_.config().b));
-    encode_range(worker, 0, out);
-    return;
-  }
-  out = encode_levels_unfused(w);
-}
-
-ByteBuffer ThcRound::encode_levels_unfused(std::size_t w) const {
-  const auto& config = codec_.config();
-  const std::size_t padded = codec_.padded();
-  // Quantize against the shared ranges; centered signed lanes.
-  const std::int32_t offset = 1 << (config.q - 1);
-  const auto n = static_cast<std::size_t>(config.world_size);
-  Rng rng(derive_seed(config.seed ^ 0x5707c457,
-                      round_ * n + w));  // per-worker stochastic rounding
-  std::vector<std::uint16_t> levels(padded);
-  for (std::size_t blk = 0; blk < codec_.n_blocks(); ++blk) {
-    auto xs = codec_.block_span(rotated_[w], blk);
-    quantize_stochastic(xs, ranges_[blk], config.q, rng,
-                        std::span<std::uint16_t>(levels).subspan(
-                            blk * codec_.block(), xs.size()));
-  }
-  std::vector<std::int32_t> lanes(padded);
-  for (std::size_t i = 0; i < padded; ++i) {
-    lanes[i] = static_cast<std::int32_t>(levels[i]) - offset;
-  }
-  // Centered q-bit levels span [-2^{q-1}, 2^{q-1}-1], which fits the
-  // two's-complement lane domain exactly at b == q; the clamp only
-  // matters defensively.
-  sat_clamp_lanes(lanes, config.b);
-  return pack_signed_lanes(lanes, config.b);
+  // Single fused pass per block: stochastic level, offset-binary lane,
+  // LSB-first bit packing — one kernel call instead of three sweeps.
+  out.resize(packed_bytes(codec_.lanes(), codec_.config().b));
+  encode_range(worker, 0, out);
 }
 
 bool ThcRound::supports_encode_range() const {
   // Only the levels payload is rangeable (the range stages are tiny
-  // metadata); requires byte-aligned block boundaries.
-  return stage_ == kLevels && fused_levels_;
+  // metadata).
+  return stage_ == kLevels;
 }
 
 void ThcRound::encode_range(int worker, std::size_t offset,
@@ -316,13 +305,13 @@ void ThcRound::encode_range(int worker, std::size_t offset,
   // stage_ is this round's: kLevels means this round's range consensus
   // completed and drew u_ (the scratch holds some earlier round's draws
   // before that).
-  require_stage(stage_ == kLevels && fused_levels_, codec_,
-                "encode_range needs the levels stage of a fused round, "
-                "after this round's range consensus");
-  const std::size_t total = packed_bytes(codec_.padded(), config.b);
+  require_stage(stage_ == kLevels, codec_,
+                "encode_range needs the levels stage, after this round's "
+                "range consensus");
+  const std::size_t total = packed_bytes(codec_.lanes(), config.b);
   GCS_CHECK(offset + out.size() <= total);
   const unsigned lanes_per_byte = 8u / config.b;  // b in {2, 4, 8}
-  const std::size_t block_bytes = codec_.block() * config.b / 8;
+  const std::size_t block_bytes = codec_.level_block() * config.b / 8;
   const auto& backend = kernels::active();
   std::size_t byte = offset;
   const std::size_t end = offset + out.size();
@@ -358,18 +347,18 @@ void ThcRound::absorb_reduced(const ByteBuffer& reduced) {
         ranges_[blk].hi = vals[blk];
       }
       stage_ = kLevels;
-      if (fused_levels_) {
-        // Materialize every held worker's stochastic draws now (identical
-        // Rng stream to the legacy per-encode draws: one next_float per
-        // padded coordinate, in coordinate order; each worker's stream is
-        // seeded independently) so level encoding becomes a pure function
-        // of (worker, range).
-        const auto n = static_cast<std::size_t>(config.world_size);
-        for (std::size_t w = 0; w < n; ++w) {
-          if (!held_.holds(w)) continue;
-          Rng rng(derive_seed(config.seed ^ 0x5707c457, round_ * n + w));
-          for (float& u : u_[w]) u = rng.next_float();
-        }
+      // Fill every held worker's stochastic draws now (one next_float per
+      // lane, in coordinate order; each worker's stream is
+      // seeded independently) so level encoding becomes a pure function
+      // of (worker, range).
+      const auto n = static_cast<std::size_t>(config.world_size);
+      const auto& backend = kernels::active();
+      for (std::size_t w = 0; w < n; ++w) {
+        if (!held_.holds(w)) continue;
+        backend.uniform_fill(
+            codec_.u_split().lanes(
+                derive_seed(config.seed ^ 0x5707c457, round_ * n + w)),
+            u_[w].size(), u_[w].data());
       }
     }
     return;
@@ -379,61 +368,48 @@ void ThcRound::absorb_reduced(const ByteBuffer& reduced) {
     GCS_CHECK_MSG(sat_.clips == 0,
                   "overflow in wide (non-saturating) THC aggregation");
   }
-  // Homomorphic decode of the aggregated level sums; both paths write
-  // every padded coordinate.
   require_stage(stage_ == kLevels, codec_,
                 "levels absorbed before the range consensus");
-  const std::size_t padded = codec_.padded();
-  const auto n = static_cast<unsigned>(config.world_size);
-  for (const auto& rotated : rotated_) {
-    if (!rotated.empty()) {
-      rotated_sum_ = rotated;
-      break;
-    }
+  if (reduced.size() < packed_bytes(codec_.lanes(), config.b)) {
+    throw Error("THC: levels payload too short");
   }
-  if (fused_levels_) {
-    // Fused unpack + dequantize per block (int32 level sums are exact
-    // here: n * 2^{q-1} + 2^{b-1} is far below 2^31 for q, b <= 8).
-    if (reduced.size() < packed_bytes(padded, config.b)) {
-      throw Error("unpack_lanes: payload too short");
-    }
-    const auto* in = reinterpret_cast<const std::uint8_t*>(reduced.data());
-    const std::size_t block_bytes = codec_.block() * config.b / 8;
-    const auto& backend = kernels::active();
-    for (std::size_t blk = 0; blk < codec_.n_blocks(); ++blk) {
-      const std::size_t begin = blk * codec_.block();
-      const std::size_t len = std::min(codec_.block(), padded - begin);
-      backend.thc_decode_lanes(in + blk * block_bytes, len,
-                               ranges_[blk].lo, ranges_[blk].hi, config.q,
-                               config.b, n, rotated_sum_.data() + begin);
-    }
-    stage_ = kDone;
-    return;
-  }
-  const std::int32_t offset = 1 << (config.q - 1);
-  const auto sums = unpack_signed_lanes(reduced, padded, config.b);
-  for (std::size_t blk = 0; blk < codec_.n_blocks(); ++blk) {
-    const std::size_t begin = blk * codec_.block();
-    const std::size_t len = std::min(codec_.block(), padded - begin);
-    for (std::size_t i = 0; i < len; ++i) {
-      const std::int64_t level_sum =
-          static_cast<std::int64_t>(sums[begin + i]) +
-          static_cast<std::int64_t>(n) * offset;
-      rotated_sum_[begin + i] =
-          dequantize_level_sum(level_sum, n, ranges_[blk], config.q);
-    }
-  }
+  // Decoding waits for finish(), block by block into the inverse rotation.
+  levels_ = reinterpret_cast<const std::uint8_t*>(reduced.data());
   stage_ = kDone;
 }
 
 void ThcRound::finish(std::span<float> out, RoundStats& stats) {
   require_stage(stage_ == kDone, codec_,
                 "finish before the levels were absorbed");
-  const std::size_t d = codec_.config().dimension;
+  const auto& config = codec_.config();
+  const std::size_t padded = codec_.padded();
+  const std::size_t block = codec_.block();
+  const std::size_t level_block = codec_.level_block();
+  const std::size_t block_bytes = level_block * config.b / 8;
+  const auto n = static_cast<unsigned>(config.world_size);
+  const auto& backend = kernels::active();
+  // Homomorphic decode of the aggregated level sums (int32 level sums are
+  // exact: n * 2^{q-1} + 2^{b-1} is far below 2^31 for q, b <= 8) into a
+  // block of a held worker's rotated buffer, which every encode has
+  // finished reading once the levels are absorbed.
+  std::span<float> work;
+  for (const auto& rotated : rotated_) {
+    if (!rotated.empty()) {
+      work = rotated.first(level_block);
+      break;
+    }
+  }
+  const auto decode = [&](std::size_t blk) {
+    backend.thc_decode_lanes(levels_ + blk * block_bytes, level_block,
+                             ranges_[blk].lo, ranges_[blk].hi, config.q,
+                             config.b, n, work.data());
+    return work.first(std::min(block, padded - blk * block));
+  };
   if (codec_.rht()) {
-    codec_.rht()->inverse(rotated_sum_, out, signs_);
+    codec_.rht()->inverse(out, signs_, decode);
   } else {
-    std::memcpy(out.data(), rotated_sum_.data(), d * sizeof(float));
+    const std::span<float> sum = decode(0);  // one block: the whole vector
+    std::memcpy(out.data(), sum.data(), out.size() * sizeof(float));
   }
   stats.sat = sat_;
 }

@@ -1,11 +1,8 @@
 #include "hadamard/hadamard.h"
 
-#include <cmath>
+#include <vector>
 
 #include "common/bits.h"
-#include "common/check.h"
-#include "common/rng.h"
-#include "kernels/kernels.h"
 
 namespace gcs {
 
@@ -51,24 +48,6 @@ void fwht(std::span<float> x) { fwht(x, full_iterations(x.size())); }
 
 void fwht_inverse(std::span<float> x, unsigned l_iters) { fwht(x, l_iters); }
 
-std::vector<float> rht_signs(std::size_t size, std::uint64_t seed,
-                             std::uint64_t round) {
-  std::vector<float> signs(size);
-  rht_signs(signs, seed, round);
-  return signs;
-}
-
-void rht_signs(std::span<float> out, std::uint64_t seed,
-               std::uint64_t round) noexcept {
-  Rng rng(derive_seed(seed, round));
-  for (float& s : out) s = rng.next_sign();
-}
-
-void apply_signs(std::span<float> x, std::span<const float> signs) noexcept {
-  const std::size_t n = x.size() < signs.size() ? x.size() : signs.size();
-  kernels::active().mul_inplace(x.data(), signs.data(), n);
-}
-
 unsigned full_iterations(std::size_t padded_size) noexcept {
   return padded_size <= 1 ? 0u : log2_floor(padded_size);
 }
@@ -83,56 +62,64 @@ unsigned partial_iterations(std::size_t padded_size,
   return l == 0 ? 1u : l;  // at least one mixing level
 }
 
+namespace {
+
+/// Butterfly levels of an RHT on `size` values: the full transform for
+/// l_iters == 0 or l_iters >= log2(next_pow2(size)).
+unsigned rht_iterations(std::size_t size, unsigned l_iters) {
+  const unsigned full = full_iterations(next_pow2(size));
+  return l_iters == 0 || l_iters >= full ? full : l_iters;
+}
+
+/// The full transform pads to the next power of two; a partial one
+/// (independent 2^l'-blocks) only to a whole number of blocks, which is
+/// much cheaper for large d.
+std::size_t rht_padded(std::size_t size, unsigned iters) {
+  if (iters == full_iterations(next_pow2(size))) return next_pow2(size);
+  const std::size_t block = std::size_t{1} << iters;
+  return ceil_div(size, block) * block;
+}
+
+}  // namespace
+
 RhtTransform::RhtTransform(std::size_t size, unsigned l_iters,
                            std::uint64_t seed)
-    : size_(size), seed_(seed) {
+    : size_(size),
+      padded_(rht_padded(size, rht_iterations(size, l_iters))),
+      l_iters_(rht_iterations(size, l_iters)),
+      seed_(seed),
+      split_(padded_) {
   GCS_CHECK(size > 0);
-  const unsigned full = full_iterations(next_pow2(size));
-  if (l_iters == 0 || l_iters >= full) {
-    // Full transform: pad to the next power of two.
-    l_iters_ = full;
-    padded_ = next_pow2(size);
-  } else {
-    // Partial transform == independent 2^l'-blocks: pad only to a whole
-    // number of blocks (much cheaper than next_pow2 for large d).
-    l_iters_ = l_iters;
-    const std::size_t block = std::size_t{1} << l_iters_;
-    padded_ = ceil_div(size, block) * block;
-  }
+}
+
+void RhtTransform::sign_bits(std::uint64_t round,
+                             std::span<std::uint64_t> bits) const {
+  GCS_CHECK(bits.size() == sign_words());
+  kernels::active().sign_bits_fill(split_.lanes(derive_seed(seed_, round)),
+                                   padded_, bits.data());
+}
+
+void RhtTransform::check_sizes(std::size_t x_size,
+                               std::size_t bits_size) const {
+  GCS_CHECK(x_size == size_);
+  GCS_CHECK(bits_size == sign_words());
 }
 
 void RhtTransform::forward(std::span<const float> x, std::span<float> out,
                            std::uint64_t round) const {
-  forward(x, out, rht_signs(padded_, seed_, round));
+  std::vector<std::uint64_t> bits(sign_words());
+  sign_bits(round, bits);
+  forward(x, out, bits, [](std::size_t, std::span<float>) {});
 }
 
 void RhtTransform::inverse(std::span<float> in, std::span<float> x,
                            std::uint64_t round) const {
-  inverse(in, x, rht_signs(padded_, seed_, round));
-}
-
-void RhtTransform::forward(std::span<const float> x, std::span<float> out,
-                           std::span<const float> signs) const {
-  GCS_CHECK(x.size() == size_);
-  GCS_CHECK(out.size() == padded_);
-  GCS_CHECK(signs.size() == padded_);
-  // Fused copy + sign multiply. The pad positions must be 0 * sign, not a
-  // plain zero fill: a -1 sign makes the padded zero *negative* zero, and
-  // those sign bits travel the wire inside the range-consensus floats.
-  kernels::active().mul(x.data(), signs.data(), size_, out.data());
-  for (std::size_t i = size_; i < padded_; ++i) out[i] = 0.0f * signs[i];
-  fwht(out, l_iters_);
-}
-
-void RhtTransform::inverse(std::span<float> in, std::span<float> x,
-                           std::span<const float> signs) const {
   GCS_CHECK(in.size() == padded_);
-  GCS_CHECK(x.size() == size_);
-  GCS_CHECK(signs.size() == padded_);
-  fwht(in, l_iters_);  // orthonormal involution, in place
-  // Signs are +-1, so the diagonal is self-inverse; the unpad is the
-  // product's length (the same products apply_signs would form).
-  kernels::active().mul(in.data(), signs.data(), size_, x.data());
+  std::vector<std::uint64_t> bits(sign_words());
+  sign_bits(round, bits);
+  inverse(x, bits, [&](std::size_t blk) {
+    return in.subspan(blk * block_size(), block_size());
+  });
 }
 
 }  // namespace gcs

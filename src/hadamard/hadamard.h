@@ -10,13 +10,17 @@
 //
 // The "randomized" part multiplies by a diagonal of i.i.d. +-1 signs before
 // the transform. All workers must agree on the signs, so they are derived
-// from a shared (seed, round) pair.
+// from a shared (seed, round) pair, and kept as one bit per coordinate.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
+
+#include "common/check.h"
+#include "common/rng.h"
+#include "kernels/kernels.h"
 
 namespace gcs {
 
@@ -36,19 +40,6 @@ void fwht(std::span<float> x);
 /// so this is the same computation; the alias exists for call-site clarity.
 void fwht_inverse(std::span<float> x, unsigned l_iters);
 
-/// Generates the shared +-1 sign diagonal for a given (seed, round).
-/// Every worker calls this with identical arguments and obtains identical
-/// signs (shared randomness, as in DRIVE/EDEN/THC).
-std::vector<float> rht_signs(std::size_t size, std::uint64_t seed,
-                             std::uint64_t round);
-
-/// rht_signs(out.size(), seed, round) written into `out` in place.
-void rht_signs(std::span<float> out, std::uint64_t seed,
-               std::uint64_t round) noexcept;
-
-/// Applies the sign diagonal in place: x[i] *= signs[i].
-void apply_signs(std::span<float> x, std::span<const float> signs) noexcept;
-
 /// Number of iterations for a full transform of `padded_size` (a power of 2).
 unsigned full_iterations(std::size_t padded_size) noexcept;
 
@@ -57,8 +48,17 @@ unsigned full_iterations(std::size_t padded_size) noexcept;
 unsigned partial_iterations(std::size_t padded_size,
                             std::size_t shared_memory_bytes) noexcept;
 
-/// Randomized Hadamard Transform context: pads to a power of two, applies
-/// the sign diagonal, then l' butterfly iterations. Forward + inverse.
+/// Randomized Hadamard Transform context: pads to a power of two (full)
+/// or a whole number of blocks (partial), applies the sign diagonal, then
+/// l' butterfly iterations. Forward + inverse.
+///
+/// The sign diagonal D is a bit vector, one bit per padded coordinate
+/// (1 = -1): the top bits of the shared (seed, round) xoshiro stream,
+/// filled on the kernel layer from lane starts whose jump polynomial is
+/// computed once, here. Both directions run one 2^l' block at a time
+/// (the whole vector for the full transform): the block is signed and
+/// rotated while it is cache-resident, the identical butterflies on the
+/// identical pairs as a level-by-level sweep.
 class RhtTransform {
  public:
   /// `size`: logical vector length (padded internally to 2^l).
@@ -67,40 +67,96 @@ class RhtTransform {
 
   std::size_t padded_size() const noexcept { return padded_; }
   unsigned iterations() const noexcept { return l_iters_; }
-  /// Chunk width the partial transform mixes over (2^l_iters).
+  /// Chunk width the partial transform mixes over (2^l_iters); the
+  /// padded size for the full transform.
   std::size_t block_size() const noexcept {
     return std::size_t{1} << l_iters_;
   }
+  /// Words of a sign bit vector: ceil(padded_size() / 64).
+  std::size_t sign_words() const noexcept { return (padded_ + 63) / 64; }
 
-  /// out = H_partial * D_round * pad(x). `out.size()` must equal
-  /// padded_size().
+  /// The round's sign diagonal into bits[0..sign_words()). Every worker
+  /// calling this with the same round gets the same bits.
+  void sign_bits(std::uint64_t round, std::span<std::uint64_t> bits) const;
+
+  /// out = H_partial * D * pad(x), D given by `bits` (from sign_bits).
+  /// After each block of `out` is rotated, on_block(blk, block span) runs
+  /// while the block is still cache-resident.
+  template <typename OnBlock>
+  void forward(std::span<const float> x, std::span<float> out,
+               std::span<const std::uint64_t> bits, OnBlock&& on_block) const;
+
+  /// x = unpad(D^-1 * H_partial^-1 * y) for a rotated vector y given one
+  /// block at a time: block_of(blk) returns a span of block_size() floats
+  /// holding block blk of y, and the inverse butterflies run in place on
+  /// it before the signed, unpadded values land in x.
+  template <typename BlockOf>
+  void inverse(std::span<float> x, std::span<const std::uint64_t> bits,
+               BlockOf&& block_of) const;
+
+  /// forward() with the round's signs generated for this call.
   void forward(std::span<const float> x, std::span<float> out,
                std::uint64_t round) const;
 
-  /// x = unpad(D_round^-1 * H_partial^-1 * in). Inverse of forward().
-  /// `in` is the workspace: the inverse butterflies run in place on it,
-  /// so it holds H_partial^-1 * in on return.
+  /// inverse() of the rotated vector `in` with the round's signs
+  /// generated for this call. `in` is the workspace: the inverse
+  /// butterflies run in place on it.
   void inverse(std::span<float> in, std::span<float> x,
                std::uint64_t round) const;
-
-  /// forward() with a precomputed sign diagonal (signs.size() ==
-  /// padded_size(), as returned by rht_signs(padded_size(), seed, round)).
-  /// Lets a caller rotating many workers in one round generate the shared
-  /// signs once instead of once per worker; the copy + sign multiply is
-  /// fused into a single pass.
-  void forward(std::span<const float> x, std::span<float> out,
-               std::span<const float> signs) const;
-
-  /// inverse() with a precomputed sign diagonal; `in` is overwritten the
-  /// same way.
-  void inverse(std::span<float> in, std::span<float> x,
-               std::span<const float> signs) const;
 
  private:
+  void check_sizes(std::size_t x_size, std::size_t bits_size) const;
+
   std::size_t size_;
   std::size_t padded_;
   unsigned l_iters_;
   std::uint64_t seed_;
+  StreamSplit split_;
 };
+
+template <typename OnBlock>
+void RhtTransform::forward(std::span<const float> x, std::span<float> out,
+                           std::span<const std::uint64_t> bits,
+                           OnBlock&& on_block) const {
+  check_sizes(x.size(), bits.size());
+  GCS_CHECK(out.size() == padded_);
+  const auto& k = kernels::active();
+  const std::size_t block = block_size();
+  for (std::size_t begin = 0, blk = 0; begin < padded_;
+       begin += block, ++blk) {
+    float* o = out.data() + begin;
+    const std::size_t real =
+        begin < size_ ? std::min(block, size_ - begin) : 0;
+    if (real > 0) k.sign_apply(x.data() + begin, bits.data(), begin, real, o);
+    // The pad positions are 0 * sign, not a plain zero: a -1 sign makes a
+    // padded zero *negative* zero, and those sign bits travel the wire
+    // inside the range-consensus floats.
+    std::fill(o + real, o + block, 0.0f);
+    k.sign_apply(o + real, bits.data(), begin + real, block - real, o + real);
+    const std::span<float> rotated(o, block);
+    fwht(rotated, l_iters_);
+    on_block(blk, rotated);
+  }
+}
+
+template <typename BlockOf>
+void RhtTransform::inverse(std::span<float> x,
+                           std::span<const std::uint64_t> bits,
+                           BlockOf&& block_of) const {
+  check_sizes(x.size(), bits.size());
+  const auto& k = kernels::active();
+  const std::size_t block = block_size();
+  for (std::size_t begin = 0, blk = 0; begin < padded_;
+       begin += block, ++blk) {
+    const std::span<float> y = block_of(blk);
+    GCS_CHECK(y.size() == block);
+    fwht(y, l_iters_);  // orthonormal involution, in place
+    // Signs are +-1, so the diagonal is self-inverse; the unpad is the
+    // product's length.
+    const std::size_t real =
+        begin < size_ ? std::min(block, size_ - begin) : 0;
+    if (real > 0) k.sign_apply(y.data(), bits.data(), begin, real, x.data() + begin);
+  }
+}
 
 }  // namespace gcs

@@ -3,7 +3,8 @@
 // The scalar kernels are the semantic ground truth: they are written as
 // the exact fusion of the legacy per-coordinate passes (numeric/half RNE
 // conversion, gcs::stochastic_level, pack_lanes' LSB-first bit order,
-// dequantize_level_sum) so that "fused" never means "different bits".
+// dequantize_level_sum) so that "fused" never means "different bits";
+// the stream fills are the sequential Rng loop itself.
 #include "kernels/kernels.h"
 
 #include <algorithm>
@@ -47,12 +48,27 @@ void fwht_level_scalar(float* x, std::size_t n, std::size_t h) {
   }
 }
 
-void mul_scalar(const float* x, const float* s, std::size_t n, float* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] * s[i];
+void uniform_fill_scalar(const StreamLanes& lanes, std::size_t n,
+                         float* out) {
+  Rng rng = Rng::from_state(lanes.state[0]);
+  for (std::size_t i = 0; i < n; ++i) out[i] = rng.next_float();
 }
 
-void mul_inplace_scalar(float* x, const float* s, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= s[i];
+void sign_bits_fill_scalar(const StreamLanes& lanes, std::size_t n,
+                           std::uint64_t* bits) {
+  Rng rng = Rng::from_state(lanes.state[0]);
+  std::fill(bits, bits + (n + 63) / 64, std::uint64_t{0});
+  for (std::size_t i = 0; i < n; ++i) {
+    bits[i / 64] |= (rng.next_u64() >> 63) << (i % 64);
+  }
+}
+
+void sign_apply_scalar(const float* x, const std::uint64_t* bits,
+                       std::size_t first, std::size_t n, float* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = first + i;
+    out[i] = x[i] * (((bits[k / 64] >> (k % 64)) & 1u) != 0 ? -1.0f : 1.0f);
+  }
 }
 
 void add_scalar(const float* a, const float* b, std::size_t n, float* out) {
@@ -198,6 +214,20 @@ void axpy_scalar(float a, const float* x, std::size_t n, float* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
+void dense_forward_scalar(const float* w, const float* b, const float* x,
+                          std::size_t batch, std::size_t in, std::size_t out,
+                          float* z) {
+  for (std::size_t s = 0; s < batch; ++s) {
+    const float* xs = x + s * in;
+    for (std::size_t o = 0; o < out; ++o) {
+      const float* wrow = w + o * in;
+      float acc = b[o];
+      for (std::size_t i = 0; i < in; ++i) acc += wrow[i] * xs[i];
+      z[s * out + o] = acc;
+    }
+  }
+}
+
 // The panels below are the pinned fold of kernels.h: the loop nests only
 // choose which output elements advance together; each element still sums
 // its terms in ascending contraction index from +0.0f, skipping a == 0.
@@ -251,8 +281,9 @@ constexpr Backend kScalar = {
     fp16_to_fp32_scalar,
     gather_fp32_to_fp16_scalar,
     fwht_level_scalar,
-    mul_scalar,
-    mul_inplace_scalar,
+    uniform_fill_scalar,
+    sign_bits_fill_scalar,
+    sign_apply_scalar,
     add_scalar,
     min_max_scalar,
     thc_encode_lanes_scalar,
@@ -265,6 +296,7 @@ constexpr Backend kScalar = {
     chunk_sq_norms_scalar,
     sub_scaled_scalar,
     axpy_scalar,
+    dense_forward_scalar,
     panel_mq_scalar,
     panel_mtp_scalar,
     panel_pqt_scalar,

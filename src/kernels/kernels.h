@@ -1,9 +1,10 @@
 // Single-pass encode and fold kernels with swappable backends.
 //
 // Every codec hot loop — fp32->fp16 conversion, stochastic quantization +
-// bit packing, Hadamard butterflies, TopK threshold select, TopKC chunk
-// scores, PowerSGD's low-rank matmul panels and its EF residual, the
-// training MLP's backward axpy — and
+// bit packing, THC's xoshiro stream fills and sign diagonal, Hadamard
+// butterflies, TopK threshold select, TopKC chunk scores, PowerSGD's
+// low-rank matmul panels and its EF residual, the training MLP's dense
+// forward and backward axpy — and
 // every sum-type collective fold (fp32/fp16 sums, saturating packed lanes)
 // funnels through this narrow interface (Vitis-streaming-kernel style:
 // flat pointer + count, no allocation, no virtual dispatch inside the
@@ -34,6 +35,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/rng.h"
+
 namespace gcs::kernels {
 
 /// A backend is a table of single-pass kernels over flat arrays. All
@@ -61,12 +64,29 @@ struct Backend {
   /// Requires n % (2h) == 0.
   void (*fwht_level)(float* x, std::size_t n, std::size_t h);
 
-  /// out[i] = x[i] * s[i] (the RHT sign diagonal; also the fused
-  /// copy+sign pass of RhtTransform::forward).
-  void (*mul)(const float* x, const float* s, std::size_t n, float* out);
+  /// One xoshiro256++ stream's uniforms: out[i] = Rng::next_float() of
+  /// the stream's i-th draw, for i < n, where lanes.state[0] is the
+  /// stream's start and lanes (see StreamLanes) cut it into segments.
+  /// The scalar reference is the sequential loop from lanes.state[0]; a
+  /// backend may only fill lane segments side by side, each from its own
+  /// start state, so the bytes are the loop's by construction. Requires
+  /// n <= kStreamLanes * lanes.seg.
+  void (*uniform_fill)(const StreamLanes& lanes, std::size_t n, float* out);
 
-  /// x[i] *= s[i].
-  void (*mul_inplace)(float* x, const float* s, std::size_t n);
+  /// The RHT sign diagonal of one stream as a bit vector: bit i (bit
+  /// i % 64 of bits[i / 64]) is the top bit of the stream's i-th draw,
+  /// i.e. 1 exactly where Rng::next_sign() returns -1.0f. Writes
+  /// ceil(n / 64) words; the bits past n in the last word are 0. Same
+  /// lanes rule and requirement as uniform_fill.
+  void (*sign_bits_fill)(const StreamLanes& lanes, std::size_t n,
+                         std::uint64_t* bits);
+
+  /// out[i] = x[i] * (b ? -1.0f : 1.0f) with b bit (first + i) of `bits`:
+  /// the sign diagonal applied as the multiply it stands for, so a NaN
+  /// x[i] comes out quieted with its own sign, as the multiply returns
+  /// it. out may alias x.
+  void (*sign_apply)(const float* x, const std::uint64_t* bits,
+                     std::size_t first, std::size_t n, float* out);
 
   /// out[i] = a[i] + b[i] (the error-feedback compensate pass and the
   /// fp32 sum fold). out may alias a (out == a is the in-place fold); no
@@ -84,17 +104,18 @@ struct Backend {
   /// [lo, hi] into q-bit levels using precomputed uniforms u[0..n)
   /// (replicating gcs::stochastic_level bit-for-bit), centering to signed
   /// lanes, offset-binary mapping and b-bit packing, in one pass.
-  /// Writes exactly n*b/8 bytes at out. Requires n*b % 8 == 0 and
-  /// 2 <= q <= b <= 8 (the centered levels then provably fit the
-  /// saturation domain, so the legacy clamp is a no-op).
+  /// Writes exactly n*b/8 bytes at out. Requires n*b % 8 == 0,
+  /// b in {2, 4, 8} and 2 <= q <= b (the centered levels then provably
+  /// fit the saturation domain, so no clamp is needed).
   void (*thc_encode_lanes)(const float* x, const float* u, std::size_t n,
                            float lo, float hi, unsigned q, unsigned b,
                            std::uint8_t* out);
 
   /// Fused THC levels decode: unpack n b-bit offset-binary lanes, undo the
   /// centering for an n_workers sum, dequantize against [lo, hi]
-  /// (replicating unpack_signed_lanes + dequantize_level_sum). Requires
-  /// n*b % 8 == 0, b <= 8 and n_workers * 2^{q-1} + 2^{b-1} < 2^31.
+  /// (replicating unpack_signed_lanes + dequantize_level_sum, the oracles
+  /// in tests/oracles.h). Requires n*b % 8 == 0, b in {2, 4, 8} and
+  /// n_workers * 2^{q-1} + 2^{b-1} < 2^31.
   void (*thc_decode_lanes)(const std::uint8_t* in, std::size_t n, float lo,
                            float hi, unsigned q, unsigned b,
                            unsigned n_workers, float* out);
@@ -145,6 +166,15 @@ struct Backend {
   /// y[i] = y[i] + a * x[i] (multiply, then add): the element-wise
   /// updates of the training MLP's backward pass. y must not overlap x.
   void (*axpy)(float a, const float* x, std::size_t n, float* y);
+
+  /// The training MLP's dense layer, z = x W^T + b over a batch: w is
+  /// out x in, x is batch x in and z is batch x out, all row-major.
+  /// Pinned fold: z[s*out + o] starts at b[o], then adds w[o*in + i] *
+  /// x[s*in + i] in ascending i, multiply then add. A backend may only
+  /// compute samples or rows side by side. z must not alias the inputs.
+  void (*dense_forward)(const float* w, const float* b, const float* x,
+                        std::size_t batch, std::size_t in, std::size_t out,
+                        float* z);
 
   // PowerSGD's matmul panels. All matrices are dense row-major; m is
   // rows x cols, p is rows x r, q is cols x r. Pinned fold order: every

@@ -16,8 +16,11 @@
 //     not sign-flip tricks that would change NaN sign propagation;
 //   - runt tails and fallback groups of the folds calling the scalar
 //     reference table itself, so there is one copy of their semantics;
+//   - the stream fills running whole lanes of one xoshiro stream, each
+//     from its jumped-ahead start state, so every draw is the scalar
+//     loop's draw at that position;
 //   - the summing kernels (chunk scores, matmul panels, EF residual,
-//     axpy) keeping each output's pinned fold order and recomputing any block
+//     axpy, dense forward) keeping each output's pinned fold order and recomputing any block
 //     whose result holds a NaN with the scalar reference, so a NaN
 //     payload never depends on operand order.
 #include "kernels/kernels.h"
@@ -29,6 +32,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "numeric/half.h"
 #include "numeric/precision.h"
@@ -172,17 +176,180 @@ void fwht_level_avx2(float* x, std::size_t n, std::size_t h) {
   fwht_level_tail(x, vec_n, n, h);
 }
 
-void mul_avx2(const float* x, const float* s, std::size_t n, float* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        out + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(s + i)));
-  }
-  for (; i < n; ++i) out[i] = x[i] * s[i];
+/// In-register transpose of the 8x8 tile r[0..7] (r[k] lane e becomes
+/// r[e] lane k).
+inline void transpose8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+  r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+  r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+  r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+  r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+  r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+  r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+  r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
 }
 
-void mul_inplace_avx2(float* x, const float* s, std::size_t n) {
-  mul_avx2(x, s, n, x);
+/// Four xoshiro256++ generators, one per 64-bit lane: the scalar
+/// Rng::next_u64 step, lane-wise.
+struct Xoshiro4 {
+  __m256i s0, s1, s2, s3;
+
+  Xoshiro4(const StreamLanes& lanes, std::size_t first) {
+    const auto& st = lanes.state;
+    const auto word = [&](std::size_t w) {
+      return _mm256_setr_epi64x(
+          static_cast<long long>(st[first][w]),
+          static_cast<long long>(st[first + 1][w]),
+          static_cast<long long>(st[first + 2][w]),
+          static_cast<long long>(st[first + 3][w]));
+    };
+    s0 = word(0);
+    s1 = word(1);
+    s2 = word(2);
+    s3 = word(3);
+  }
+
+  template <int K>
+  static __m256i rotl(__m256i x) {
+    return _mm256_or_si256(_mm256_slli_epi64(x, K),
+                           _mm256_srli_epi64(x, 64 - K));
+  }
+
+  __m256i next() {
+    const __m256i result =
+        _mm256_add_epi64(rotl<23>(_mm256_add_epi64(s0, s3)), s0);
+    const __m256i t = _mm256_slli_epi64(s1, 17);
+    s2 = _mm256_xor_si256(s2, s0);
+    s3 = _mm256_xor_si256(s3, s1);
+    s1 = _mm256_xor_si256(s1, s2);
+    s0 = _mm256_xor_si256(s0, s3);
+    s2 = _mm256_xor_si256(s2, t);
+    s3 = rotl<45>(s3);
+    return result;
+  }
+};
+
+static_assert(kStreamLanes == 8, "the fills run two 4-lane generators");
+
+// The stream fills run the kStreamLanes lanes of StreamLanes as two
+// 4-lane generators, each lane from its own segment start, so every lane
+// produces exactly the draws the sequential loop produces at its
+// positions; only the order in which positions are written changes. A
+// stream whose draws all fall in lane 0's segment takes the scalar loop.
+
+void uniform_fill_avx2(const StreamLanes& lanes, std::size_t n, float* out) {
+  const std::size_t seg = lanes.seg;
+  if (n <= seg) {
+    scalar().uniform_fill(lanes, n, out);
+    return;
+  }
+  Xoshiro4 a(lanes, 0), b(lanes, 4);
+  // Low dwords of the four 64-bit lanes, twice (the blend keeps one copy).
+  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const __m256 scale = _mm256_set1_ps(0x1.0p-24f);
+  for (std::size_t t = 0; t < seg; t += 8) {
+    // v[k] holds step t + k of all eight lanes; the transpose turns that
+    // into eight consecutive draws per lane.
+    __m256 v[8];
+    for (auto& vk : v) {
+      const __m256i ra =
+          _mm256_permutevar8x32_epi32(_mm256_srli_epi64(a.next(), 40),
+                                      low_dwords);
+      const __m256i rb =
+          _mm256_permutevar8x32_epi32(_mm256_srli_epi64(b.next(), 40),
+                                      low_dwords);
+      // draw >> 40 < 2^24 converts exactly; * 2^-24 is exact: next_float.
+      vk = _mm256_mul_ps(
+          _mm256_cvtepi32_ps(_mm256_blend_epi32(ra, rb, 0xF0)), scale);
+    }
+    transpose8(v);
+    for (std::size_t j = 0; j < kStreamLanes; ++j) {
+      const std::size_t pos = j * seg + t;
+      if (pos + 8 <= n) {
+        _mm256_storeu_ps(out + pos, v[j]);
+      } else if (pos < n) {
+        alignas(32) float tmp[8];
+        _mm256_store_ps(tmp, v[j]);
+        std::memcpy(out + pos, tmp, (n - pos) * sizeof(float));
+      }
+    }
+  }
+}
+
+void sign_bits_fill_avx2(const StreamLanes& lanes, std::size_t n,
+                         std::uint64_t* bits) {
+  const std::size_t seg = lanes.seg;
+  if (n <= seg) {
+    scalar().sign_bits_fill(lanes, n, bits);
+    return;
+  }
+  Xoshiro4 a(lanes, 0), b(lanes, 4);
+  const __m256i top = _mm256_set1_epi64x(static_cast<long long>(1ull << 63));
+  for (std::size_t t = 0; t < seg; t += 64) {
+    // Each step shifts the lane's word right and drops the draw's top bit
+    // in at bit 63, so after 64 steps step k's bit sits at bit k.
+    __m256i wa = _mm256_setzero_si256(), wb = _mm256_setzero_si256();
+    for (int k = 0; k < 64; ++k) {
+      wa = _mm256_or_si256(_mm256_srli_epi64(wa, 1),
+                           _mm256_and_si256(a.next(), top));
+      wb = _mm256_or_si256(_mm256_srli_epi64(wb, 1),
+                           _mm256_and_si256(b.next(), top));
+    }
+    alignas(32) std::uint64_t words[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(words), wa);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(words + 4), wb);
+    for (std::size_t j = 0; j < kStreamLanes; ++j) {
+      const std::size_t pos = j * seg + t;
+      if (pos >= n) continue;
+      const std::size_t valid = n - pos;
+      bits[pos / 64] =
+          valid >= 64 ? words[j] : words[j] & ((std::uint64_t{1} << valid) - 1);
+    }
+  }
+}
+
+void sign_apply_avx2(const float* x, const std::uint64_t* bits,
+                     std::size_t first, std::size_t n, float* out) {
+  // XOR of the sign bit is x * -1 for every non-NaN x (zeros, denormals
+  // and infinities included); the multiply quiets a NaN and keeps its
+  // sign, so a group holding a NaN takes the scalar reference.
+  const __m256i select = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  const __m256i sign = _mm256_set1_epi32(static_cast<int>(0x80000000u));
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    if (_mm256_movemask_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q)) != 0) {
+      scalar().sign_apply(x + i, bits, first + i, 8, out + i);
+      continue;
+    }
+    const std::size_t k = first + i;
+    const unsigned shift = k % 64;
+    std::uint64_t word = bits[k / 64] >> shift;
+    if (shift > 56) word |= bits[k / 64 + 1] << (64 - shift);
+    const __m256i lane_bits = _mm256_and_si256(
+        _mm256_set1_epi32(static_cast<int>(word & 0xFFu)), select);
+    const __m256i flip =
+        _mm256_and_si256(_mm256_cmpeq_epi32(lane_bits, select), sign);
+    _mm256_storeu_ps(out + i,
+                     _mm256_xor_ps(v, _mm256_castsi256_ps(flip)));
+  }
+  scalar().sign_apply(x + i, bits, first + i, n - i, out + i);
 }
 
 void add_avx2(const float* a, const float* b, std::size_t n, float* out) {
@@ -261,38 +428,34 @@ void min_max_avx2(const float* x, std::size_t n, float* lo, float* hi) {
   *hi = mx;
 }
 
-/// Scalar remainder of the fused THC encode; same expressions as the
-/// scalar backend (gcs::stochastic_level is the shared reference).
-void thc_encode_lanes_tail(const float* x, const float* u, std::size_t n,
-                           float lo, float hi, unsigned q, unsigned b,
-                           std::uint8_t* out) {
-  const std::uint32_t add = (1u << (b - 1)) - (1u << (q - 1));
-  std::uint32_t acc = 0;
-  unsigned acc_bits = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t raw = stochastic_level(x[i], lo, hi, q, u[i]) + add;
-    acc |= raw << acc_bits;
-    acc_bits += b;
-    while (acc_bits >= 8) {
-      *out++ = static_cast<std::uint8_t>(acc & 0xFFu);
-      acc >>= 8;
-      acc_bits -= 8;
-    }
+/// The B-bit lane packer for 8 offset-binary lanes (each < 2^B): B bytes,
+/// lane j at bits [j*B, (j+1)*B), LSB-first — the scalar packer's bytes.
+/// The lanes narrow to one byte each, then adjacent fields merge pairwise
+/// (bytes, 16-bit and 32-bit units) with constant shifts and masks.
+template <unsigned B>
+inline void pack8_lanes(__m256i raw, std::uint8_t* out) {
+  const __m128i w16 = _mm_packus_epi32(_mm256_castsi256_si128(raw),
+                                       _mm256_extracti128_si256(raw, 1));
+  const __m128i w8 = _mm_packus_epi16(w16, w16);
+  if constexpr (B == 8) {
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out), w8);
+  } else {
+    auto x = static_cast<std::uint64_t>(_mm_cvtsi128_si64(w8));
+    constexpr std::uint64_t m1 = (1ull << (2 * B)) - 1;  // per 16-bit unit
+    constexpr std::uint64_t m2 = (1ull << (4 * B)) - 1;  // per 32-bit unit
+    x = (x | (x >> (8 - B))) & (m1 * 0x0001000100010001ull);
+    x = (x | (x >> (16 - 2 * B))) & (m2 * 0x0000000100000001ull);
+    x = (x | (x >> (32 - 4 * B))) & ((1ull << (8 * B)) - 1);
+    std::memcpy(out, &x, B);  // a constant-size store
   }
 }
 
-void thc_encode_lanes_avx2(const float* x, const float* u, std::size_t n,
-                           float lo, float hi, unsigned q, unsigned b,
-                           std::uint8_t* out) {
-  if (!(hi > lo) || !(b == 2 || b == 4 || b == 8)) {
-    // Degenerate range (every level is 0) or a lane width the packer
-    // below does not handle: the scalar path covers both exactly.
-    thc_encode_lanes_tail(x, u, n, lo, hi, q, b, out);
-    return;
-  }
+template <unsigned B>
+void thc_encode_lanes_w(const float* x, const float* u, std::size_t n,
+                        float lo, float hi, unsigned q, std::uint8_t* out) {
   const float levels_f = static_cast<float>((1u << q) - 1u);
   const std::int32_t add = static_cast<std::int32_t>(
-      (1u << (b - 1)) - (1u << (q - 1)));
+      (1u << (B - 1)) - (1u << (q - 1)));
   const __m256 vlo = _mm256_set1_ps(lo);
   const __m256 vwidth = _mm256_set1_ps(hi - lo);
   const __m256 vlevels = _mm256_set1_ps(levels_f);
@@ -300,7 +463,6 @@ void thc_encode_lanes_avx2(const float* x, const float* u, std::size_t n,
   const __m256 vone = _mm256_set1_ps(1.0f);
   const __m256i vadd = _mm256_set1_epi32(add);
   std::size_t i = 0;
-  alignas(32) std::int32_t tmp[8];
   for (; i + 8 <= n; i += 8) {
     const __m256 v = _mm256_loadu_ps(x + i);
     const __m256 uu = _mm256_loadu_ps(u + i);
@@ -316,97 +478,85 @@ void thc_encode_lanes_avx2(const float* x, const float* u, std::size_t n,
                              _mm256_cmp_ps(t, vzero, _CMP_LE_OQ));
     level = _mm256_blendv_ps(level, vlevels,
                              _mm256_cmp_ps(t, vlevels, _CMP_GE_OQ));
-    const __m256i raw =
-        _mm256_add_epi32(_mm256_cvttps_epi32(level), vadd);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), raw);
-    std::uint64_t word = 0;
-    for (int j = 0; j < 8; ++j) {
-      word |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(tmp[j]))
-              << (static_cast<unsigned>(j) * b);
-    }
-    std::memcpy(out, &word, b);  // 8 lanes make exactly b bytes
-    out += b;
+    pack8_lanes<B>(_mm256_add_epi32(_mm256_cvttps_epi32(level), vadd), out);
+    out += B;  // 8 lanes make exactly B bytes
   }
-  thc_encode_lanes_tail(x + i, u + i, n - i, lo, hi, q, b, out);
+  scalar().thc_encode_lanes(x + i, u + i, n - i, lo, hi, q, B, out);
 }
 
-/// Scalar remainder of the fused THC decode (same bits as the scalar
-/// backend: hoisted delta/lo_n are the identical float computations).
-void thc_decode_lanes_tail(const std::uint8_t* in, std::size_t n, float lo,
-                           float hi, unsigned q, unsigned b,
-                           unsigned n_workers, float* out) {
-  const float levels = static_cast<float>((1u << q) - 1u);
-  const float width = hi - lo;
-  const float lo_n = lo * static_cast<float>(n_workers);
-  if (levels == 0.0f || width <= 0.0f) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = lo_n;
-    return;
+void thc_encode_lanes_avx2(const float* x, const float* u, std::size_t n,
+                           float lo, float hi, unsigned q, unsigned b,
+                           std::uint8_t* out) {
+  // A degenerate range (every level is 0) takes the scalar reference.
+  // The width is dispatched once per call, so the packers are
+  // straight-line code.
+  if (hi > lo) {
+    switch (b) {
+      case 2: thc_encode_lanes_w<2>(x, u, n, lo, hi, q, out); return;
+      case 4: thc_encode_lanes_w<4>(x, u, n, lo, hi, q, out); return;
+      case 8: thc_encode_lanes_w<8>(x, u, n, lo, hi, q, out); return;
+      default: break;
+    }
   }
-  const float delta = width / levels;
+  scalar().thc_encode_lanes(x, u, n, lo, hi, q, b, out);
+}
+
+/// The 8 B-bit lanes starting at `in` (B bytes), one per 32-bit lane.
+template <unsigned B>
+inline __m256i unpack8_lanes(const std::uint8_t* in) {
+  if constexpr (B == 8) {
+    return _mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(in)));
+  } else {
+    using Word = std::conditional_t<B == 4, std::uint32_t, std::uint16_t>;
+    Word word;
+    std::memcpy(&word, in, B);  // a constant-size load
+    const __m256i shifts =
+        _mm256_setr_epi32(0, B, 2 * B, 3 * B, 4 * B, 5 * B, 6 * B, 7 * B);
+    return _mm256_and_si256(
+        _mm256_srlv_epi32(_mm256_set1_epi32(static_cast<int>(word)), shifts),
+        _mm256_set1_epi32((1 << B) - 1));
+  }
+}
+
+template <unsigned B>
+void thc_decode_lanes_w(const std::uint8_t* in, std::size_t n, float lo,
+                        float hi, unsigned q, unsigned n_workers,
+                        float* out) {
+  const float levels = static_cast<float>((1u << q) - 1u);
+  // Hoisted delta/lo_n are the scalar reference's float computations.
+  const float delta = (hi - lo) / levels;
+  const float lo_n = lo * static_cast<float>(n_workers);
   const std::int32_t base = static_cast<std::int32_t>(n_workers) *
                                 (1 << (q - 1)) -
-                            (1 << (b - 1));
-  const std::uint32_t mask = (1u << b) - 1u;
-  std::uint32_t acc = 0;
-  unsigned acc_bits = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (acc_bits < b) {
-      acc |= static_cast<std::uint32_t>(*in++) << acc_bits;
-      acc_bits += 8;
-    }
-    const std::int32_t level_sum = static_cast<std::int32_t>(acc & mask) + base;
-    acc >>= b;
-    acc_bits -= b;
-    out[i] = lo_n + delta * static_cast<float>(level_sum);
+                            (1 << (B - 1));
+  const __m256 vdelta = _mm256_set1_ps(delta);
+  const __m256 vlo_n = _mm256_set1_ps(lo_n);
+  const __m256i vbase = _mm256_set1_epi32(base);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 f = _mm256_cvtepi32_ps(
+        _mm256_add_epi32(unpack8_lanes<B>(in), vbase));
+    in += B;
+    _mm256_storeu_ps(out + i,
+                     _mm256_add_ps(vlo_n, _mm256_mul_ps(vdelta, f)));
   }
+  scalar().thc_decode_lanes(in, n - i, lo, hi, q, B, n_workers, out + i);
 }
 
 void thc_decode_lanes_avx2(const std::uint8_t* in, std::size_t n, float lo,
                            float hi, unsigned q, unsigned b,
                            unsigned n_workers, float* out) {
-  const float levels = static_cast<float>((1u << q) - 1u);
-  const float width = hi - lo;
-  if (levels == 0.0f || width <= 0.0f || !(b == 2 || b == 4 || b == 8)) {
-    thc_decode_lanes_tail(in, n, lo, hi, q, b, n_workers, out);
-    return;
-  }
-  const float delta = width / levels;
-  const float lo_n = lo * static_cast<float>(n_workers);
-  const std::int32_t base = static_cast<std::int32_t>(n_workers) *
-                                (1 << (q - 1)) -
-                            (1 << (b - 1));
-  const __m256 vdelta = _mm256_set1_ps(delta);
-  const __m256 vlo_n = _mm256_set1_ps(lo_n);
-  const __m256i vbase = _mm256_set1_epi32(base);
-  const __m256i vmask = _mm256_set1_epi32(static_cast<int>((1u << b) - 1u));
-  const __m256i shifts = _mm256_setr_epi32(
-      0, static_cast<int>(b), static_cast<int>(2 * b),
-      static_cast<int>(3 * b), static_cast<int>(4 * b),
-      static_cast<int>(5 * b), static_cast<int>(6 * b),
-      static_cast<int>(7 * b));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i raw;
-    if (b == 8) {
-      raw = _mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(in)));
-      in += 8;
-    } else {
-      // 8 lanes span b bytes; all shifts stay below 32 for b <= 4.
-      std::uint32_t word = 0;
-      std::memcpy(&word, in, b);
-      raw = _mm256_and_si256(
-          _mm256_srlv_epi32(_mm256_set1_epi32(static_cast<int>(word)),
-                            shifts),
-          vmask);
-      in += b;
+  // A degenerate range decodes to lo * n everywhere: scalar reference.
+  if (hi - lo > 0.0f) {
+    switch (b) {
+      case 2: thc_decode_lanes_w<2>(in, n, lo, hi, q, n_workers, out); return;
+      case 4: thc_decode_lanes_w<4>(in, n, lo, hi, q, n_workers, out); return;
+      case 8: thc_decode_lanes_w<8>(in, n, lo, hi, q, n_workers, out); return;
+      default: break;
     }
-    const __m256 f =
-        _mm256_cvtepi32_ps(_mm256_add_epi32(raw, vbase));
-    _mm256_storeu_ps(out + i,
-                     _mm256_add_ps(vlo_n, _mm256_mul_ps(vdelta, f)));
   }
-  thc_decode_lanes_tail(in, n - i, lo, hi, q, b, n_workers, out + i);
+  scalar().thc_decode_lanes(in, n, lo, hi, q, b, n_workers, out);
 }
 
 void fp16_sum_avx2(std::uint16_t* acc, const std::uint16_t* in,
@@ -553,35 +703,6 @@ std::size_t collect_ge_avx2(const float* x, std::size_t n, float t,
   return count;
 }
 
-/// In-register transpose of the 8x8 tile r[0..7] (r[k] lane e becomes
-/// r[e] lane k).
-inline void transpose8(__m256 r[8]) {
-  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
-  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
-  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
-  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
-  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
-  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
-  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
-  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
-  const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-  r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
-  r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
-  r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
-  r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
-  r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
-  r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
-  r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
-  r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
-}
-
 /// Lanes of v that are NaN.
 inline __m256 nan_lanes(__m256 v) { return _mm256_cmp_ps(v, v, _CMP_UNORD_Q); }
 
@@ -657,6 +778,100 @@ void axpy_avx2(float a, const float* x, std::size_t n, float* y) {
     }
   }
   scalar().axpy(a, x + i, n - i, y + i);
+}
+
+// The dense forward runs eight samples per vector: a tile of the eight
+// samples' inputs is transposed once (xt[i] holds x[s0..s0+7, i]), then
+// four rows at a time accumulate b[o] + w[o, i] * x[s, i] in ascending i,
+// each lane the scalar fold of one (sample, row). A long input row is cut
+// into tiles whose partial sums wait in z between tiles (a float store
+// and reload is exact). A block whose result holds a NaN is recomputed by
+// the reference; a batch's last samples ride in zero-padded lanes.
+
+constexpr std::size_t kForwardTile = 256;  // inputs per transposed tile
+
+/// z[s0 + j, o .. o + R) for the m <= 8 samples of xt, continuing from
+/// b (first tile) or the partials in z.
+template <std::size_t R>
+void dense_forward_rows(const float* w, const float* b, const float* xt,
+                        std::size_t in, std::size_t i0, std::size_t len,
+                        std::size_t out, std::size_t o, std::size_t m,
+                        bool last, float* z, bool* nan) {
+  __m256 acc[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    if (i0 == 0) {
+      acc[r] = _mm256_set1_ps(b[o + r]);
+    } else {
+      alignas(32) float part[8] = {};
+      for (std::size_t j = 0; j < m; ++j) part[j] = z[j * out + o + r];
+      acc[r] = _mm256_load_ps(part);
+    }
+  }
+  for (std::size_t i = 0; i < len; ++i) {
+    const __m256 xv = _mm256_load_ps(xt + i * 8);
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256 wv = _mm256_broadcast_ss(w + (o + r) * in + i0 + i);
+      acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(wv, xv));
+    }
+  }
+  const int valid = (1 << m) - 1;
+  for (std::size_t r = 0; r < R; ++r) {
+    if (last && (_mm256_movemask_ps(nan_lanes(acc[r])) & valid) != 0) {
+      *nan = true;
+    }
+    alignas(32) float res[8];
+    _mm256_store_ps(res, acc[r]);
+    for (std::size_t j = 0; j < m; ++j) z[j * out + o + r] = res[j];
+  }
+}
+
+void dense_forward_avx2(const float* w, const float* b, const float* x,
+                        std::size_t batch, std::size_t in, std::size_t out,
+                        float* z) {
+  alignas(32) float xt[kForwardTile * 8];
+  for (std::size_t s0 = 0; s0 < batch; s0 += 8) {
+    const std::size_t m = std::min<std::size_t>(8, batch - s0);
+    float* zs = z + s0 * out;
+    if (in == 0) {
+      for (std::size_t j = 0; j < m; ++j) {
+        std::copy(b, b + out, zs + j * out);
+      }
+      continue;
+    }
+    bool nan = false;
+    for (std::size_t i0 = 0; i0 < in; i0 += kForwardTile) {
+      const std::size_t len = std::min(kForwardTile, in - i0);
+      const bool last = i0 + len == in;
+      std::size_t i = 0;
+      if (m == 8) {
+        for (; i + 8 <= len; i += 8) {
+          __m256 tile[8];
+          for (std::size_t j = 0; j < 8; ++j) {
+            tile[j] = _mm256_loadu_ps(x + (s0 + j) * in + i0 + i);
+          }
+          transpose8(tile);
+          for (std::size_t k = 0; k < 8; ++k) {
+            _mm256_store_ps(xt + (i + k) * 8, tile[k]);
+          }
+        }
+      }
+      for (; i < len; ++i) {
+        for (std::size_t j = 0; j < 8; ++j) {
+          xt[i * 8 + j] = j < m ? x[(s0 + j) * in + i0 + i] : 0.0f;
+        }
+      }
+      std::size_t o = 0;
+      for (; o + 4 <= out; o += 4) {
+        dense_forward_rows<4>(w, b, xt, in, i0, len, out, o, m, last, zs,
+                              &nan);
+      }
+      for (; o < out; ++o) {
+        dense_forward_rows<1>(w, b, xt, in, i0, len, out, o, m, last, zs,
+                              &nan);
+      }
+    }
+    if (nan) scalar().dense_forward(w, b, x + s0 * in, m, in, out, zs);
+  }
 }
 
 // PowerSGD panels, vectorised for r = 4 (every other r takes the scalar
@@ -847,8 +1062,9 @@ constexpr Backend kAvx2 = {
     fp16_to_fp32_avx2,
     gather_fp32_to_fp16_avx2,
     fwht_level_avx2,
-    mul_avx2,
-    mul_inplace_avx2,
+    uniform_fill_avx2,
+    sign_bits_fill_avx2,
+    sign_apply_avx2,
     add_avx2,
     min_max_avx2,
     thc_encode_lanes_avx2,
@@ -861,6 +1077,7 @@ constexpr Backend kAvx2 = {
     chunk_sq_norms_avx2,
     sub_scaled_avx2,
     axpy_avx2,
+    dense_forward_avx2,
     panel_mq_avx2,
     panel_mtp_avx2,
     panel_pqt_avx2,

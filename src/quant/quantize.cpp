@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
-#include "common/rng.h"
 #include "kernels/kernels.h"
 #include "numeric/precision.h"
 
@@ -22,17 +20,6 @@ QuantRange compute_range(std::span<const float> x) noexcept {
 
 QuantRange merge_ranges(QuantRange a, QuantRange b) noexcept {
   return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
-}
-
-void quantize_stochastic(std::span<const float> x, QuantRange range,
-                         unsigned q, Rng& rng,
-                         std::span<std::uint16_t> out_levels) {
-  GCS_CHECK(q >= 1 && q <= 16);
-  GCS_CHECK(out_levels.size() >= x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out_levels[i] = static_cast<std::uint16_t>(
-        stochastic_level(x[i], range.lo, range.hi, q, rng.next_float()));
-  }
 }
 
 void quantize_nearest(std::span<const float> x, QuantRange range, unsigned q,
@@ -63,17 +50,6 @@ void dequantize(std::span<const std::uint16_t> levels, QuantRange range,
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = dequantize_level(levels[i], range, q);
   }
-}
-
-float dequantize_level_sum(std::int64_t level_sum, unsigned n_workers,
-                           QuantRange range, unsigned q) noexcept {
-  const auto levels = static_cast<float>((1u << q) - 1u);
-  if (levels == 0.0f || range.width() <= 0.0f) {
-    return range.lo * static_cast<float>(n_workers);
-  }
-  const float delta = range.width() / levels;
-  return range.lo * static_cast<float>(n_workers) +
-         delta * static_cast<float>(level_sum);
 }
 
 }  // namespace gcs

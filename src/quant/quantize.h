@@ -14,8 +14,6 @@
 
 namespace gcs {
 
-class Rng;
-
 /// Closed quantization range.
 struct QuantRange {
   float lo = 0.0f;
@@ -31,12 +29,6 @@ QuantRange compute_range(std::span<const float> x) noexcept;
 /// reduction: associative, so it is all-reduce friendly).
 QuantRange merge_ranges(QuantRange a, QuantRange b) noexcept;
 
-/// Stochastically quantizes x into q-bit levels [0, 2^q - 1].
-/// Values outside [lo, hi] clamp to the boundary levels.
-void quantize_stochastic(std::span<const float> x, QuantRange range,
-                         unsigned q, Rng& rng,
-                         std::span<std::uint16_t> out_levels);
-
 /// Deterministic nearest-level quantization (biased; used in ablations).
 void quantize_nearest(std::span<const float> x, QuantRange range, unsigned q,
                       std::span<std::uint16_t> out_levels) noexcept;
@@ -48,10 +40,5 @@ float dequantize_level(std::uint32_t level, QuantRange range,
 /// Reconstructs a span of levels into floats.
 void dequantize(std::span<const std::uint16_t> levels, QuantRange range,
                 unsigned q, std::span<float> out) noexcept;
-
-/// Reconstructs the *sum* of n workers' values from the sum of their levels
-/// (the homomorphic decode): sum_i x_i ~= n*lo + delta * sum_i level_i.
-float dequantize_level_sum(std::int64_t level_sum, unsigned n_workers,
-                           QuantRange range, unsigned q) noexcept;
 
 }  // namespace gcs

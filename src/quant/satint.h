@@ -10,8 +10,9 @@
 // complement domain [-2^{b-1}, 2^{b-1} - 1] (one extra value at the
 // bottom), under which a centered q-bit level fits exactly at b = q. On
 // the wire a lane is stored offset-binary (value + 2^{b-1}) in b packed
-// bits. The helpers here are the lane-level reference; the fold an
-// all-reduce hop runs on packed payloads is comm::make_sat_int, backed by
+// bits (the packers are test oracles, tests/oracles.h). The helpers here
+// are the lane-level reference; the fold an all-reduce hop runs on packed
+// payloads is comm::make_sat_int, backed by
 // kernels::Backend::sat_add_packed.
 //
 // NOTE: saturated addition is commutative but NOT associative once any
@@ -22,9 +23,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
-
-#include "common/bytes.h"
 
 namespace gcs {
 
@@ -60,19 +58,5 @@ std::int32_t sat_add(std::int32_t x, std::int32_t y, unsigned bits) noexcept;
 /// acc[i] = Sat(acc[i], in[i]) lane-wise; clip counts recorded in stats.
 void sat_add_lanes(std::span<std::int32_t> acc, std::span<const std::int32_t> in,
                    unsigned bits, SatStats* stats) noexcept;
-
-/// Clamps each lane into the saturation domain (used when first mapping
-/// centered quantization levels into lanes).
-void sat_clamp_lanes(std::span<std::int32_t> lanes, unsigned bits) noexcept;
-
-/// Serializes signed lanes to offset-binary packed `bits`-bit form.
-/// Every lane must already lie inside the saturation domain.
-ByteBuffer pack_signed_lanes(std::span<const std::int32_t> lanes,
-                             unsigned bits);
-
-/// Inverse of pack_signed_lanes.
-std::vector<std::int32_t> unpack_signed_lanes(std::span<const std::byte> data,
-                                              std::size_t count,
-                                              unsigned bits);
 
 }  // namespace gcs

@@ -9,21 +9,6 @@
 #include "kernels/kernels.h"
 
 namespace gcs {
-namespace {
-
-// Orders candidate indices by (|value| desc, index asc): deterministic
-// selection even in the presence of ties.
-struct AbsGreater {
-  std::span<const float> x;
-  bool operator()(std::uint32_t a, std::uint32_t b) const noexcept {
-    const float ma = std::fabs(x[a]);
-    const float mb = std::fabs(x[b]);
-    if (ma != mb) return ma > mb;
-    return a < b;
-  }
-};
-
-}  // namespace
 
 std::vector<std::uint32_t> top_k_indices(std::span<const float> x,
                                          std::size_t k) {
@@ -46,10 +31,10 @@ void top_k_indices(std::span<const float> x, std::size_t k,
   // Threshold select instead of nth_element over an index permutation:
   // find t = the k-th largest |x| on a flat magnitude copy (cheap cache
   // behaviour), then collect the selected set in one ascending pass. The
-  // selected set is exactly the AbsGreater (|v| desc, idx asc) top k: all
+  // selected set is exactly the (|v| desc, idx asc) top k: all
   // magnitudes > t plus the lowest-indexed ties at t — so this is
-  // bit-for-bit the legacy selection (cross-checked against
-  // top_k_indices_reference in tests).
+  // bit-for-bit the full-sort selection (cross-checked against the
+  // top_k_indices_reference oracle in tests/oracles.h).
   const auto& backend = kernels::active();
   // Every scratch buffer is fully overwritten before any read, so reuse
   // never leaks one call's values into the next.
@@ -103,17 +88,6 @@ void top_k_indices(std::span<const float> x, std::size_t k,
       --ties_left;
     }
   }
-}
-
-std::vector<std::uint32_t> top_k_indices_reference(std::span<const float> x,
-                                                   std::size_t k) {
-  k = std::min(k, x.size());
-  std::vector<std::uint32_t> idx(x.size());
-  std::iota(idx.begin(), idx.end(), 0u);
-  std::sort(idx.begin(), idx.end(), AbsGreater{x});
-  idx.resize(k);
-  std::sort(idx.begin(), idx.end());
-  return idx;
 }
 
 std::vector<std::uint32_t> top_j_by_value(std::span<const float> scores,

@@ -34,10 +34,6 @@ struct TopKScratch {
 void top_k_indices(std::span<const float> x, std::size_t k,
                    TopKScratch& scratch, std::vector<std::uint32_t>& idx);
 
-/// Reference implementation via full sort; O(d log d). Same tie-breaking.
-std::vector<std::uint32_t> top_k_indices_reference(std::span<const float> x,
-                                                   std::size_t k);
-
 /// Indices of the J largest values (not |.|; used for chunk-score
 /// selection where scores are already non-negative norms).
 std::vector<std::uint32_t> top_j_by_value(std::span<const float> scores,

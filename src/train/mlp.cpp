@@ -46,25 +46,20 @@ double MlpModel::forward(const Batch& batch) {
   acts_.resize(layers + 1);
   acts_[0].assign(batch.x.begin(), batch.x.end());
 
+  // The dense layers run on the kernel layer (a pinned fold, so the
+  // logits are the same bits on every backend).
+  const auto& k = kernels::active();
   for (std::size_t l = 0; l < layers; ++l) {
     const std::size_t in = dims_[l];
     const std::size_t out = dims_[l + 1];
     const float* w = params_.data() + layout_.offset(2 * l);
     const float* b = params_.data() + layout_.offset(2 * l + 1);
-    acts_[l + 1].assign(bsz * out, 0.0f);
-    const float* src = acts_[l].data();
+    acts_[l + 1].resize(bsz * out);  // every entry is written below
     float* dst = acts_[l + 1].data();
-    for (std::size_t s = 0; s < bsz; ++s) {
-      const float* x = src + s * in;
-      float* z = dst + s * out;
-      for (std::size_t o = 0; o < out; ++o) {
-        const float* wrow = w + o * in;
-        float acc = b[o];
-        for (std::size_t i = 0; i < in; ++i) acc += wrow[i] * x[i];
-        z[o] = acc;
-      }
-      if (l + 1 < layers) {
-        for (std::size_t o = 0; o < out; ++o) z[o] = std::max(z[o], 0.0f);
+    k.dense_forward(w, b, acts_[l].data(), bsz, in, out, dst);
+    if (l + 1 < layers) {
+      for (std::size_t i = 0; i < bsz * out; ++i) {
+        dst[i] = std::max(dst[i], 0.0f);
       }
     }
   }

@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "numeric/half.h"
 #include "quant/satint.h"
+#include "oracles.h"
 
 namespace gcs::comm {
 namespace {

@@ -14,6 +14,7 @@
 #include "comm/group.h"
 #include "common/rng.h"
 #include "numeric/half.h"
+#include "oracles.h"
 
 namespace gcs::comm {
 namespace {

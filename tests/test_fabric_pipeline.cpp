@@ -14,6 +14,7 @@
 #include "quant/quantize.h"
 #include "quant/satint.h"
 #include "sparse/chunks.h"
+#include "oracles.h"
 
 namespace gcs {
 namespace {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -95,17 +97,65 @@ TEST(Fwht, ReducesDynamicRangeOfSpikes) {
   EXPECT_NEAR(mx, 1.0f, 1e-4f);  // 64 / sqrt(4096)
 }
 
-TEST(RhtSigns, SharedRandomnessIsConsistent) {
-  const auto a = rht_signs(128, 42, 7);
-  const auto b = rht_signs(128, 42, 7);
-  EXPECT_EQ(a, b);
-  const auto c = rht_signs(128, 42, 8);
-  EXPECT_NE(a, c);
+std::vector<std::uint64_t> sign_bits_of(const RhtTransform& rht,
+                                        std::uint64_t round) {
+  std::vector<std::uint64_t> bits(rht.sign_words());
+  rht.sign_bits(round, bits);
+  return bits;
 }
 
-TEST(RhtSigns, OnlyPlusMinusOne) {
-  const auto s = rht_signs(1000, 1, 1);
-  for (float v : s) EXPECT_TRUE(v == 1.0f || v == -1.0f);
+TEST(RhtSigns, SharedRandomnessIsConsistent) {
+  const RhtTransform rht(128, 0, 42);
+  const auto a = sign_bits_of(rht, 7);
+  EXPECT_EQ(a, sign_bits_of(rht, 7));
+  EXPECT_NE(a, sign_bits_of(rht, 8));
+}
+
+TEST(RhtSigns, BitsAreTheSequentialSignStream) {
+  // Bit i is 1 exactly where the (seed, round) stream's i-th next_sign()
+  // is -1; the bits past the padded size in the last word are 0. 1000
+  // coordinates pad to 1024 (full), 70001 to 9 blocks of 8192 (partial):
+  // the second spreads the stream over every fill lane.
+  for (const auto& [size, iters] :
+       {std::pair<std::size_t, unsigned>{1000, 0}, {70001, 13}, {3, 0}}) {
+    const RhtTransform rht(size, iters, 1);
+    const auto bits = sign_bits_of(rht, 5);
+    Rng rng(derive_seed(1, 5));
+    for (std::size_t i = 0; i < bits.size() * 64; ++i) {
+      const bool bit = ((bits[i / 64] >> (i % 64)) & 1u) != 0;
+      const bool want = i < rht.padded_size() && rng.next_sign() < 0.0f;
+      ASSERT_EQ(bit, want) << "size " << size << " bit " << i;
+    }
+  }
+}
+
+TEST(Rht, BlockFusedForwardIsTheLevelSweep) {
+  // Signing, padding and rotating one block at a time runs the identical
+  // butterflies on the identical pairs as the sweep over the whole
+  // vector: the same bits, partial and full.
+  for (const auto& [size, iters] :
+       {std::pair<std::size_t, unsigned>{70001, 13}, {5000, 0}, {300, 5}}) {
+    const RhtTransform rht(size, iters, 3);
+    const auto x = random_vec(size, 4);
+    const auto bits = sign_bits_of(rht, 9);
+    std::vector<float> sweep(rht.padded_size(), 0.0f);
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      const float s = ((bits[i / 64] >> (i % 64)) & 1u) != 0 ? -1.0f : 1.0f;
+      sweep[i] = (i < size ? x[i] : 0.0f) * s;
+    }
+    fwht(sweep, rht.iterations());
+    std::vector<float> fused(rht.padded_size());
+    std::size_t blocks = 0;
+    rht.forward(x, fused, bits, [&](std::size_t blk, std::span<float> b) {
+      EXPECT_EQ(blk, blocks++);
+      EXPECT_EQ(b.size(), rht.block_size());
+    });
+    EXPECT_EQ(blocks, rht.padded_size() / rht.block_size());
+    ASSERT_EQ(std::memcmp(fused.data(), sweep.data(),
+                          sweep.size() * sizeof(float)),
+              0)
+        << size;
+  }
 }
 
 TEST(FullIterations, Values) {

@@ -36,6 +36,7 @@
 #include "quant/satint.h"
 #include "sparse/topk.h"
 #include "tensor/layout.h"
+#include "oracles.h"
 
 namespace gcs {
 namespace {
@@ -185,27 +186,141 @@ TEST(Kernels, FwhtLevelCrossBackend) {
   }
 }
 
-TEST(Kernels, MulAbsCountCollectCrossBackend) {
+/// Every backend to check: the scalar reference, and AVX2 when present.
+std::vector<const Backend*> backends() {
+  std::vector<const Backend*> out{&kernels::scalar()};
+  if (have_avx2()) out.push_back(&kernels::avx2());
+  return out;
+}
+
+/// memcmp over n floats that accepts the null data() of empty vectors.
+bool same_floats(const float* a, const float* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/// Lengths around a fill's lane segments: 0-17, odd, and seg +- 1.
+std::vector<std::size_t> fill_lengths() {
+  std::vector<std::size_t> n;
+  for (std::size_t i = 0; i <= 17; ++i) n.push_back(i);
+  for (std::size_t i : {63u, 64u, 65u, 511u, 512u, 513u, 1003u, 4097u,
+                        70001u}) {
+    n.push_back(i);
+  }
+  return n;
+}
+
+TEST(Kernels, UniformFillIsTheSequentialStream) {
+  for (const std::size_t n : fill_lengths()) {
+    for (std::uint64_t seed : {1ull, 0xDEADBEEFull}) {
+      // The split of n itself, and one cut for a longer stream (so the
+      // lanes run past n, or n ends one short of / one past a segment).
+      const StreamSplit own(n), wide(n + 64 * 8);
+      for (const StreamSplit* split : {&own, &wide}) {
+        const StreamLanes lanes = split->lanes(seed);
+        Rng rng(seed);
+        std::vector<float> want(n);
+        for (auto& u : want) u = rng.next_float();
+        for (const Backend* backend : backends()) {
+          std::vector<float> got(n + 1, -7.0f);  // one guard element
+          backend->uniform_fill(lanes, n, got.data());
+          ASSERT_TRUE(same_floats(got.data(), want.data(), n))
+              << backend->name << " n=" << n;
+          ASSERT_EQ(got[n], -7.0f) << backend->name << " wrote past n=" << n;
+        }
+      }
+    }
+  }
+  // seg - 1, seg and seg + 1 of one split's segment (segment 1024).
+  const StreamSplit split(8 * 1024);
+  const StreamLanes lanes = split.lanes(3);
+  ASSERT_EQ(lanes.seg, 1024u);
+  for (const std::size_t n : {1023u, 1024u, 1025u, 8191u, 8192u}) {
+    Rng rng(3);
+    std::vector<float> want(n);
+    for (auto& u : want) u = rng.next_float();
+    for (const Backend* backend : backends()) {
+      std::vector<float> got(n + 1, -7.0f);
+      backend->uniform_fill(lanes, n, got.data());
+      ASSERT_TRUE(same_floats(got.data(), want.data(), n))
+          << backend->name << " n=" << n;
+      ASSERT_EQ(got[n], -7.0f);
+    }
+  }
+}
+
+TEST(Kernels, SignBitsFillIsTheSequentialSignStream) {
+  for (const std::size_t n : fill_lengths()) {
+    const StreamSplit own(n), wide(n + 64 * 8);
+    for (const StreamSplit* split : {&own, &wide}) {
+      const StreamLanes lanes = split->lanes(11);
+      const std::size_t words = (n + 63) / 64;
+      std::vector<std::uint64_t> want(words, 0);
+      Rng rng(11);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rng.next_sign() < 0.0f) want[i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+      for (const Backend* backend : backends()) {
+        std::vector<std::uint64_t> got(words + 1, ~std::uint64_t{0});
+        backend->sign_bits_fill(lanes, n, got.data());
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+            << backend->name << " n=" << n;
+        ASSERT_EQ(got[words], ~std::uint64_t{0}) << backend->name << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Kernels, SignApplyIsTheSignMultiply) {
+  // out = x * (bit ? -1 : 1) bit for bit: signed zeros, denormals,
+  // infinities, and quiet and signaling NaNs with payloads (the multiply
+  // quiets them and keeps their sign; a sign XOR would not).
+  auto values = special_floats();
+  for (std::uint32_t bits : {0x7FA00001u, 0xFFA12345u, 0x7FC0BEEFu,
+                             0xFFC00000u, 0x80000001u}) {
+    values.push_back(std::bit_cast<float>(bits));
+  }
+  Rng rng(17);
+  for (std::size_t n : {0u, 1u, 5u, 8u, 9u, 100u, 1027u}) {
+    for (std::size_t first : {0u, 3u, 60u, 64u}) {
+      std::vector<float> x(n);
+      std::vector<std::uint64_t> bits((first + n + 63) / 64 + 1);
+      for (auto& w : bits) w = rng.next_u64();
+      std::vector<float> want(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = i % 3 == 0 ? values[(i / 3) % values.size()]
+                          : static_cast<float>(rng.next_gaussian());
+        const std::size_t k = first + i;
+        const float s = ((bits[k / 64] >> (k % 64)) & 1u) != 0 ? -1.0f : 1.0f;
+        want[i] = x[i] * s;
+      }
+      for (const Backend* backend : backends()) {
+        std::vector<float> got(n);
+        backend->sign_apply(x.data(), bits.data(), first, n, got.data());
+        ASSERT_TRUE(same_floats(got.data(), want.data(), n))
+            << backend->name << " n=" << n << " first=" << first;
+        auto in_place = x;  // out may alias x
+        backend->sign_apply(in_place.data(), bits.data(), first, n,
+                            in_place.data());
+        ASSERT_TRUE(same_floats(in_place.data(), want.data(), n))
+            << backend->name;
+      }
+    }
+  }
+}
+
+TEST(Kernels, AbsCountCollectCrossBackend) {
   if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
   Rng rng(17);
   for (std::size_t n : {1u, 5u, 8u, 100u, 1027u}) {
-    std::vector<float> x(n), s(n);
+    std::vector<float> x(n);
     for (std::size_t i = 0; i < n; ++i) {
       x[i] = static_cast<float>(rng.next_gaussian());
-      s[i] = rng.next_sign();
     }
     if (n >= 4) {
       x[0] = -0.0f;
       x[3] = std::numeric_limits<float>::quiet_NaN();
     }
     std::vector<float> a(n), b(n);
-    kernels::scalar().mul(x.data(), s.data(), n, a.data());
-    kernels::avx2().mul(x.data(), s.data(), n, b.data());
-    ASSERT_EQ(std::memcmp(a.data(), b.data(), n * sizeof(float)), 0);
-    auto xa = x, xb = x;
-    kernels::scalar().mul_inplace(xa.data(), s.data(), n);
-    kernels::avx2().mul_inplace(xb.data(), s.data(), n);
-    ASSERT_EQ(std::memcmp(xa.data(), xb.data(), n * sizeof(float)), 0);
     kernels::scalar().abs(x.data(), n, a.data());
     kernels::avx2().abs(x.data(), n, b.data());
     ASSERT_EQ(std::memcmp(a.data(), b.data(), n * sizeof(float)), 0);
@@ -311,6 +426,72 @@ TEST(Kernels, AxpyCrossBackend) {
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_TRUE(same_or_both_nan(ya[i], y[i] + a * x[i])) << i;
       }
+    }
+  }
+}
+
+/// The dense forward's pinned fold (kernels.h).
+std::vector<float> dense_forward_reference(const std::vector<float>& w,
+                                           const std::vector<float>& b,
+                                           const std::vector<float>& x,
+                                           std::size_t batch, std::size_t in,
+                                           std::size_t out) {
+  std::vector<float> z(batch * out);
+  for (std::size_t s = 0; s < batch; ++s) {
+    for (std::size_t o = 0; o < out; ++o) {
+      float acc = b[o];
+      for (std::size_t i = 0; i < in; ++i) {
+        acc = acc + w[o * in + i] * x[s * in + i];
+      }
+      z[s * out + o] = acc;
+    }
+  }
+  return z;
+}
+
+TEST(Kernels, DenseForwardFollowsThePinnedFoldCrossBackend) {
+  Rng rng(98);
+  const auto specials = special_floats();
+  // Odd batches (partial 8-sample blocks), odd rows (the 1-row tail) and
+  // inputs past one 256-wide tile (partials carried through z).
+  for (const auto& [batch, in, out] :
+       std::vector<std::array<std::size_t, 3>>{{1, 1, 1},
+                                               {3, 5, 7},
+                                               {8, 64, 4},
+                                               {9, 17, 13},
+                                               {32, 64, 33},
+                                               {17, 300, 6},
+                                               {13, 1024, 5},
+                                               {5, 0, 3}}) {
+    for (const bool with_specials : {false, true}) {
+      std::vector<float> w(in * out), b(out), x(batch * in);
+      for (auto& v : w) v = static_cast<float>(rng.next_gaussian());
+      for (auto& v : b) v = static_cast<float>(rng.next_gaussian());
+      for (auto& v : x) v = static_cast<float>(rng.next_gaussian());
+      if (with_specials) {
+        for (std::size_t i = 0; i < x.size(); i += 11) {
+          x[i] = specials[i % specials.size()];
+        }
+        for (std::size_t i = 3; i < w.size(); i += 13) {
+          w[i] = specials[(i / 13) % specials.size()];
+        }
+      }
+      const auto want = dense_forward_reference(w, b, x, batch, in, out);
+      std::vector<float> scalar_z(batch * out);
+      kernels::scalar().dense_forward(w.data(), b.data(), x.data(), batch,
+                                      in, out, scalar_z.data());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_TRUE(same_or_both_nan(scalar_z[i], want[i]))
+            << "batch=" << batch << " in=" << in << " out=" << out;
+      }
+      if (!have_avx2()) continue;
+      std::vector<float> z(batch * out);
+      kernels::avx2().dense_forward(w.data(), b.data(), x.data(), batch, in,
+                                    out, z.data());
+      ASSERT_EQ(std::memcmp(z.data(), scalar_z.data(), z.size() * sizeof(float)),
+                0)
+          << "batch=" << batch << " in=" << in << " out=" << out
+          << " specials=" << with_specials;
     }
   }
 }
@@ -646,11 +827,23 @@ ByteBuffer thc_encode_reference(std::span<const float> x,
   return pack_signed_lanes(lanes, b);
 }
 
+/// Lane counts at width b: whole vectors of 8 lanes and runt tails of
+/// every byte-aligned length below 8.
+std::vector<std::size_t> level_lengths(unsigned b) {
+  const std::size_t byte = 8 / b;  // lanes per byte
+  std::vector<std::size_t> n = {8, 16, 120, 1024};
+  for (std::size_t k = byte; k < 8; k += byte) {
+    n.push_back(k);
+    n.push_back(1024 + k);
+  }
+  return n;
+}
+
 TEST(Kernels, ThcEncodeLanesMatchesLegacyComposition) {
   Rng rng(23);
   for (const auto [q, b] : std::vector<std::pair<unsigned, unsigned>>{
            {2, 2}, {4, 4}, {8, 8}, {2, 4}, {4, 8}, {2, 8}}) {
-    for (std::size_t n : {8u, 16u, 120u, 1024u}) {
+    for (std::size_t n : level_lengths(b)) {
       ASSERT_EQ(n * b % 8, 0u);
       std::vector<float> x(n), u(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -687,7 +880,7 @@ TEST(Kernels, ThcDecodeLanesMatchesLegacyComposition) {
   Rng rng(29);
   for (const auto [q, b] : std::vector<std::pair<unsigned, unsigned>>{
            {2, 2}, {4, 4}, {8, 8}, {2, 4}, {4, 8}}) {
-    for (std::size_t n : {8u, 16u, 120u, 1024u}) {
+    for (std::size_t n : level_lengths(b)) {
       for (unsigned workers : {1u, 2u, 8u}) {
         ByteBuffer wire(n * b / 8);
         for (auto& byte : wire) {

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "numeric/precision.h"
+#include "oracles.h"
 
 namespace gcs {
 namespace {

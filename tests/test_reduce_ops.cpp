@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "numeric/half.h"
+#include "oracles.h"
 
 namespace gcs::comm {
 namespace {

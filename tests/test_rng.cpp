@@ -118,6 +118,59 @@ TEST(Rng, PermutationIsNotIdentity) {
   EXPECT_LT(fixed, 20);  // E[fixed points] = 1
 }
 
+/// The state after `steps` next_u64 calls.
+std::array<std::uint64_t, 4> stepped(std::uint64_t seed, std::uint64_t steps) {
+  Rng r(seed);
+  for (std::uint64_t i = 0; i < steps; ++i) r.next_u64();
+  return r.state();
+}
+
+TEST(RngJump, EqualsSteppingAtEdgeLengths) {
+  for (const std::uint64_t n :
+       {0ull, 1ull, 63ull, 64ull, 65ull, (1ull << 20) + 3}) {
+    Rng r(99);
+    r.jump(Rng::jump_polynomial(n));
+    EXPECT_EQ(r.state(), stepped(99, n)) << "n=" << n;
+  }
+}
+
+TEST(RngJump, EqualsSteppingAcrossSeeds) {
+  Rng seeds(2024);
+  for (int t = 0; t < 20; ++t) {
+    const std::uint64_t seed = seeds.next_u64();
+    const std::uint64_t n = seeds.next_below(5000);
+    Rng r(seed);
+    r.jump(Rng::jump_polynomial(n));
+    EXPECT_EQ(r.state(), stepped(seed, n)) << "seed=" << seed << " n=" << n;
+    // The jumped stream continues the stepped one draw for draw.
+    Rng s(seed);
+    for (std::uint64_t i = 0; i < n; ++i) s.next_u64();
+    for (int i = 0; i < 8; ++i) ASSERT_EQ(r.next_u64(), s.next_u64());
+  }
+}
+
+TEST(RngJump, JumpsCompose) {
+  // x^a * x^b = x^(a+b): two jumps land where one long one does.
+  Rng a(5), b(5);
+  a.jump(Rng::jump_polynomial(1000));
+  a.jump(Rng::jump_polynomial(2345));
+  b.jump(Rng::jump_polynomial(3345));
+  EXPECT_EQ(a.state(), b.state());
+}
+
+TEST(StreamSplit, LaneStatesAreSegmentStarts) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{1003}, std::size_t{70001}}) {
+    const StreamSplit split(n);
+    const StreamLanes lanes = split.lanes(17);
+    EXPECT_EQ(lanes.seg % 64, 0u);
+    EXPECT_GE(lanes.seg * kStreamLanes, n);
+    for (std::size_t j = 0; j < kStreamLanes; ++j) {
+      EXPECT_EQ(lanes.state[j], stepped(17, j * lanes.seg)) << n << " " << j;
+    }
+  }
+}
+
 TEST(DeriveSeed, StreamsDecorrelate) {
   const auto a = derive_seed(42, 0);
   const auto b = derive_seed(42, 1);

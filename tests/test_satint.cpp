@@ -6,6 +6,7 @@
 
 #include "comm/reduce_op.h"
 #include "common/rng.h"
+#include "oracles.h"
 
 namespace gcs {
 namespace {

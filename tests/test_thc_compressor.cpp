@@ -65,6 +65,43 @@ TEST(Thc, WideModeNeedsHeadroom) {
   EXPECT_THROW(make_thc_codec(c), std::logic_error);
 }
 
+TEST(ThcConfig, BlocksThatSplitWireBytesAreRefused) {
+  // A shared-memory budget under 16 bytes makes 2-float rotation blocks:
+  // at b = 2 each block is half a byte, so neighbouring ranges would
+  // share wire bytes. Construction refuses it with a typed error.
+  ThcConfig c = base_config(4096, 4);
+  c.q = c.b = 2;
+  c.shared_memory_bytes = 8;
+  EXPECT_THROW(make_thc_codec(c), Error);
+  c.q = c.b = 4;  // 2 floats x 4 bits: one whole byte per block
+  EXPECT_NO_THROW(make_thc_codec(c));
+}
+
+TEST(Thc, TinyDimensionsPadLevelsToWholeBytes) {
+  // d <= 2 under rotation is one block of one or two coordinates; at
+  // b < 8 its levels are padded to a byte of lanes. The payload is still
+  // ceil(d * b / 8) bytes and the sum is still approximated.
+  for (const RotationMode rotation :
+       {RotationMode::kPartial, RotationMode::kFull}) {
+    for (const std::size_t d : {std::size_t{1}, std::size_t{2}}) {
+      for (const unsigned b : {2u, 4u}) {
+        ThcConfig config = base_config(d, 2);
+        config.rotation = rotation;
+        config.q = config.b = b;
+        AggregationPipeline c(make_thc_codec(config));
+        const auto grads = random_grads(2, d, 5);
+        std::vector<float> out(d);
+        const auto views = views_of(grads);
+        const auto stats = c.aggregate(views, out, 0);
+        EXPECT_EQ(stats.payload_bytes, 1u) << "d=" << d << " b=" << b;
+        for (std::size_t i = 0; i < d; ++i) {
+          EXPECT_NEAR(out[i], grads[0][i] + grads[1][i], 3.0f) << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(Thc, PathAndName) {
   AggregationPipeline c(make_thc_codec(base_config(128, 4)));
   EXPECT_EQ(c.codec().path(), AggregationPath::kAllReduce);
@@ -277,11 +314,14 @@ TEST(Thc, StageGuardsHoldAfterARoundFilledTheScratch) {
     std::vector<float> out(d);
     RoundStats stats;
     EXPECT_THROW(session->finish(out, stats), Error);
-    // Complete the round, so the next one starts on filled scratch.
+    // Complete the round, so the next one starts on filled scratch. The
+    // reduced payloads stay alive until finish(), as the CodecRound
+    // contract requires (THC decodes the levels there).
+    std::vector<ByteBuffer> reduced;
     do {
       std::vector<ByteBuffer> payloads{session->encode(0), session->encode(1)};
-      session->absorb_reduced(
-          comm::local_ring_all_reduce(payloads, *stage.op));
+      reduced.push_back(comm::local_ring_all_reduce(payloads, *stage.op));
+      session->absorb_reduced(reduced.back());
     } while (session->next_stage(stage));
     session->finish(out, stats);
     EXPECT_THROW(session->encode(0), Error);

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "oracles.h"
 
 namespace gcs {
 namespace {
