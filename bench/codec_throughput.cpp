@@ -22,8 +22,22 @@
 // the level kernels: rng/uniform_fill fills one stream of stochastic-
 // rounding uniforms (the lane-parallel xoshiro fill), and rht/rotate runs
 // one block-fused forward plus one inverse partial rotation (sign bits,
-// 8192-float blocks) over the payload. Their kernel_MBps counts the
-// gradient bytes covered (4 bytes per coordinate).
+// 8192-float blocks) over the payload. Two more time TopK's halves of a
+// round: topk/select is one worker's compensate pass fused with the key
+// histogram plus the select over the threshold bucket's candidates, and
+// topk/scatter validates both workers' gathered payloads and scatter-adds
+// them into the output. Their kernel_MBps counts the gradient bytes
+// covered (4 bytes per coordinate).
+//
+// Every row is the median of kBatches batches, each timing passes until
+// its share of --min-seconds accumulates: a batch that meets a page-fault
+// burst or a preempted core moves the median by one rank, where one mean
+// over every pass took all of it in. The encode and decode rows also stop
+// a batch at its share of --max-iters rounds, so a row runs about as many
+// rounds as a single timed run did: the codecs carry state from round to
+// round (PowerSGD's warm-started factors, every EF memory) over the same
+// gradients, and a few hundred rounds drift PowerSGD's decode into a
+// different, slower regime.
 //
 // BENCH_codec_throughput.json is bench_compare-gated against
 // bench/baselines/ (--higher=encode_MBps,decode_MBps,fold_MBps,kernel_MBps,
@@ -34,11 +48,13 @@
 // run-to-run spread of repeated runs: the gate catches a broken dispatch
 // or a dropped fusion, not jitter. Absolute MB/s is machine-dependent.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -56,6 +72,8 @@
 #include "kernels/kernels.h"
 #include "quant/packing.h"
 #include "quant/satint.h"
+#include "sparse/sparse_wire.h"
+#include "sparse/topk.h"
 #include "tensor/layout.h"
 
 namespace {
@@ -64,6 +82,13 @@ using namespace gcs;
 using namespace gcs::bench;
 
 constexpr int kWorld = 2;
+/// TopK's budget in bits per coordinate, for the scheme rows and the
+/// topk/select and topk/scatter kernel rows alike.
+constexpr double kTopKBits = 1.0;
+/// Batches per row; a row reports their median MB/s.
+constexpr int kBatches = 5;
+/// No pass cap: the row runs for its time budget alone.
+constexpr long kUnlimited = std::numeric_limits<long>::max();
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -95,7 +120,7 @@ std::vector<SchemeCase> make_schemes(std::size_t d) {
     core::TopKConfig config;
     config.dimension = d;
     config.world_size = kWorld;
-    config.k = core::TopKConfig::k_for_bits(d, 1.0, false);
+    config.k = core::TopKConfig::k_for_bits(d, kTopKBits, false);
     out.push_back({"topk", core::make_topk_codec(config)});
   }
   {
@@ -196,79 +221,88 @@ int count_stages(core::SchemeCodec& codec,
   return n_stages;
 }
 
-/// Times encode-side passes until `min_seconds` of work or `max_iters`
-/// passes accumulate; returns MB/s of gradient input (n * d * 4 bytes per
-/// pass).
+/// Runs `pass` (which returns the seconds it spent in timed work) in
+/// kBatches batches, each until min_seconds / kBatches of timed work or
+/// `max_passes` passes accumulate (at least one pass), and returns the
+/// median batch's MB/s for `bytes_per_pass` bytes per pass.
+template <typename Pass>
+double median_batch_mbps(double bytes_per_pass, double min_seconds,
+                         long max_passes, Pass&& pass) {
+  std::array<double, kBatches> mbps{};
+  for (double& batch : mbps) {
+    double elapsed = 0.0;
+    long passes = 0;
+    while (passes < 1 ||
+           (elapsed < min_seconds / kBatches && passes < max_passes)) {
+      elapsed += pass();
+      ++passes;
+    }
+    batch = bytes_per_pass * static_cast<double>(passes) / elapsed / 1e6;
+  }
+  std::nth_element(mbps.begin(), mbps.begin() + kBatches / 2, mbps.end());
+  return mbps[kBatches / 2];
+}
+
+/// Gradient bytes one pass over every worker's d coordinates processes.
+double round_bytes(std::size_t d) {
+  return static_cast<double>(kWorld) * static_cast<double>(d) * 4.0;
+}
+
+/// A whole-round row's pass cap per batch: `max_iters` rounds per row.
+long batch_rounds(int max_iters) {
+  return std::max(1, max_iters / kBatches);
+}
+
+/// MB/s of gradient input (n * d * 4 bytes per pass) over encode-side
+/// passes.
 double measure_mbps(core::SchemeCodec& codec,
                     std::span<const std::span<const float>> views,
                     std::size_t d, int n_stages, double min_seconds,
                     int max_iters, std::uint64_t& round) {
-  double elapsed = 0.0;
-  int iters = 0;
-  while (iters < 2 || (elapsed < min_seconds && iters < max_iters)) {
+  return median_batch_mbps(round_bytes(d), min_seconds,
+                           batch_rounds(max_iters), [&] {
     const double t0 = now_seconds();
     encode_side_pass(codec, views, round++, n_stages);
-    elapsed += now_seconds() - t0;
-    ++iters;
-  }
-  const double bytes_per_pass =
-      static_cast<double>(kWorld) * static_cast<double>(d) * 4.0;
-  return bytes_per_pass * iters / elapsed / 1e6;
+    return now_seconds() - t0;
+  });
 }
 
-/// Times `op` folding `in` into a fresh copy of `acc` until `min_seconds`
-/// of fold time accumulate (the copy is not timed); returns MB/s of the
-/// d-coordinate gradient the payloads encode.
+/// MB/s of the d-coordinate gradient the payloads encode, folding `in`
+/// into a fresh copy of `acc` per pass (the copy is not timed).
 double measure_fold_mbps(const comm::ReduceOp& op, const ByteBuffer& acc,
                          const ByteBuffer& in, std::size_t d,
                          double min_seconds) {
   ByteBuffer work(acc.size());
-  double elapsed = 0.0;
-  long folds = 0;
-  while (folds < 2 || elapsed < min_seconds) {
-    std::memcpy(work.data(), acc.data(), acc.size());
-    const double t0 = now_seconds();
-    op.accumulate(work, in);
-    elapsed += now_seconds() - t0;
-    ++folds;
-  }
-  return static_cast<double>(d) * 4.0 * static_cast<double>(folds) /
-         elapsed / 1e6;
+  return median_batch_mbps(
+      static_cast<double>(d) * 4.0, min_seconds, kUnlimited, [&] {
+        std::memcpy(work.data(), acc.data(), acc.size());
+        const double t0 = now_seconds();
+        op.accumulate(work, in);
+        return now_seconds() - t0;
+      });
 }
 
-/// Times whole rounds until `min_seconds` of decode-side time or
-/// `max_iters` rounds accumulate; returns MB/s of gradient input over the
-/// decode side alone.
+/// MB/s of gradient input over the decode side of whole rounds alone.
 double measure_decode_mbps(core::SchemeCodec& codec,
                            std::span<const std::span<const float>> views,
                            std::size_t d, int n_stages, double min_seconds,
                            int max_iters, std::uint64_t& round) {
   std::vector<float> out(d);
-  double elapsed = 0.0;
-  int iters = 0;
-  while (iters < 2 || (elapsed < min_seconds && iters < max_iters)) {
-    elapsed += decode_side_pass(codec, views, round++, n_stages, out);
-    ++iters;
-  }
-  const double bytes_per_pass =
-      static_cast<double>(kWorld) * static_cast<double>(d) * 4.0;
-  return bytes_per_pass * iters / elapsed / 1e6;
+  return median_batch_mbps(round_bytes(d), min_seconds,
+                           batch_rounds(max_iters), [&] {
+    return decode_side_pass(codec, views, round++, n_stages, out);
+  });
 }
 
-/// Calls `pass` until `min_seconds` of it accumulate; returns MB/s of a
-/// d-coordinate gradient per pass.
+/// MB/s of a d-coordinate gradient per call of `pass`.
 template <typename Pass>
 double measure_kernel_mbps(std::size_t d, double min_seconds, Pass&& pass) {
-  double elapsed = 0.0;
-  long passes = 0;
-  while (passes < 2 || elapsed < min_seconds) {
-    const double t0 = now_seconds();
-    pass();
-    elapsed += now_seconds() - t0;
-    ++passes;
-  }
-  return static_cast<double>(d) * 4.0 * static_cast<double>(passes) /
-         elapsed / 1e6;
+  return median_batch_mbps(static_cast<double>(d) * 4.0, min_seconds,
+                           kUnlimited, [&] {
+                             const double t0 = now_seconds();
+                             pass();
+                             return now_seconds() - t0;
+                           });
 }
 
 struct KernelCase {
@@ -277,8 +311,11 @@ struct KernelCase {
 };
 
 /// THC's stream fill and block-fused rotation over one d-coordinate
-/// gradient, with the codec's defaults (partial rotation, 32 KiB blocks).
-std::vector<KernelCase> make_kernel_cases(std::span<const float> grad) {
+/// gradient, with the codec's defaults (partial rotation, 32 KiB blocks),
+/// and TopK's select and scatter over the workers' gradients.
+std::vector<KernelCase> make_kernel_cases(
+    std::span<const std::span<const float>> grads) {
+  const std::span<const float> grad = grads[0];
   const std::size_t d = grad.size();
   const core::ThcConfig thc;  // shared_memory_bytes and seed defaults
   const unsigned iters = partial_iterations(next_pow2(d),
@@ -302,6 +339,35 @@ std::vector<KernelCase> make_kernel_cases(std::span<const float> grad) {
                        return std::span<float>(*rotated).subspan(
                            blk * rht->block_size(), rht->block_size());
                      });
+                   }});
+  // TopK: worker 0's compensate (the second gradient stands in for its EF
+  // memory) fused with the key histogram, then the select.
+  const std::size_t k = core::TopKConfig::k_for_bits(d, kTopKBits, false);
+  auto y = std::make_shared<std::vector<float>>(d);
+  auto select = std::make_shared<TopKScratch>();
+  select->hist.resize(kernels::kKeyHistSlots);
+  auto idx = std::make_shared<std::vector<std::uint32_t>>();
+  const std::span<const float> memory = grads[1];
+  cases.push_back({"topk/select", [=] {
+                     kernels::active().add_key_hist(grad.data(), memory.data(),
+                                                    d, y->data(),
+                                                    select->hist.data());
+                     top_k_from_key_hist(*y, k, *select, *idx);
+                   }});
+  // Every worker's plain-index payload of its own top k, validated and
+  // scatter-added into the output as TopK's absorb and finish do.
+  auto payloads = std::make_shared<std::vector<ByteBuffer>>(grads.size());
+  for (std::size_t w = 0; w < grads.size(); ++w) {
+    encode_sparse_fp16_gather(grads[w], top_k_indices(grads[w], k),
+                              (*payloads)[w]);
+  }
+  auto views = std::make_shared<std::vector<SparseFp16View>>();
+  cases.push_back({"topk/scatter", [=] {
+                     views->clear();
+                     for (const auto& p : *payloads) {
+                       views->push_back(view_sparse_fp16(p, d));
+                     }
+                     sum_sparse_fp16(*views, *out);
                    }});
   return cases;
 }
@@ -466,7 +532,7 @@ int main(int argc, char** argv) {
                 << format_sig(speedup, 3) << "x)\n";
     }
 
-    for (auto& kernel : make_kernel_cases(views[0])) {
+    for (auto& kernel : make_kernel_cases(view_span)) {
       kernels::force_backend_for_testing("scalar");
       const double scalar_mbps =
           measure_kernel_mbps(d, min_seconds, kernel.pass);

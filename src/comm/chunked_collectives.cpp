@@ -213,18 +213,17 @@ void chunked_tree_all_reduce(Communicator& comm, ByteBuffer& data,
   }
 }
 
-std::vector<ByteBuffer> chunked_all_gather(Communicator& comm,
-                                           const ByteBuffer& mine,
-                                           std::span<const ChunkRange> chunks) {
-  check_chunk_plan(chunks, mine.size());
+void chunked_all_gather(Communicator& comm, std::vector<ByteBuffer>& blocks,
+                        std::span<const ChunkRange> chunks) {
   const int n = comm.world_size();
   const int rank = comm.rank();
-  std::vector<ByteBuffer> blocks(static_cast<std::size_t>(n));
-  blocks[static_cast<std::size_t>(rank)] = mine;
-  if (n == 1) return blocks;
-  // Equal payload sizes across ranks: every rank can preallocate and apply
-  // the shared chunk plan to every block it forwards.
-  for (auto& b : blocks) b.resize(mine.size());
+  GCS_CHECK(blocks.size() == static_cast<std::size_t>(n));
+  const std::size_t size = blocks[static_cast<std::size_t>(rank)].size();
+  check_chunk_plan(chunks, size);
+  if (n == 1) return;
+  // Equal payload sizes across ranks: every rank can size the blocks up
+  // front and apply the shared chunk plan to every block it forwards.
+  for (auto& b : blocks) b.resize(size);
   const int next = (rank + 1) % n;
   const int prev = (rank + n - 1) % n;
   for (int s = 0; s < n - 1; ++s) {
@@ -243,7 +242,6 @@ std::vector<ByteBuffer> chunked_all_gather(Communicator& comm,
                                        chunks[c].offset));
     }
   }
-  return blocks;
 }
 
 void chunked_ps_aggregate(Communicator& comm, ByteBuffer& data,

@@ -82,12 +82,15 @@ void chunked_tree_all_reduce(Communicator& comm, ByteBuffer& data,
                              std::span<const ChunkRange> chunks,
                              const ReduceOp& op);
 
-/// Chunked ring all-gather: every rank ends with every rank's payload.
-/// Requires equal payload sizes across ranks (all schemes here are
-/// SPMD-symmetric); `chunks` must tile `mine`.
-std::vector<ByteBuffer> chunked_all_gather(Communicator& comm,
-                                           const ByteBuffer& mine,
-                                           std::span<const ChunkRange> chunks);
+/// Chunked ring all-gather into caller-owned blocks: on entry
+/// blocks[comm.rank()] holds this rank's payload, on return every block
+/// holds its rank's. `blocks` must have one entry per rank; every other
+/// block is resized to the own payload's size, reusing its capacity, and
+/// overwritten, so a caller that keeps the blocks across rounds gathers
+/// without allocating. Requires equal payload sizes across ranks (all
+/// schemes here are SPMD-symmetric); `chunks` must tile the payload.
+void chunked_all_gather(Communicator& comm, std::vector<ByteBuffer>& blocks,
+                        std::span<const ChunkRange> chunks);
 
 /// Chunked parameter-server aggregation: every rank sends to `server`,
 /// which folds clients in rank order per chunk and sends the result back.

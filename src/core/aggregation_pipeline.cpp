@@ -96,15 +96,16 @@ void run_stage_local(const WireStage& stage, CodecRound& round,
 }
 
 /// One rank's share of a stage over a real transport: runs the stage's
-/// chunked collective on `mine` (the rank's own payload buffer) and
-/// returns the gather result for kAllGather routes. Byte-identical
-/// traffic on every substrate (comm::Fabric, net::SocketFabric).
-std::vector<ByteBuffer> run_stage_rank(const WireStage& stage,
-                                       comm::Communicator& comm,
-                                       ByteBuffer& mine,
-                                       std::span<const comm::ChunkRange>
-                                           chunks,
-                                       int ps_server) {
+/// chunked collective on `mine` (the rank's own payload buffer). A
+/// kAllGather route gathers into `gathered`, the caller's blocks for this
+/// stage, kept across rounds; for a symmetric stage `mine` is the rank's
+/// own block, gathered[comm.rank()], and every other block is received in
+/// place. Byte-identical traffic on every substrate (comm::Fabric,
+/// net::SocketFabric).
+void run_stage_rank(const WireStage& stage, comm::Communicator& comm,
+                    ByteBuffer& mine,
+                    std::span<const comm::ChunkRange> chunks, int ps_server,
+                    std::vector<ByteBuffer>& gathered) {
   switch (stage.route) {
     case AggregationPath::kAllReduce:
       if (stage.algorithm == ReduceAlgorithm::kTree) {
@@ -112,16 +113,27 @@ std::vector<ByteBuffer> run_stage_rank(const WireStage& stage,
       } else {
         comm::chunked_ring_all_reduce(comm, mine, chunks, *stage.op);
       }
-      return {};
+      return;
     case AggregationPath::kParameterServer:
       comm::chunked_ps_aggregate(comm, mine, chunks, *stage.op, ps_server);
-      return {};
+      return;
     case AggregationPath::kAllGather:
       // The chunked all-gather requires symmetric payload sizes; stages
       // whose sizes vary per worker (TopK delta) declare it and take the
       // monolithic gather.
-      return stage.symmetric ? comm::chunked_all_gather(comm, mine, chunks)
-                             : comm::all_gather(comm, mine);
+      if (!stage.symmetric) {
+        gathered = comm::all_gather(comm, mine);
+        return;
+      }
+      if (scratch_poisoning()) {
+        for (auto& block : gathered) {
+          if (&block != &mine) {
+            std::fill(block.begin(), block.end(), std::byte{0xFF});
+          }
+        }
+      }
+      comm::chunked_all_gather(comm, gathered, chunks);
+      return;
   }
   throw Error("AggregationPipeline: unknown stage route");
 }
@@ -290,9 +302,12 @@ RoundStats AggregationPipeline::aggregate(
   auto session = codec_->begin_round(grads, round);
   RoundStats stats;
   WireStage stage;
-  std::vector<ByteBuffer> payloads(n);
-  std::vector<ByteBuffer> reduced;  // every stage's, alive until finish()
+  // Every stage's payloads and reduced payload, alive until finish(): a
+  // session may keep views of gathered or reduced bytes.
+  std::vector<std::vector<ByteBuffer>> stage_payloads;
+  std::vector<ByteBuffer> reduced;
   while (session->next_stage(stage)) {
+    auto& payloads = stage_payloads.emplace_back(n);
     lane_.beat();
     measure::ScopedSpan stage_span(trace, measure::Phase::kStage,
                                    stage.name);
@@ -379,11 +394,23 @@ RoundStats AggregationPipeline::aggregate_over(
     check_stage(stage);
     // Only this rank's payload is encoded; the stage's declared symmetry
     // stands in for the peers' sizes, so the rank's own size fixes the
-    // chunk plan every rank shares. It is encoded into the stage's own
-    // buffer, kept across rounds; the collective reduces in place, and
-    // the reduced bytes outlive finish() as the CodecRound contract asks.
-    if (stage_payloads_.size() <= s) stage_payloads_.resize(s + 1);
-    ByteBuffer& mine = stage_payloads_[s];
+    // chunk plan every rank shares. It is encoded into a buffer the stage
+    // keeps across rounds: its own payload buffer, which the collective
+    // reduces in place, or, for a symmetric gather, the rank's block of
+    // the stage's kept gather blocks, so the gather copies none of it.
+    // The reduced or gathered bytes outlive finish() as the CodecRound
+    // contract asks.
+    if (stage_payloads_.size() <= s) {
+      stage_payloads_.resize(s + 1);
+      stage_gathered_.resize(s + 1);
+    }
+    auto& gathered = stage_gathered_[s];
+    const bool gather_in_place =
+        stage.route == AggregationPath::kAllGather && stage.symmetric;
+    if (gather_in_place) gathered.resize(n);
+    ByteBuffer& mine = gather_in_place
+                           ? gathered[static_cast<std::size_t>(rank)]
+                           : stage_payloads_[s];
     if (scratch_poisoning()) {
       std::fill(mine.begin(), mine.end(), std::byte{0xFF});
     }
@@ -397,8 +424,7 @@ RoundStats AggregationPipeline::aggregate_over(
     std::size_t stage_bytes = mine.size();
     const auto chunks = stage_chunks(
         stage_bytes, stage.op != nullptr ? stage.op->granularity() : 1);
-    const auto gathered =
-        run_stage_rank(stage, comm, mine, chunks, config_.ps_server);
+    run_stage_rank(stage, comm, mine, chunks, config_.ps_server, gathered);
     {
       measure::ScopedSpan reduce_span(trace, measure::Phase::kReduce,
                                       stage.name);

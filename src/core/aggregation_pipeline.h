@@ -234,6 +234,10 @@ class AggregationPipeline {
   /// codec that encodes in place (CodecRound::encode_into) reuses its
   /// capacity instead of page-faulting a fresh gradient-sized buffer in.
   std::vector<ByteBuffer> stage_payloads_;
+  /// aggregate_over's gathered blocks per all-gather stage (one per rank),
+  /// kept across rounds for the same reason: the gather receives into
+  /// them in place, and the session reads them until finish().
+  std::vector<std::vector<ByteBuffer>> stage_gathered_;
 
   /// Live-telemetry handles (src/telemetry/metrics.h), acquired at
   /// construction; dead (single-branch no-ops) when telemetry is off.

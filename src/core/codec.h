@@ -125,10 +125,12 @@ struct WireStage {
 /// result, so no worker's state depends on another worker's encode.
 ///
 /// The gradients passed to SchemeCodec::begin_round, and the bytes of
-/// every payload passed to absorb_reduced, must stay alive and unmodified
-/// until finish() returns: a session may keep a view of either instead of
-/// a copy (the dense baselines decode the reduced payload in finish()).
-/// The ByteBuffer object itself may move; its bytes may not.
+/// every payload passed to absorb_reduced or absorb_gathered, must stay
+/// alive and unmodified until finish() returns: a session may keep a view
+/// of any of them instead of a copy (the dense baselines decode the
+/// reduced payload in finish(); TopK scatter-adds the gathered payloads
+/// there, straight into the output). The ByteBuffer object itself may
+/// move; its bytes may not.
 ///
 /// A session works in round scratch its codec lends it (see
 /// lend_scratch), so at most one session per codec is live: begin_round
@@ -177,7 +179,9 @@ class CodecRound {
   virtual void absorb_reduced(const ByteBuffer& reduced);
 
   /// Delivers every worker's payload for a kAllGather stage (indexed by
-  /// rank).
+  /// rank). A session validates them here, before the elastic commit
+  /// barrier, and throws gcs::Error on a malformed one, so finish() never
+  /// meets a payload it cannot apply.
   virtual void absorb_gathered(std::span<const ByteBuffer> payloads);
 
   /// Writes the aggregated *sum* estimate every worker ends up holding,

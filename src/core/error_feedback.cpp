@@ -29,12 +29,28 @@ void ErrorFeedback::compensate(int worker, std::span<const float> grad,
   kernels::active().add(grad.data(), m.data(), dimension_, y.data());
 }
 
+void ErrorFeedback::compensate_key_hist(int worker,
+                                        std::span<const float> grad,
+                                        std::span<float> y,
+                                        std::uint32_t* hist) const {
+  GCS_CHECK(grad.size() == dimension_ && y.size() == dimension_);
+  const auto& backend = kernels::active();
+  if (!enabled_) {
+    std::copy(grad.begin(), grad.end(), y.begin());
+    backend.key_hist(y.data(), dimension_, hist);
+    return;
+  }
+  const auto& m = memories_[static_cast<std::size_t>(worker)];
+  backend.add_key_hist(grad.data(), m.data(), dimension_, y.data(), hist);
+}
+
 std::span<float> ErrorFeedback::absorb_unsent(int worker,
-                                              std::span<const float> y) {
+                                              std::vector<float>& y) {
+  GCS_CHECK(enabled_);
   GCS_CHECK(y.size() == dimension_);
-  const auto memory = mutable_memory(worker);
-  std::copy(y.begin(), y.end(), memory.begin());
-  return memory;
+  auto& m = memories_[static_cast<std::size_t>(worker)];
+  m.swap(y);
+  return {m.data(), m.size()};
 }
 
 std::span<float> ErrorFeedback::mutable_memory(int worker) {

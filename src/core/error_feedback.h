@@ -12,12 +12,14 @@
 //   m_i' = y_i - contribution_i           (store what was NOT transmitted)
 // where contribution_i is scheme-specific — what the compressor actually
 // sent on behalf of worker i. Sparse schemes store it by exception
-// (absorb_unsent: m = y, then zero the sent coordinates); PowerSGD writes
+// (absorb_unsent: m = y by a buffer exchange, then zero the sent
+// coordinates); PowerSGD writes
 // y - reconstruction / n into the memory itself (mutable_memory), fused
 // with its reconstruction pass.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,12 +37,21 @@ class ErrorFeedback {
   void compensate(int worker, std::span<const float> grad,
                   std::span<float> y) const;
 
+  /// compensate() fused with TopK's key histogram of y (the
+  /// add_key_hist kernel; key_hist after a copy when disabled). `hist`
+  /// needs room for kernels::kKeyHistSlots counts.
+  void compensate_key_hist(int worker, std::span<const float> grad,
+                           std::span<float> y, std::uint32_t* hist) const;
+
   /// The absorb of a scheme that transmits selected coordinates exactly
-  /// (TopK, TopKC), by exception: writes m_i' = y and returns the memory,
+  /// (TopK, TopKC), by exception: commits m_i' = y and returns the memory,
   /// and the caller zeroes each transmitted coordinate j (m_i'[j] = 0:
   /// exactly y[j] was sent). The same bits as a per-coordinate select on
-  /// a sent mask, without the d-byte mask. Requires enabled().
-  std::span<float> absorb_unsent(int worker, std::span<const float> y);
+  /// a sent mask, without the d-byte mask. The commit exchanges storage
+  /// instead of copying d floats: the memory takes y's buffer, and `y`
+  /// (the caller's round scratch) takes the old memory's, whose contents
+  /// are then unspecified. Requires enabled() and y.size() == dimension.
+  std::span<float> absorb_unsent(int worker, std::vector<float>& y);
 
   /// The worker's memory, for a scheme that writes its residual m_i'
   /// itself, fused with its own decode pass (PowerSGD). Requires

@@ -1,10 +1,12 @@
 #include "core/topk_compressor.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "core/error_feedback.h"
+#include "kernels/kernels.h"
 #include "sparse/sparse_wire.h"
 #include "sparse/topk.h"
 
@@ -30,16 +32,19 @@ class TopKRound final : public CodecRound {
   TopKCodec& codec_;
   HeldWorkers held_;
   bool stage_done_ = false;
+  bool absorbed_ = false;
   // Views of the codec's round scratch (TopKCodec::Scratch): per held
-  // worker the compensated gradient y and its selection, and the
-  // scatter-add sum. EF commit is deferred to finish() — the codec-layer
-  // contract that an abandoned session (an aborted round on an elastic
-  // transport) leaves the codec's cross-round state untouched, so the
-  // round can be retried on a shrunken world from exactly the pre-round
-  // state.
+  // worker the compensated gradient y and its selection. EF commit is
+  // deferred to finish() — the codec-layer contract that an abandoned
+  // session (an aborted round on an elastic transport) leaves the codec's
+  // cross-round state untouched, so the round can be retried on a
+  // shrunken world from exactly the pre-round state.
   std::vector<std::span<float>> ys_;
   std::span<const std::vector<std::uint32_t>> idx_;
-  std::span<float> sum_;
+  // The gathered payloads, validated by absorb_gathered and scattered by
+  // finish(): their bytes stay valid until then (the CodecRound contract).
+  std::vector<SparseFp16View> plain_;
+  std::vector<std::span<const std::byte>> delta_;
 };
 
 class TopKCodec final : public SchemeCodec {
@@ -87,12 +92,12 @@ class TopKCodec final : public SchemeCodec {
   /// Round scratch lent to each session (see lend_scratch): not state, so
   /// remap_workers builds a codec without it.
   struct Scratch {
-    std::vector<std::vector<float>> ys;           // per worker, d
+    // Per worker, d: y. finish() commits a held worker's y as its EF
+    // memory by exchanging the buffers (ErrorFeedback::absorb_unsent), so
+    // this slot then holds the old memory, overwritten next round.
+    std::vector<std::vector<float>> ys;
     std::vector<std::vector<std::uint32_t>> idx;  // per worker, k
-    // The selection's working buffers. Its d-float `mags` doubles as the
-    // round's scatter-add sum: every selection is done by the time the
-    // gathered payloads arrive.
-    TopKScratch select;
+    TopKScratch select;  // the key histogram and the select's candidates
   };
   Scratch& scratch() noexcept { return scratch_; }
 
@@ -118,8 +123,12 @@ TopKRound::TopKRound(TopKCodec& codec,
   for (std::size_t w = 0; w < n; ++w) {
     if (!held_.holds(w)) continue;
     ys_[w] = lend_scratch(scratch.ys[w], d);
-    codec_.ef().compensate(static_cast<int>(w), grads[w], ys_[w]);
-    top_k_indices(ys_[w], config.k, scratch.select, scratch.idx[w]);
+    // One sweep over d: y = g + m with y's key histogram, then the select
+    // works over the threshold bucket's candidates only.
+    codec_.ef().compensate_key_hist(
+        static_cast<int>(w), grads[w], ys_[w],
+        lend_scratch(scratch.select.hist, kernels::kKeyHistSlots).data());
+    top_k_from_key_hist(ys_[w], config.k, scratch.select, scratch.idx[w]);
   }
 }
 
@@ -144,46 +153,63 @@ ByteBuffer TopKRound::encode(int worker) {
 void TopKRound::encode_into(int worker, ByteBuffer& out) {
   held_.require(worker, codec_);
   const auto w = static_cast<std::size_t>(worker);
-  // Plain-index payloads are built by a fused gather+fp16 pass straight
-  // into the wire buffer (byte-identical to extract_sparse + encode).
+  // Both formats gather and convert the selected values straight into
+  // the wire buffer (byte-identical to extract_sparse + encode).
   if (codec_.config().delta_indices) {
-    out = encode_sparse_delta16(extract_sparse(ys_[w], idx_[w]));
+    encode_sparse_delta16_gather(ys_[w], idx_[w], out);
   } else {
     encode_sparse_fp16_gather(ys_[w], idx_[w], out);
   }
 }
 
+void TopKRound::absorb_gathered(std::span<const ByteBuffer> payloads) {
+  const auto& config = codec_.config();
+  require_stage(stage_done_ && !absorbed_, codec_,
+                "gathered payloads absorbed out of stage order");
+  if (payloads.size() != static_cast<std::size_t>(config.world_size)) {
+    throw Error("TopK: " + std::to_string(payloads.size()) +
+                " gathered payloads for a world of " +
+                std::to_string(config.world_size));
+  }
+  // Validate every payload before anything is committed: finish() runs
+  // after the elastic commit barrier, and a hostile payload must leave the
+  // output and every EF memory untouched. Nothing is decoded here; the
+  // payloads' bytes outlive finish(), which scatters them into `out`.
+  plain_.clear();
+  delta_.clear();
+  for (const auto& payload : payloads) {
+    if (config.delta_indices) {
+      check_sparse_delta16(payload, config.dimension);
+      delta_.push_back(payload);
+    } else {
+      plain_.push_back(view_sparse_fp16(payload, config.dimension));
+    }
+  }
+  absorbed_ = true;
+}
+
 void TopKRound::finish(std::span<float> out, RoundStats& /*stats*/) {
-  require_stage(!sum_.empty(), codec_,
+  require_stage(absorbed_, codec_,
                 "finish before the gathered payloads were absorbed");
-  std::copy(sum_.begin(), sum_.end(), out.begin());
+  // Every worker scatter-adds all payloads in rank order, straight into
+  // the output.
+  if (codec_.config().delta_indices) {
+    std::fill(out.begin(), out.end(), 0.0f);
+    for (const auto payload : delta_) scatter_add_sparse_delta16(payload, out);
+  } else {
+    sum_sparse_fp16(plain_, out);
+  }
   // The transmitted contribution is the FP16-rounded selected values; the
   // EF memory keeps everything else, written by exception (see
   // ErrorFeedback::absorb_unsent). Memories are per-worker, so deferring
-  // the writes to finish() is bit-transparent, and it keeps aborted
+  // the commit to finish() is bit-transparent, and it keeps aborted
   // rounds side-effect-free.
   if (codec_.ef().enabled()) {
-    const auto n = ys_.size();
-    for (std::size_t w = 0; w < n; ++w) {
+    auto& ys = codec_.scratch().ys;
+    for (std::size_t w = 0; w < ys_.size(); ++w) {
       if (!held_.holds(w)) continue;
-      const auto memory =
-          codec_.ef().absorb_unsent(static_cast<int>(w), ys_[w]);
+      const auto memory = codec_.ef().absorb_unsent(static_cast<int>(w), ys[w]);
       for (const std::uint32_t i : idx_[w]) memory[i] = 0.0f;
-    }
-  }
-}
-
-void TopKRound::absorb_gathered(std::span<const ByteBuffer> payloads) {
-  const auto& config = codec_.config();
-  sum_ = lend_scratch(codec_.scratch().select.mags, config.dimension);
-  std::fill(sum_.begin(), sum_.end(), 0.0f);
-  // Every worker receives all payloads and scatter-adds in rank order.
-  for (const auto& payload : payloads) {
-    if (config.delta_indices) {
-      scatter_add(decode_sparse_delta16(payload), sum_);
-    } else {
-      // Fused decode + accumulate: no SparseVector materialization.
-      scatter_add_sparse_fp16(payload, sum_);
     }
   }
 }

@@ -315,7 +315,7 @@ void TopKCRound::finish(std::span<float> out, RoundStats& /*stats*/) {
     for (std::size_t w = 0; w < n; ++w) {
       if (!held_.holds(w)) continue;
       const auto memory =
-          codec_.ef().absorb_unsent(static_cast<int>(w), ys_[w]);
+          codec_.ef().absorb_unsent(static_cast<int>(w), scratch.ys[w]);
       for (std::size_t c = 0; c < scratch.sel_begin.size(); ++c) {
         std::fill_n(memory.begin() +
                         static_cast<std::ptrdiff_t>(scratch.sel_begin[c]),

@@ -195,6 +195,51 @@ std::size_t collect_ge_scalar(const float* x, std::size_t n, float t,
   return count;
 }
 
+void key_hist_scalar(const float* x, std::size_t n, std::uint32_t* hist) {
+  std::fill(hist, hist + kKeyBuckets, 0u);
+  for (std::size_t i = 0; i < n; ++i) ++hist[magnitude_key(x[i])];
+}
+
+// The reference is the composition it fuses: the add kernel, then the
+// histogram of its output.
+void add_key_hist_scalar(const float* a, const float* b, std::size_t n,
+                         float* out, std::uint32_t* hist) {
+  add_scalar(a, b, n, out);
+  key_hist_scalar(out, n, hist);
+}
+
+std::size_t collect_key_ge_scalar(const float* x, std::size_t n,
+                                  std::uint32_t bucket, std::uint32_t* idx,
+                                  float* mag) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (magnitude_key(x[i]) >= bucket) {
+      idx[count] = static_cast<std::uint32_t>(i);
+      mag[count] = std::fabs(x[i]);
+      ++count;
+    }
+  }
+  return count;
+}
+
+std::size_t ascending_prefix_scalar(const std::uint32_t* idx, std::size_t n,
+                                   std::size_t d) {
+  for (std::size_t j = 0; j < n; ++j) {
+    if (idx[j] >= d || (j > 0 && idx[j] <= idx[j - 1])) return j;
+  }
+  return n;
+}
+
+std::size_t scatter_add_fp16_scalar(const std::uint32_t* idx,
+                                    const std::uint16_t* vals, std::size_t n,
+                                    float* acc, std::size_t d) {
+  for (std::size_t j = 0; j < n; ++j) {
+    if (idx[j] >= d) return j;
+    acc[idx[j]] += half_bits_to_float(vals[j]);
+  }
+  return n;
+}
+
 void chunk_sq_norms_scalar(const float* x, std::size_t n, std::size_t chunk,
                            float* out) {
   for (std::size_t begin = 0, c = 0; begin < n; begin += chunk, ++c) {
@@ -293,6 +338,11 @@ constexpr Backend kScalar = {
     abs_scalar,
     count_gt_scalar,
     collect_ge_scalar,
+    add_key_hist_scalar,
+    key_hist_scalar,
+    collect_key_ge_scalar,
+    ascending_prefix_scalar,
+    scatter_add_fp16_scalar,
     chunk_sq_norms_scalar,
     sub_scaled_scalar,
     axpy_scalar,

@@ -2,10 +2,10 @@
 //
 // Every codec hot loop — fp32->fp16 conversion, stochastic quantization +
 // bit packing, THC's xoshiro stream fills and sign diagonal, Hadamard
-// butterflies, TopK threshold select, TopKC chunk scores, PowerSGD's
-// low-rank matmul panels and its EF residual, the training MLP's dense
-// forward and backward axpy — and
-// every sum-type collective fold (fp32/fp16 sums, saturating packed lanes)
+// butterflies, TopK's key-histogram select and sparse scatter-add, TopKC
+// chunk scores, PowerSGD's low-rank matmul panels and its EF residual, the
+// training MLP's dense forward and backward axpy — and every sum-type
+// collective fold (fp32/fp16 sums, saturating packed lanes)
 // funnels through this narrow interface (Vitis-streaming-kernel style:
 // flat pointer + count, no allocation, no virtual dispatch inside the
 // loop). A scalar reference backend defines the semantics; an AVX2
@@ -32,6 +32,7 @@
 //   3. CPUID: AVX2 + F16C present -> avx2(), else scalar().
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -149,6 +150,49 @@ struct Backend {
   std::size_t (*collect_ge)(const float* x, std::size_t n, float t,
                             std::uint32_t* out);
 
+  // TopK's select runs on magnitude keys (see magnitude_key below): one
+  // histogram of the keys finds the bucket holding the k-th largest |x|,
+  // and only the coordinates in or above that bucket are looked at again.
+  // Counts are integers, so a backend may count into up to
+  // kKeyHistSlots / kKeyBuckets interleaved sub-histograms and sum them;
+  // the histogram is the same either way.
+
+  /// out[i] = a[i] + b[i] (the error-feedback compensate pass, as add),
+  /// fused with the key histogram of the sums: on return hist[c] =
+  /// #{ i : magnitude_key(out[i]) == c } for every c < kKeyBuckets. hist
+  /// must have room for kKeyHistSlots counts; the entries past
+  /// kKeyBuckets are working space and are left unspecified. out may
+  /// alias a (no other overlap).
+  void (*add_key_hist)(const float* a, const float* b, std::size_t n,
+                       float* out, std::uint32_t* hist);
+
+  /// The key histogram of x alone: add_key_hist without the add.
+  void (*key_hist)(const float* x, std::size_t n, std::uint32_t* hist);
+
+  /// Collects, in ascending order, every i with magnitude_key(x[i]) >=
+  /// bucket: the j-th such i goes to idx[j] and |x[i]| (as abs writes
+  /// it) to mag[j]. Returns the count. idx and mag must each have room
+  /// for n entries; entries past the count may be overwritten.
+  std::size_t (*collect_key_ge)(const float* x, std::size_t n,
+                                std::uint32_t bucket, std::uint32_t* idx,
+                                float* mag);
+
+  /// The length of the longest prefix of idx[0..n) that is strictly
+  /// ascending with every entry < d: n for a well-formed sparse payload
+  /// (TopK's indices), and otherwise the position of the first entry that
+  /// is out of range or not above its predecessor.
+  std::size_t (*ascending_prefix)(const std::uint32_t* idx, std::size_t n,
+                                  std::size_t d);
+
+  /// The checked sparse fp16 scatter-add: for j = 0, 1, ... in order,
+  /// acc[idx[j]] += half_bits_to_float(vals[j]), stopping before the first
+  /// j whose idx[j] >= d. Returns the number of entries applied (n when
+  /// every index is in range). Repeated indices add in entry order, so the
+  /// result is the sequential loop's bit for bit, NaN payloads included.
+  std::size_t (*scatter_add_fp16)(const std::uint32_t* idx,
+                                  const std::uint16_t* vals, std::size_t n,
+                                  float* acc, std::size_t d);
+
   /// TopKC's chunk scores: out[c] is the squared L2 norm of
   /// x[c*chunk .. min((c+1)*chunk, n)) for every c < ceil(n / chunk),
   /// folded as acc = +0.0f; acc = acc + x[i] * x[i] in ascending i (the
@@ -197,6 +241,22 @@ struct Backend {
   void (*panel_pqt)(const float* p, const float* q, std::size_t rows,
                     std::size_t cols, std::size_t r, float* m_hat);
 };
+
+/// Number of magnitude keys: keys are 15-bit (the sign bit is cleared).
+inline constexpr std::size_t kKeyBuckets = std::size_t{1} << 15;
+
+/// Counts a key histogram needs room for: kKeyBuckets per sub-histogram,
+/// at most four sub-histograms.
+inline constexpr std::size_t kKeyHistSlots = 4 * kKeyBuckets;
+
+/// TopK's magnitude key of x: the top 16 bits of |x|'s bit pattern,
+/// (bits(x) & 0x7fffffff) >> 16. Non-negative floats order like their bit
+/// patterns, so for non-NaN a, b, |a| < |b| implies key(a) <= key(b), and
+/// a key above another's means a strictly larger magnitude. Every NaN has
+/// a key >= key(Inf) = 0x7f80.
+inline std::uint32_t magnitude_key(float x) noexcept {
+  return (std::bit_cast<std::uint32_t>(x) & 0x7FFFFFFFu) >> 16;
+}
 
 /// The scalar reference backend (always available; defines the semantics).
 const Backend& scalar() noexcept;

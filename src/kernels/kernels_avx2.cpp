@@ -30,6 +30,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <type_traits>
@@ -703,6 +704,198 @@ std::size_t collect_ge_avx2(const float* x, std::size_t n, float t,
   return count;
 }
 
+/// The magnitude keys of 8 floats (kernels::magnitude_key per lane).
+inline __m256i magnitude_keys(__m256 v) {
+  return _mm256_srli_epi32(
+      _mm256_and_si256(_mm256_castps_si256(v),
+                       _mm256_set1_epi32(0x7FFFFFFF)),
+      16);
+}
+
+constexpr std::size_t kSubHists = kKeyHistSlots / kKeyBuckets;
+static_assert(kSubHists == 4);
+
+/// The key histogram, optionally fused with the add kernel (kAdd: the
+/// keys are of out = a + b, stored as add_avx2 stores them). Long inputs
+/// count into four interleaved sub-histograms, so a run of equal keys
+/// (zeros, ties) is four independent increment chains instead of one;
+/// short ones use one, where zeroing and summing four would cost more
+/// than it saves. The sum is integer, so the histogram is the same.
+template <bool kAdd>
+void key_hist_impl(const float* a, const float* b, std::size_t n, float* out,
+                   std::uint32_t* hist) {
+  const bool split = n >= 2 * kKeyHistSlots;
+  std::memset(hist, 0,
+              (split ? kKeyHistSlots : kKeyBuckets) * sizeof(std::uint32_t));
+  std::uint32_t* const h0 = hist;
+  std::uint32_t* const h1 = split ? hist + kKeyBuckets : hist;
+  std::uint32_t* const h2 = split ? hist + 2 * kKeyBuckets : hist;
+  std::uint32_t* const h3 = split ? hist + 3 * kKeyBuckets : hist;
+  alignas(32) std::uint32_t k[8];
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 v = _mm256_loadu_ps(a + i);
+    if constexpr (kAdd) {
+      v = _mm256_add_ps(v, _mm256_loadu_ps(b + i));
+      _mm256_storeu_ps(out + i, v);
+    }
+    _mm256_store_si256(reinterpret_cast<__m256i*>(k), magnitude_keys(v));
+    ++h0[k[0]];
+    ++h1[k[1]];
+    ++h2[k[2]];
+    ++h3[k[3]];
+    ++h0[k[4]];
+    ++h1[k[5]];
+    ++h2[k[6]];
+    ++h3[k[7]];
+  }
+  for (; i < n; ++i) {
+    float v = a[i];
+    if constexpr (kAdd) {
+      v = a[i] + b[i];
+      out[i] = v;
+    }
+    ++h0[magnitude_key(v)];
+  }
+  if (!split) return;
+  for (std::size_t c = 0; c < kKeyBuckets; c += 8) {
+    const auto load = [c](const std::uint32_t* h) {
+      return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h + c));
+    };
+    const __m256i sum = _mm256_add_epi32(
+        _mm256_add_epi32(load(h0), load(h1)),
+        _mm256_add_epi32(load(h2), load(h3)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(h0 + c), sum);
+  }
+}
+
+void add_key_hist_avx2(const float* a, const float* b, std::size_t n,
+                       float* out, std::uint32_t* hist) {
+  key_hist_impl<true>(a, b, n, out, hist);
+}
+
+void key_hist_avx2(const float* x, std::size_t n, std::uint32_t* hist) {
+  key_hist_impl<false>(x, nullptr, n, nullptr, hist);
+}
+
+/// Left-packing permutations: entry m lists, in ascending order, the lanes
+/// whose bit is set in the 8-bit mask m (the rest are don't-cares).
+constexpr std::array<std::uint64_t, 256> make_compress_table() {
+  std::array<std::uint64_t, 256> table{};
+  for (unsigned m = 0; m < 256; ++m) {
+    std::uint64_t packed = 0;
+    unsigned out = 0;
+    for (unsigned lane = 0; lane < 8; ++lane) {
+      if ((m >> lane) & 1u) packed |= std::uint64_t{lane} << (8 * out++);
+    }
+    table[m] = packed;
+  }
+  return table;
+}
+
+constexpr std::array<std::uint64_t, 256> kCompressTable =
+    make_compress_table();
+
+std::size_t collect_key_ge_avx2(const float* x, std::size_t n,
+                                std::uint32_t bucket, std::uint32_t* idx,
+                                float* mag) {
+  const __m256i abs_mask = _mm256_set1_epi32(0x7FFFFFFF);
+  // Keys are below 2^15, so the signed compare key > bucket - 1 is exact
+  // (bucket 0 compares against -1 and takes every lane).
+  const __m256i below = _mm256_set1_epi32(static_cast<int>(bucket) - 1);
+  const __m256i step = _mm256_set1_epi32(8);
+  __m256i index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8, index = _mm256_add_epi32(index, step)) {
+    const __m256i mags = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i)),
+        abs_mask);
+    const __m256i hit =
+        _mm256_cmpgt_epi32(_mm256_srli_epi32(mags, 16), below);
+    const auto m = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(hit)));
+    // Branch-free: every group stores 8 lanes and advances by its hits.
+    // Hits so far never exceed i, so the stores stay within the n
+    // entries the contract gives us.
+    const __m256i perm = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(
+        static_cast<long long>(kCompressTable[m])));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(idx + count),
+                        _mm256_permutevar8x32_epi32(index, perm));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mag + count),
+                        _mm256_permutevar8x32_epi32(mags, perm));
+    count += static_cast<std::size_t>(__builtin_popcount(m));
+  }
+  const std::size_t tail = scalar().collect_key_ge(x + i, n - i, bucket,
+                                                   idx + count, mag + count);
+  for (std::size_t t = 0; t < tail; ++t) {
+    idx[count + t] += static_cast<std::uint32_t>(i);
+  }
+  return count + tail;
+}
+
+std::size_t ascending_prefix_avx2(const std::uint32_t* idx, std::size_t n,
+                                 std::size_t d) {
+  if (n == 0 || d == 0 || idx[0] >= d) return 0;
+  const auto last = static_cast<std::uint32_t>(
+      std::min<std::size_t>(d - 1, 0xFFFFFFFFu));
+  const __m256i vlast = _mm256_set1_epi32(static_cast<int>(last));
+  std::size_t j = 1;
+  for (; j + 8 <= n; j += 8) {
+    const __m256i cur =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + j));
+    const __m256i prev =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + j - 1));
+    // Unsigned compares through max: cur <= last, and cur > prev exactly
+    // when max(prev, cur) != prev.
+    const __m256i in_range =
+        _mm256_cmpeq_epi32(_mm256_max_epu32(cur, vlast), vlast);
+    const __m256i not_above =
+        _mm256_cmpeq_epi32(_mm256_max_epu32(prev, cur), prev);
+    const __m256i ok = _mm256_andnot_si256(not_above, in_range);
+    if (_mm256_movemask_epi8(ok) != -1) break;  // the loop below finds it
+  }
+  for (; j < n; ++j) {
+    if (idx[j] >= d || idx[j] <= idx[j - 1]) return j;
+  }
+  return n;
+}
+
+std::size_t scatter_add_fp16_avx2(const std::uint32_t* idx,
+                                  const std::uint16_t* vals, std::size_t n,
+                                  float* acc, std::size_t d) {
+  if (d == 0) return 0;
+  // In range exactly when max(idx, d - 1) == d - 1 (unsigned); a d past
+  // the index type admits every index.
+  const auto last = static_cast<std::uint32_t>(
+      std::min<std::size_t>(d - 1, 0xFFFFFFFFu));
+  const __m256i vlast = _mm256_set1_epi32(static_cast<int>(last));
+  alignas(32) float v[8];
+  alignas(32) std::uint32_t at[8];
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256i iv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + j));
+    const __m256i ok = _mm256_cmpeq_epi32(_mm256_max_epu32(iv, vlast), vlast);
+    const __m128i h =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(vals + j));
+    if (_mm256_movemask_epi8(ok) != -1 || any_half_inf_nan(h)) {
+      // An out-of-range index stops the scalar reference at its entry; an
+      // Inf/NaN half takes its software decode (as fp16_to_fp32 does).
+      const std::size_t done =
+          scalar().scatter_add_fp16(idx + j, vals + j, 8, acc, d);
+      if (done < 8) return j + done;
+      continue;
+    }
+    _mm256_store_ps(v, _mm256_cvtph_ps(h));
+    _mm256_store_si256(reinterpret_cast<__m256i*>(at), iv);
+    // Entry order, one add at a time: repeated indices accumulate as the
+    // sequential loop does.
+    for (int lane = 0; lane < 8; ++lane) acc[at[lane]] += v[lane];
+  }
+  return j + scalar().scatter_add_fp16(idx + j, vals + j, n - j, acc, d);
+}
+
 /// Lanes of v that are NaN.
 inline __m256 nan_lanes(__m256 v) { return _mm256_cmp_ps(v, v, _CMP_UNORD_Q); }
 
@@ -1074,6 +1267,11 @@ constexpr Backend kAvx2 = {
     abs_avx2,
     count_gt_avx2,
     collect_ge_avx2,
+    add_key_hist_avx2,
+    key_hist_avx2,
+    collect_key_ge_avx2,
+    ascending_prefix_avx2,
+    scatter_add_fp16_avx2,
     chunk_sq_norms_avx2,
     sub_scaled_avx2,
     axpy_avx2,

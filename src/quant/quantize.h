@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace gcs {
 
@@ -28,17 +27,5 @@ QuantRange compute_range(std::span<const float> x) noexcept;
 /// Element-wise min/max merge of two ranges (the shared-range consensus
 /// reduction: associative, so it is all-reduce friendly).
 QuantRange merge_ranges(QuantRange a, QuantRange b) noexcept;
-
-/// Deterministic nearest-level quantization (biased; used in ablations).
-void quantize_nearest(std::span<const float> x, QuantRange range, unsigned q,
-                      std::span<std::uint16_t> out_levels) noexcept;
-
-/// Reconstructs the value of a single level.
-float dequantize_level(std::uint32_t level, QuantRange range,
-                       unsigned q) noexcept;
-
-/// Reconstructs a span of levels into floats.
-void dequantize(std::span<const std::uint16_t> levels, QuantRange range,
-                unsigned q, std::span<float> out) noexcept;
 
 }  // namespace gcs

@@ -48,11 +48,27 @@ void encode_sparse_fp16_gather(std::span<const float> x,
                                std::span<const std::uint32_t> indices,
                                ByteBuffer& out);
 
-/// Fused equivalent of scatter_add(decode_sparse_fp16(data), acc):
-/// decodes fp16 values in bulk and accumulates in wire order without
-/// materializing a SparseVector. Bit-identical accumulation.
-void scatter_add_sparse_fp16(std::span<const std::byte> data,
-                             std::span<float> acc);
+/// A plain-format payload's entries, viewed in place in its bytes.
+struct SparseFp16View {
+  std::span<const std::uint32_t> indices;
+  std::span<const std::uint16_t> halves;  ///< fp16 values
+};
+
+/// Parses a plain-format payload for a `dimension`-coordinate sum and
+/// validates all of it: the count header must account for every byte and
+/// every index must be < dimension. Throws gcs::Error otherwise, having
+/// written nothing, so a caller can validate every payload before it
+/// touches its output.
+SparseFp16View view_sparse_fp16(std::span<const std::byte> data,
+                                std::size_t dimension);
+
+/// out = the sum of validated views, scatter-added in rank order onto
+/// zeros (kernels::Backend::scatter_add_fp16): each view's entries add in
+/// wire order, so repeated or descending indices sum as the sequential
+/// loop does. Bit-identical to zero-filling out and applying
+/// scatter_add(decode_sparse_fp16(payload), out) per payload.
+void sum_sparse_fp16(std::span<const SparseFp16View> views,
+                     std::span<float> out);
 
 /// Delta-encoded variant: [count:u32][deltas:u16 * count][values:fp16 *
 /// count]. Indices whose gap from the previous entry exceeds 65535 force
@@ -60,10 +76,32 @@ void scatter_add_sparse_fp16(std::span<const std::byte> data,
 /// the paper's footnote describes). 32 bits per entry.
 ByteBuffer encode_sparse_delta16(const SparseVector& v);
 
+/// encode_sparse_delta16(extract_sparse(x, indices)) written over `out`
+/// in place, values gathered and converted by the kernel layer: the same
+/// bytes, without the SparseVector. `indices` must be strictly
+/// increasing. Reserves room for the worst-case padding of x.size()
+/// coordinates on first use, so later rounds reuse the capacity.
+void encode_sparse_delta16_gather(std::span<const float> x,
+                                  std::span<const std::uint32_t> indices,
+                                  ByteBuffer& out);
+
 /// Parses encode_sparse_delta16 output (padding entries are dropped on
 /// decode only if their value is exactly zero AND duplicated; they are
 /// harmless to aggregation either way).
 SparseVector decode_sparse_delta16(std::span<const std::byte> data);
+
+/// Validates a delta-format payload for a `dimension`-coordinate sum: the
+/// count header must account for every byte and every entry's position
+/// (the running sum of the deltas, without wrap-around) must be
+/// < dimension. Throws gcs::Error otherwise.
+void check_sparse_delta16(std::span<const std::byte> data,
+                          std::size_t dimension);
+
+/// Fused equivalent of scatter_add(decode_sparse_delta16(data), acc):
+/// the same entries, merged and added in the same order, without
+/// materializing a SparseVector. Bit-identical accumulation.
+void scatter_add_sparse_delta16(std::span<const std::byte> data,
+                                std::span<float> acc);
 
 /// Adds a sparse vector into a dense accumulator: acc[idx] += value.
 void scatter_add(const SparseVector& v, std::span<float> acc);

@@ -1,11 +1,11 @@
 #include "sparse/topk.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <functional>
 #include <numeric>
 
+#include "common/check.h"
 #include "kernels/kernels.h"
 
 namespace gcs {
@@ -13,81 +13,92 @@ namespace gcs {
 std::vector<std::uint32_t> top_k_indices(std::span<const float> x,
                                          std::size_t k) {
   TopKScratch scratch;
+  scratch.hist.resize(kernels::kKeyHistSlots);
+  kernels::active().key_hist(x.data(), x.size(), scratch.hist.data());
   std::vector<std::uint32_t> idx;
-  top_k_indices(x, k, scratch, idx);
+  top_k_from_key_hist(x, k, scratch, idx);
   return idx;
 }
 
-void top_k_indices(std::span<const float> x, std::size_t k,
-                   TopKScratch& scratch, std::vector<std::uint32_t>& idx) {
+void top_k_from_key_hist(std::span<const float> x, std::size_t k,
+                         TopKScratch& scratch,
+                         std::vector<std::uint32_t>& idx) {
   k = std::min(k, x.size());
-  idx.clear();
-  if (k == 0) return;
+  if (k == 0) {
+    idx.clear();
+    return;
+  }
   if (k == x.size()) {
     idx.resize(x.size());
     std::iota(idx.begin(), idx.end(), 0u);
     return;
   }
-  // Threshold select instead of nth_element over an index permutation:
-  // find t = the k-th largest |x| on a flat magnitude copy (cheap cache
-  // behaviour), then collect the selected set in one ascending pass. The
-  // selected set is exactly the (|v| desc, idx asc) top k: all
-  // magnitudes > t plus the lowest-indexed ties at t — so this is
-  // bit-for-bit the full-sort selection (cross-checked against the
-  // top_k_indices_reference oracle in tests/oracles.h).
-  const auto& backend = kernels::active();
-  // Every scratch buffer is fully overwritten before any read, so reuse
-  // never leaks one call's values into the next.
-  scratch.mags.resize(x.size());
-  float* const mags = scratch.mags.data();
-  backend.abs(x.data(), x.size(), mags);
-  // t = the k-th largest magnitude, found by exact radix select instead of
-  // nth_element over a full d-sized copy (the old encode bottleneck at
-  // 25MB payloads). Magnitudes are non-negative, so their IEEE bit
-  // patterns order exactly like their values: histogram the top 16 bits,
-  // walk buckets from the top to the one holding rank k, then rank only
-  // that bucket's members — same t, two cheap passes.
-  auto& hist = scratch.hist;
-  hist.assign(std::size_t{1} << 16, 0u);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    ++hist[std::bit_cast<std::uint32_t>(mags[i]) >> 16];
-  }
+  // Threshold select: find t = the k-th largest |x|, then take every
+  // magnitude > t plus the lowest-indexed ties at t, in ascending index
+  // order. That set is exactly the (|v| desc, idx asc) top k, so this is
+  // bit for bit the full-sort selection (the top_k_indices_reference
+  // oracle in tests/oracles.h).
+  //
+  // t comes from the key histogram: walk the buckets from the top to the
+  // one holding rank k, then rank only that bucket's members. A key above
+  // the bucket's means a larger magnitude and one below a smaller one
+  // (kernels::magnitude_key), so only coordinates in or above the bucket
+  // can be > t or == t: the rest of the select works on those candidates
+  // alone, with the same float compares a sweep over all of x would make
+  // (NaN magnitudes included: they compare false either way).
+  GCS_CHECK(scratch.hist.size() >= kernels::kKeyBuckets);
+  const std::uint32_t* const hist = scratch.hist.data();
   std::size_t rank = k;
-  std::uint32_t bucket = (1u << 16) - 1u;
+  std::uint32_t bucket = kernels::kKeyBuckets - 1;
   while (hist[bucket] < rank) {
+    GCS_CHECK_MSG(bucket > 0, "top_k: key histogram counts fewer than k");
     rank -= hist[bucket];
     --bucket;
   }
-  // Reserved at full size once: the bucket's population varies round to
-  // round, and untouched capacity costs address space, not memory.
+  const auto& backend = kernels::active();
+  // Sized for all of x once (the collect kernel's contract); pages past
+  // the candidates actually written are never touched.
+  if (scratch.candidates_size < x.size()) {
+    scratch.candidates =
+        std::make_unique_for_overwrite<std::uint32_t[]>(x.size());
+    scratch.candidate_mags =
+        std::make_unique_for_overwrite<float[]>(x.size());
+    scratch.candidates_size = x.size();
+  }
+  std::uint32_t* const candidates = scratch.candidates.get();
+  float* const mags = scratch.candidate_mags.get();
+  const std::size_t n_cand = backend.collect_key_ge(
+      x.data(), x.size(), bucket, candidates, mags);
+  GCS_CHECK_MSG(n_cand == k - rank + hist[bucket],
+                "top_k: key histogram disagrees with the data");
+  // From here on only the compact candidate arrays are read. Members keep
+  // ascending index order, so nth_element sees the sequence a full sweep
+  // would hand it.
   auto& members = scratch.members;
-  members.reserve(x.size());
+  members.reserve(x.size());  // address space once, not memory
   members.clear();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if ((std::bit_cast<std::uint32_t>(mags[i]) >> 16) == bucket) {
-      members.push_back(mags[i]);
-    }
+  for (std::size_t c = 0; c < n_cand; ++c) {
+    if (kernels::magnitude_key(mags[c]) == bucket) members.push_back(mags[c]);
   }
   std::nth_element(members.begin(),
                    members.begin() + static_cast<std::ptrdiff_t>(rank - 1),
                    members.end(), std::greater<float>());
   const float t = members[rank - 1];
-  const std::size_t greater = backend.count_gt(mags, x.size(), t);
-  scratch.candidates.resize(x.size());
-  const std::uint32_t* const candidates = scratch.candidates.data();
-  const std::size_t n_cand =
-      backend.collect_ge(mags, x.size(), t, scratch.candidates.data());
-  idx.reserve(k);
-  std::size_t ties_left = k - greater;
-  for (std::size_t c = 0; c < n_cand && idx.size() < k; ++c) {
-    const std::uint32_t i = candidates[c];
-    if (mags[i] > t) {
-      idx.push_back(i);
-    } else if (ties_left > 0) {
-      idx.push_back(i);
-      --ties_left;
-    }
+  // Every magnitude > t, plus ties at t while k - #(> t) remain, in
+  // ascending order; branch-free, since nearly every candidate is taken.
+  // `idx` keeps its size across rounds, so the resize fills nothing.
+  std::size_t ties_left = k - backend.count_gt(mags, n_cand, t);
+  idx.resize(k);
+  std::uint32_t* const out = idx.data();
+  std::size_t taken = 0;
+  for (std::size_t c = 0; c < n_cand && taken < k; ++c) {
+    const bool above = mags[c] > t;
+    const bool tie = !above && mags[c] >= t && ties_left > 0;
+    out[taken] = candidates[c];
+    taken += static_cast<std::size_t>(above || tie);
+    ties_left -= static_cast<std::size_t>(tie);
   }
+  idx.resize(taken);  // short of k only when t is NaN
 }
 
 std::vector<std::uint32_t> top_j_by_value(std::span<const float> scores,

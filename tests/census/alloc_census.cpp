@@ -156,11 +156,16 @@ struct SchemeCensus {
 };
 
 // Layout: make_transformer_like_layout(1 << 20); chunk = 256 KiB. fp16's
-// 48 are 4 ranks x 6 ring steps x 2 chunk messages of 256 KiB; PowerSGD's
-// factor messages are all below 64 KiB.
+// 48 are 4 ranks x 6 ring steps x 2 chunk messages of 256 KiB; TopK's 36
+// are 4 ranks x 3 gather steps x 3 chunk messages (its gathered blocks
+// are the pipeline's, kept across rounds); its delta format's padded
+// payloads differ in size per rank, so they take the monolithic gather,
+// whose result is 4 ranks x 4 fresh blocks; PowerSGD's factor messages
+// are all below 64 KiB.
 const SchemeCensus kSchemes[] = {
     {"fp16", 48},
-    {"topk:b=8", 52},
+    {"topk:b=8", 36},
+    {"topk:b=8:delta", 16},
     {"topkc:b=8", 30},
     {"thc:q=4:b=4:sat:partial", 18},
     {"powersgd:r=4", 0},

@@ -1,8 +1,9 @@
 // Test oracles: the legacy per-coordinate reference paths the library's
-// fused kernels replaced. The library keeps one implementation of each
-// (kernels::Backend's thc_encode_lanes, thc_decode_lanes and
-// sat_add_packed; top_k_indices' radix select); these exist only so the
-// tests can check it against the obvious code.
+// fused kernels replaced, and quantizer helpers only the tests use. The
+// library keeps one implementation of each (kernels::Backend's
+// thc_encode_lanes, thc_decode_lanes and sat_add_packed; top_k_indices'
+// key-histogram select); these exist only so the tests can check it
+// against the obvious code.
 #pragma once
 
 #include <algorithm>
@@ -33,6 +34,42 @@ inline void quantize_stochastic(std::span<const float> x, QuantRange range,
   for (std::size_t i = 0; i < x.size(); ++i) {
     out_levels[i] = static_cast<std::uint16_t>(
         stochastic_level(x[i], range.lo, range.hi, q, rng.next_float()));
+  }
+}
+
+/// Deterministic nearest-level quantization (biased), the test-side
+/// counterpart of the stochastic quantizer.
+inline void quantize_nearest(std::span<const float> x, QuantRange range,
+                             unsigned q,
+                             std::span<std::uint16_t> out_levels) noexcept {
+  const auto levels = static_cast<float>((1u << q) - 1u);
+  const float width = range.width();
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (width <= 0.0f) {
+      out_levels[i] = 0;
+      continue;
+    }
+    float t = (x[i] - range.lo) / width * levels;
+    t = std::clamp(t, 0.0f, levels);
+    out_levels[i] = static_cast<std::uint16_t>(std::lround(t));
+  }
+}
+
+/// Reconstructs the value of a single level.
+inline float dequantize_level(std::uint32_t level, QuantRange range,
+                              unsigned q) noexcept {
+  const auto levels = static_cast<float>((1u << q) - 1u);
+  if (levels == 0.0f || range.width() <= 0.0f) return range.lo;
+  return range.lo + (range.width() / levels) * static_cast<float>(level);
+}
+
+/// Reconstructs a span of levels into floats.
+inline void dequantize(std::span<const std::uint16_t> levels,
+                       QuantRange range, unsigned q,
+                       std::span<float> out) noexcept {
+  const std::size_t n = std::min(levels.size(), out.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = dequantize_level(levels[i], range, q);
   }
 }
 

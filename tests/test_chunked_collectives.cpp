@@ -174,14 +174,24 @@ TEST(ChunkedAllGather, MatchesMonolithicAllGather) {
     mono[static_cast<std::size_t>(comm.rank())] = all_gather(
         comm, inputs[static_cast<std::size_t>(comm.rank())]);
   });
-  run_workers(f2, [&](Communicator& comm) {
-    chunked[static_cast<std::size_t>(comm.rank())] = chunked_all_gather(
-        comm, inputs[static_cast<std::size_t>(comm.rank())], chunks);
-  });
-  for (int r = 0; r < n; ++r) {
-    EXPECT_EQ(chunked[static_cast<std::size_t>(r)],
-              mono[static_cast<std::size_t>(r)])
-        << "rank " << r;
+  // Twice into the same caller-owned blocks: the second gather reuses
+  // blocks that hold stale bytes of a different size and must overwrite
+  // every one of them.
+  for (const std::size_t stale : {bytes + 5, std::size_t{3}}) {
+    for (auto& blocks : chunked) {
+      blocks.assign(static_cast<std::size_t>(n),
+                    ByteBuffer(stale, std::byte{0xEE}));
+    }
+    run_workers(f2, [&](Communicator& comm) {
+      const auto r = static_cast<std::size_t>(comm.rank());
+      chunked[r][r] = inputs[r];
+      chunked_all_gather(comm, chunked[r], chunks);
+    });
+    for (int r = 0; r < n; ++r) {
+      EXPECT_EQ(chunked[static_cast<std::size_t>(r)],
+                mono[static_cast<std::size_t>(r)])
+          << "rank " << r << " stale size " << stale;
+    }
   }
 }
 

@@ -54,7 +54,7 @@ TEST(ErrorFeedback, AbsorbByExceptionKeepsUnsent) {
   // The sparse schemes' absorb: m = y, then the caller zeroes what it
   // sent (here coordinates 0 and 2).
   ErrorFeedback ef(1, 4, true);
-  const std::vector<float> y{1.0f, 2.0f, 3.0f, 4.0f};
+  std::vector<float> y{1.0f, 2.0f, 3.0f, 4.0f};
   const auto memory = ef.absorb_unsent(0, y);
   memory[0] = 0.0f;
   memory[2] = 0.0f;
@@ -65,16 +65,35 @@ TEST(ErrorFeedback, AbsorbByExceptionKeepsUnsent) {
   EXPECT_EQ(mem[3], 4.0f);
 }
 
+TEST(ErrorFeedback, AbsorbExchangesBuffersInsteadOfCopying) {
+  // The commit is O(1) in d: the memory takes y's buffer and y takes the
+  // memory's old one (round scratch from then on), both still d long.
+  ErrorFeedback ef(1, 3, true);
+  std::vector<float> y{1.0f, 2.0f, 3.0f};
+  const float* const y_storage = y.data();
+  const float* const old_memory = ef.memory(0).data();
+  const auto memory = ef.absorb_unsent(0, y);
+  EXPECT_EQ(memory.data(), y_storage);
+  EXPECT_EQ(y.data(), old_memory);
+  EXPECT_EQ(y.size(), 3u);
+  EXPECT_EQ(ef.memory(0)[2], 3.0f);
+  // The next round compensates into the exchanged scratch as usual.
+  ef.compensate(0, std::vector<float>{1.0f, 1.0f, 1.0f}, y);
+  EXPECT_EQ(y, (std::vector<float>{2.0f, 3.0f, 4.0f}));
+}
+
 TEST(ErrorFeedback, WorkersAreIndependent) {
   ErrorFeedback ef(2, 1, true);
-  (void)ef.absorb_unsent(0, std::vector<float>{7.0f});
+  std::vector<float> y{7.0f};
+  (void)ef.absorb_unsent(0, y);
   EXPECT_EQ(ef.memory(0)[0], 7.0f);
   EXPECT_EQ(ef.memory(1)[0], 0.0f);
 }
 
 TEST(ErrorFeedback, ResetClears) {
   ErrorFeedback ef(1, 1, true);
-  (void)ef.absorb_unsent(0, std::vector<float>{3.0f});
+  std::vector<float> y{3.0f};
+  (void)ef.absorb_unsent(0, y);
   ef.reset();
   EXPECT_EQ(ef.memory(0)[0], 0.0f);
 }

@@ -1150,6 +1150,297 @@ TEST(Kernels, TopKThresholdSelectMatchesReferenceOnTies) {
   }
 }
 
+/// Lengths for TopK's select and scatter kernels: the runt tails 0-17,
+/// 1003 and 70001, and one long enough for the AVX2 key histogram to
+/// split into its interleaved sub-histograms.
+std::vector<std::size_t> select_lengths() {
+  std::vector<std::size_t> n;
+  for (std::size_t i = 0; i <= 17; ++i) n.push_back(i);
+  n.push_back(1003);
+  n.push_back(70001);
+  n.push_back(2 * kernels::kKeyHistSlots + 5);
+  return n;
+}
+
+/// TopK select inputs. kSpecial: gaussian with every special_floats()
+/// value sprinkled in (+-0, denormals, +-Inf, NaN payloads); kGrid:
+/// gaussian snapped to a 1/4 grid, so the threshold bucket is all ties;
+/// kEqual: one value everywhere (every count in one bucket).
+enum class SelectFill { kSpecial, kGrid, kEqual };
+
+std::vector<float> select_input(std::size_t n, SelectFill fill, Rng& rng) {
+  const auto specials = special_floats();
+  std::vector<float> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto g = static_cast<float>(rng.next_gaussian());
+    switch (fill) {
+      case SelectFill::kSpecial:
+        x[i] = i % 7 == 3 ? specials[rng.next_below(specials.size())] : g;
+        break;
+      case SelectFill::kGrid: x[i] = std::round(g * 4.0f) / 4.0f; break;
+      case SelectFill::kEqual: x[i] = -1.25f; break;
+    }
+  }
+  return x;
+}
+
+/// The key histogram by its definition.
+std::vector<std::uint32_t> key_hist_reference(const float* x, std::size_t n) {
+  std::vector<std::uint32_t> hist(kernels::kKeyBuckets);
+  for (std::size_t i = 0; i < n; ++i) ++hist[kernels::magnitude_key(x[i])];
+  return hist;
+}
+
+TEST(Kernels, KeyHistAndFusedAddCrossBackend) {
+  Rng rng(41);
+  constexpr std::uint32_t kGuard = 0xABCD1234u;
+  for (const auto fill :
+       {SelectFill::kSpecial, SelectFill::kGrid, SelectFill::kEqual}) {
+    for (std::size_t n : select_lengths()) {
+      const auto a = select_input(n, fill, rng);
+      // b is finite (or zero, to keep kEqual's ties), so a NaN in the sum
+      // comes from a alone and its payload is a's on every backend.
+      std::vector<float> b(n, 0.0f);
+      if (fill != SelectFill::kEqual) {
+        for (auto& v : b) v = static_cast<float>(rng.next_gaussian());
+      }
+      // The add kernel's sum, with a guard element past n.
+      std::vector<float> sum(n + 1, 7.0f);
+      kernels::scalar().add(a.data(), b.data(), n, sum.data());
+      const auto want = key_hist_reference(sum.data(), n);
+      for (const Backend* backend : backends()) {
+        const auto where = [&] {
+          return std::string(backend->name) + " n=" + std::to_string(n) +
+                 " fill=" + std::to_string(static_cast<int>(fill));
+        };
+        // The histogram buffer's guard sits past the working space.
+        std::vector<std::uint32_t> hist(kernels::kKeyHistSlots + 1, kGuard);
+        backend->key_hist(sum.data(), n, hist.data());
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), hist.begin()))
+            << where();
+        ASSERT_EQ(hist.back(), kGuard) << where();
+
+        std::fill(hist.begin(), hist.end(), kGuard);
+        std::vector<float> out(n + 1, 7.0f);
+        backend->add_key_hist(a.data(), b.data(), n, out.data(), hist.data());
+        ASSERT_TRUE(same_floats(out.data(), sum.data(), n + 1)) << where();
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), hist.begin()))
+            << where();
+        ASSERT_EQ(hist.back(), kGuard) << where();
+
+        // out == a: the compensate pass writes y over the gradient copy.
+        auto in_place = a;
+        backend->add_key_hist(in_place.data(), b.data(), n, in_place.data(),
+                              hist.data());
+        ASSERT_TRUE(same_floats(in_place.data(), sum.data(), n)) << where();
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), hist.begin()))
+            << where();
+      }
+    }
+  }
+}
+
+TEST(Kernels, CollectKeyGeCrossBackend) {
+  Rng rng(43);
+  constexpr std::uint32_t kIdxGuard = 0xDEADBEEFu;
+  constexpr float kMagGuard = 9.0f;
+  for (const auto fill :
+       {SelectFill::kSpecial, SelectFill::kGrid, SelectFill::kEqual}) {
+    for (std::size_t n : select_lengths()) {
+      const auto x = select_input(n, fill, rng);
+      // Every lane, none but NaN/Inf, the top bucket, and data-drawn ones.
+      std::vector<std::uint32_t> buckets{
+          0u, kernels::magnitude_key(1.0f),
+          kernels::magnitude_key(std::numeric_limits<float>::infinity()),
+          static_cast<std::uint32_t>(kernels::kKeyBuckets - 1)};
+      if (n > 0) buckets.push_back(kernels::magnitude_key(x[n / 2]));
+      for (const std::uint32_t bucket : buckets) {
+        std::vector<std::uint32_t> want_idx;
+        std::vector<float> want_mag;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (kernels::magnitude_key(x[i]) >= bucket) {
+            want_idx.push_back(static_cast<std::uint32_t>(i));
+            want_mag.push_back(std::fabs(x[i]));
+          }
+        }
+        for (const Backend* backend : backends()) {
+          std::vector<std::uint32_t> idx(n + 1, kIdxGuard);
+          std::vector<float> mag(n + 1, kMagGuard);
+          const std::size_t count = backend->collect_key_ge(
+              x.data(), n, bucket, idx.data(), mag.data());
+          ASSERT_EQ(count, want_idx.size())
+              << backend->name << " n=" << n << " bucket=" << bucket;
+          ASSERT_TRUE(std::equal(want_idx.begin(), want_idx.end(),
+                                 idx.begin()))
+              << backend->name << " n=" << n << " bucket=" << bucket;
+          ASSERT_TRUE(same_floats(mag.data(), want_mag.data(), count))
+              << backend->name << " n=" << n << " bucket=" << bucket;
+          ASSERT_EQ(idx[n], kIdxGuard) << backend->name << " n=" << n;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(mag[n]),
+                    std::bit_cast<std::uint32_t>(kMagGuard))
+              << backend->name << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, AscendingPrefixCrossBackend) {
+  Rng rng(47);
+  const auto reference = [](const std::vector<std::uint32_t>& idx,
+                            std::size_t d) {
+    for (std::size_t j = 0; j < idx.size(); ++j) {
+      if (idx[j] >= d || (j > 0 && idx[j] <= idx[j - 1])) return j;
+    }
+    return idx.size();
+  };
+  for (std::size_t n : select_lengths()) {
+    std::vector<std::uint32_t> good(n);
+    std::uint32_t at = 0;
+    for (auto& i : good) {
+      i = at;
+      at += 1 + static_cast<std::uint32_t>(rng.next_below(3));
+    }
+    const std::size_t d = n > 0 ? std::size_t{good.back()} + 1 : 1;
+    std::vector<std::pair<std::vector<std::uint32_t>, std::size_t>> cases{
+        {good, d}, {good, d - 1}, {good, 0},
+        {good, std::size_t{1} << 40}};  // a d past the index type
+    // Break the order or the range at the first, a middle and the last
+    // entry, one way at a time.
+    for (const std::size_t p : {std::size_t{0}, n / 2, n - 1}) {
+      if (n == 0) break;
+      auto dup = good;
+      dup[p] = p > 0 ? dup[p - 1] : dup[p];
+      cases.emplace_back(dup, d);
+      auto down = good;
+      down[p] = p > 0 ? down[p - 1] - (down[p - 1] > 0 ? 1u : 0u) : 0u;
+      cases.emplace_back(down, d);
+      auto out = good;
+      out[p] = static_cast<std::uint32_t>(d) + (p % 2 == 0 ? 0u : 0x7FFFu);
+      cases.emplace_back(out, d);
+      auto top = good;
+      top[p] = 0xFFFFFFFFu;
+      cases.emplace_back(top, d);
+    }
+    for (const auto& [idx, dim] : cases) {
+      const std::size_t want = reference(idx, dim);
+      for (const Backend* backend : backends()) {
+        EXPECT_EQ(backend->ascending_prefix(idx.data(), idx.size(), dim),
+                  want)
+            << backend->name << " n=" << n << " d=" << dim;
+      }
+    }
+  }
+}
+
+TEST(Kernels, ScatterAddFp16CrossBackend) {
+  Rng rng(53);
+  // Every fp16 class: +-0, denormals, normals, +-Inf and NaN payloads.
+  const std::uint16_t special_halves[] = {0x0000, 0x8000, 0x0001, 0x83FF,
+                                          0x3C00, 0xBC00, 0x7BFF, 0x7C00,
+                                          0xFC00, 0x7E00, 0x7C01, 0xFE37};
+  for (std::size_t n : select_lengths()) {
+    // A small d makes repeated indices common.
+    const std::size_t d = 64 + n / 2;
+    std::vector<std::uint32_t> idx(n);
+    std::vector<std::uint16_t> vals(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      idx[j] = static_cast<std::uint32_t>(rng.next_below(d));
+      vals[j] = j % 5 == 2
+                    ? special_halves[rng.next_below(std::size(special_halves))]
+                    : float_to_half_bits(
+                          static_cast<float>(rng.next_gaussian()));
+    }
+    std::vector<float> init(d + 1);  // one guard element past d
+    for (auto& v : init) v = static_cast<float>(rng.next_gaussian());
+    std::vector<std::size_t> stops{n};  // no bad index
+    if (n > 0) {
+      for (const std::size_t p : {std::size_t{0}, n / 2, n - 1}) {
+        stops.push_back(p);
+      }
+    }
+    for (const std::size_t stop : stops) {
+      auto bad = idx;
+      if (stop < n) {
+        bad[stop] = stop % 2 == 0 ? static_cast<std::uint32_t>(d)
+                                  : 0xFFFFFFFFu;
+      }
+      // The sequential loop the kernel is defined by.
+      auto want = init;
+      for (std::size_t j = 0; j < stop; ++j) {
+        want[bad[j]] += half_bits_to_float(vals[j]);
+      }
+      for (const Backend* backend : backends()) {
+        auto acc = init;
+        EXPECT_EQ(backend->scatter_add_fp16(bad.data(), vals.data(), n,
+                                            acc.data(), d),
+                  stop)
+            << backend->name << " n=" << n;
+        for (std::size_t i = 0; i <= d; ++i) {
+          ASSERT_TRUE(same_or_both_nan(acc[i], want[i]))
+              << backend->name << " n=" << n << " stop=" << stop
+              << " i=" << i;
+        }
+      }
+    }
+    for (const Backend* backend : backends()) {
+      // d = 0 admits no index at all.
+      EXPECT_EQ(backend->scatter_add_fp16(idx.data(), vals.data(), n,
+                                          nullptr, 0),
+                0u)
+          << backend->name;
+    }
+  }
+}
+
+TEST(Kernels, TopKIndicesMatchReferenceOnBothBackends) {
+  Rng rng(59);
+  for (std::size_t d : {std::size_t{1}, std::size_t{2}, std::size_t{17},
+                        std::size_t{1003}, std::size_t{70001},
+                        2 * kernels::kKeyHistSlots + 5}) {
+    for (const auto fill :
+         {SelectFill::kSpecial, SelectFill::kGrid, SelectFill::kEqual}) {
+      auto x = select_input(d, fill, rng);
+      // The full-sort oracle needs a strict weak order: no NaN.
+      for (auto& v : x) {
+        if (std::isnan(v)) v = std::numeric_limits<float>::infinity();
+      }
+      for (const std::size_t k : {std::size_t{1}, d / 3, d - 1, d}) {
+        const auto want = top_k_indices_reference(x, k);
+        for (const Backend* backend : backends()) {
+          BackendGuard guard(backend->name);
+          EXPECT_EQ(top_k_indices(x, k), want)
+              << backend->name << " d=" << d << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, TopKIndicesWithNanAgreeAcrossBackends) {
+  if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  // NaN magnitudes sit in the top key buckets but compare false, so the
+  // oracle cannot rank them; the backends must still select alike,
+  // including when the threshold itself is NaN and fewer than k are taken.
+  Rng rng(61);
+  for (std::size_t d : {std::size_t{17}, std::size_t{1003},
+                        std::size_t{70001}}) {
+    const auto x = select_input(d, SelectFill::kSpecial, rng);
+    for (const std::size_t k : {std::size_t{1}, d / 20, d / 3, d - 1}) {
+      std::vector<std::uint32_t> scalar_idx, avx2_idx;
+      {
+        BackendGuard guard("scalar");
+        scalar_idx = top_k_indices(x, k);
+      }
+      {
+        BackendGuard guard("avx2");
+        avx2_idx = top_k_indices(x, k);
+      }
+      EXPECT_EQ(scalar_idx, avx2_idx) << "d=" << d << " k=" << k;
+    }
+  }
+}
+
 /// Drives one codec round stage by stage over the local reference
 /// reductions, asserting at every stage that encode_range slices
 /// concatenate to exactly the whole-payload encode.
