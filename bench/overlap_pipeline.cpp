@@ -161,8 +161,9 @@ int main(int argc, char** argv) {
   for (const auto& w :
        {sim::make_bert_large_workload(), sim::make_vgg19_workload()}) {
     for (const char* spec : kBackwardSchemes) {
-      const sched::AutotuneChoice choice =
-          sched::autotune_sizes(cost, w, spec, kEncodeWorkers);
+      const sched::AutotuneChoice choice = sched::autotune_sizes(
+          cost, w, core::parse_scheme(spec, w.layout, cost.world_size()),
+          kEncodeWorkers);
       const sim::RoundTime bucketed = cost.bucketed_round_for_spec(
           w, spec, choice.bucket_bytes, kEncodeWorkers);
       ++bwd_total;

@@ -46,19 +46,20 @@ int main(int argc, char** argv) {
                     "No Rotation", "source"});
   const sim::WorkloadSpec workloads[] = {sim::make_bert_large_workload(),
                                          sim::make_vgg19_workload()};
+  using enum core::RotationMode;
   for (int i = 0; i < 2; ++i) {
     const auto& w = workloads[i];
-    auto rps = [&](unsigned b, const char* mode) {
+    auto rps = [&](unsigned b, core::RotationMode mode) {
       return format_sig(
           cost.thc_round(w, b, cost.rotation_iters(w, mode))
               .rounds_per_second(),
           3);
     };
-    table.add_row({w.name, "Sat b=q=2", rps(2, "full"), rps(2, "partial"),
-                   rps(2, "none"), "measured"});
-    table.add_row({w.name, "Sat b=q=4", rps(4, "full"), rps(4, "partial"),
-                   rps(4, "none"), "measured"});
-    table.add_row({w.name, "BL b=8,q=4", rps(8, "full"), "N/A", "N/A",
+    table.add_row({w.name, "Sat b=q=2", rps(2, kFull), rps(2, kPartial),
+                   rps(2, kNone), "measured"});
+    table.add_row({w.name, "Sat b=q=4", rps(4, kFull), rps(4, kPartial),
+                   rps(4, kNone), "measured"});
+    table.add_row({w.name, "BL b=8,q=4", rps(8, kFull), "N/A", "N/A",
                    "measured"});
     for (int p = i * 3; p < i * 3 + 3; ++p) {
       table.add_row({kPaper[p].task, kPaper[p].config, cell(kPaper[p].full),

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   // Route the run through the bucketed, multi-worker scheduler (value
   // path and cost charge both read the same spec knobs). A spec that
   // already carries scheduler knobs wins outright — appending defaults
-  // would silently override it (parse_spec is last-wins for options).
+  // would repeat a key, which the spec grammar rejects.
   const std::string sched =
       flags.get_string("sched", "buckets=layer:workers=2");
   if (!sched.empty() && !core::has_scheduler_knobs(config.scheme)) {

@@ -19,7 +19,7 @@
 // are sequential because later stages may depend on earlier results (TopKC
 // selects chunks from the norm consensus, PowerSGD computes Q from the
 // orthonormalized P sum). The payload of a stage is a plain byte string
-// that the orchestration layer may split into WirePayload chunks at will:
+// that the orchestration layer may split into chunks at will:
 // every reduction here is element-wise, so chunking never changes values
 // (the transport layer's bit-identity contract).
 #pragma once
@@ -75,13 +75,6 @@ struct RoundStats {
 
 /// Which collective family carries an all-reduce stage.
 enum class ReduceAlgorithm : std::uint8_t { kRing, kTree };
-
-/// One typed chunk of wire payload, as handed to the transport layer.
-struct WirePayload {
-  ByteBuffer bytes;
-  std::size_t chunk_index = 0;   ///< position in the stage's chunk plan
-  std::size_t byte_offset = 0;   ///< offset inside the stage payload
-};
 
 /// Declares one communication stage of a round.
 struct WireStage {

@@ -1,16 +1,13 @@
 #include "core/factory.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
 
 #include "common/check.h"
-#include "core/baselines.h"
-#include "core/powersgd_compressor.h"
-#include "core/thc_compressor.h"
-#include "core/topk_compressor.h"
-#include "core/topkc_compressor.h"
 #include "sched/autotune.h"
 
 namespace gcs::core {
@@ -35,11 +32,14 @@ struct Spec {
     return false;
   }
 
+  bool has_option(const std::string& key) const {
+    return options.find(key) != options.end();
+  }
+
   /// Enforces the factory contract that a typo must not silently run a
   /// different experiment: every option key and flag must be recognized
   /// by the scheme (or be one of the shared pipeline knobs).
-  void require_known(const std::string& kind,
-                     std::initializer_list<const char*> known_options,
+  void require_known(std::initializer_list<const char*> known_options,
                      std::initializer_list<const char*> known_flags) const {
     const auto in = [](auto&& set, const std::string& x) {
       for (const char* s : set) {
@@ -61,10 +61,8 @@ struct Spec {
     }
   }
 
-  double get_double(const std::string& key, double fallback,
-                    bool* found = nullptr) const {
+  double get_double(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    if (found != nullptr) *found = it != options.end();
     if (it == options.end()) return fallback;
     char* end = nullptr;
     const double v = std::strtod(it->second.c_str(), &end);
@@ -73,6 +71,31 @@ struct Spec {
                   it->second + "'");
     }
     return v;
+  }
+
+  /// An integer option in [min, max]: byte counts, widths, ranks.
+  std::size_t get_uint(const std::string& key, std::size_t fallback,
+                       std::size_t min,
+                       std::size_t max = std::size_t{1} << 53) const {
+    const double v = get_double(key, static_cast<double>(fallback));
+    if (!(v >= static_cast<double>(min) && v <= static_cast<double>(max)) ||
+        v != std::floor(v)) {
+      throw Error("compressor spec: option " + key +
+                  " expects an integer in [" + std::to_string(min) + ", " +
+                  std::to_string(max) + "], got '" + options.at(key) + "'");
+    }
+    return static_cast<std::size_t>(v);
+  }
+
+  /// The b= bit budget of topk and topkc: required and positive.
+  double get_bits() const {
+    if (!has_option("b")) throw Error(kind + " spec needs b=");
+    const double b = get_double("b", 0.0);
+    if (!(b > 0.0)) {
+      throw Error("compressor spec: b= expects a positive bit budget, got '" +
+                  options.at("b") + "'");
+    }
+    return b;
   }
 };
 
@@ -88,15 +111,24 @@ Spec parse_spec(const std::string& text) {
       continue;
     }
     const auto eq = token.find('=');
+    const std::string name = token.substr(0, eq);
+    // A repeated key must not leave its readers to pick a winner.
+    if (spec.has_option(name) || spec.has_flag(name)) {
+      throw Error("compressor spec: '" + name + "' given twice in '" + text +
+                  "'");
+    }
     if (eq == std::string::npos) {
       spec.flags.push_back(token);
     } else {
-      spec.options[token.substr(0, eq)] = token.substr(eq + 1);
+      spec.options[name] = token.substr(eq + 1);
     }
   }
   if (spec.kind.empty()) throw Error("empty compressor spec");
   return spec;
 }
+
+SchemeSpec scheme_of(const Spec& spec, const ModelLayout& layout,
+                     int world_size);
 
 /// Parses and validates the shared pipeline/transport/scheduler knobs
 /// (see factory.h for the grammar). `layout` provides the layer table the
@@ -107,8 +139,7 @@ PipelineConfig pipeline_config_of(const Spec& spec,
                                   const ModelLayout* layout,
                                   int world_size) {
   PipelineConfig pipeline;
-  pipeline.chunk_bytes =
-      static_cast<std::size_t>(spec.get_double("chunk", 0.0));
+  pipeline.chunk_bytes = spec.get_uint("chunk", 0, 0);
 
   // ---- transport declaration: fabric=socket names the transport that
   // elastic= needs; the caller builds the endpoints.
@@ -148,34 +179,19 @@ PipelineConfig pipeline_config_of(const Spec& spec,
                   value + "'");
     }
   }
-  const auto bucket_it = spec.options.find("bucket");
-  if (bucket_it != spec.options.end()) {
+  if (spec.has_option("bucket")) {
     if (pipeline.bucket_mode != sched::BucketMode::kLayerBuckets) {
       throw Error(
           "compressor spec: bucket= (layer-bucket byte cap) is only "
           "meaningful with buckets=layer");
     }
-    const double bytes = spec.get_double("bucket", 0.0);
-    if (bytes < 1.0) {
-      throw Error("compressor spec: bucket= expects a positive byte count");
-    }
-    pipeline.bucket_bytes = static_cast<std::size_t>(bytes);
+    pipeline.bucket_bytes = spec.get_uint("bucket", 0, 1);
   }
-  const auto workers_it = spec.options.find("workers");
-  if (workers_it != spec.options.end()) {
-    const double workers = spec.get_double("workers", 1.0);
-    if (workers < 1.0 || workers != static_cast<double>(
-                                        static_cast<int>(workers))) {
-      throw Error(
-          "compressor spec: workers= expects a positive integer (the "
-          "encode worker pool width), got '" +
-          workers_it->second + "'");
-    }
-    pipeline.encode_workers = static_cast<int>(workers);
-  }
+  pipeline.encode_workers = static_cast<int>(
+      spec.get_uint("workers", 1, 1, std::numeric_limits<int>::max()));
 
-  // backward_frac is a charge-path knob (sim::CostModel re-parses the
-  // spec; the pipeline's value path never needs it), but its validation
+  // backward_frac is a charge-path knob (scheme_of carries it to the cost
+  // model; the pipeline's value path never needs it), but its validation
   // lives here with the rest of the grammar: a typo or an out-of-range
   // share must not silently charge a different schedule.
   const auto frac_it = spec.options.find("backward_frac");
@@ -200,12 +216,12 @@ PipelineConfig pipeline_config_of(const Spec& spec,
     }
   }
   if (autotune) {
-    if (spec.options.find("chunk") != spec.options.end()) {
+    if (spec.has_option("chunk")) {
       throw Error(
           "compressor spec: autotune picks the chunk size itself — drop "
           "chunk= or autotune");
     }
-    if (bucket_it != spec.options.end()) {
+    if (spec.has_option("bucket")) {
       throw Error(
           "compressor spec: autotune picks the bucket size itself — drop "
           "bucket= or autotune");
@@ -218,28 +234,11 @@ PipelineConfig pipeline_config_of(const Spec& spec,
   if (autotune && layout != nullptr) {
     // Resolve the autotuned sizes against the cost model, standing the
     // layout in for a calibrated workload (sched/autotune.h).
-    const sim::WorkloadSpec workload =
-        sched::workload_for_layout(*layout, spec.kind);
-    // Strip the knobs the sweep varies so charge dispatch sees a plain
-    // scheme spec (chunk=/bucket= are rejected above; buckets=layer in
-    // the spec would force bucketed charging inside the sweep's chunked
-    // arm).
-    std::string plain = spec.kind;
-    for (const auto& [key, value] : spec.options) {
-      if (key == "buckets" || key == "workers" || key == "fabric" ||
-          key == "autotune" || key == "elastic") {
-        continue;
-      }
-      plain += ":" + key + "=" + value;
-    }
-    for (const auto& flag : spec.flags) {
-      if (flag == "autotune") continue;
-      plain += ":" + flag;
-    }
     const sim::CostModel cost(sim::CostConstants{},
                               netsim::NetworkModel{}, world_size);
     const sched::AutotuneChoice choice = sched::autotune_sizes(
-        cost, workload, plain, pipeline.encode_workers);
+        cost, sched::workload_for_layout(*layout, spec.kind),
+        scheme_of(spec, *layout, world_size), pipeline.encode_workers);
     if (pipeline.bucket_mode == sched::BucketMode::kLayerBuckets) {
       pipeline.bucket_bytes = choice.bucket_bytes;
     } else {
@@ -249,87 +248,119 @@ PipelineConfig pipeline_config_of(const Spec& spec,
   return pipeline;
 }
 
-SchemeCodecPtr codec_of(const Spec& spec, const std::string& text,
-                        const ModelLayout& layout, int world_size) {
+/// Validates the whole spec and reads its scheme half. Builds nothing:
+/// the configs are plain values, so the cost model can parse a spec on a
+/// paper-scale layout without allocating a codec.
+SchemeSpec scheme_of(const Spec& spec, const ModelLayout& layout,
+                     int world_size) {
+  // The shared knobs are validated here too, so every entry point
+  // rejects the same specs.
+  (void)pipeline_config_of(spec, nullptr, world_size);
   const std::size_t d = layout.total_size();
+  SchemeSpec scheme;
+  scheme.backward_frac =
+      spec.get_double("backward_frac", sched::kBackwardFraction);
 
   if (spec.kind == "fp32" || spec.kind == "fp16") {
-    // "tf32" is consumed by the cost model's re-parse of the same spec.
-    spec.require_known(spec.kind, {}, {"tree", "tf32"});
+    spec.require_known({}, {"tree", "tf32"});
     BaselineConfig config;
     config.dimension = d;
     config.world_size = world_size;
     config.comm_precision =
         spec.kind == "fp16" ? Precision::kFp16 : Precision::kFp32;
     config.use_tree = spec.has_flag("tree");
-    return make_baseline_codec(config);
+    scheme.config = config;
+    scheme.tf32 = spec.has_flag("tf32");
+    return scheme;
   }
 
   if (spec.kind == "topk") {
-    spec.require_known(spec.kind, {"k", "b"}, {"noef", "delta"});
+    spec.require_known({"k", "b"}, {"noef", "delta"});
     TopKConfig config;
     config.dimension = d;
     config.world_size = world_size;
     config.error_feedback = !spec.has_flag("noef");
     config.delta_indices = spec.has_flag("delta");
-    bool has_k = false;
-    const double k = spec.get_double("k", 0, &has_k);
-    if (has_k) {
-      config.k = static_cast<std::size_t>(k);
-    } else {
-      bool has_b = false;
-      const double b = spec.get_double("b", 8.0, &has_b);
-      if (!has_b) throw Error("topk spec needs k= or b=");
-      config.k = TopKConfig::k_for_bits(d, b, config.delta_indices);
+    if (spec.has_option("k") == spec.has_option("b")) {
+      throw Error("topk spec needs one of k= or b=");
     }
-    return make_topk_codec(config);
+    if (spec.has_option("k")) {
+      config.k = spec.get_uint("k", 0, 1);
+    } else {
+      scheme.topk_bits = spec.get_bits();
+      config.k = TopKConfig::k_for_bits(d, scheme.topk_bits,
+                                        config.delta_indices);
+    }
+    scheme.config = config;
+    return scheme;
   }
 
   if (spec.kind == "topkc") {
-    spec.require_known(spec.kind, {"b", "c"}, {"noef", "perm"});
+    spec.require_known({"b", "c"}, {"noef", "perm"});
     TopKCConfig config;
     config.dimension = d;
     config.world_size = world_size;
     config.error_feedback = !spec.has_flag("noef");
     config.permute = spec.has_flag("perm");
-    bool has_b = false;
-    const double b = spec.get_double("b", 8.0, &has_b);
-    if (!has_b) throw Error("topkc spec needs b=");
-    config.chunk_size = static_cast<std::size_t>(spec.get_double(
-        "c", static_cast<double>(TopKCConfig::default_chunk_size(b))));
+    const double b = spec.get_bits();
+    config.chunk_size =
+        spec.get_uint("c", TopKCConfig::default_chunk_size(b), 1);
     config.num_top_chunks = TopKCConfig::j_for_bits(d, config.chunk_size, b);
-    return make_topkc_codec(config);
+    scheme.config = config;
+    return scheme;
   }
 
   if (spec.kind == "thc") {
-    spec.require_known(spec.kind, {"q", "b"},
+    spec.require_known({"q", "b"},
                        {"sat", "wide", "full", "partial", "norot"});
+    const int rotations = spec.has_flag("full") + spec.has_flag("partial") +
+                          spec.has_flag("norot");
+    if (rotations > 1 || (spec.has_flag("sat") && spec.has_flag("wide"))) {
+      throw Error("thc spec: full, partial and norot exclude each other, "
+                  "as do sat and wide");
+    }
     ThcConfig config;
     config.dimension = d;
     config.world_size = world_size;
-    config.q = static_cast<unsigned>(spec.get_double("q", 4));
-    config.b = static_cast<unsigned>(spec.get_double("b", config.q));
+    constexpr std::size_t kMaxBits = std::numeric_limits<unsigned>::max();
+    config.q = static_cast<unsigned>(spec.get_uint("q", 4, 1, kMaxBits));
+    config.b =
+        static_cast<unsigned>(spec.get_uint("b", config.q, 1, kMaxBits));
     config.saturation = config.b == config.q;
     if (spec.has_flag("sat")) config.saturation = true;
     if (spec.has_flag("wide")) config.saturation = false;
     if (spec.has_flag("full")) config.rotation = RotationMode::kFull;
     if (spec.has_flag("partial")) config.rotation = RotationMode::kPartial;
     if (spec.has_flag("norot")) config.rotation = RotationMode::kNone;
-    return make_thc_codec(config);
+    scheme.config = config;
+    return scheme;
   }
 
   if (spec.kind == "powersgd") {
-    spec.require_known(spec.kind, {"r"}, {"noef"});
+    spec.require_known({"r"}, {"noef"});
     PowerSgdConfig config;
     config.layout = layout;
     config.world_size = world_size;
-    config.rank = static_cast<std::size_t>(spec.get_double("r", 4));
+    config.rank = spec.get_uint("r", 4, 1);
     config.error_feedback = !spec.has_flag("noef");
-    return make_powersgd_codec(config);
+    scheme.config = config;
+    return scheme;
   }
 
-  throw Error("unknown compressor kind '" + spec.kind + "' in spec '" + text +
-              "'");
+  throw Error("unknown compressor kind '" + spec.kind + "'");
+}
+
+SchemeCodecPtr codec_of(const SchemeSpec& scheme) {
+  const auto& c = scheme.config;
+  if (const auto* x = std::get_if<BaselineConfig>(&c)) {
+    return make_baseline_codec(*x);
+  }
+  if (const auto* x = std::get_if<TopKConfig>(&c)) return make_topk_codec(*x);
+  if (const auto* x = std::get_if<TopKCConfig>(&c)) {
+    return make_topkc_codec(*x);
+  }
+  if (const auto* x = std::get_if<ThcConfig>(&c)) return make_thc_codec(*x);
+  return make_powersgd_codec(std::get<PowerSgdConfig>(c));
 }
 
 }  // namespace
@@ -339,18 +370,18 @@ AggregationPipeline make_pipeline(const std::string& text,
   const Spec spec = parse_spec(text);
   const PipelineConfig pipeline =
       pipeline_config_of(spec, &layout, world_size);
-  return AggregationPipeline(codec_of(spec, text, layout, world_size),
+  return AggregationPipeline(codec_of(scheme_of(spec, layout, world_size)),
                              pipeline);
+}
+
+SchemeSpec parse_scheme(const std::string& text, const ModelLayout& layout,
+                        int world_size) {
+  return scheme_of(parse_spec(text), layout, world_size);
 }
 
 SchemeCodecPtr make_scheme_codec(const std::string& text,
                                  const ModelLayout& layout, int world_size) {
-  const Spec spec = parse_spec(text);
-  // The shared knobs are ignored here (the caller owns the pipeline) but
-  // still validated: a typo must not silently run a different experiment
-  // through this entry point either.
-  (void)pipeline_config_of(spec, &layout, world_size);
-  return codec_of(spec, text, layout, world_size);
+  return codec_of(parse_scheme(text, layout, world_size));
 }
 
 PipelineConfig parse_pipeline_config(const std::string& text) {

@@ -6,12 +6,18 @@
 //   "fp32"                      Baseline FP32
 //   "fp16"                      Baseline FP16
 //   "topk:b=8"                  TopK at 8 bits/coordinate (K = d*b/48)
-//   "topk:k=1000"               TopK with explicit K
+//   "topk:k=1000"               TopK with explicit K (k= or b=, not both)
+//   "topk:b=8:delta"            16-bit delta indices: 32-bit entries,
+//                               K = d*b/32
 //   "topkc:b=2"                 TopKC at 2 bits/coordinate (paper's C rule)
 //   "topkc:b=2:c=64:perm"       explicit chunk size; permutation ablation
 //   "thc:q=4:b=4:sat:partial"   THC, saturating, partial rotation
-//   "thc:q=4:b=8:full"          THC baseline (wide bits, full rotation)
+//   "thc:q=4:b=8:full"          THC baseline (wide bits, full rotation);
+//                               at most one of full|partial|norot and
+//                               of sat|wide
 //   "powersgd:r=4"              PowerSGD rank 4
+//   "fp16:tf32"                 charge TF32 forward+backward (fp32/fp16;
+//                               read only by the cost model)
 // Common options: "noef" disables error feedback where it defaults on;
 // "chunk=<bytes>" splits every stage payload into chunks of at most that
 // many bytes for the pipelined collectives (bit-identical values; affects
@@ -48,14 +54,26 @@
 // the socket transport.
 //
 // Throws gcs::Error on malformed specs — a typo must not silently run a
-// different experiment.
+// different experiment. A key or flag given twice is malformed too: no
+// reader has to pick which value wins.
+//
+// This grammar has one reader. sim::CostModel charges a spec from
+// parse_scheme and parse_pipeline_config, so the charge describes the
+// experiment make_pipeline builds.
 #pragma once
 
 #include <cstddef>
 #include <string>
+#include <variant>
 
 #include "core/aggregation_pipeline.h"
+#include "core/baselines.h"
 #include "core/codec.h"
+#include "core/powersgd_compressor.h"
+#include "core/thc_compressor.h"
+#include "core/topk_compressor.h"
+#include "core/topkc_compressor.h"
+#include "sched/backward_source.h"
 #include "tensor/layout.h"
 
 namespace gcs::core {
@@ -65,6 +83,28 @@ namespace gcs::core {
 /// its total size).
 AggregationPipeline make_pipeline(const std::string& spec,
                                   const ModelLayout& layout, int world_size);
+
+/// The scheme half of a spec, validated and not built: the configuration
+/// make_scheme_codec constructs, plus the values only the cost model
+/// reads. Parsing allocates nothing codec-sized.
+struct SchemeSpec {
+  std::variant<BaselineConfig, TopKConfig, TopKCConfig, ThcConfig,
+               PowerSgdConfig>
+      config;
+  /// topk's b= budget as written (0 with k=). The charge prices the
+  /// budget, d*b/48 entries; the codec rounds K down to an integer.
+  double topk_bits = 0.0;
+  /// fp32/fp16 "tf32": the charged forward+backward runs in TF32.
+  bool tf32 = false;
+  /// "backward_frac=": the backward share of fwd+bwd compute in the
+  /// bucketed charge. The value path never reads it.
+  double backward_frac = sched::kBackwardFraction;
+};
+
+/// Parses and validates a whole spec (scheme options and the shared
+/// knobs, without resolving autotune) and returns its scheme half.
+SchemeSpec parse_scheme(const std::string& spec, const ModelLayout& layout,
+                        int world_size);
 
 /// Builds just the scheme codec for a spec (shared pipeline/transport
 /// knobs are accepted and ignored). For callers that drive the codec
@@ -76,7 +116,9 @@ SchemeCodecPtr make_scheme_codec(const std::string& spec,
 /// Parses the shared pipeline/transport/scheduler knobs of a spec
 /// (chunk=, fabric=, elastic=, buckets=, bucket=, workers=, autotune)
 /// without building the codec. Validates the values with the
-/// same rejection rules as make_pipeline. The layout-free overload
+/// same rejection rules as make_pipeline. With a layout, autotune is
+/// resolved: the sizes are swept through the cost model at the spec's
+/// scheme, encode workers and backward_frac. The layout-free overload
 /// accepts buckets=layer/autotune but leaves PipelineConfig::layout empty
 /// (and the autotuned sizes unresolved) — the caller attaches a layout,
 /// or uses the overload below.
@@ -87,9 +129,8 @@ PipelineConfig parse_pipeline_config(const std::string& spec,
 
 /// True when the spec explicitly carries any scheduler knob (buckets=,
 /// bucket=, workers=, autotune). For callers that append default
-/// scheduler knobs to user specs (the ddp examples): parse_spec is
-/// last-wins for options, so appending over an explicit choice would
-/// silently override it.
+/// scheduler knobs to user specs (the ddp examples): a repeated key is
+/// an error, so appending over an explicit choice would fail the spec.
 bool has_scheduler_knobs(const std::string& spec);
 
 }  // namespace gcs::core

@@ -218,8 +218,8 @@ void TopKRound::finish(std::span<float> out, RoundStats& /*stats*/) {
 
 std::size_t TopKConfig::k_for_bits(std::size_t dimension, double bits,
                                    bool delta_indices) {
-  const double per_entry = delta_indices ? 32.0 : 48.0;
-  const double k = static_cast<double>(dimension) * bits / per_entry;
+  const double k =
+      static_cast<double>(dimension) * bits / entry_bits(delta_indices);
   return std::max<std::size_t>(1, static_cast<std::size_t>(k));
 }
 

@@ -27,6 +27,12 @@ struct TopKConfig {
   /// instead of plain 32-bit indices: 32 bits per entry instead of 48.
   bool delta_indices = false;
 
+  /// Wire bits per entry: an FP16 value plus a 32-bit index (48), or
+  /// plus a 16-bit delta index (32).
+  static constexpr double entry_bits(bool delta_indices) noexcept {
+    return delta_indices ? 32.0 : 48.0;
+  }
+
   /// K achieving a budget of b bits per coordinate: K = d*b/48 (or d*b/32
   /// with delta indices).
   static std::size_t k_for_bits(std::size_t dimension, double bits,

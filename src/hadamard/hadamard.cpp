@@ -46,8 +46,6 @@ void fwht(std::span<float> x, unsigned l_iters) {
 
 void fwht(std::span<float> x) { fwht(x, full_iterations(x.size())); }
 
-void fwht_inverse(std::span<float> x, unsigned l_iters) { fwht(x, l_iters); }
-
 unsigned full_iterations(std::size_t padded_size) noexcept {
   return padded_size <= 1 ? 0u : log2_floor(padded_size);
 }

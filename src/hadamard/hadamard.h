@@ -36,10 +36,6 @@ void fwht(std::span<float> x, unsigned l_iters);
 /// Full in-place orthonormal FWHT (all log2(size) iterations).
 void fwht(std::span<float> x);
 
-/// The inverse of fwht(x, l_iters). The orthonormal FWHT is an involution,
-/// so this is the same computation; the alias exists for call-site clarity.
-void fwht_inverse(std::span<float> x, unsigned l_iters);
-
 /// Number of iterations for a full transform of `padded_size` (a power of 2).
 unsigned full_iterations(std::size_t padded_size) noexcept;
 

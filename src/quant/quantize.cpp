@@ -1,7 +1,5 @@
 #include "quant/quantize.h"
 
-#include <algorithm>
-
 #include "kernels/kernels.h"
 
 namespace gcs {
@@ -14,10 +12,6 @@ QuantRange compute_range(std::span<const float> x) noexcept {
   QuantRange r;
   kernels::active().min_max(x.data(), x.size(), &r.lo, &r.hi);
   return r;
-}
-
-QuantRange merge_ranges(QuantRange a, QuantRange b) noexcept {
-  return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
 }
 
 }  // namespace gcs

@@ -24,8 +24,4 @@ struct QuantRange {
 /// Min/max of a span (QuantRange{0,0} for empty input).
 QuantRange compute_range(std::span<const float> x) noexcept;
 
-/// Element-wise min/max merge of two ranges (the shared-range consensus
-/// reduction: associative, so it is all-reduce friendly).
-QuantRange merge_ranges(QuantRange a, QuantRange b) noexcept;
-
 }  // namespace gcs

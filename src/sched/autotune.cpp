@@ -1,6 +1,7 @@
 #include "sched/autotune.h"
 
 #include "common/check.h"
+#include "core/factory.h"
 
 namespace gcs::sched {
 namespace {
@@ -30,15 +31,15 @@ const std::vector<std::size_t>& autotune_bucket_grid() {
 
 AutotuneChoice autotune_sizes(const sim::CostModel& cost,
                               const sim::WorkloadSpec& workload,
-                              const std::string& spec, int workers) {
+                              const core::SchemeSpec& scheme, int workers) {
   GCS_CHECK_MSG(workers >= 1, "autotune_sizes needs >= 1 encode workers");
   AutotuneChoice choice;
-  choice.mono_total_s = cost.round_for_spec(workload, spec).total();
+  choice.mono_total_s = cost.chunked_round(workload, scheme, 0).total();
   // Size-chunked sweep; monolithic (chunk_bytes = 0) is a legal winner —
   // pure-comm schemes only lose latency to chunking.
   choice.chunked_total_s = choice.mono_total_s;
   for (std::size_t bytes : autotune_chunk_grid()) {
-    const double total = cost.round_for_spec(workload, spec, bytes).total();
+    const double total = cost.chunked_round(workload, scheme, bytes).total();
     choice.sweep.push_back({bytes, total, false});
     if (total < choice.chunked_total_s) {
       choice.chunked_total_s = total;
@@ -48,8 +49,9 @@ AutotuneChoice autotune_sizes(const sim::CostModel& cost,
   // Layer-bucket sweep (backward-overlap charge).
   bool first = true;
   for (std::size_t bytes : autotune_bucket_grid()) {
-    const sim::RoundTime t =
-        cost.bucketed_round_for_spec(workload, spec, bytes, workers);
+    const sim::RoundTime t = cost.bucketed_round(workload, scheme, bytes,
+                                                 workers,
+                                                 scheme.backward_frac);
     choice.sweep.push_back({bytes, t.total(), true});
     if (first || t.total() < choice.bucketed_total_s) {
       choice.bucketed_total_s = t.total();

@@ -40,11 +40,13 @@ struct AutotuneChoice {
 const std::vector<std::size_t>& autotune_chunk_grid();
 const std::vector<std::size_t>& autotune_bucket_grid();
 
-/// Sweeps both grids for `spec` on `workload` and returns the argmin
-/// choices. `workers` is the encode-pool width of the bucketed charge.
+/// Sweeps both grids for `scheme` (core::parse_scheme) on `workload` and
+/// returns the argmin choices. `workers` is the encode-pool width of the
+/// bucketed charge, which runs at the scheme's backward_frac. Every size
+/// is charged explicitly: the sweep never reads a spec's own knobs.
 AutotuneChoice autotune_sizes(const sim::CostModel& cost,
                               const sim::WorkloadSpec& workload,
-                              const std::string& spec, int workers);
+                              const core::SchemeSpec& scheme, int workers);
 
 /// A WorkloadSpec standing in for `layout` when no calibrated workload
 /// exists (the factory's `autotune` knob): compute seconds extrapolated

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/check.h"
-#include "core/topk_compressor.h"
-#include "core/topkc_compressor.h"
+#include "core/factory.h"
 #include "hadamard/hadamard.h"
 #include "lowrank/orthogonalize.h"
 #include "lowrank/powersgd_step.h"
@@ -17,55 +15,6 @@
 
 namespace gcs::sim {
 namespace {
-
-/// Minimal re-parse of the factory spec grammar (kind + options + flags).
-struct ParsedSpec {
-  std::string kind;
-  std::vector<std::pair<std::string, double>> options;
-  std::vector<std::pair<std::string, std::string>> texts;
-  std::vector<std::string> flags;
-
-  bool flag(const std::string& f) const {
-    return std::find(flags.begin(), flags.end(), f) != flags.end();
-  }
-  double option(const std::string& key, double fallback) const {
-    for (const auto& [k, v] : options) {
-      if (k == key) return v;
-    }
-    return fallback;
-  }
-  std::string text_option(const std::string& key,
-                          const std::string& fallback) const {
-    for (const auto& [k, v] : texts) {
-      if (k == key) return v;
-    }
-    return fallback;
-  }
-};
-
-ParsedSpec parse(const std::string& text) {
-  ParsedSpec out;
-  std::istringstream is(text);
-  std::string token;
-  bool first = true;
-  while (std::getline(is, token, ':')) {
-    if (first) {
-      out.kind = token;
-      first = false;
-      continue;
-    }
-    const auto eq = token.find('=');
-    if (eq == std::string::npos) {
-      out.flags.push_back(token);
-    } else {
-      const std::string value = token.substr(eq + 1);
-      out.options.emplace_back(token.substr(0, eq),
-                               std::strtod(value.c_str(), nullptr));
-      out.texts.emplace_back(token.substr(0, eq), value);
-    }
-  }
-  return out;
-}
 
 double clamp_nonneg(double x, double hi) {
   return std::min(std::max(x, 0.0), hi);
@@ -213,9 +162,9 @@ RoundTime CostModel::baseline_round(const WorkloadSpec& w,
 }
 
 CostModel::RoundCharge CostModel::topk_charge(const WorkloadSpec& w,
-                                              double bits) const {
+                                              double k,
+                                              double payload) const {
   const auto d = static_cast<double>(w.dimension());
-  const double k = d * bits / 48.0;  // FP16 value + 32-bit index
   RoundCharge charge;
   charge.serial.compute_s = train_compute(w, Precision::kFp32);
   charge.serial.fixed_s = constants_.fixed_overhead_s;
@@ -223,7 +172,6 @@ CostModel::RoundCharge CostModel::topk_charge(const WorkloadSpec& w,
   // received coordinates with poor locality.
   charge.serial.compress_s = constants_.topk_select_per_coord_s * d +
                              constants_.scatter_add_per_coord_s * k * n_;
-  const double payload = d * bits / 8.0;
   charge.serial.comm_s = net_.all_gather_time(n_, payload);
   charge.payload_bytes = payload;
   charge.step_latency_s = net_.all_gather_step_latency(n_);
@@ -237,17 +185,20 @@ CostModel::RoundCharge CostModel::topk_charge(const WorkloadSpec& w,
 
 RoundTime CostModel::topk_round(const WorkloadSpec& w, double bits,
                                 std::size_t chunk_bytes) const {
-  return apply_overlap(topk_charge(w, bits), chunk_bytes);
+  // FP16 value + 32-bit index per entry.
+  const auto d = static_cast<double>(w.dimension());
+  return apply_overlap(
+      topk_charge(w, d * bits / core::TopKConfig::entry_bits(false),
+                  d * bits / 8.0),
+      chunk_bytes);
 }
 
 CostModel::RoundCharge CostModel::topkc_charge(const WorkloadSpec& w,
-                                               double bits,
+                                               std::size_t top_chunks,
                                                std::size_t chunk_size) const {
   const auto d = static_cast<double>(w.dimension());
   const auto c = static_cast<double>(chunk_size);
-  const std::size_t j =
-      core::TopKCConfig::j_for_bits(w.dimension(), chunk_size, bits);
-  const double payload_coords = static_cast<double>(j) * c;
+  const double payload_coords = static_cast<double>(top_chunks) * c;
   const double norm_coords = std::ceil(d / c);
   RoundCharge charge;
   charge.serial.compute_s = train_compute(w, Precision::kFp32);
@@ -278,15 +229,22 @@ CostModel::RoundCharge CostModel::topkc_charge(const WorkloadSpec& w,
 RoundTime CostModel::topkc_round(const WorkloadSpec& w, double bits,
                                  std::size_t chunk_size,
                                  std::size_t chunk_bytes) const {
-  return apply_overlap(topkc_charge(w, bits, chunk_size), chunk_bytes);
+  return apply_overlap(
+      topkc_charge(w,
+                   core::TopKCConfig::j_for_bits(w.dimension(), chunk_size,
+                                                 bits),
+                   chunk_size),
+      chunk_bytes);
 }
 
 unsigned CostModel::rotation_iters(const WorkloadSpec& w,
-                                   const std::string& mode) const {
+                                   core::RotationMode mode) const {
   const std::size_t padded = next_pow2(w.dimension());
-  if (mode == "none" || mode == "norot") return 0;
-  if (mode == "partial") {
-    return partial_iterations(padded, constants_.shared_memory_bytes);
+  switch (mode) {
+    case core::RotationMode::kNone: return 0;
+    case core::RotationMode::kPartial:
+      return partial_iterations(padded, constants_.shared_memory_bytes);
+    case core::RotationMode::kFull: break;
   }
   return full_iterations(padded);
 }
@@ -416,62 +374,45 @@ RoundTime CostModel::powersgd_round(const WorkloadSpec& w,
   return apply_overlap(powersgd_charge(w, rank), chunk_bytes);
 }
 
-CostModel::RoundCharge CostModel::charge_for_spec(
-    const WorkloadSpec& w, const std::string& text) const {
-  const ParsedSpec spec = parse(text);
-  if (spec.kind == "fp32" || spec.kind == "fp16") {
-    const Precision comm =
-        spec.kind == "fp16" ? Precision::kFp16 : Precision::kFp32;
-    const Precision train =
-        spec.flag("tf32") ? Precision::kTf32 : Precision::kFp32;
-    return baseline_charge(w, train, comm);
+CostModel::RoundCharge CostModel::scheme_charge(
+    const WorkloadSpec& w, const core::SchemeSpec& scheme) const {
+  const auto& config = scheme.config;
+  if (const auto* c = std::get_if<core::BaselineConfig>(&config)) {
+    return baseline_charge(
+        w, scheme.tf32 ? Precision::kTf32 : Precision::kFp32,
+        c->comm_precision);
   }
-  if (spec.kind == "topk") {
-    double bits = spec.option("b", 0.0);
-    if (bits == 0.0) {
-      bits = spec.option("k", 0.0) * 48.0 / static_cast<double>(w.dimension());
-    }
-    return topk_charge(w, bits);
+  if (const auto* c = std::get_if<core::TopKConfig>(&config)) {
+    const auto d = static_cast<double>(w.dimension());
+    const auto k = static_cast<double>(c->k);
+    const double entry_bits = core::TopKConfig::entry_bits(c->delta_indices);
+    if (c->delta_indices) return topk_charge(w, k, k * entry_bits / 8.0);
+    // b= prices its budget (a fractional K); k= prices the codec's K.
+    const double bits =
+        scheme.topk_bits > 0.0 ? scheme.topk_bits : k * entry_bits / d;
+    return topk_charge(w, d * bits / entry_bits, d * bits / 8.0);
   }
-  if (spec.kind == "topkc") {
-    const double bits = spec.option("b", 8.0);
-    const auto c = static_cast<std::size_t>(spec.option(
-        "c",
-        static_cast<double>(core::TopKCConfig::default_chunk_size(bits))));
-    return topkc_charge(w, bits, c);
+  if (const auto* c = std::get_if<core::TopKCConfig>(&config)) {
+    return topkc_charge(w, c->num_top_chunks, c->chunk_size);
   }
-  if (spec.kind == "thc") {
-    const auto q = static_cast<unsigned>(spec.option("q", 4));
-    const auto b = static_cast<unsigned>(spec.option("b", q));
-    std::string mode = "partial";
-    if (spec.flag("full")) mode = "full";
-    if (spec.flag("norot")) mode = "none";
-    return thc_charge(w, b, rotation_iters(w, mode));
+  if (const auto* c = std::get_if<core::ThcConfig>(&config)) {
+    return thc_charge(w, c->b, rotation_iters(w, c->rotation));
   }
-  if (spec.kind == "powersgd") {
-    return powersgd_charge(w, static_cast<std::size_t>(spec.option("r", 4)));
-  }
-  throw Error("CostModel: unknown scheme spec '" + text + "'");
+  return powersgd_charge(w, std::get<core::PowerSgdConfig>(config).rank);
 }
 
 RoundTime CostModel::round_for_spec(const WorkloadSpec& w,
-                                    const std::string& text,
+                                    const std::string& spec,
                                     std::size_t chunk_bytes) const {
-  const ParsedSpec spec = parse(text);
-  if (spec.text_option("buckets", "") == "layer") {
-    const auto bucket_bytes =
-        static_cast<std::size_t>(spec.option("bucket", 0.0));
-    const auto workers =
-        std::max(1, static_cast<int>(spec.option("workers", 1.0)));
-    const double backward_frac =
-        spec.option("backward_frac", sched::kBackwardFraction);
-    return apply_backward_overlap(charge_for_spec(w, text), w, bucket_bytes,
-                                  workers, backward_frac);
+  const core::SchemeSpec scheme = core::parse_scheme(spec, w.layout, n_);
+  const core::PipelineConfig pipeline =
+      core::parse_pipeline_config(spec, w.layout, n_);
+  if (pipeline.bucket_mode == sched::BucketMode::kLayerBuckets) {
+    return bucketed_round(w, scheme, pipeline.bucket_bytes,
+                          pipeline.encode_workers, scheme.backward_frac);
   }
-  if (chunk_bytes == 0) {
-    chunk_bytes = static_cast<std::size_t>(spec.option("chunk", 0.0));
-  }
-  return apply_overlap(charge_for_spec(w, text), chunk_bytes);
+  return chunked_round(w, scheme,
+                       chunk_bytes != 0 ? chunk_bytes : pipeline.chunk_bytes);
 }
 
 RoundTime CostModel::bucketed_round_for_spec(const WorkloadSpec& w,
@@ -479,7 +420,21 @@ RoundTime CostModel::bucketed_round_for_spec(const WorkloadSpec& w,
                                              std::size_t bucket_bytes,
                                              int workers,
                                              double backward_frac) const {
-  return apply_backward_overlap(charge_for_spec(w, spec), w, bucket_bytes,
+  return bucketed_round(w, core::parse_scheme(spec, w.layout, n_),
+                        bucket_bytes, workers, backward_frac);
+}
+
+RoundTime CostModel::chunked_round(const WorkloadSpec& w,
+                                   const core::SchemeSpec& scheme,
+                                   std::size_t chunk_bytes) const {
+  return apply_overlap(scheme_charge(w, scheme), chunk_bytes);
+}
+
+RoundTime CostModel::bucketed_round(const WorkloadSpec& w,
+                                    const core::SchemeSpec& scheme,
+                                    std::size_t bucket_bytes, int workers,
+                                    double backward_frac) const {
+  return apply_backward_overlap(scheme_charge(w, scheme), w, bucket_bytes,
                                 workers, backward_frac);
 }
 

@@ -50,12 +50,18 @@
 // free, which is the paper's core warning.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "netsim/network_model.h"
 #include "numeric/precision.h"
 #include "sched/backward_source.h"
 #include "sim/workload.h"
+
+namespace gcs::core {
+struct SchemeSpec;
+enum class RotationMode : std::uint8_t;
+}  // namespace gcs::core
 
 namespace gcs::sim {
 
@@ -143,10 +149,10 @@ class CostModel {
                       unsigned rotation_iters,
                       std::size_t chunk_bytes = 0) const;
 
-  /// Rotation iteration count for a mode name ("full", "partial", "none")
-  /// at this workload's padded dimension.
+  /// Rotation iteration count for a mode at this workload's padded
+  /// dimension.
   unsigned rotation_iters(const WorkloadSpec& w,
-                          const std::string& mode) const;
+                          core::RotationMode mode) const;
 
   /// PowerSGD at rank r (layout-dependent: matmuls, orthogonalization,
   /// per-layer launches, P/Q payload sizes).
@@ -157,14 +163,15 @@ class CostModel {
   /// (FP16 P and Q for low-rank layers, dense FP16 for the rest).
   double powersgd_bits(const WorkloadSpec& w, std::size_t rank) const;
 
-  /// Dispatches on a core::make_pipeline spec string, using the same
-  /// grammar, so benches drive timing and value-path from one spec. A
-  /// "chunk=<bytes>" option in the spec selects chunked charging (matching
-  /// the factory's pipeline knob); the explicit `chunk_bytes` argument
-  /// overrides the spec when non-zero. A "buckets=layer" option instead
-  /// selects the bucketed backward-overlap charge (with "bucket=<bytes>",
-  /// "workers=<N>" and "backward_frac=<f>" from the spec); it takes
-  /// precedence over chunked charging.
+  /// Charges the experiment core::make_pipeline builds from `spec`. The
+  /// factory's parser reads the spec (core::parse_scheme and
+  /// core::parse_pipeline_config on w.layout at this world size), so a
+  /// spec the factory rejects throws the same gcs::Error here. The charge
+  /// follows the resolved pipeline: "buckets=layer" selects the bucketed
+  /// backward-overlap charge at the spec's bucket=, workers= and
+  /// backward_frac=; otherwise the round is size-chunked at chunk=, or at
+  /// `chunk_bytes` when that is non-zero. An autotune spec is charged at
+  /// the sizes the factory resolves for it.
   RoundTime round_for_spec(const WorkloadSpec& w, const std::string& spec,
                            std::size_t chunk_bytes = 0) const;
 
@@ -185,12 +192,24 @@ class CostModel {
   /// default) in backward order, an encode pool of `workers` threads,
   /// comm of bucket k overlapping both the backward pass and the encode
   /// of bucket k+1. `backward_frac` is the backward share of fwd+bwd
-  /// compute (strictly inside (0, 1); default: the 2/3 rule the spec
-  /// knob "backward_frac=" overrides). See the file comment.
+  /// compute (strictly inside (0, 1)). The spec is validated, but its
+  /// own schedule knobs are not read: the arguments are the schedule.
   RoundTime bucketed_round_for_spec(
       const WorkloadSpec& w, const std::string& spec,
       std::size_t bucket_bytes = 0, int workers = 1,
       double backward_frac = sched::kBackwardFraction) const;
+
+  /// The two schedules for a spec the factory already parsed, with the
+  /// schedule given explicitly: size-chunked at `chunk_bytes` (0 =
+  /// monolithic), or bucketed as above. They resolve nothing, so the
+  /// autotuner sweeps through them.
+  RoundTime chunked_round(const WorkloadSpec& w,
+                          const core::SchemeSpec& scheme,
+                          std::size_t chunk_bytes) const;
+  RoundTime bucketed_round(const WorkloadSpec& w,
+                           const core::SchemeSpec& scheme,
+                           std::size_t bucket_bytes, int workers,
+                           double backward_frac) const;
 
  private:
   /// One scheme's serial round plus the parts of it that may pipeline:
@@ -213,14 +232,17 @@ class CostModel {
   RoundCharge baseline_charge(const WorkloadSpec& w,
                               Precision train_precision,
                               Precision comm_precision) const;
-  RoundCharge topk_charge(const WorkloadSpec& w, double bits) const;
-  RoundCharge topkc_charge(const WorkloadSpec& w, double bits,
+  /// `k` entries per worker, `payload_bytes` of them on the wire.
+  RoundCharge topk_charge(const WorkloadSpec& w, double k,
+                          double payload_bytes) const;
+  /// `top_chunks` (J) chunks of `chunk_size` (C) coordinates.
+  RoundCharge topkc_charge(const WorkloadSpec& w, std::size_t top_chunks,
                            std::size_t chunk_size) const;
   RoundCharge thc_charge(const WorkloadSpec& w, unsigned wire_bits,
                          unsigned rotation_iters) const;
   RoundCharge powersgd_charge(const WorkloadSpec& w, std::size_t rank) const;
-  RoundCharge charge_for_spec(const WorkloadSpec& w,
-                              const std::string& spec) const;
+  RoundCharge scheme_charge(const WorkloadSpec& w,
+                            const core::SchemeSpec& scheme) const;
 
   /// Two-stage pipeline over m = ceil(payload/chunk) items: encode of
   /// chunk k+1 overlaps the hops of chunk k; every chunk beyond the first

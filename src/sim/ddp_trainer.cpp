@@ -34,15 +34,7 @@ DdpResult train_ddp(const train::Dataset& data, const DdpConfig& config,
                                config.min_delta);
   RollingAverage rolling(config.rolling_window);
 
-  // The scheme spec itself may select bucketed charging (buckets=layer);
-  // the explicit config knob forces it for programmatic callers.
-  const RoundTime round_time =
-      config.layer_buckets
-          ? cost.bucketed_round_for_spec(workload, config.scheme,
-                                         config.bucket_bytes,
-                                         config.encode_workers)
-          : cost.round_for_spec(workload, config.scheme,
-                                config.overlap_chunk_bytes);
+  const RoundTime round_time = cost.round_for_spec(workload, config.scheme);
   const bool lower_better =
       config.direction == train::MetricDirection::kLowerIsBetter;
 

@@ -24,7 +24,9 @@
 namespace gcs::sim {
 
 struct DdpConfig {
-  /// Scheme spec (core::make_pipeline grammar).
+  /// Scheme spec (core::make_pipeline grammar). Its pipeline knobs
+  /// (chunk=, buckets=layer, bucket=, workers=, backward_frac=, autotune)
+  /// select the charged schedule; see CostModel::round_for_spec.
   std::string scheme;
   int world_size = 4;
   std::size_t batch_per_worker = 32;
@@ -48,16 +50,6 @@ struct DdpConfig {
   /// Keep training this many rounds past convergence (the paper stops "a
   /// given number of epochs after convergence", so curves extend past it).
   int post_converge_rounds = 200;
-  /// Chunk size (bytes) for the chunked/overlapped aggregation pipeline;
-  /// 0 charges the monolithic round cost. Values are bit-identical either
-  /// way — this changes only the per-round time (see sim/cost_model.h).
-  std::size_t overlap_chunk_bytes = 0;
-  /// Layer-bucketed backward-overlap charging (the sched/ subsystem's
-  /// schedule): overrides the size-chunked charge above. Equivalent to
-  /// "buckets=layer" in the scheme spec, which also selects it.
-  bool layer_buckets = false;
-  std::size_t bucket_bytes = 0;  ///< layer-bucket cap; 0 = 25 MB default
-  int encode_workers = 1;        ///< encode pool width for the charge
   std::uint64_t seed = 42;
 };
 

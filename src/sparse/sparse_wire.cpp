@@ -269,32 +269,4 @@ void scatter_add(const SparseVector& v, std::span<float> acc) {
   }
 }
 
-SparseVector merge_sum(const SparseVector& a, const SparseVector& b) {
-  SparseVector out;
-  out.indices.reserve(a.size() + b.size());
-  out.values.reserve(a.size() + b.size());
-  std::size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    const bool take_a =
-        j >= b.size() || (i < a.size() && a.indices[i] <= b.indices[j]);
-    const bool take_b =
-        i >= a.size() || (j < b.size() && b.indices[j] <= a.indices[i]);
-    if (take_a && take_b) {
-      out.indices.push_back(a.indices[i]);
-      out.values.push_back(a.values[i] + b.values[j]);
-      ++i;
-      ++j;
-    } else if (take_a) {
-      out.indices.push_back(a.indices[i]);
-      out.values.push_back(a.values[i]);
-      ++i;
-    } else {
-      out.indices.push_back(b.indices[j]);
-      out.values.push_back(b.values[j]);
-      ++j;
-    }
-  }
-  return out;
-}
-
 }  // namespace gcs

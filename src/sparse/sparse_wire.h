@@ -106,8 +106,4 @@ void scatter_add_sparse_delta16(std::span<const std::byte> data,
 /// Adds a sparse vector into a dense accumulator: acc[idx] += value.
 void scatter_add(const SparseVector& v, std::span<float> acc);
 
-/// Merges two sorted sparse vectors, summing duplicate indices (the
-/// all-gather aggregation step on the receive side).
-SparseVector merge_sum(const SparseVector& a, const SparseVector& b);
-
 }  // namespace gcs

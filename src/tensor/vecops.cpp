@@ -44,28 +44,4 @@ void sub(std::span<const float> a, std::span<const float> b,
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
 }
 
-std::size_t argmax_abs(std::span<const float> x) noexcept {
-  std::size_t best = 0;
-  float best_mag = -1.0f;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float mag = std::fabs(x[i]);
-    if (mag > best_mag) {
-      best_mag = mag;
-      best = i;
-    }
-  }
-  return best;
-}
-
-double mse(std::span<const float> a, std::span<const float> b) noexcept {
-  const std::size_t n = a.size() < b.size() ? a.size() : b.size();
-  if (n == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    acc += d * d;
-  }
-  return acc / static_cast<double>(n);
-}
-
 }  // namespace gcs

@@ -36,10 +36,4 @@ void add(std::span<const float> a, std::span<const float> b,
 void sub(std::span<const float> a, std::span<const float> b,
          std::span<float> out) noexcept;
 
-/// Index of the maximum |x[i]| (returns 0 on empty input).
-std::size_t argmax_abs(std::span<const float> x) noexcept;
-
-/// Mean squared error between two equal-length spans (FP64 accumulation).
-double mse(std::span<const float> a, std::span<const float> b) noexcept;
-
 }  // namespace gcs

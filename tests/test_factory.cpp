@@ -221,8 +221,8 @@ TEST(Factory, BackwardFracAcceptsInRangeFractions) {
   EXPECT_NO_THROW(make_pipeline("fp16:backward_frac=0.5", l, 4));
   EXPECT_NO_THROW(
       make_pipeline("fp16:buckets=layer:backward_frac=0.8", l, 4));
-  // Both factory entry points validate the knob (it is consumed by the
-  // cost model's re-parse of the same spec, tested in test_sched.cpp).
+  // Both factory entry points validate the knob (parse_scheme carries it
+  // to the cost model's bucketed charge, tested in test_sched.cpp).
   EXPECT_NO_THROW(parse_pipeline_config("fp16:backward_frac=0.71", l, 4));
 }
 

@@ -27,12 +27,6 @@ TEST(QuantRange, EmptyIsZero) {
   EXPECT_EQ(r.hi, 0.0f);
 }
 
-TEST(QuantRange, MergeIsEnvelope) {
-  const auto m = merge_ranges({-1.0f, 2.0f}, {-3.0f, 1.0f});
-  EXPECT_EQ(m.lo, -3.0f);
-  EXPECT_EQ(m.hi, 2.0f);
-}
-
 TEST(Quantize, LevelsWithinBounds) {
   Rng rng(1);
   std::vector<float> x(1000);

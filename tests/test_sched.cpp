@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "core/factory.h"
 #include "sched/autotune.h"
 #include "sched/backward_source.h"
 #include "sched/bucket_planner.h"
@@ -319,8 +320,9 @@ TEST(BackwardOverlapCost, BackwardFracKnobShiftsTheHideableWindow) {
 TEST(Autotune, PicksArgminAndRecordsSweep) {
   const sim::CostModel cost;
   const auto w = sim::make_bert_large_workload();
-  const AutotuneChoice choice =
-      autotune_sizes(cost, w, "thc:q=4:b=4:sat:partial", 2);
+  const AutotuneChoice choice = autotune_sizes(
+      cost, w, core::parse_scheme("thc:q=4:b=4:sat:partial", w.layout, 4),
+      2);
   EXPECT_EQ(choice.sweep.size(),
             autotune_chunk_grid().size() + autotune_bucket_grid().size());
   // The chosen sizes really are the grid minima.

@@ -92,38 +92,5 @@ TEST(SparseWire, ScatterAddOutOfRangeThrows) {
   EXPECT_THROW(scatter_add(v, acc), std::logic_error);
 }
 
-TEST(SparseWire, MergeSumCombinesDuplicates) {
-  SparseVector a, b;
-  a.indices = {1, 4, 9};
-  a.values = {1.0f, 2.0f, 3.0f};
-  b.indices = {4, 9, 12};
-  b.values = {10.0f, 20.0f, 30.0f};
-  const auto m = merge_sum(a, b);
-  EXPECT_EQ(m.indices, (std::vector<std::uint32_t>{1, 4, 9, 12}));
-  EXPECT_EQ(m.values, (std::vector<float>{1.0f, 12.0f, 23.0f, 30.0f}));
-}
-
-TEST(SparseWire, MergeSumWithEmpty) {
-  SparseVector a, empty;
-  a.indices = {0};
-  a.values = {5.0f};
-  const auto m = merge_sum(a, empty);
-  EXPECT_EQ(m.indices, a.indices);
-  EXPECT_EQ(m.values, a.values);
-}
-
-TEST(SparseWire, MergeEqualsScatterAdd) {
-  const auto a = random_sparse(2000, 100, 5);
-  const auto b = random_sparse(2000, 100, 6);
-  const auto merged = merge_sum(a, b);
-  std::vector<float> dense1(2000, 0.0f), dense2(2000, 0.0f);
-  scatter_add(a, dense1);
-  scatter_add(b, dense1);
-  scatter_add(merged, dense2);
-  for (std::size_t i = 0; i < dense1.size(); ++i) {
-    EXPECT_FLOAT_EQ(dense1[i], dense2[i]);
-  }
-}
-
 }  // namespace
 }  // namespace gcs

@@ -38,17 +38,5 @@ TEST(VecOps, AddSub) {
   EXPECT_EQ(out[1], 3.0f);
 }
 
-TEST(VecOps, ArgmaxAbs) {
-  std::vector<float> a{1.0f, -5.0f, 4.0f};
-  EXPECT_EQ(argmax_abs(a), 1u);
-  EXPECT_EQ(argmax_abs(std::vector<float>{}), 0u);
-}
-
-TEST(VecOps, Mse) {
-  std::vector<float> a{1.0f, 2.0f}, b{2.0f, 4.0f};
-  EXPECT_DOUBLE_EQ(mse(a, b), (1.0 + 4.0) / 2.0);
-  EXPECT_DOUBLE_EQ(mse(a, a), 0.0);
-}
-
 }  // namespace
 }  // namespace gcs

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "core/thc_compressor.h"
 #include "sim/cost_model.h"
 #include "sim/workload.h"
 
 namespace gcs::sim {
 namespace {
+
+using core::RotationMode;
 
 TEST(Workload, BertLargeParameterCount) {
   const auto w = make_bert_large_workload();
@@ -116,9 +119,9 @@ TEST(CostModel, TopKCOverheadIsNegligible) {
 TEST(CostModel, Table8Shape_ThcOrdering) {
   const CostModel cost;
   for (const auto& w : {make_bert_large_workload(), make_vgg19_workload()}) {
-    const unsigned full = cost.rotation_iters(w, "full");
-    const unsigned partial = cost.rotation_iters(w, "partial");
-    const unsigned none = cost.rotation_iters(w, "none");
+    const unsigned full = cost.rotation_iters(w, RotationMode::kFull);
+    const unsigned partial = cost.rotation_iters(w, RotationMode::kPartial);
+    const unsigned none = cost.rotation_iters(w, RotationMode::kNone);
     EXPECT_GT(full, partial);
     EXPECT_EQ(none, 0u);
     // Saturation (b=4) beats the wide baseline (b=8) at equal rotation.
@@ -182,7 +185,8 @@ TEST(CostModel, SpecDispatchMatchesDirectCalls) {
                    cost.topkc_round(w, 2.0, 64).total());
   EXPECT_DOUBLE_EQ(
       cost.round_for_spec(w, "thc:q=4:b=4:sat:partial").total(),
-      cost.thc_round(w, 4, cost.rotation_iters(w, "partial")).total());
+      cost.thc_round(w, 4, cost.rotation_iters(w, RotationMode::kPartial))
+          .total());
   EXPECT_DOUBLE_EQ(cost.round_for_spec(w, "powersgd:r=16").total(),
                    cost.powersgd_round(w, 16).total());
   EXPECT_THROW(cost.round_for_spec(w, "bogus"), gcs::Error);
